@@ -1,7 +1,7 @@
 //! E13 — parallel partitioned execution: queries/sec per worker-pool width.
 //!
-//! One mixed workload (acyclic star and path → sharded Yannakakis match
-//! sets, a cyclic clique → sharded fallback search, the Example 1 triangle
+//! One mixed workload (acyclic star and path → row-range Yannakakis match
+//! sets, a cyclic clique → row-range fallback search, the Example 1 triangle
 //! under its tgd → witness Yannakakis) runs through `Database::run_batch`
 //! with `parallelism` ∈ {1, 2, 4, 8}.  Results are asserted identical to
 //! the serial batch before anything is timed — a perf experiment must not
@@ -135,11 +135,11 @@ fn main() {
         ]));
     }
 
-    // Axis 2: morsel-driven parallelism inside single runs — match sets,
-    // semijoin chunks and fallback roots split across cached hash shards,
-    // one morsel per shard.
+    // Axis 2: morsel-driven parallelism inside single runs — match sets
+    // and fallback roots split across row ranges of the scanned relation,
+    // semijoin sweeps across table chunks, one morsel each.
     let singles = [sac::gen::star_query(3), sac::gen::clique_query(3)];
-    println!("\ne13 axis 2 — sharded single runs:");
+    println!("\ne13 axis 2 — row-range single runs:");
     println!(
         "{:>24} {:>12} {:>12} {:>10} {:>12} {:>9} {:>8}",
         "query", "parallelism", "runs/sec", "speedup", "shard_tasks", "morsels", "stolen"
@@ -156,9 +156,6 @@ fn main() {
                 db.run(query),
                 "parallelism {parallelism} drifted from the serial answers on {query}"
             );
-            // Shard decompositions are built once, during the warm-up run
-            // above; capture the count before the resets below.
-            let shard_sets_built = db.metrics().shard_sets_built;
             let secs = median_secs(samples, || {
                 std::hint::black_box(db.run(query).len());
             });
@@ -198,7 +195,6 @@ fn main() {
                 ("median_run_secs", format!("{secs:.6}")),
                 ("runs_per_sec", format!("{rate:.1}")),
                 ("speedup_vs_serial", format!("{:.3}", rate / single)),
-                ("shard_sets_built", shard_sets_built.to_string()),
                 ("shard_tasks", m.shard_tasks.to_string()),
                 ("threads_spawned", m.threads_spawned.to_string()),
                 ("morsels_dispatched", m.morsels_dispatched.to_string()),

@@ -6,16 +6,26 @@
 //! specific [`CheckError`], so a verified certificate is a proof that each
 //! recorded fact really follows from the base facts under the program.
 //!
-//! The negation check is two-phase: during replay each step's recorded
-//! negated literals are checked to be the ground instantiation the rule
-//! demands, and after replay each is checked to be absent from the final
-//! model (base facts plus every derived fact).  For stratified programs the
-//! final model is the perfect model, so absence at the end implies absence
-//! at the step's stratum.
+//! A certificate proves *derivability*, not *completeness*: a fact it
+//! omits is unknown, not false.  Negation therefore needs evidence of its
+//! own, and the negation check has three parts.  During replay each step's
+//! recorded negated literals are checked to be the ground instantiation the
+//! rule demands; after replay each is checked to be absent from the
+//! replayed model (base facts plus every derived fact); and the model is
+//! checked to be **closed** for what the program negates — for every
+//! predicate that occurs under `not`, and every predicate its defining
+//! rules depend on, one immediate-consequence pass of those rules over the
+//! model must derive nothing new ([`CheckError::ModelNotClosed`]).
+//! Derivable and closed is the least model, stratum by stratum, so on the
+//! negated predicates the replayed model is the perfect model and absence
+//! from it is real absence — a certificate that simply omits the
+//! derivation of `T(a, b)` can no longer support `not T(a, b)`.  Programs
+//! without negation skip the closedness pass entirely.
 
 use crate::certificate::{Certificate, Premise};
-use crate::program::DatalogProgram;
-use sac_common::{Atom, Substitution};
+use crate::program::{DatalogProgram, Rule};
+use sac_common::{Atom, Substitution, Symbol};
+use sac_query::HomomorphismSearch;
 use sac_storage::Instance;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -84,6 +94,14 @@ pub enum CheckError {
         /// The present fact the step claimed was absent.
         fact: Atom,
     },
+    /// The replayed model omits a consequence of a rule that defines (or
+    /// feeds) a negated predicate, so absence from it proves nothing.
+    ModelNotClosed {
+        /// Index of the rule that fires on the model.
+        rule: usize,
+        /// The consequence the certificate never derived.
+        fact: Atom,
+    },
     /// The answer handed to [`verify_answer`] is not in the replayed model.
     AnswerNotDerived {
         /// The unsupported answer.
@@ -135,6 +153,11 @@ impl fmt::Display for CheckError {
                 f,
                 "step {step}: negated literal {fact} is present in the final model"
             ),
+            CheckError::ModelNotClosed { rule, fact } => write!(
+                f,
+                "rule {rule} derives {fact} from the replayed model, which omits \
+                 it: the model is not closed under a rule negation depends on"
+            ),
             CheckError::AnswerNotDerived { fact } => {
                 write!(f, "answer {fact} is not derived by the certificate")
             }
@@ -148,8 +171,9 @@ impl std::error::Error for CheckError {}
 /// derived facts on success.
 ///
 /// The replay is fail-closed: any dangling premise, unification failure,
-/// head mismatch, out-of-order reference or violated negated literal aborts
-/// with the first [`CheckError`] encountered.
+/// head mismatch, out-of-order reference, violated negated literal or
+/// omitted consequence under a negated predicate aborts with the first
+/// [`CheckError`] encountered.
 pub fn replay(
     program: &DatalogProgram,
     base: &Instance,
@@ -228,7 +252,76 @@ pub fn replay(
             }
         }
     }
+    check_closed(program, base, &model)?;
     Ok(model)
+}
+
+/// The predicates negation depends on: every predicate that occurs under
+/// `not`, and transitively every predicate read by a rule defining one of
+/// them.  Empty for positive programs.
+fn predicates_under_negation(program: &DatalogProgram) -> BTreeSet<Symbol> {
+    let rules = program.rules();
+    let mut needed: BTreeSet<Symbol> = rules
+        .iter()
+        .flat_map(|rule| &rule.negated)
+        .map(|literal| literal.predicate)
+        .collect();
+    let mut frontier: Vec<Symbol> = needed.iter().copied().collect();
+    while let Some(predicate) = frontier.pop() {
+        for rule in rules.iter().filter(|r| r.head.predicate == predicate) {
+            for atom in rule.body.iter().chain(&rule.negated) {
+                if needed.insert(atom.predicate) {
+                    frontier.push(atom.predicate);
+                }
+            }
+        }
+    }
+    needed
+}
+
+/// The closedness pass: every rule defining a predicate negation depends
+/// on must derive nothing outside `base ∪ model` in one
+/// immediate-consequence step over it.
+fn check_closed(
+    program: &DatalogProgram,
+    base: &Instance,
+    model: &BTreeSet<Atom>,
+) -> Result<(), CheckError> {
+    let needed = predicates_under_negation(program);
+    let checked: Vec<(usize, &Rule)> = program
+        .rules()
+        .iter()
+        .enumerate()
+        .filter(|(_, rule)| needed.contains(&rule.head.predicate))
+        .collect();
+    if checked.is_empty() {
+        return Ok(());
+    }
+    // Everything a checked rule reads or derives is in `needed`, so the
+    // other derived facts (typically the bulk: the negating rules' own
+    // output) never have to be stored.
+    let mut closed = base.clone();
+    for fact in model.iter().filter(|f| needed.contains(&f.predicate)) {
+        // A fact the base schema cannot hold (arity clash) stays out; if a
+        // checked rule derives it, the pass below reports it as missing.
+        let _ = closed.insert(fact.clone());
+    }
+    for (rule_index, rule) in checked {
+        for substitution in HomomorphismSearch::new(&rule.body, &closed).all() {
+            let blocked = rule
+                .negated
+                .iter()
+                .any(|literal| closed.contains(&substitution.apply_atom(literal)));
+            let fact = substitution.apply_atom(&rule.head);
+            if !blocked && !closed.contains(&fact) {
+                return Err(CheckError::ModelNotClosed {
+                    rule: rule_index,
+                    fact,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Checks a certificate, discarding the replayed model.
@@ -371,6 +464,26 @@ mod tests {
             check_certificate(&program, &dirty, &certificate),
             Err(CheckError::NegatedFactPresent { .. })
         ));
+    }
+
+    #[test]
+    fn omitted_derivations_are_rejected_only_under_negation() {
+        // A truncated certificate of a positive program proves less, not
+        // something false: it replays green.
+        let (program, base) = reachability();
+        check_certificate(&program, &base, &Certificate::default()).unwrap();
+        // Once a rule negates T, a model that omits T's consequences cannot
+        // support `not T(..)`: the same empty certificate is rejected.
+        let negating: DatalogProgram = "T(X, Y) :- E(X, Y).\n\
+                                        Sep(X, Y) :- E(X, Y), not T(Y, X)."
+            .parse()
+            .unwrap();
+        assert!(matches!(
+            check_certificate(&negating, &base, &Certificate::default()),
+            Err(CheckError::ModelNotClosed { rule: 0, .. })
+        ));
+        let (_, honest) = naive_fixpoint(&negating, &base).unwrap();
+        check_certificate(&negating, &base, &honest).unwrap();
     }
 
     #[test]

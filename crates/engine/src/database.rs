@@ -1,10 +1,8 @@
 //! [`Database`]: the concurrent, prepared-query service façade.
 //!
-//! Where the legacy [`crate::Engine`] was a single-owner session
-//! (`&mut self` everywhere), a `Database` is `Send + Sync` and serves every
-//! request through `&self`, so one instance behind an `Arc` — or plain
-//! borrows into scoped threads — can absorb traffic from many threads at
-//! once:
+//! A `Database` is `Send + Sync` and serves every request through `&self`,
+//! so one instance behind an `Arc` — or plain borrows into scoped threads —
+//! can absorb traffic from many threads at once:
 //!
 //! * the **instance** sits behind an `RwLock`: queries share a read guard
 //!   for their whole execution, inserts take the write guard;
@@ -19,9 +17,9 @@
 //!
 //! Epoch tracking is preserved exactly: inserts advance the instance epoch
 //! under the write guard and incrementally extend the touched predicate's
-//! cached indexes and shards before the guard is released (copy-on-write
-//! against in-flight snapshots), so a snapshot taken under any read guard
-//! is always consistent with the data it runs against.
+//! cached indexes before the guard is released (copy-on-write against
+//! in-flight snapshots), so a snapshot taken under any read guard is always
+//! consistent with the data it runs against.
 //!
 //! Lock order (outer to inner): `tgds` → `instance` → `views` registry →
 //! per-view state → `indexes`, and `tgds` → `plans`; the plan cache is
@@ -47,7 +45,7 @@ use crate::durability::{
 };
 use crate::error::{SacError, SacResult};
 use crate::exec;
-use crate::index::{IndexCache, PlanShards};
+use crate::index::IndexCache;
 use crate::plan::{plan_query, Explain, Plan, Strategy};
 use crate::pool::WorkerPool;
 use crate::result::ResultSet;
@@ -99,13 +97,15 @@ impl Default for EngineConfig {
 ///
 /// `parallelism` is the width of the **persistent worker pool** used by
 /// [`Database::run_batch`] (queries fan out across workers) and by single
-/// runs (match sets, semijoin sweeps and fallback searches fan out across
-/// cached relation shards as morsels).  The pool is created lazily at the
-/// first `parallelism > 1` run — `parallelism - 1` OS threads, because the
-/// submitting thread executes morsels too while it waits — then reused for
-/// every subsequent region and joined when the database drops.  `1` (the
-/// default) is the plain serial path — no pool is ever created, no thread
-/// is ever spawned, no shard decompositions are built.
+/// runs (match sets and fallback searches fan out across row ranges of the
+/// scanned relations, semijoin sweeps across table chunks, as morsels).  The
+/// pool is created lazily at the first `parallelism > 1` run —
+/// `parallelism - 1` OS threads, because the submitting thread executes
+/// morsels too while it waits — then reused for every subsequent region and
+/// joined when the database drops.  `1` (the default) is the plain serial
+/// path — no pool is ever created and no thread is ever spawned.  Parallel
+/// scans read the one stored copy of each relation, so a parallel database
+/// costs no extra memory per relation and no extra work per insert.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
     /// Effective threads per parallel region (pool workers + the
@@ -115,9 +115,8 @@ pub struct ExecOptions {
     /// fans out, and the target **rows per morsel** once it does: a region
     /// over `n` rows splits into roughly `n / min_parallel_rows` morsels
     /// (clamped to `[2, 4 * parallelism]` for sweeps, `[parallelism,
-    /// 4 * parallelism]` for shard decompositions).  Below this bound the
-    /// dispatch cost exceeds the scan, so the run stays serial (and no
-    /// shard decomposition is built or maintained for the relation).  The
+    /// 4 * parallelism]` for relation scans).  Below this bound the
+    /// dispatch cost exceeds the scan, so the run stays serial.  The
     /// default keeps small-data workloads on the serial fast path; tests
     /// set it to 0 to force the parallel machinery on tiny fixtures.
     pub min_parallel_rows: usize,
@@ -151,10 +150,9 @@ pub struct EngineMetrics {
     pub runs_indexed_search: usize,
     /// Join-key indexes built over the session's lifetime.
     pub indexes_built: usize,
-    /// Relation shard decompositions built over the session's lifetime.
-    pub shard_sets_built: usize,
-    /// Per-shard parallel work items executed (match-set shards, semijoin
-    /// chunks, fallback-search shards).  Zero on the serial path.
+    /// Parallel work items executed (match-set row ranges, semijoin
+    /// chunks, fallback-search row ranges).  Zero on the serial path.  The
+    /// name predates row-range scans and is kept for metric continuity.
     pub shard_tasks: usize,
     /// Worker threads alive in the persistent pool — reported **once**
     /// (the live pool size, `parallelism - 1`), not accumulated per
@@ -164,7 +162,7 @@ pub struct EngineMetrics {
     /// on a serial database.
     pub threads_spawned: usize,
     /// Morsels submitted to the worker pool (batch queries, match-set
-    /// shards, semijoin chunks, fallback-search shards).  Zero on the
+    /// row ranges, semijoin chunks, fallback-search row ranges).  Zero on the
     /// serial path.  Deterministic for a given workload.
     pub morsels_dispatched: usize,
     /// Morsels a pool thread claimed from another worker's deque.  Purely
@@ -264,7 +262,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} runs ({} planned, {} cache hits, {:.0}% hit rate); strategies: {} direct / {} witness / {} fallback; {} indexes + {} shard sets built; {} shard tasks / {} morsels ({} stolen) on a {}-thread pool; {} views ({} incremental / {} full refreshes, {} delta rows)",
+            "{} runs ({} planned, {} cache hits, {:.0}% hit rate); strategies: {} direct / {} witness / {} fallback; {} indexes built; {} shard tasks / {} morsels ({} stolen) on a {}-thread pool; {} views ({} incremental / {} full refreshes, {} delta rows)",
             self.queries_run,
             self.plans_built,
             self.plan_cache_hits,
@@ -273,7 +271,6 @@ impl fmt::Display for EngineMetrics {
             self.runs_yannakakis_witness,
             self.runs_indexed_search,
             self.indexes_built,
-            self.shard_sets_built,
             self.shard_tasks,
             self.morsels_dispatched,
             self.morsel_steals,
@@ -366,12 +363,7 @@ impl MetricCounters {
         .fetch_add(1, Ordering::Relaxed);
     }
 
-    fn snapshot(
-        &self,
-        indexes_built: usize,
-        shard_sets_built: usize,
-        pool: PoolStats,
-    ) -> EngineMetrics {
+    fn snapshot(&self, indexes_built: usize, pool: PoolStats) -> EngineMetrics {
         EngineMetrics {
             queries_run: self.queries_run.load(Ordering::Relaxed),
             plans_built: self.plans_built.load(Ordering::Relaxed),
@@ -380,7 +372,6 @@ impl MetricCounters {
             runs_yannakakis_witness: self.runs_yannakakis_witness.load(Ordering::Relaxed),
             runs_indexed_search: self.runs_indexed_search.load(Ordering::Relaxed),
             indexes_built,
-            shard_sets_built,
             shard_tasks: self.shard_tasks.load(Ordering::Relaxed),
             threads_spawned: pool.threads,
             morsels_dispatched: self.morsels_dispatched.load(Ordering::Relaxed),
@@ -533,8 +524,7 @@ pub struct Database {
     /// would unregister them the moment the recovery-time handle dropped.
     /// [`Database::durable_views`] hands out fresh handles over these.
     pinned_views: Mutex<Vec<Arc<ViewCore>>>,
-    /// The persistence engine; `None` on non-durable databases (including
-    /// every database the legacy [`crate::Engine`] shim creates).
+    /// The persistence engine; `None` on non-durable databases.
     durability: Option<DurabilityCore>,
     /// What recovery found, for databases created by [`Database::open`].
     recovery: Option<RecoveryReport>,
@@ -627,7 +617,7 @@ impl Database {
         self
     }
 
-    /// Sets the worker-pool width for batch fan-out and per-shard sweeps
+    /// Sets the worker-pool width for batch fan-out and row-range sweeps
     /// (builder-style).  `1` keeps the plain serial path; values are clamped
     /// to at least 1.  See [`ExecOptions`].
     pub fn with_parallelism(mut self, parallelism: usize) -> Database {
@@ -686,13 +676,6 @@ impl Database {
         self.config
     }
 
-    /// Consumes the database, returning the instance.
-    pub fn into_instance(self) -> Instance {
-        self.instance
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Runs `f` over the current instance under the read lock.  Keep `f`
     /// short: inserts wait while it runs.
     pub fn read<R>(&self, f: impl FnOnce(&Instance) -> R) -> R {
@@ -736,42 +719,22 @@ impl Database {
     }
 
     /// Inserts an atom.  Returns whether it was new; a genuinely new atom
-    /// **extends** the touched predicate's cached indexes and shards in
-    /// place (relations are append-only, so incremental maintenance is a
-    /// handful of hash inserts — nothing is invalidated or rebuilt).  Cached
-    /// plans survive — a plan's strategy choice never depends on the data,
-    /// only its fallback atom order does, and a stale order is a performance
+    /// **extends** the touched predicate's cached indexes in place
+    /// (relations are append-only, so incremental maintenance is a handful
+    /// of hash inserts — nothing is invalidated or rebuilt).  Cached plans
+    /// survive — a plan's strategy choice never depends on the data, only
+    /// its fallback atom order does, and a stale order is a performance
     /// matter, not a correctness one.
     ///
     /// On a durable database ([`Database::open`]) a new atom is appended to
     /// the write-ahead log before the instance write guard is released, so
     /// durability is atomic with visibility; see [`crate::durability`].
     pub fn insert(&self, atom: Atom) -> SacResult<bool> {
-        if self.durability.is_none() {
-            return Ok(self.insert_common(atom)?);
-        }
         let mut instance = self.write_instance();
-        let cursor = instance.delta_cursor();
+        let cursor = self.durability.as_ref().map(|_| instance.delta_cursor());
         let added = instance.insert(atom)?;
         if added {
-            self.lock_indexes().note_growth(&instance);
-            self.refresh_auto_views(&instance);
-            self.persist_growth(&instance, &cursor)?;
-        }
-        Ok(added)
-    }
-
-    /// [`Database::insert`] with the workspace-internal error type, for the
-    /// legacy [`crate::Engine`] shim.
-    pub(crate) fn insert_common(&self, atom: Atom) -> sac_common::Result<bool> {
-        let mut instance = self.write_instance();
-        let added = instance.insert(atom)?;
-        if added {
-            // Extend the caches under the instance write guard, so no
-            // concurrent run can snapshot between the data change and the
-            // maintenance.
-            self.lock_indexes().note_growth(&instance);
-            self.refresh_auto_views(&instance);
+            self.publish_growth(&instance, cursor.as_ref())?;
         }
         Ok(added)
     }
@@ -790,11 +753,8 @@ impl Database {
     /// appended under the same write guard — so one fsync (and one replay
     /// step) covers the entire load.
     pub fn extend_from(&self, other: &Instance) -> SacResult<usize> {
-        if self.durability.is_none() {
-            return Ok(self.extend_from_common(other)?);
-        }
         let mut instance = self.write_instance();
-        let cursor = instance.delta_cursor();
+        let cursor = self.durability.as_ref().map(|_| instance.delta_cursor());
         let mut added = 0;
         for atom in other.atoms() {
             match instance.insert(atom) {
@@ -804,44 +764,33 @@ impl Database {
                     // Partial batch: catch the caches up AND persist the
                     // applied prefix — it is visible, so it must survive a
                     // crash like any other visible state.
-                    self.lock_indexes().note_growth(&instance);
-                    self.refresh_auto_views(&instance);
-                    self.persist_growth(&instance, &cursor)?;
+                    self.publish_growth(&instance, cursor.as_ref())?;
                     return Err(e.into());
                 }
             }
         }
         if added > 0 {
-            self.lock_indexes().note_growth(&instance);
-            self.refresh_auto_views(&instance);
-            self.persist_growth(&instance, &cursor)?;
+            self.publish_growth(&instance, cursor.as_ref())?;
         }
         Ok(added)
     }
 
-    /// [`Database::extend_from`] with the workspace-internal error type, for
-    /// the legacy [`crate::Engine`] shim.
-    pub(crate) fn extend_from_common(&self, other: &Instance) -> sac_common::Result<usize> {
-        let mut instance = self.write_instance();
-        let mut added = 0;
-        for atom in other.atoms() {
-            match instance.insert(atom) {
-                Ok(true) => added += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    // Partial batch: catch the caches (and auto views) up
-                    // with whatever was applied before surfacing the error.
-                    self.lock_indexes().note_growth(&instance);
-                    self.refresh_auto_views(&instance);
-                    return Err(e);
-                }
-            }
+    /// What every append owes its readers, under the instance write guard
+    /// so no concurrent run can snapshot between the data change and the
+    /// maintenance: cached indexes extended, auto-refresh views caught up,
+    /// and — on a durable database, where `cursor` is the pre-mutation
+    /// cursor — the growth appended to the WAL.
+    fn publish_growth(
+        &self,
+        instance: &Instance,
+        cursor: Option<&sac_storage::DeltaCursor>,
+    ) -> SacResult<()> {
+        self.lock_indexes().note_growth(instance);
+        self.refresh_auto_views(instance);
+        match cursor {
+            Some(cursor) => self.persist_growth(instance, cursor),
+            None => Ok(()),
         }
-        if added > 0 {
-            self.lock_indexes().note_growth(&instance);
-            self.refresh_auto_views(&instance);
-        }
-        Ok(added)
     }
 
     /// Parses `text` as ground facts and inserts them all; returns how many
@@ -931,7 +880,7 @@ impl Database {
     /// Evaluates an already-validated query.
     pub fn run(&self, query: &ConjunctiveQuery) -> ResultSet {
         let plan = self.plan_arc(query);
-        self.run_plan(&plan)
+        self.run_plan_core(&plan, self.exec.parallelism, None).0
     }
 
     /// [`Database::run`] with a [`QueryTrace`] alongside the results: the
@@ -966,7 +915,7 @@ impl Database {
     /// serial batch.
     ///
     /// The parallelism budget is spent once: when the batch itself fans
-    /// out, each morsel executes its query serially (per-shard parallelism
+    /// out, each morsel executes its query serially (row-range parallelism
     /// applies to single [`Database::run`] / [`PreparedQuery::execute`]
     /// calls), so batch morsels never submit nested regions.
     pub fn run_batch(&self, queries: &[ConjunctiveQuery]) -> Vec<ResultSet> {
@@ -977,7 +926,7 @@ impl Database {
         // would otherwise race the cold plan cache and re-run the expensive
         // witness search once per worker instead of once per shape.
         let plans: Vec<Arc<Plan>> = queries.iter().map(|q| self.plan_arc(q)).collect();
-        let results = pool.run(&plans, |plan| self.run_plan_at(plan, 1));
+        let results = pool.run(&plans, |plan| self.run_plan_core(plan, 1, None).0);
         self.metrics
             .morsels_dispatched
             .fetch_add(plans.len(), Ordering::Relaxed);
@@ -1078,14 +1027,6 @@ impl Database {
         Ok(run)
     }
 
-    fn run_plan(&self, plan: &Plan) -> ResultSet {
-        self.run_plan_at(plan, self.exec.parallelism)
-    }
-
-    fn run_plan_at(&self, plan: &Plan, parallelism: usize) -> ResultSet {
-        self.run_plan_core(plan, parallelism, None).0
-    }
-
     /// The single execution funnel.  Every run records its wall time into
     /// the run-latency histogram and announces itself on the event bus;
     /// with `trace` set, the attached probe additionally collects phase
@@ -1099,36 +1040,13 @@ impl Database {
         self.metrics.record_run(plan.strategy());
         let run_started = Instant::now();
         let instance = self.read_instance();
-        // Short locked section: build/fetch exactly the plan's indexes and —
-        // for a parallel run — the shard decompositions of the relations it
-        // scans…
+        // Short locked section: build/fetch exactly the plan's indexes…
         let required = exec::required_indexes(plan);
-        let requested = if trace.is_some() {
-            required.len()
-                + if parallelism > 1 {
-                    exec::required_shards(plan).len()
-                } else {
-                    0
-                }
-        } else {
-            0
-        };
-        let (indexes, shards, cache_misses) = {
+        let (indexes, cache_misses) = {
             let mut cache = self.lock_indexes();
-            let built_before = cache.built() + cache.shard_sets_built();
+            let built_before = cache.built();
             let indexes = cache.snapshot(&instance, &required);
-            let shards = if parallelism > 1 {
-                cache.snapshot_shards(
-                    &instance,
-                    &exec::required_shards(plan),
-                    parallelism,
-                    self.exec.min_parallel_rows,
-                )
-            } else {
-                PlanShards::new()
-            };
-            let misses = cache.built() + cache.shard_sets_built() - built_before;
-            (indexes, shards, misses)
+            (indexes, cache.built() - built_before)
         };
         // …then execute lock-free (the instance read guard is still held, so
         // the snapshots stay consistent with the data for the whole run).
@@ -1137,9 +1055,8 @@ impl Database {
         } else {
             None
         };
-        let mut ctx =
-            exec::ExecContext::new(indexes, shards, parallelism, self.exec.min_parallel_rows)
-                .with_pool(pool);
+        let mut ctx = exec::ExecContext::new(indexes, parallelism, self.exec.min_parallel_rows)
+            .with_pool(pool);
         let (plan_cache_hit, query_text) = match trace {
             Some(TraceStart {
                 mut probe,
@@ -1171,7 +1088,7 @@ impl Database {
                 query: query_text,
                 strategy: plan.strategy().as_str().to_owned(),
                 plan_cache_hit,
-                index_cache_hits: requested.saturating_sub(cache_misses),
+                index_cache_hits: required.len().saturating_sub(cache_misses),
                 index_cache_misses: cache_misses,
                 phases,
                 total_ns,
@@ -1416,13 +1333,8 @@ impl Database {
                 .lock_indexes()
                 .snapshot(instance, &core.incremental_indexes);
             let ctx = attach(
-                exec::ExecContext::new(
-                    indexes,
-                    PlanShards::new(),
-                    parallelism,
-                    self.exec.min_parallel_rows,
-                )
-                .with_pool(self.pool_handle()),
+                exec::ExecContext::new(indexes, parallelism, self.exec.min_parallel_rows)
+                    .with_pool(self.pool_handle()),
                 probe,
             );
             let delta = exec::execute_delta(&core.plan, instance, &watermarks, &ctx)
@@ -1437,23 +1349,11 @@ impl Database {
                 .fetch_add(delta_rows, Ordering::Relaxed);
             (RefreshMode::Incremental, ctx)
         } else {
-            let (indexes, shards) = {
-                let mut cache = self.lock_indexes();
-                let indexes = cache.snapshot(instance, &exec::required_indexes(&core.plan));
-                let shards = if parallelism > 1 {
-                    cache.snapshot_shards(
-                        instance,
-                        &exec::required_shards(&core.plan),
-                        parallelism,
-                        self.exec.min_parallel_rows,
-                    )
-                } else {
-                    PlanShards::new()
-                };
-                (indexes, shards)
-            };
+            let indexes = self
+                .lock_indexes()
+                .snapshot(instance, &exec::required_indexes(&core.plan));
             let ctx = attach(
-                exec::ExecContext::new(indexes, shards, parallelism, self.exec.min_parallel_rows)
+                exec::ExecContext::new(indexes, parallelism, self.exec.min_parallel_rows)
                     .with_pool(self.pool_handle()),
                 probe,
             );
@@ -1546,13 +1446,8 @@ impl Database {
     /// `pool_queue_wait_ns` read the pool's counters relative to the last
     /// [`Database::reset_metrics`].
     pub fn metrics(&self) -> EngineMetrics {
-        let (indexes_built, shard_sets_built) = {
-            let cache = self.lock_indexes();
-            (cache.built(), cache.shard_sets_built())
-        };
-        let mut m = self
-            .metrics
-            .snapshot(indexes_built, shard_sets_built, self.pool_stats());
+        let indexes_built = self.lock_indexes().built();
+        let mut m = self.metrics.snapshot(indexes_built, self.pool_stats());
         m.run_latency = self.latency.run.snapshot();
         m.prepare_latency = self.latency.prepare.snapshot();
         m.view_refresh_latency = self.latency.view_refresh.snapshot();
@@ -1830,12 +1725,6 @@ impl Database {
         })
     }
 
-    /// Exclusive access to the instance, for single-owner callers (the
-    /// legacy [`crate::Engine`] shim).
-    pub(crate) fn instance_mut(&mut self) -> &Instance {
-        self.instance.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-
     // Lock plumbing.  Poisoning is not propagated: a panicking query thread
     // leaves the structures it held in a consistent state (pure reads, or
     // completed cache updates), so later callers simply continue.
@@ -1895,7 +1784,9 @@ pub struct PreparedQuery<'db> {
 impl PreparedQuery<'_> {
     /// Executes the prepared plan against the current data.
     pub fn execute(&self) -> ResultSet {
-        self.database.run_plan(&self.plan)
+        self.database
+            .run_plan_core(&self.plan, self.database.exec.parallelism, None)
+            .0
     }
 
     /// The Boolean reading of [`PreparedQuery::execute`].
@@ -2203,7 +2094,7 @@ mod tests {
     fn parallel_runs_agree_with_serial_and_record_shard_work() {
         let data = sac_gen::random_graph_database(16, 80, 23);
         let serial = Database::from_instance(data.clone());
-        // min_parallel_rows 0: force the shard machinery on the small fixture.
+        // min_parallel_rows 0: force the parallel machinery on the small fixture.
         let parallel = Database::from_instance(data.clone()).with_exec_options(ExecOptions {
             parallelism: 4,
             min_parallel_rows: 0,
@@ -2217,12 +2108,10 @@ mod tests {
             assert_eq!(serial.run(&q), parallel.run(&q), "disagreement on {q}");
         }
         let m_serial = serial.metrics();
-        assert_eq!(m_serial.shard_tasks, 0, "serial path shards nothing");
+        assert_eq!(m_serial.shard_tasks, 0, "serial path splits nothing");
         assert_eq!(m_serial.threads_spawned, 0);
-        assert_eq!(m_serial.shard_sets_built, 0);
         let m_parallel = parallel.metrics();
-        assert!(m_parallel.shard_sets_built > 0, "E was decomposed");
-        assert!(m_parallel.shard_tasks > 0, "per-shard tasks ran");
+        assert!(m_parallel.shard_tasks > 0, "per-range tasks ran");
         assert!(m_parallel.threads_spawned > 0, "workers were spawned");
     }
 
@@ -2249,26 +2138,28 @@ mod tests {
     }
 
     #[test]
-    fn parallel_inserts_extend_shards_without_rebuilds() {
-        // min_parallel_rows 0: force the shard machinery on the small fixture.
+    fn parallel_appends_build_nothing_and_are_visible_to_the_next_run() {
         let db = Database::from_instance(sac_gen::random_graph_database(10, 40, 4))
             .with_exec_options(ExecOptions {
-                parallelism: 2,
+                parallelism: 4,
                 min_parallel_rows: 0,
             });
-        let q = sac_gen::path_query(2);
-        db.run(&q); // builds the shard decomposition of E
-        let sets_before = db.metrics().shard_sets_built;
-        assert!(sets_before > 0);
+        let q: ConjunctiveQuery = "q(X, Z) :- E(X, Y), E(Y, Z).".parse().unwrap();
+        let probe = [Term::constant("fresh_a"), Term::constant("fresh_c")];
+        assert!(!db.run(&q).into_tuples().contains(probe.as_slice()));
+        let before = db.metrics();
+        assert!(before.shard_tasks > 0, "the run scanned E in row ranges");
         assert!(db.insert(atom!("E", cst "fresh_a", cst "fresh_b")).unwrap());
-        db.run(&q);
-        assert_eq!(
-            db.metrics().shard_sets_built,
-            sets_before,
-            "the insert extended the cached shards instead of rebuilding"
-        );
-        // The new fact is visible through the extended shards.
-        assert!(db.query_boolean("q() :- E(fresh_a, X).").unwrap());
+        assert!(db.insert(atom!("E", cst "fresh_b", cst "fresh_c")).unwrap());
+        // Appends touch no derived structure: every build counter is where
+        // the first run left it…
+        let after = db.metrics();
+        assert_eq!(after.indexes_built, before.indexes_built);
+        assert_eq!(after.plans_built, before.plans_built);
+        // …and the next parallel run reads the new rows off the base
+        // relation (its ranges tile the grown `0..len`).
+        assert!(db.run(&q).into_tuples().contains(probe.as_slice()));
+        assert_eq!(db.metrics().indexes_built, before.indexes_built);
     }
 
     #[test]

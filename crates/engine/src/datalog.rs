@@ -36,7 +36,7 @@
 use crate::database::{Database, EngineConfig, ExecOptions};
 use crate::error::{SacError, SacResult};
 use crate::exec;
-use crate::index::{IndexCache, PlanShards};
+use crate::index::IndexCache;
 use crate::plan::{plan_query, Plan, Strategy};
 use crate::pool::WorkerPool;
 use sac_common::{Atom, Error, FxHashMap, Result, Substitution, Symbol, Term};
@@ -303,19 +303,8 @@ pub(crate) fn evaluate(
                         needed.extend(exec::delta_edge_indexes(&cr.plan));
                     }
                     let indexes = cache.snapshot(&work, &needed);
-                    let shards = if inner_parallelism > 1 {
-                        cache.snapshot_shards(
-                            &work,
-                            &exec::required_shards(&cr.plan),
-                            inner_parallelism,
-                            exec_options.min_parallel_rows,
-                        )
-                    } else {
-                        PlanShards::new()
-                    };
                     exec::ExecContext::new(
                         indexes,
-                        shards,
                         inner_parallelism,
                         exec_options.min_parallel_rows,
                     )

@@ -30,17 +30,19 @@
 //!
 //! With [`ExecContext::parallelism`] above 1 and a pool handle attached,
 //! the data-proportional phases submit morsels to the persistent
-//! [`crate::pool::WorkerPool`] owned by the database, partitioned by
-//! cached relation shards ([`PlanShards`]):
+//! [`crate::pool::WorkerPool`] owned by the database.  Scans are split by
+//! **row range** over the one stored copy of each relation ([`row_ranges`])
+//! — the run holds the instance read guard, so `0..len` is stable:
 //!
-//! * **match sets** are computed per `(node, shard)` morsel — full-scan
-//!   nodes split into one morsel per hash shard — and the per-shard
-//!   partial tables are merged by hash-set union;
+//! * **match sets** are computed per `(node, row range)` morsel —
+//!   full-scan nodes split into one morsel per range of the relation's
+//!   column slices — and the per-range partial tables are merged by
+//!   hash-set union;
 //! * **semijoin sweeps** chunk each large node table into morsels of
 //!   roughly [`ExecContext::morsel_rows`] rows each and filter the chunks
 //!   concurrently against the shared key set;
-//! * the **fallback search** seeds one backtracking morsel per shard of
-//!   the first atom's relation and merges the per-shard answer sets.
+//! * the **fallback search** seeds one backtracking morsel per row range
+//!   of the first atom's relation and merges the per-range answer sets.
 //!
 //! Morsel *sizes* are row-count-derived (the same figures
 //! [`sac_storage::RelationStats`] reports), not thread-count-derived: a
@@ -56,26 +58,26 @@
 //! Execution itself is **read-only**: [`execute_with`] consumes an immutable
 //! [`ExecContext`] snapshot, so the concurrent [`crate::Database`] can run
 //! many queries at once without holding the index-cache lock — the snapshot
-//! is assembled (and any missing indexes or shards built) in one short
-//! locked section beforehand.  Snapshot entries that could not be built
-//! degrade to serial filtered scans, never to wrong answers.
+//! is assembled (and any missing indexes built) in one short locked
+//! section beforehand.  Snapshot entries that could not be built degrade
+//! to serial filtered scans, never to wrong answers.
 
-use crate::index::{PlanIndexes, PlanShards};
+use crate::index::PlanIndexes;
 use crate::plan::{ExecPlan, IndexedPlan, NodeShape, Plan, YannakakisPlan};
 use crate::pool::WorkerPool;
 use sac_common::{FxHashMap, FxHashSet, Substitution, Symbol, Term};
 use sac_storage::{dict, Instance, Relation};
 use sac_telemetry::{Phase, Probe};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Everything one plan execution works from: immutable index and shard
-/// snapshots, the configured parallelism and size gate, and counters the
-/// run reports back into [`crate::EngineMetrics`].
+/// Everything one plan execution works from: an immutable index snapshot,
+/// the configured parallelism and size gate, and counters the run reports
+/// back into [`crate::EngineMetrics`].
 pub(crate) struct ExecContext {
     pub(crate) indexes: PlanIndexes,
-    pub(crate) shards: PlanShards,
     pub(crate) parallelism: usize,
     /// Tables smaller than this are processed serially — below it the
     /// thread-spawn overhead dwarfs the work (see
@@ -97,13 +99,11 @@ pub(crate) struct ExecContext {
 impl ExecContext {
     pub(crate) fn new(
         indexes: PlanIndexes,
-        shards: PlanShards,
         parallelism: usize,
         min_parallel_rows: usize,
     ) -> ExecContext {
         ExecContext {
             indexes,
-            shards,
             parallelism: parallelism.max(1),
             min_parallel_rows,
             pool: None,
@@ -124,7 +124,7 @@ impl ExecContext {
     /// A context for plain serial execution.
     #[cfg(test)]
     pub(crate) fn serial(indexes: PlanIndexes) -> ExecContext {
-        ExecContext::new(indexes, PlanShards::new(), 1, 0)
+        ExecContext::new(indexes, 1, 0)
     }
 
     /// Attaches `probe`: execution phases and per-node row counts are
@@ -207,24 +207,22 @@ impl ExecContext {
         }
     }
 
-    /// The shard decomposition to scan for `atom`, if the snapshot holds one
-    /// and the relation exists with the atom's arity (shards are built from
-    /// the same relation under the same epoch, so they share its arity).
-    fn shards_for<'a>(
-        &'a self,
-        db: &Instance,
+    /// The relation a parallel scan of `atom` reads and the row ranges it
+    /// splits into, or `None` when the scan stays serial: no relation with
+    /// the atom's arity, or fewer than `min_parallel_rows` rows.
+    fn scan_ranges<'a>(
+        &self,
+        db: &'a Instance,
         atom: &sac_common::Atom,
-    ) -> Option<&'a crate::index::ShardSet> {
-        self.shards
-            .get(&atom.predicate)
-            .filter(|_| {
-                db.relation(atom.predicate)
-                    .is_some_and(|rel| rel.arity() == atom.arity())
-            })
-            .map(|arc| &**arc)
+    ) -> Option<(&'a Relation, Vec<Range<usize>>)> {
+        let rel = db
+            .relation(atom.predicate)
+            .filter(|rel| rel.arity() == atom.arity())?;
+        let ranges = row_ranges(rel.len(), self.parallelism, self.min_parallel_rows);
+        (!ranges.is_empty()).then_some((rel, ranges))
     }
 
-    /// Per-shard tasks executed by this run's parallel regions.
+    /// Row-range and chunk tasks executed by this run's parallel regions.
     pub(crate) fn shard_tasks(&self) -> usize {
         self.shard_tasks.load(Ordering::Relaxed)
     }
@@ -241,6 +239,22 @@ impl ExecContext {
     pub(crate) fn threads_spawned(&self) -> usize {
         self.pool_width.load(Ordering::Relaxed)
     }
+}
+
+/// Splits `0..rows` into the contiguous row ranges one parallel scan hands
+/// out: roughly one per `min_parallel_rows`-sized morsel, clamped to
+/// `[parallelism, 4 * parallelism]` so every pool lane gets work and one
+/// slow range cannot serialize the region.  The ranges tile `0..rows`
+/// exactly once, in order; empty when `rows < min_parallel_rows` (the scan
+/// is too small to pay morsel dispatch).
+fn row_ranges(rows: usize, parallelism: usize, min_parallel_rows: usize) -> Vec<Range<usize>> {
+    if rows < min_parallel_rows {
+        return Vec::new();
+    }
+    let tasks = (rows / min_parallel_rows.max(1)).clamp(parallelism, parallelism * 4);
+    (0..tasks)
+        .map(|i| i * rows / tasks..(i + 1) * rows / tasks)
+        .collect()
 }
 
 /// The multi-column index keys `plan` probes during execution — exactly the
@@ -270,39 +284,9 @@ pub(crate) fn required_indexes(plan: &Plan) -> Vec<(Symbol, Vec<usize>)> {
     }
 }
 
-/// The predicates `plan` scans in full — exactly the relations
-/// [`crate::IndexCache::snapshot_shards`] should decompose for a parallel
-/// run.  Yannakakis scans every constant-free node; the fallback search
-/// scans only its first (unbound) step.
-pub(crate) fn required_shards(plan: &Plan) -> Vec<Symbol> {
-    let mut out: Vec<Symbol> = Vec::new();
-    let mut push = |p: Symbol| {
-        if !out.contains(&p) {
-            out.push(p);
-        }
-    };
-    match &plan.exec {
-        ExecPlan::Yannakakis(yp) => {
-            for (shape, atom) in yp.shapes.iter().zip(&yp.query.body) {
-                if shape.const_positions.is_empty() {
-                    push(atom.predicate);
-                }
-            }
-        }
-        ExecPlan::Indexed(ip) => {
-            if let Some(&first) = ip.order.first() {
-                if ip.bound_positions[0].is_empty() {
-                    push(ip.query.body[first].predicate);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Executes `plan` over `db` against an immutable [`ExecContext`] snapshot
-/// (see [`required_indexes`] / [`required_shards`]).  Missing snapshot
-/// entries fall back to serial scans.
+/// (see [`required_indexes`]).  Missing snapshot entries fall back to
+/// serial scans.
 pub(crate) fn execute_with(plan: &Plan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
     match &plan.exec {
         ExecPlan::Yannakakis(yp) => run_yannakakis(yp, db, ctx),
@@ -578,7 +562,7 @@ impl<'a> CodeShape<'a> {
     /// distinct variables' first occurrences) when the row passes the
     /// shape's repeated-variable and constant filters, `None` otherwise.
     /// The one definition of "this relation row matches this atom", shared
-    /// by the full scan, per-shard and incremental (delta) paths so they
+    /// by the full scan, per-range and incremental (delta) paths so they
     /// can never disagree.
     #[inline]
     fn admit_row(&self, cols: &[&[u32]], row: usize) -> Option<Vec<u32>> {
@@ -666,17 +650,17 @@ fn node_matches(
     table
 }
 
-/// The shard half of [`node_matches`]: sweep one hash shard of a
+/// The row-range half of [`node_matches`]: sweep rows `rows` of a
 /// constant-free node's relation, projecting consistent rows.
-fn node_matches_shard(shape: &NodeShape, shard: &Relation) -> Table {
+fn node_matches_range(shape: &NodeShape, rel: &Relation, rows: Range<usize>) -> Table {
     let mut table = Table::empty(shape);
     let code_shape = CodeShape::of(shape);
     if code_shape.const_codes.is_none() {
         return table;
     }
-    table.tuples.reserve(shard.len());
-    let cols = columns_of(shard);
-    for row in 0..shard.len() {
+    table.tuples.reserve(rows.len());
+    let cols = columns_of(rel);
+    for row in rows {
         if let Some(projected) = code_shape.admit_row(&cols, row) {
             table.tuples.insert(projected);
         }
@@ -684,11 +668,11 @@ fn node_matches_shard(shape: &NodeShape, shard: &Relation) -> Table {
     table
 }
 
-/// One unit of phase-1 work: a whole node, or one shard of a node whose
-/// relation was decomposed for parallel scanning.
+/// One unit of phase-1 work: a whole node, or one row range of a node whose
+/// relation is large enough to scan in parallel.
 enum MatchTask<'a> {
     Whole(usize),
-    Shard(usize, &'a Relation),
+    Rows(usize, &'a Relation, Range<usize>),
 }
 
 /// Whether nodes `i` and `j` provably have identical match-set *tuples*:
@@ -706,8 +690,8 @@ fn same_match_set(plan: &YannakakisPlan, i: usize, j: usize) -> bool {
 }
 
 /// Phase 1 of Yannakakis: one match-set [`Table`] per join-tree node,
-/// computed in parallel per `(node, shard)` when the context allows it and
-/// merged by hash-set union.  Structurally identical nodes (common in
+/// computed in parallel per `(node, row range)` when the context allows it
+/// and merged by hash-set union.  Structurally identical nodes (common in
 /// self-join queries) are scanned once and shared by tuple-set clone.
 fn match_tables(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> Vec<Table> {
     let n = plan.tree.len();
@@ -746,31 +730,29 @@ fn match_tables(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> Vec<
         return serial();
     }
     let mut tasks: Vec<MatchTask<'_>> = Vec::with_capacity(n);
-    let mut shard_tasks = 0usize;
+    let mut range_tasks = 0usize;
     for (i, &leader) in leaders.iter().enumerate() {
         if leader != i {
             continue;
         }
         let atom = &plan.tree.atoms[i];
-        let shard_set = if plan.shapes[i].const_positions.is_empty() {
-            ctx.shards_for(db, atom)
+        let scan = if plan.shapes[i].const_positions.is_empty() {
+            ctx.scan_ranges(db, atom)
         } else {
             None
         };
-        match shard_set {
-            Some(set) => {
-                for shard in set.shards() {
-                    tasks.push(MatchTask::Shard(i, shard));
-                    shard_tasks += 1;
-                }
+        match scan {
+            Some((rel, ranges)) => {
+                range_tasks += ranges.len();
+                tasks.extend(ranges.into_iter().map(|r| MatchTask::Rows(i, rel, r)));
             }
             None => tasks.push(MatchTask::Whole(i)),
         }
     }
-    // Honour the size gate: with no relation decomposed (everything under
+    // Honour the size gate: with no relation split (everything under
     // `min_parallel_rows`, or nothing scanned), the run stays serial rather
     // than paying morsel dispatch for per-node tasks over small data.
-    if shard_tasks == 0 {
+    if range_tasks == 0 {
         return serial();
     }
     let partials = ctx.run_region(&tasks, |task| match task {
@@ -787,9 +769,11 @@ fn match_tables(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> Vec<
                 ),
             )
         }
-        MatchTask::Shard(i, shard) => (*i, node_matches_shard(&plan.shapes[*i], shard)),
+        MatchTask::Rows(i, rel, rows) => {
+            (*i, node_matches_range(&plan.shapes[*i], rel, rows.clone()))
+        }
     });
-    ctx.note_parallel(shard_tasks);
+    ctx.note_parallel(range_tasks);
     let mut tables: Vec<Table> = plan.shapes.iter().map(Table::empty).collect();
     for (i, partial) in partials {
         tables[i].tuples.extend(partial.tuples);
@@ -803,7 +787,7 @@ fn run_yannakakis(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> BT
         // The empty conjunction holds vacuously, with the empty answer tuple.
         return BTreeSet::from([Vec::new()]);
     }
-    // Phase 1: match sets (per shard when parallel)…
+    // Phase 1: match sets (per row range when parallel)…
     let tables = match_tables(plan, db, ctx);
     ctx.mark(Phase::MatchSets);
     // …then the semijoin sweeps and the join-back-up.
@@ -1196,22 +1180,21 @@ fn run_indexed(plan: &IndexedPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet
         })
         .collect();
 
-    // Parallel root: when the first step is an unbound scan and its relation
-    // has a cached shard decomposition, seed one backtracking morsel per
-    // shard and merge the per-shard answer sets.
+    // Parallel root: when the first step is an unbound scan over a relation
+    // large enough to split, seed one backtracking morsel per row range and
+    // merge the per-range answer sets.
     if ctx.parallel_enabled() && !plan.order.is_empty() && plan.bound_positions[0].is_empty() {
         let atom = &plan.query.body[plan.order[0]];
-        if let Some(set) = ctx.shards_for(db, atom) {
-            let shards = set.shards();
-            let partials = ctx.run_region(shards, |shard| {
+        if let Some((rel, ranges)) = ctx.scan_ranges(db, atom) {
+            let partials = ctx.run_region(&ranges, |rows| {
                 let mut local = BTreeSet::new();
                 let mut state = Substitution::new();
-                for tuple in shard.iter() {
+                for tuple in rel.rows_from(rows.start).take(rows.len()) {
                     try_match(plan, db, &step_indexes, 0, &tuple, &mut state, &mut local);
                 }
                 local
             });
-            ctx.note_parallel(shards.len());
+            ctx.note_parallel(ranges.len());
             let mut answers = BTreeSet::new();
             for partial in partials {
                 answers.extend(partial);
@@ -1229,7 +1212,7 @@ fn run_indexed(plan: &IndexedPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet
 }
 
 /// Tries to extend `state` with `tuple` at step `depth`; on success recurses
-/// into the next step.  Shared by the serial walk and the per-shard workers.
+/// into the next step.  Shared by the serial walk and the per-range workers.
 fn try_match(
     plan: &IndexedPlan,
     db: &Instance,
@@ -1356,8 +1339,7 @@ mod tests {
         let plan = plan_query(q, &[], db, &EngineConfig::default());
         let mut cache = IndexCache::new(db);
         let indexes = cache.snapshot(db, &required_indexes(&plan));
-        let shards = cache.snapshot_shards(db, &required_shards(&plan), parallelism, 0);
-        let ctx = ExecContext::new(indexes, shards, parallelism, 0).with_pool(pooled(parallelism));
+        let ctx = ExecContext::new(indexes, parallelism, 0).with_pool(pooled(parallelism));
         execute_with(&plan, db, &ctx)
     }
 
@@ -1462,10 +1444,9 @@ mod tests {
             let plan = plan_query(&q, &[], &db, &EngineConfig::default());
             let ctx = ExecContext::serial(PlanIndexes::new());
             assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db));
-            // A parallel context with no shard snapshot also degrades
-            // cleanly (serial scans, identical answers).
-            let ctx =
-                ExecContext::new(PlanIndexes::new(), PlanShards::new(), 4, 0).with_pool(pooled(4));
+            // A parallel context with no index snapshot also degrades
+            // cleanly (range scans, identical answers).
+            let ctx = ExecContext::new(PlanIndexes::new(), 4, 0).with_pool(pooled(4));
             assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db));
         }
     }
@@ -1618,12 +1599,10 @@ mod tests {
         let plan = plan_query(&q, &[], &db, &EngineConfig::default());
         let mut cache = IndexCache::new(&db);
         let indexes = cache.snapshot(&db, &required_indexes(&plan));
-        let shards = cache.snapshot_shards(&db, &required_shards(&plan), 4, 0);
-        assert!(!shards.is_empty(), "the path query scans E");
-        let ctx = ExecContext::new(indexes, shards, 4, 0).with_pool(pooled(4));
+        let ctx = ExecContext::new(indexes, 4, 0).with_pool(pooled(4));
         let answers = execute_with(&plan, &db, &ctx);
         assert_eq!(answers, evaluate(&q, &db));
-        assert!(ctx.shard_tasks() >= 4, "per-shard match tasks ran");
+        assert!(ctx.shard_tasks() >= 4, "per-range match tasks ran");
         assert!(ctx.morsels_dispatched() >= 4, "morsels went to the pool");
         assert_eq!(
             ctx.threads_spawned(),
@@ -1641,8 +1620,7 @@ mod tests {
         let mut cache = IndexCache::new(&grown);
         let mut answers = {
             let indexes = cache.snapshot(&grown, &required_indexes(&plan));
-            let ctx = ExecContext::new(indexes, PlanShards::new(), parallelism, 0)
-                .with_pool(pooled(parallelism));
+            let ctx = ExecContext::new(indexes, parallelism, 0).with_pool(pooled(parallelism));
             execute_with(&plan, &grown, &ctx)
         };
         for atom in appends {
@@ -1659,8 +1637,7 @@ mod tests {
             .chain(delta_edge_indexes(&plan))
             .collect();
         let indexes = cache.snapshot(&grown, &needed);
-        let ctx = ExecContext::new(indexes, PlanShards::new(), parallelism, 0)
-            .with_pool(pooled(parallelism));
+        let ctx = ExecContext::new(indexes, parallelism, 0).with_pool(pooled(parallelism));
         let delta = execute_delta(&plan, &grown, &watermarks, &ctx)
             .expect("acyclic queries compile to Yannakakis plans");
         answers.extend(delta);
@@ -1807,24 +1784,60 @@ mod tests {
         );
     }
 
-    #[test]
-    fn required_shards_lists_scanned_predicates_once() {
-        let db = sac_gen::random_graph_database(8, 20, 1);
-        // Acyclic path: every node scans E, deduplicated to one entry.
-        let plan = plan_query(&sac_gen::path_query(3), &[], &db, &EngineConfig::default());
-        assert_eq!(required_shards(&plan), vec![intern("E")]);
-        // Constant-pinned atom: served by indexes, not shards.
-        let q =
-            ConjunctiveQuery::new(vec![intern("y")], vec![atom!("E", cst "n0", var "y")]).unwrap();
-        let plan = plan_query(&q, &[], &db, &EngineConfig::default());
-        assert!(required_shards(&plan).is_empty());
-        // Fallback: only the first (unbound) step scans.
-        let plan = plan_query(
-            &sac_gen::clique_query(3),
-            &[],
-            &db,
-            &EngineConfig::default(),
-        );
-        assert_eq!(required_shards(&plan), vec![intern("E")]);
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Row ranges tile `0..len` exactly once, and the union of the
+        /// per-range match sets is the whole-relation match set — for
+        /// atoms with constants and repeated variables alike, at any
+        /// `(parallelism, min_parallel_rows)`.
+        #[test]
+        fn row_ranges_tile_the_relation_and_union_to_the_full_match_set(
+            arity in 1usize..4,
+            tuples in 0usize..80,
+            parallelism in 2usize..9,
+            min_parallel_rows in 0usize..40,
+            seed in 0u64..10_000,
+        ) {
+            use proptest::prelude::*;
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut term = |vars: bool| match rng.gen_range(0u64..if vars { 7 } else { 4 }) {
+                n @ 0..=3 => Term::constant(&format!("rr{n}")),
+                n => Term::variable(&format!("v{}", n % 2)),
+            };
+            let mut db = Instance::new();
+            for _ in 0..tuples {
+                let args = (0..arity).map(|_| term(false)).collect();
+                db.insert(Atom::from_parts("RR", args)).unwrap();
+            }
+            let atom = Atom::from_parts("RR", (0..arity).map(|_| term(true)).collect());
+            let shape = NodeShape::of_atom(&atom);
+            let whole = node_matches(&shape, atom.predicate, arity, &db, &PlanIndexes::new());
+
+            let rows = db.relation(atom.predicate).map_or(0, Relation::len);
+            let ranges = row_ranges(rows, parallelism, min_parallel_rows);
+            if rows < min_parallel_rows {
+                prop_assert!(ranges.is_empty(), "small scans stay serial");
+                return Ok(());
+            }
+            prop_assert!((parallelism..=4 * parallelism).contains(&ranges.len()));
+            let mut next = 0;
+            for range in &ranges {
+                // Contiguous and in order, so each row lies in exactly one.
+                prop_assert_eq!(range.start, next);
+                prop_assert!(range.end >= range.start);
+                next = range.end;
+            }
+            prop_assert_eq!(next, rows);
+
+            let mut union = FxHashSet::default();
+            if let Some(rel) = db.relation(atom.predicate) {
+                for range in ranges {
+                    union.extend(node_matches_range(&shape, rel, range).tuples);
+                }
+            }
+            prop_assert_eq!(union, whole.tuples);
+        }
     }
 }

@@ -1,20 +1,18 @@
-//! Lazily built, epoch-validated join-key indexes and relation shards over
-//! an [`Instance`].
+//! Lazily built, epoch-validated join-key indexes over an [`Instance`].
 //!
 //! `sac-storage` maintains single-column positional indexes incrementally on
 //! every insert.  Multi-column (join-key) indexes are too numerous to build
 //! eagerly — which column sets matter depends on the queries — so the engine
 //! builds them **on demand** through [`sac_storage::Relation::project_index`]
-//! and caches them here, keyed by `(predicate, column set)`.  The same cache
-//! also holds **hash-partitioned shard decompositions**
-//! ([`sac_storage::Relation::partition_by`]) of the relations the parallel
-//! executor scans, keyed by `(predicate, shard count)`.
+//! and caches them here, keyed by `(predicate, column set)`.  Join indexes
+//! are all the cache holds: parallel scans split the stored relation into
+//! row ranges (see [`crate::ExecOptions`]) and need no derived structure.
 //!
 //! Staleness is tracked with the instance's mutation [`Instance::epoch`]:
 //! the cache remembers the epoch it was built against, and
 //! [`IndexCache::note_growth`] lets the owner (the [`crate::Database`], which
 //! routes every mutation) advance the epoch while **incrementally extending**
-//! every cached index and shard set with its relation's appended rows —
+//! every cached index with its relation's appended rows —
 //! relations only ever grow, and they grow at the tail, so untouched
 //! predicates are an O(1) no-op and a single fact append is a handful of
 //! hash inserts instead of a full rebuild.  Nothing is dropped, the whole
@@ -23,12 +21,11 @@
 //! [`IndexCache::ensure`], it still clears itself entirely — correctness
 //! never depends on the owner's diligence.
 //!
-//! Indexes and shard sets are stored behind [`Arc`] so the concurrent
-//! [`crate::Database`] can hand an executing query cheap `PlanIndexes` /
-//! `PlanShards` snapshots of exactly what its plan needs: the executor
-//! then runs without touching the cache (no lock held), while later
-//! incremental updates copy-on-write (`Arc::make_mut`) and leave in-flight
-//! snapshots intact.
+//! Indexes are stored behind [`Arc`] so the concurrent [`crate::Database`]
+//! can hand an executing query a cheap `PlanIndexes` snapshot of exactly
+//! what its plan needs: the executor then runs without touching the cache
+//! (no lock held), while later incremental updates copy-on-write
+//! (`Arc::make_mut`) and leave in-flight snapshots intact.
 
 use sac_common::{FxHashMap, Symbol, Term};
 use sac_storage::{dict, Instance, Relation};
@@ -108,83 +105,16 @@ impl JoinIndex {
     }
 }
 
-/// A cached hash-partitioned decomposition of one relation: `k` disjoint
-/// sub-[`Relation`]s whose union is the original (see
-/// [`Relation::partition_by`]), maintained incrementally as the parent
-/// relation grows.  Parallel sweeps hand one shard to each worker and merge
-/// the per-shard results.
-///
-/// A decomposition roughly doubles the memory of its relation (the tuples
-/// are copied into the shards, each with its own positional indexes) and
-/// adds a few hash inserts to every announced insert — the price of shards
-/// that are real `Relation`s, with per-shard stats and indexes usable by
-/// future distributed execution.  The cost is bounded: decompositions are
-/// built only for relations the parallel executor actually scans and whose
-/// size clears the `min_parallel_rows` gate (see
-/// [`crate::ExecOptions::min_parallel_rows`]), and
-/// [`IndexCache::invalidate_all`] drops them wholesale.
-#[derive(Debug, Clone)]
-pub struct ShardSet {
-    col: usize,
-    shards: Vec<Relation>,
-    rows_covered: usize,
-}
-
-impl ShardSet {
-    fn build(rel: &Relation, col: usize, k: usize) -> ShardSet {
-        ShardSet {
-            col,
-            shards: rel.partition_by(col, k),
-            rows_covered: rel.len(),
-        }
-    }
-
-    /// Routes the rows the backing relation gained since the decomposition
-    /// was built or last extended into their hash shards (by code — the
-    /// shards share the parent's dictionary, so no re-encoding happens).
-    fn extend_from(&mut self, rel: &Relation) {
-        let k = self.shards.len();
-        for row in self.rows_covered..rel.len() {
-            let codes = rel.codes_row(row).expect("row in range");
-            self.shards[Relation::shard_of_code(codes[self.col], k)].insert_codes(&codes);
-        }
-        self.rows_covered = rel.len();
-    }
-
-    /// The shards, in shard-id order.
-    pub fn shards(&self) -> &[Relation] {
-        &self.shards
-    }
-
-    /// The hash-partition column.
-    pub fn col(&self) -> usize {
-        self.col
-    }
-
-    /// How many rows of the backing relation the decomposition covers.
-    pub fn rows_covered(&self) -> usize {
-        self.rows_covered
-    }
-}
-
 /// The indexes one plan execution works from: an immutable snapshot taken
 /// from the [`IndexCache`] right before the run, keyed like the cache.
 pub(crate) type PlanIndexes = HashMap<(Symbol, Vec<usize>), Arc<JoinIndex>>;
 
-/// The shard decompositions one parallel plan execution works from, keyed by
-/// predicate (the shard count is fixed per run by the configured
-/// parallelism).
-pub(crate) type PlanShards = HashMap<Symbol, Arc<ShardSet>>;
-
-/// An epoch-validated cache of [`JoinIndex`]es and [`ShardSet`]s for one
-/// instance.
+/// An epoch-validated cache of [`JoinIndex`]es for one instance.
 #[derive(Debug, Default)]
 pub struct IndexCache {
     epoch: u64,
     indexes: HashMap<(Symbol, Vec<usize>), Arc<JoinIndex>>,
-    shards: HashMap<(Symbol, usize), Arc<ShardSet>>,
     built: usize,
-    shard_sets_built: usize,
 }
 
 impl IndexCache {
@@ -206,31 +136,20 @@ impl IndexCache {
         self.indexes.is_empty()
     }
 
-    /// Number of shard decompositions currently cached.
-    pub fn shard_sets(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total number of indexes built over the cache's lifetime (cache
     /// misses; incremental extensions are not builds).
     pub fn built(&self) -> usize {
         self.built
     }
 
-    /// Total number of shard decompositions built over the cache's lifetime.
-    pub fn shard_sets_built(&self) -> usize {
-        self.shard_sets_built
-    }
-
-    /// Resets the lifetime build counters (the cached structures stay).
+    /// Resets the lifetime build counter (the cached indexes stay).
     pub fn reset_built(&mut self) {
         self.built = 0;
-        self.shard_sets_built = 0;
     }
 
     /// Records that `db` grew (one or more [`Instance::insert`]s that
-    /// returned `true`): **every** cached index and shard decomposition is
-    /// extended in place with its relation's appended rows — an idempotent
+    /// returned `true`): **every** cached index is extended in place with
+    /// its relation's appended rows — an idempotent
     /// no-op for predicates whose `rows_covered` already matches, a few
     /// hash inserts for the ones that grew.  Nothing is invalidated,
     /// nothing needs rebuilding, and because no caller bookkeeping of
@@ -243,7 +162,6 @@ impl IndexCache {
         // inserts — but drop its derived structures rather than serve stale
         // rows if a direct caller ever swaps the instance out from under us.
         self.indexes.retain(|(p, _), _| db.relation(*p).is_some());
-        self.shards.retain(|(p, _), _| db.relation(*p).is_some());
         for ((p, _), index) in self.indexes.iter_mut() {
             let rel = db.relation(*p).expect("retained above");
             // Only touch grown structures: `Arc::make_mut` would clone a
@@ -252,20 +170,12 @@ impl IndexCache {
                 Arc::make_mut(index).extend_from(rel);
             }
         }
-        for ((p, _), set) in self.shards.iter_mut() {
-            let rel = db.relation(*p).expect("retained above");
-            if set.rows_covered() < rel.len() {
-                Arc::make_mut(set).extend_from(rel);
-            }
-        }
         self.epoch = db.epoch();
     }
 
-    /// Drops every cached index and shard decomposition and resynchronizes
-    /// with `db`'s epoch.
+    /// Drops every cached index and resynchronizes with `db`'s epoch.
     pub fn invalidate_all(&mut self, db: &Instance) {
         self.indexes.clear();
-        self.shards.clear();
         self.epoch = db.epoch();
     }
 
@@ -301,47 +211,12 @@ impl IndexCache {
         true
     }
 
-    /// Ensures the `k`-way shard decomposition of `predicate` (hash-
-    /// partitioned on column 0) exists and is current, building it from `db`
-    /// if needed.  Returns `false` when there is nothing to shard: no
-    /// relation, a zero-arity relation, or `k < 2`.
-    pub fn ensure_shards(&mut self, db: &Instance, predicate: Symbol, k: usize) -> bool {
-        if k < 2 {
-            return false;
-        }
-        self.check_epoch(db);
-        let Some(rel) = db.relation(predicate) else {
-            return false;
-        };
-        if rel.arity() == 0 {
-            return false;
-        }
-        let key = (predicate, k);
-        if !self.shards.contains_key(&key) {
-            self.shard_sets_built += 1;
-            bus::emit(|| Event::ShardSetBuilt {
-                predicate: predicate.to_string(),
-                column: 0,
-                shards: k,
-            });
-            self.shards
-                .insert(key, Arc::new(ShardSet::build(rel, 0, k)));
-        }
-        true
-    }
-
     /// The cached index for `(predicate, positions)`, if [`IndexCache::ensure`]
     /// built one.
     pub fn get(&self, predicate: Symbol, positions: &[usize]) -> Option<&JoinIndex> {
         self.indexes
             .get(&(predicate, positions.to_vec()))
             .map(|arc| &**arc)
-    }
-
-    /// The cached `k`-way shard decomposition for `predicate`, if
-    /// [`IndexCache::ensure_shards`] built one.
-    pub fn get_shards(&self, predicate: Symbol, k: usize) -> Option<&ShardSet> {
-        self.shards.get(&(predicate, k)).map(|arc| &**arc)
     }
 
     /// Ensures every index in `needed` and returns an immutable
@@ -359,48 +234,6 @@ impl IndexCache {
                 let key = (*predicate, positions.clone());
                 if let Some(arc) = self.indexes.get(&key) {
                     out.insert(key, Arc::clone(arc));
-                }
-            }
-        }
-        out
-    }
-
-    /// Ensures a shard decomposition for every predicate in `needed` whose
-    /// relation holds at least `min_rows` tuples and returns an immutable
-    /// [`PlanShards`] snapshot over them.  Unshardable or too-small entries
-    /// are simply absent — the executor falls back to serial scans for
-    /// those, so small relations never pay the shard copy, its incremental
-    /// maintenance, or the morsel dispatch.
-    ///
-    /// The shard count is **row-count-derived** per relation (the same
-    /// figure [`sac_storage::RelationStats`] reports): roughly one shard
-    /// per `min_rows`-sized morsel, clamped to `[parallelism,
-    /// 4 * parallelism]` so every pool lane gets work and one skewed shard
-    /// cannot serialize the region, without drowning small relations in
-    /// dispatch overhead.  The decomposition is cached under its count and
-    /// extended in place on append, so the count is fixed at first build.
-    pub(crate) fn snapshot_shards(
-        &mut self,
-        db: &Instance,
-        needed: &[Symbol],
-        parallelism: usize,
-        min_rows: usize,
-    ) -> PlanShards {
-        let parallelism = parallelism.max(1);
-        let morsel_rows = min_rows.max(1);
-        let mut out = PlanShards::with_capacity(needed.len());
-        for &predicate in needed {
-            let Some(rows) = db
-                .relation(predicate)
-                .map(sac_storage::Relation::len)
-                .filter(|&rows| rows >= min_rows)
-            else {
-                continue;
-            };
-            let k = (rows / morsel_rows).clamp(parallelism, parallelism * 4);
-            if self.ensure_shards(db, predicate, k) {
-                if let Some(arc) = self.shards.get(&(predicate, k)) {
-                    out.insert(predicate, Arc::clone(arc));
                 }
             }
         }
@@ -498,7 +331,6 @@ mod tests {
         let mut db = db();
         let mut cache = IndexCache::new(&db);
         cache.ensure(&db, intern("R"), &[0]);
-        cache.ensure_shards(&db, intern("R"), 2);
         // Unannounced R growth…
         assert!(db.insert(atom!("R", cst "u", cst "v")).unwrap());
         // …followed by an announcement prompted by an S insert.
@@ -507,7 +339,6 @@ mod tests {
         let idx = cache.get(intern("R"), &[0]).unwrap();
         assert_eq!(idx.rows(&[Term::constant("u")]), &[3]);
         assert_eq!(idx.rows_covered(), 4);
-        assert_eq!(cache.get_shards(intern("R"), 2).unwrap().rows_covered(), 4);
         // The cache is fully synchronized: ensure keeps it warm.
         assert!(cache.ensure(&db, intern("R"), &[0]));
         assert_eq!(cache.built(), 1, "no rebuild was needed");
@@ -561,67 +392,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_sets_build_extend_and_snapshot() {
-        let mut db = db();
-        let mut cache = IndexCache::new(&db);
-        assert!(cache.ensure_shards(&db, intern("R"), 3));
-        assert!(!cache.ensure_shards(&db, intern("R"), 1), "k < 2 is serial");
-        assert!(!cache.ensure_shards(&db, intern("Missing"), 3));
-        assert_eq!(cache.shard_sets(), 1);
-        assert_eq!(cache.shard_sets_built(), 1);
-
-        let snapshot = cache.snapshot_shards(&db, &[intern("R"), intern("Missing")], 3, 0);
-        assert_eq!(snapshot.len(), 1);
-
-        // Incremental growth routes the new tuple into its hash shard and
-        // matches a from-scratch partition.
-        assert!(db.insert(atom!("R", cst "q", cst "r")).unwrap());
-        cache.note_growth(&db);
-        let set = cache.get_shards(intern("R"), 3).unwrap();
-        assert_eq!(set.rows_covered(), 4);
-        let rel = db.relation(intern("R")).unwrap();
-        let scratch = rel.partition_by(0, 3);
-        let total: usize = set.shards().iter().map(|s| s.len()).sum();
-        assert_eq!(total, rel.len());
-        for (inc, scr) in set.shards().iter().zip(&scratch) {
-            assert_eq!(inc.len(), scr.len());
-            for tuple in inc.iter() {
-                assert!(scr.contains(&tuple));
-            }
-        }
-        // The snapshot taken before the insert still sees 3 rows.
-        let old_total: usize = snapshot[&intern("R")]
-            .shards()
-            .iter()
-            .map(|s| s.len())
-            .sum();
-        assert_eq!(old_total, 3);
-    }
-
-    #[test]
-    fn invalidate_all_drops_shards_too() {
-        let mut db = db();
-        let mut cache = IndexCache::new(&db);
-        cache.ensure(&db, intern("R"), &[0]);
-        cache.ensure_shards(&db, intern("R"), 2);
-        db.insert(atom!("R", cst "x", cst "y")).unwrap();
-        cache.invalidate_all(&db);
-        assert!(cache.is_empty());
-        assert_eq!(cache.shard_sets(), 0);
-    }
-
-    #[test]
     fn built_counters_reset_independently_of_contents() {
         let db = db();
         let mut cache = IndexCache::new(&db);
         cache.ensure(&db, intern("R"), &[0]);
-        cache.ensure_shards(&db, intern("R"), 2);
         assert_eq!(cache.built(), 1);
-        assert_eq!(cache.shard_sets_built(), 1);
         cache.reset_built();
         assert_eq!(cache.built(), 0);
-        assert_eq!(cache.shard_sets_built(), 0);
         assert_eq!(cache.len(), 1, "indexes stay cached");
-        assert_eq!(cache.shard_sets(), 1, "shards stay cached");
     }
 }

@@ -65,36 +65,36 @@
 //! With [`Database::with_parallelism`] (or [`ExecOptions`]) above 1, the
 //! data-proportional phases of a run submit morsel-sized work units to a
 //! **persistent worker pool** (spawned once at the first parallel run,
-//! parked when idle, joined on drop), partitioned by cached hash shards
-//! of the scanned relations:
+//! parked when idle, joined on drop).  Scans split the **one stored copy**
+//! of each relation into contiguous row ranges:
 //!
 //! ```text
 //!        Database::run / run_batch      ExecOptions { parallelism: k }
 //!                    │
 //!          plan cache (Arc<Plan>)           batch: one morsel per query
 //!                    │
-//!     IndexCache snapshot (one short lock)
-//!     ├── PlanIndexes: multi-column join indexes   ──┐ both maintained
-//!     └── PlanShards:  R = R₀ ∪ R₁ ∪ … ∪ R_{m−1}   ──┘ incrementally on
-//!                    │   (hash-partitioned, m ≈ rows/morsel)  every insert
-//!       ┌────────────┼────────────┐
-//!    shard R₀     shard R₁  …  shard R_{m−1}    persistent pool (k−1
+//!     IndexCache snapshot (one short lock): multi-column join indexes,
+//!                    │                      extended in place on insert
+//!     relation R, columnar, rows 0..n  (instance read guard held: n fixed)
+//!       ┌────────────┼────────────┐         m ≈ n / min_parallel_rows
+//!    rows 0..a    rows a..b  …  rows y..n       persistent pool (k−1
 //!    match sets · semijoin chunks · fallback    threads + the submitter):
-//!    search roots, one morsel per shard         injector + per-worker
+//!    search roots, one morsel per range         injector + per-worker
 //!       └────────────┼────────────┘             deques, steal on empty
 //!                    ▼
-//!        merge per-shard partials (set union)
+//!        merge per-range partials (set union)
 //!                    │
 //!         ResultSet (deterministic order)
 //! ```
 //!
 //! Merging is order-insensitive and the final answers are sorted, so a
 //! parallel run is **byte-identical** to the serial (`parallelism = 1`)
-//! run regardless of thread interleaving — the differential test suite
-//! asserts exactly this across every strategy rung.  Shard decompositions
-//! live in the same epoch-validated cache as the join indexes and are
-//! extended in place on every insert ([`IndexCache::note_growth`]), so a
-//! single fact append costs a few hash inserts instead of a rebuild.
+//! run regardless of thread interleaving or of where the range boundaries
+//! fall — the differential test suite asserts exactly this across every
+//! strategy rung.  Row ranges are computed per run from the relation's
+//! current length, so a parallel database keeps no second copy of its
+//! data and an insert maintains nothing beyond the join indexes
+//! ([`IndexCache::note_growth`]).
 //! [`EngineMetrics::shard_tasks`], [`EngineMetrics::morsels_dispatched`]
 //! and [`EngineMetrics::morsel_steals`] make the fan-out observable even
 //! on single-core hosts, where wall-clock speedup cannot show;
@@ -132,18 +132,14 @@
 //!   view refreshes, recorded on **every** operation at the cost of a few
 //!   relaxed atomic adds.
 //! - An optional process-wide [`EventSink`] ([`telemetry::bus`]) receives
-//!   structured [`Event`]s (plans built, runs completed, indexes and shard
-//!   sets built, parallel regions, view registrations and refreshes).  With
+//!   structured [`Event`]s (plans built, runs completed, indexes built,
+//!   parallel regions, view registrations and refreshes).  With
 //!   no sink installed the emit sites are a single relaxed atomic load and
 //!   the event is never constructed.
-//!
-//! The legacy single-owner [`Engine`] survives as a deprecated shim over
-//! [`Database`]; see [`engine`] for the migration table.
 
 pub mod database;
 pub mod datalog;
 pub mod durability;
-pub mod engine;
 mod error;
 mod exec;
 pub mod index;
@@ -161,10 +157,8 @@ pub use database::{
 };
 pub use datalog::{DatalogOptions, DatalogRun, DatalogSource, DatalogStats, PreparedDatalog};
 pub use durability::{CheckpointReport, DurabilityOptions, RecoveryReport, SyncMode};
-#[allow(deprecated)]
-pub use engine::Engine;
 pub use error::{SacError, SacResult};
-pub use index::{IndexCache, JoinIndex, ShardSet};
+pub use index::{IndexCache, JoinIndex};
 pub use plan::{Explain, Plan, Strategy};
 pub use result::{ResultSet, Row};
 pub use sac_datalog::{Certificate, CheckError, DatalogProgram, DerivationStep, Premise};

@@ -5,7 +5,7 @@
 //! created lazily by the `Database` at its first `parallelism > 1` run,
 //! spawns `parallelism - 1` OS threads **once**, parks them when idle, and
 //! joins them when the database drops.  Parallel regions — match-set
-//! construction, semijoin sweeps, fallback shard search, batch fan-out —
+//! construction, semijoin sweeps, fallback search roots, batch fan-out —
 //! submit *morsels* (index-addressed work units over a borrowed slice) and
 //! block until their region completes, with the submitting thread claiming
 //! morsels itself while it waits, so the effective width of a region is

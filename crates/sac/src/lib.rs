@@ -170,15 +170,13 @@ pub mod prelude {
     };
     // The engine's `Strategy` is re-exported as `PlanStrategy`: the bare name
     // collides with `proptest::Strategy` under double glob imports.
-    #[allow(deprecated)]
-    pub use sac_engine::Engine;
     pub use sac_engine::Strategy as PlanStrategy;
     pub use sac_engine::{
         Certificate, CheckError, CheckpointReport, Database, DatalogOptions, DatalogProgram,
         DatalogRun, DatalogSource, DatalogStats, DerivationStep, DurabilityOptions, EngineConfig,
         EngineMetrics, ExecOptions, Explain, IndexCache, JoinIndex, MaterializedView, Plan,
         Premise, PreparedDatalog, PreparedQuery, QuerySource, RecoveryReport, RefreshMode,
-        ResultSet, Row, SacError, SacResult, ShardSet, SyncMode, ViewOptions, ViewRefresh,
+        ResultSet, Row, SacError, SacResult, SyncMode, ViewOptions, ViewRefresh,
     };
     pub use sac_parser::{
         parse_database, parse_datalog_program, parse_egd, parse_program, parse_query, parse_tgd,

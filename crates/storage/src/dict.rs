@@ -12,11 +12,10 @@
 //!   or between a relation and a query constant, is a `u32 == u32`, never a
 //!   decode;
 //! * **codes are stable across appends** — a code never changes meaning, so
-//!   cached indexes, shard decompositions and delta watermarks survive
-//!   growth untouched;
-//! * **relations stay freely constructible** — shards and scratch relations
-//!   ([`crate::Relation::partition_by`], tests) share the codes of their
-//!   parent with zero re-encoding.
+//!   cached indexes and delta watermarks survive growth untouched;
+//! * **relations stay freely constructible** — scratch relations and
+//!   instance clones share the codes of their source with zero
+//!   re-encoding.
 //!
 //! The table is guarded by an `RwLock`; encoding an already-known term (the
 //! steady-state path) and every decode take only the shared read lock.

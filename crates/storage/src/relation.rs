@@ -112,7 +112,7 @@ impl Relation {
     }
 
     /// Inserts an already-encoded row; returns `true` if it was new.  The
-    /// fast path for code-preserving copies (shard routing, bulk loads).
+    /// fast path for code-preserving copies (bulk loads, scratch relations).
     ///
     /// # Panics
     ///
@@ -203,11 +203,6 @@ impl Relation {
     /// Panics if `pos` is out of range for the relation's arity.
     pub fn column(&self, pos: usize) -> &[u32] {
         &self.columns[pos]
-    }
-
-    /// The packed code row at `row`, gathered across the columns.
-    pub fn codes_row(&self, row: usize) -> Option<Vec<u32>> {
-        (row < self.len()).then(|| self.columns.iter().map(|col| col[row]).collect())
     }
 
     /// Iterates over all tuples in insertion order, decoding each row.
@@ -336,74 +331,6 @@ impl Relation {
         index
     }
 
-    /// The shard a term belongs to when hash-partitioning into `k` shards.
-    ///
-    /// The assignment is a pure function of the term and `k` (a fixed-key
-    /// hash), so every caller — the engine's shard cache, incremental
-    /// maintenance, tests — routes a tuple to the same shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero.
-    pub fn shard_of(term: &Term, k: usize) -> usize {
-        use std::hash::{Hash, Hasher};
-        assert!(k > 0, "shard count must be positive");
-        // DefaultHasher::new() uses fixed keys: deterministic within and
-        // across processes, which keeps shard layouts reproducible.
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        term.hash(&mut hasher);
-        (hasher.finish() % k as u64) as usize
-    }
-
-    /// [`Relation::shard_of`] for an already-encoded component: decodes the
-    /// code once and hashes the term, so code- and term-level routing agree.
-    pub fn shard_of_code(code: u32, k: usize) -> usize {
-        Relation::shard_of(&dict::decode(code), k)
-    }
-
-    /// Hash-partitions the relation into `k` shards on column `col`: shard
-    /// `i` holds exactly the tuples whose `col`-th term hashes to `i` (see
-    /// [`Relation::shard_of`]).  Each shard is a full [`Relation`] — same
-    /// predicate, arity and dictionary codes, its own incrementally
-    /// maintained sidecar indexes and [`Relation::stats`] — so shards can
-    /// be scanned, probed and summarized independently by parallel workers.
-    ///
-    /// Within each shard, tuples keep the parent relation's insertion order,
-    /// so the decomposition is deterministic and append-only growth of the
-    /// parent maps to append-only growth of the shards.  Rows are routed by
-    /// code (one decode per **distinct** partition-column value, not per
-    /// row).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col` is out of range for the relation's arity or `k` is
-    /// zero.
-    pub fn partition_by(&self, col: usize, k: usize) -> Vec<Relation> {
-        assert!(
-            col < self.arity,
-            "partition column {col} out of range for {}/{}",
-            self.predicate,
-            self.arity
-        );
-        assert!(k > 0, "shard count must be positive");
-        let mut shards: Vec<Relation> = (0..k)
-            .map(|_| Relation::new(self.predicate, self.arity))
-            .collect();
-        // One decode + hash per distinct code in the partition column.
-        let routes: FxHashMap<u32, usize> = self.sidecars[col]
-            .keys()
-            .map(|&code| (code, Relation::shard_of_code(code, k)))
-            .collect();
-        let mut scratch = Vec::with_capacity(self.arity);
-        for row in 0..self.len() {
-            scratch.clear();
-            scratch.extend(self.columns.iter().map(|c| c[row]));
-            let shard = routes[&self.columns[col][row]];
-            shards[shard].insert_codes(&scratch);
-        }
-        shards
-    }
-
     /// Per-relation statistics: cardinality and distinct counts per column.
     pub fn stats(&self) -> RelationStats {
         RelationStats {
@@ -496,8 +423,6 @@ mod tests {
         let r = rel();
         assert_eq!(r.column(0), &[code("a"), code("a"), code("d")]);
         assert_eq!(r.column(1), &[code("b"), code("c"), code("b")]);
-        assert_eq!(r.codes_row(1), Some(vec![code("a"), code("c")]));
-        assert_eq!(r.codes_row(3), None);
     }
 
     #[test]
@@ -606,77 +531,6 @@ mod tests {
         let all: Vec<_> = r.iter().collect();
         assert_eq!(all.len(), 3);
         assert_eq!(all[0], vec![Term::constant("a"), Term::constant("b")]);
-    }
-
-    #[test]
-    fn partition_by_routes_every_tuple_to_its_hash_shard() {
-        let r = rel();
-        for k in 1..=4 {
-            let shards = r.partition_by(0, k);
-            assert_eq!(shards.len(), k);
-            let mut total = 0;
-            for (i, shard) in shards.iter().enumerate() {
-                assert_eq!(shard.predicate(), r.predicate());
-                assert_eq!(shard.arity(), r.arity());
-                for tuple in shard.iter() {
-                    assert_eq!(Relation::shard_of(&tuple[0], k), i);
-                    assert!(r.contains(&tuple));
-                }
-                total += shard.len();
-            }
-            assert_eq!(total, r.len(), "shards partition the relation");
-        }
-    }
-
-    #[test]
-    fn partition_by_single_shard_is_the_whole_relation() {
-        let r = rel();
-        let shards = r.partition_by(1, 1);
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].len(), r.len());
-        let original: Vec<_> = r.iter().collect();
-        let sharded: Vec<_> = shards[0].iter().collect();
-        assert_eq!(original, sharded, "insertion order is preserved");
-    }
-
-    #[test]
-    fn shard_stats_sum_to_relation_cardinality() {
-        let r = rel();
-        let shards = r.partition_by(0, 3);
-        let tuples: usize = shards.iter().map(|s| s.stats().tuples).sum();
-        assert_eq!(tuples, r.stats().tuples);
-        // On the partition column, distinct terms split exactly across
-        // shards (each term lives in one shard).
-        let distinct: usize = shards.iter().map(|s| s.distinct_at(0)).sum();
-        assert_eq!(distinct, r.distinct_at(0));
-    }
-
-    #[test]
-    fn shard_indexes_serve_lookups() {
-        let r = rel();
-        let k = 2;
-        let shards = r.partition_by(0, k);
-        let a = Term::constant("a");
-        let home = Relation::shard_of(&a, k);
-        assert_eq!(shards[home].rows_with(0, a).len(), 2);
-        for (i, shard) in shards.iter().enumerate() {
-            if i != home {
-                assert!(shard.rows_with(0, a).is_empty());
-            }
-        }
-        assert_eq!(Relation::shard_of_code(code("a"), k), home);
-    }
-
-    #[test]
-    #[should_panic]
-    fn partition_by_rejects_out_of_range_columns() {
-        rel().partition_by(2, 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn partition_by_rejects_zero_shards() {
-        rel().partition_by(0, 0);
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl InstanceStats {
         self.relations.iter().find(|r| r.predicate == predicate)
     }
 
-    /// The relation holding the most tuples — the scan any per-shard
+    /// The relation holding the most tuples — the scan any row-range
     /// parallelism or trace node-row report is dominated by.  `None` on an
     /// empty instance.
     pub fn largest_relation(&self) -> Option<&RelationStats> {

@@ -160,32 +160,33 @@ proptest! {
         prop_assert_eq!(&suffix[..], &model.tuples[start..]);
     }
 
-    /// `partition_by` is a true partition that routes by the model's
-    /// hash-of-term, shard for shard.
+    /// Sidecars maintained insert by insert agree with a one-pass rebuild
+    /// of the same tuples, with `project_index` built from scratch, and
+    /// with a plain column scan — by code and by term.
     #[test]
-    fn partition_by_matches_model_routing(
+    fn incremental_positional_indexes_match_a_from_scratch_rebuild(
         arity in 1usize..4,
         seq in tuples(3, 50),
-        col_pick in 0usize..4,
-        k in 1usize..5,
     ) {
-        let col = col_pick % arity;
         let mut rel = Relation::new(intern("P"), arity);
-        let mut model = Model::default();
         for tuple in &seq {
-            let tuple: Vec<Term> = tuple.iter().take(arity).cloned().collect();
-            rel.insert(tuple.clone());
-            model.insert(tuple);
+            rel.insert(tuple.iter().take(arity).cloned().collect());
         }
-        let shards = rel.partition_by(col, k);
-        prop_assert_eq!(shards.len(), k);
-        let mut routed: Vec<Vec<Vec<Term>>> = vec![Vec::new(); k];
-        for tuple in &model.tuples {
-            routed[Relation::shard_of(&tuple[col], k)].push(tuple.clone());
+        let mut rebuilt = Relation::new(rel.predicate(), rel.arity());
+        for tuple in rel.iter() {
+            rebuilt.insert(tuple);
         }
-        for (shard, expected) in shards.iter().zip(&routed) {
-            let got: Vec<Vec<Term>> = shard.iter().collect();
-            prop_assert_eq!(&got, expected);
+        prop_assert_eq!(rebuilt.len(), rel.len());
+        for pos in 0..arity {
+            prop_assert_eq!(rel.distinct_at(pos), rebuilt.distinct_at(pos));
+            for (key, rows) in &rel.project_index(&[pos]) {
+                prop_assert_eq!(rel.rows_with_code(pos, key[0]), rows.as_slice());
+                prop_assert_eq!(rel.rows_with(pos, dict::decode(key[0])), rows.as_slice());
+                let scan: Vec<u32> = (0..rel.len() as u32)
+                    .filter(|&row| rel.column(pos)[row as usize] == key[0])
+                    .collect();
+                prop_assert_eq!(rows.as_slice(), scan.as_slice());
+            }
         }
     }
 }

@@ -62,15 +62,6 @@ pub enum Event {
         /// The indexed column positions.
         positions: Vec<usize>,
     },
-    /// The index cache materialized a k-way shard decomposition.
-    ShardSetBuilt {
-        /// Relation that was partitioned.
-        predicate: String,
-        /// The hash-partitioning column.
-        column: usize,
-        /// Number of shards produced.
-        shards: usize,
-    },
     /// The persistent worker pool fanned a parallel region out.
     ParallelRegion {
         /// Morsels dispatched across the region (one per work item).
@@ -142,7 +133,6 @@ impl Event {
             Event::RunCompleted { .. } => "run_completed",
             Event::DatalogCompleted { .. } => "datalog_completed",
             Event::IndexBuilt { .. } => "index_built",
-            Event::ShardSetBuilt { .. } => "shard_set_built",
             Event::ParallelRegion { .. } => "parallel_region",
             Event::ViewRegistered { .. } => "view_registered",
             Event::ViewRefreshed { .. } => "view_refreshed",
@@ -193,14 +183,6 @@ impl Event {
                     cols.join(",")
                 )
             }
-            Event::ShardSetBuilt {
-                predicate,
-                column,
-                shards,
-            } => format!(
-                "{{\"event\":\"shard_set_built\",\"predicate\":{},\"column\":{column},\"shards\":{shards}}}",
-                json_string(predicate)
-            ),
             Event::ParallelRegion { tasks, threads } => format!(
                 "{{\"event\":\"parallel_region\",\"tasks\":{tasks},\"threads\":{threads}}}"
             ),
@@ -487,11 +469,6 @@ mod tests {
             Event::IndexBuilt {
                 predicate: "E".to_owned(),
                 positions: vec![0, 1],
-            },
-            Event::ShardSetBuilt {
-                predicate: "E".to_owned(),
-                column: 0,
-                shards: 4,
             },
             Event::ParallelRegion {
                 tasks: 8,

@@ -28,7 +28,7 @@ use crate::histogram::fmt_ns;
 pub enum Phase {
     /// Plan-cache lookup plus planning on a miss.
     Plan,
-    /// Index/shard cache snapshot under the cache lock.
+    /// Index cache snapshot under the cache lock.
     Snapshot,
     /// Phase 1: building the per-node match sets.
     MatchSets,
@@ -221,9 +221,9 @@ pub struct QueryTrace {
     pub strategy: String,
     /// Whether the plan came out of the plan cache.
     pub plan_cache_hit: bool,
-    /// Cached indexes and shard sets reused by this run.
+    /// Cached indexes reused by this run.
     pub index_cache_hits: usize,
-    /// Indexes and shard sets this run had to build.
+    /// Indexes this run had to build.
     pub index_cache_misses: usize,
     /// Wall time attributed to each execution phase.
     pub phases: PhaseTimes,

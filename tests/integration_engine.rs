@@ -98,14 +98,3 @@ fn mutations_through_the_database_are_visible_to_cached_plans() {
     assert_eq!(rel.distinct_per_column, vec![2, 2]);
     assert_eq!(db.epoch(), 2);
 }
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_engine_shim_still_serves_legacy_call_sites() {
-    // The pre-`Database` API keeps compiling and answering identically.
-    let reference = sac::gen::random_graph_database(10, 40, 17);
-    let mut engine = Engine::new(reference.clone());
-    let q = sac::gen::path_query(2);
-    assert_eq!(engine.run(&q), evaluate(&q, &reference));
-    assert_eq!(engine.metrics().queries_run, 1);
-}

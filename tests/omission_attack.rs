@@ -1,5 +1,5 @@
-use sac::prelude::*;
 use sac::datalog::{check, Certificate, DerivationStep, Premise};
+use sac::prelude::*;
 
 #[test]
 fn incomplete_certificate_forges_a_negation_fact() {
@@ -17,8 +17,14 @@ fn incomplete_certificate_forges_a_negation_fact() {
         rule: 1,
         fact: Atom::from_parts("Sep", vec![Term::constant("a"), Term::constant("b")]),
         premises: vec![
-            Premise::Base { predicate: sac::common::intern("N"), row: 0 },
-            Premise::Base { predicate: sac::common::intern("N"), row: 1 },
+            Premise::Base {
+                predicate: sac::common::intern("N"),
+                row: 0,
+            },
+            Premise::Base {
+                predicate: sac::common::intern("N"),
+                row: 1,
+            },
         ],
         negated: vec![Atom::from_parts(
             "T",
@@ -29,6 +35,8 @@ fn incomplete_certificate_forges_a_negation_fact() {
     let forged = Atom::from_parts("Sep", vec![Term::constant("a"), Term::constant("b")]);
     let replay = check::check_certificate(&program, &base, &cert);
     let verify = check::verify_answer(&program, &base, &cert, &forged);
-    assert!(replay.is_err() || verify.is_err(),
-        "checker accepted a forged negation-dependent fact: replay={replay:?} verify={verify:?}");
+    assert!(
+        replay.is_err() || verify.is_err(),
+        "checker accepted a forged negation-dependent fact: replay={replay:?} verify={verify:?}"
+    );
 }

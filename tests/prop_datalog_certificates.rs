@@ -2,16 +2,62 @@
 //! programs, every engine answer carries a certificate that replays green
 //! through the engine-independent checker — and any single mutation of that
 //! certificate (a dropped premise, a swapped rule id, a forged fact, an
-//! unsupported answer) is rejected fail-closed.
+//! unsupported answer) is rejected fail-closed.  Omissions are mutations
+//! too: a certificate that drops derivations of a predicate the program
+//! negates is sound step by step, and must still be rejected.
 
 use proptest::prelude::*;
+use sac::datalog::check::check_certificate;
 use sac::prelude::*;
+use std::collections::BTreeSet;
 
 fn run_with_certificate(seed: u64) -> (DatalogProgram, Instance, DatalogRun) {
     let (program, base) = sac::gen::random_stratified_program(seed);
     let db = Database::from_instance(base.clone());
     let run = db.run_datalog(&program).unwrap();
     (program, base, run)
+}
+
+/// The predicates `program` negates somewhere.  In the generated programs
+/// their defining rules read only `E` and themselves, so these are exactly
+/// the derived predicates the checker's closedness pass covers.
+fn negated_predicates(program: &DatalogProgram) -> BTreeSet<sac::common::Symbol> {
+    program
+        .rules()
+        .iter()
+        .flat_map(|rule| &rule.negated)
+        .map(|literal| literal.predicate)
+        .collect()
+}
+
+/// `cert` without the steps `doomed` selects and, transitively, without
+/// every step that consumed one of them; surviving `Derived` premises are
+/// re-indexed, so the result is a step-by-step sound certificate that
+/// merely proves less.
+fn omit_steps(cert: &Certificate, doomed: impl Fn(usize, &DerivationStep) -> bool) -> Certificate {
+    let mut new_index: Vec<Option<usize>> = Vec::with_capacity(cert.len());
+    let mut steps = Vec::new();
+    for (index, step) in cert.steps.iter().enumerate() {
+        let premises: Option<Vec<Premise>> = step
+            .premises
+            .iter()
+            .map(|premise| match premise {
+                Premise::Derived(earlier) => new_index[*earlier].map(Premise::Derived),
+                base => Some(*base),
+            })
+            .collect();
+        match premises.filter(|_| !doomed(index, step)) {
+            Some(premises) => {
+                new_index.push(Some(steps.len()));
+                steps.push(DerivationStep {
+                    premises,
+                    ..step.clone()
+                });
+            }
+            None => new_index.push(None),
+        }
+    }
+    Certificate { steps }
 }
 
 proptest! {
@@ -23,7 +69,10 @@ proptest! {
         let cert = run.certificate.as_ref().unwrap();
         // One derivation step per derived fact, in derivation order.
         prop_assert_eq!(cert.len(), run.derived.len());
-        prop_assert!(sac::datalog::check::check_certificate(&program, &base, cert).is_ok());
+        prop_assert!(check_certificate(&program, &base, cert).is_ok());
+        // The reference evaluator's certificate is closed too, negation or not.
+        let (_, reference) = sac::datalog::naive::naive_fixpoint(&program, &base).unwrap();
+        prop_assert!(check_certificate(&program, &base, &reference).is_ok());
         for answer in &run.derived {
             prop_assert!(
                 sac::datalog::check::verify_answer(&program, &base, cert, answer).is_ok()
@@ -46,7 +95,7 @@ proptest! {
         }
         premises.remove(pick % premises.len());
         prop_assert!(
-            sac::datalog::check::check_certificate(&program, &base, &mutated).is_err(),
+            check_certificate(&program, &base, &mutated).is_err(),
             "dropping a premise from step {victim} must fail the replay"
         );
     }
@@ -74,7 +123,7 @@ proptest! {
         let mut mutated = cert.clone();
         mutated.steps[victim].rule = target;
         prop_assert!(
-            sac::datalog::check::check_certificate(&program, &base, &mutated).is_err(),
+            check_certificate(&program, &base, &mutated).is_err(),
             "swapping step {victim} from rule {honest} to {target} must fail the replay"
         );
     }
@@ -92,8 +141,60 @@ proptest! {
         let slot = pick % fact.args.len();
         fact.args[slot] = Term::constant("forged_constant_zzz");
         prop_assert!(
-            sac::datalog::check::check_certificate(&program, &base, &mutated).is_err(),
+            check_certificate(&program, &base, &mutated).is_err(),
             "forging the fact of step {victim} must fail the replay"
+        );
+    }
+
+    #[test]
+    fn omitting_a_negated_predicates_derivation_is_rejected(
+        seed in 0u64..5000,
+        pick in 0usize..1_000_000,
+    ) {
+        let (program, base, run) = run_with_certificate(seed);
+        let cert = run.certificate.unwrap();
+        let negated = negated_predicates(&program);
+        let victims: Vec<usize> = (0..cert.len())
+            .filter(|&i| negated.contains(&cert.steps[i].fact.predicate))
+            .collect();
+        if victims.is_empty() {
+            return Ok(()); // no negation, or nothing derived under it
+        }
+        let victim = victims[pick % victims.len()];
+        let mutated = omit_steps(&cert, |index, _| index == victim);
+        prop_assert!(mutated.len() < cert.len());
+        prop_assert!(
+            matches!(
+                check_certificate(&program, &base, &mutated),
+                Err(CheckError::ModelNotClosed { .. })
+            ),
+            "omitting step {victim} ({}) and its dependents must fail closedness",
+            cert.steps[victim].fact
+        );
+    }
+
+    #[test]
+    fn omitting_the_lowest_stratum_is_rejected(seed in 0u64..5000) {
+        let (program, base, run) = run_with_certificate(seed);
+        let cert = run.certificate.unwrap();
+        let negated = negated_predicates(&program);
+        let lowest = &program.strata()[0];
+        let feeds_negation = cert
+            .steps
+            .iter()
+            .any(|step| lowest.contains(&step.rule) && negated.contains(&step.fact.predicate));
+        if !feeds_negation {
+            return Ok(());
+        }
+        // Only steps over base premises alone survive — typically the
+        // negating rules themselves, now unopposed.
+        let mutated = omit_steps(&cert, |_, step| lowest.contains(&step.rule));
+        prop_assert!(
+            matches!(
+                check_certificate(&program, &base, &mutated),
+                Err(CheckError::ModelNotClosed { .. })
+            ),
+            "a certificate without its lowest stratum must fail closedness"
         );
     }
 
