@@ -1,15 +1,13 @@
-//! E11 — the execution engine against its baselines.  Three evaluators on
-//! the same query/database pairs at growing database sizes:
+//! E11 — the execution engine against its baseline.  The workspace's two CQ
+//! evaluators on the same query/database pairs at growing database sizes:
 //!
-//! * `naive` — homomorphism enumeration (`sac_query::evaluate`);
-//! * `yannakakis_scan` — the scan-based Yannakakis of `sac-acyclic`
-//!   (re-derives the join tree and re-scans relations every call);
+//! * `naive` — homomorphism enumeration (`sac_query::evaluate`), the oracle;
 //! * `engine` — `sac-engine` serving from its plan and index caches, the way
 //!   repeated traffic hits it.
 //!
 //! Section A: an acyclic star query over random graphs.  Section B: the
 //! semantically acyclic Example 1 triangle under the collector tgd, where the
-//! engine's cached witness plan amortizes the reformulation the baselines
+//! engine's cached witness plan amortizes the reformulation the baseline
 //! cannot use at all (naive pays the cyclic-join cost every call).
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
@@ -24,11 +22,6 @@ fn bench_acyclic(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", db.len()), &db, |b, db| {
             b.iter(|| evaluate(&q, db).len())
         });
-        group.bench_with_input(
-            BenchmarkId::new("yannakakis_scan", db.len()),
-            &db,
-            |b, db| b.iter(|| yannakakis_evaluate(&q, db).expect("star is acyclic").len()),
-        );
         let engine = Database::from_instance(db.clone());
         engine.run(&q); // warm the plan and index caches
         group.bench_with_input(BenchmarkId::new("engine", db.len()), &db, |b, _| {
@@ -41,12 +34,6 @@ fn bench_acyclic(c: &mut Criterion) {
 fn bench_semantically_acyclic(c: &mut Criterion) {
     let q = sac::gen::example1_triangle();
     let tgds = vec![sac::gen::collector_tgd()];
-    // The acyclic witness the engine plans through, precomputed once so the
-    // scan-based baseline can run Yannakakis on it too.
-    let witness = semantic_acyclicity_under_tgds(&q, &tgds, SemAcConfig::default())
-        .witness()
-        .expect("Example 1 is semantically acyclic under the collector tgd")
-        .clone();
     let mut group = c.benchmark_group("e11_semac_triangle");
     for customers in [50usize, 200, 800] {
         let db = sac::gen::music_database(customers, customers * 2, 10);
@@ -54,17 +41,6 @@ fn bench_semantically_acyclic(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", db.len()), &db, |b, db| {
             b.iter(|| evaluate(&q, db).len())
         });
-        group.bench_with_input(
-            BenchmarkId::new("yannakakis_scan_witness", db.len()),
-            &db,
-            |b, db| {
-                b.iter(|| {
-                    yannakakis_evaluate(&witness, db)
-                        .expect("witness is acyclic")
-                        .len()
-                })
-            },
-        );
         let engine = Database::from_instance(db.clone()).with_tgds(tgds.clone());
         engine.run(&q); // pay the witness search once, outside the timing
         group.bench_with_input(BenchmarkId::new("engine", db.len()), &db, |b, _| {
@@ -100,7 +76,7 @@ fn json_row(
     ]));
 }
 
-/// The `--json` sweep: self-timed medians for the same three evaluators,
+/// The `--json` sweep: self-timed medians for the same two evaluators,
 /// written to `BENCH_e11.json` at the workspace root.
 ///
 /// With `smoke` set (the CI `--smoke` mode) only the smallest acyclic-star
@@ -130,18 +106,6 @@ fn json_report(smoke: bool) {
             naive_secs,
             naive_secs,
         );
-        let scan_secs = sac_bench::median_secs(5, || {
-            std::hint::black_box(yannakakis_evaluate(&q, &db).expect("star is acyclic").len());
-        });
-        json_row(
-            &mut rows,
-            "acyclic_star",
-            "yannakakis_scan",
-            atoms,
-            heap,
-            scan_secs,
-            naive_secs,
-        );
         let engine = Database::from_instance(db.clone());
         engine.run(&q);
         let engine_secs = sac_bench::median_secs(5, || {
@@ -162,10 +126,6 @@ fn json_report(smoke: bool) {
     if !smoke {
         let q = sac::gen::example1_triangle();
         let tgds = vec![sac::gen::collector_tgd()];
-        let witness = semantic_acyclicity_under_tgds(&q, &tgds, SemAcConfig::default())
-            .witness()
-            .expect("Example 1 is semantically acyclic under the collector tgd")
-            .clone();
         for customers in [50usize, 200, 800] {
             let db = sac::gen::music_database(customers, customers * 2, 10);
             let atoms = db.len();
@@ -180,22 +140,6 @@ fn json_report(smoke: bool) {
                 atoms,
                 heap,
                 naive_secs,
-                naive_secs,
-            );
-            let scan_secs = sac_bench::median_secs(5, || {
-                std::hint::black_box(
-                    yannakakis_evaluate(&witness, &db)
-                        .expect("witness is acyclic")
-                        .len(),
-                );
-            });
-            json_row(
-                &mut rows,
-                "semac_triangle",
-                "yannakakis_scan_witness",
-                atoms,
-                heap,
-                scan_secs,
                 naive_secs,
             );
             let engine = Database::from_instance(db.clone()).with_tgds(tgds.clone());

@@ -1,62 +1,24 @@
-//! Evaluation of semantically acyclic CQs under constraints (Section 7).
+//! Evaluation of semantically acyclic CQs under constraints (Section 7):
+//! the polynomial-time algorithm of Theorem 25.
 //!
-//! Two strategies are provided:
+//! For guarded tgds (and FDs), a tuple `t̄` is an answer of a semantically
+//! acyclic `q` iff the duplicator wins the existential 1-cover game between
+//! `(q, x̄)` and `(D, t̄)` — no witness computation and no chase over the
+//! database.  [`cover_game_evaluate`] is that algorithm; it assumes the
+//! database satisfies the constraints (the paper's `SemAcEval` promise) and
+//! does not verify it.
 //!
-//! * [`EvaluationStrategy::RewriteThenYannakakis`] — the fixed-parameter
-//!   tractable algorithm of Proposition 24: find an acyclic witness `q'` with
-//!   `q ≡Σ q'` (cost depends only on `|q| + |Σ|`), then evaluate `q'` on the
-//!   database with the Yannakakis algorithm (cost `O(|q'|·|D|)` plus output).
-//! * [`EvaluationStrategy::CoverGame`] — the polynomial-time algorithm of
-//!   Theorem 25 for guarded tgds (and FDs): a tuple `t̄` is an answer iff the
-//!   duplicator wins the existential 1-cover game between `(q, x̄)` and
-//!   `(D, t̄)` — no witness computation and no chase over the database.
-//!
-//! Both assume the database satisfies the constraints (the paper's
-//! `SemAcEval` promise); [`evaluate_semantically_acyclic`] does not verify
-//! this.
+//! Section 7's other result, the fixed-parameter tractable pipeline of
+//! Proposition 24 (find an acyclic witness `q'` with `q ≡Σ q'`, then run
+//! Yannakakis on it), is the engine's `yannakakis-witness` rung:
+//! `sac_engine::Database::with_tgds(Σ).run(q)`.  The reference every
+//! evaluator is compared against is [`sac_query::evaluate()`].
 
-use crate::semac::{semantic_acyclicity_under_tgds, SemAcConfig, SemAcResult};
-use sac_acyclic::{cover_equivalent, yannakakis_evaluate, CoverGameInput};
+use sac_acyclic::{cover_equivalent, CoverGameInput};
 use sac_common::Term;
-use sac_deps::Tgd;
-use sac_query::{evaluate, ConjunctiveQuery};
+use sac_query::ConjunctiveQuery;
 use sac_storage::Instance;
 use std::collections::BTreeSet;
-
-/// The evaluation strategy to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvaluationStrategy {
-    /// Proposition 24: compute an acyclic Σ-equivalent witness, then run
-    /// Yannakakis.  Falls back to naive evaluation when no witness is found.
-    RewriteThenYannakakis,
-    /// Theorem 25: evaluate through the existential 1-cover game, sound and
-    /// complete when the query is semantically acyclic under guarded tgds (or
-    /// FDs) and the database satisfies the constraints.
-    CoverGame,
-    /// Plain homomorphism enumeration (the baseline the paper improves on).
-    Naive,
-}
-
-/// Evaluates `query` over `database` (assumed to satisfy `tgds`).
-pub fn evaluate_semantically_acyclic(
-    query: &ConjunctiveQuery,
-    tgds: &[Tgd],
-    database: &Instance,
-    strategy: EvaluationStrategy,
-    config: SemAcConfig,
-) -> BTreeSet<Vec<Term>> {
-    match strategy {
-        EvaluationStrategy::Naive => evaluate(query, database),
-        EvaluationStrategy::RewriteThenYannakakis => {
-            match semantic_acyclicity_under_tgds(query, tgds, config) {
-                SemAcResult::Witness(witness) => yannakakis_evaluate(&witness, database)
-                    .unwrap_or_else(|| evaluate(&witness, database)),
-                SemAcResult::NoWitness { .. } => evaluate(query, database),
-            }
-        }
-        EvaluationStrategy::CoverGame => cover_game_evaluate(query, database),
-    }
-}
 
 /// Theorem 25's evaluation: `t̄ ∈ q(D)` iff `(q, x̄) ≡∃1c (D, t̄)`.
 ///
@@ -112,7 +74,9 @@ pub fn cover_game_evaluate(query: &ConjunctiveQuery, database: &Instance) -> BTr
 mod tests {
     use super::*;
     use sac_chase::{tgd_chase, ChaseBudget};
-    use sac_common::{atom, intern, Atom};
+    use sac_common::{atom, intern};
+    use sac_deps::Tgd;
+    use sac_query::evaluate;
 
     fn collector_tgd() -> Vec<Tgd> {
         vec![Tgd::new(
@@ -152,33 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_agree_on_example1() {
+    fn cover_game_agrees_with_naive_on_example1() {
+        // Example 1 is semantically acyclic under the (non-guarded, but
+        // full) collector tgd and the database is closed under it: the game
+        // decides exactly the answers of the cyclic triangle.
         let q = example1_triangle();
         let db = collector_db();
-        let tgds = collector_tgd();
-        let naive = evaluate_semantically_acyclic(
-            &q,
-            &tgds,
-            &db,
-            EvaluationStrategy::Naive,
-            SemAcConfig::default(),
-        );
-        let fpt = evaluate_semantically_acyclic(
-            &q,
-            &tgds,
-            &db,
-            EvaluationStrategy::RewriteThenYannakakis,
-            SemAcConfig::default(),
-        );
-        let game = evaluate_semantically_acyclic(
-            &q,
-            &tgds,
-            &db,
-            EvaluationStrategy::CoverGame,
-            SemAcConfig::default(),
-        );
-        assert_eq!(naive, fpt);
-        assert_eq!(naive, game);
+        let naive = evaluate(&q, &db);
+        assert_eq!(cover_game_evaluate(&q, &db), naive);
         // alice owns kind_of_blue, bob owns both rock records.
         assert_eq!(naive.len(), 3);
     }
@@ -212,72 +157,5 @@ mod tests {
         assert_eq!(answers.len(), 1);
         let empty_db = Instance::new();
         assert!(cover_game_evaluate(&q, &empty_db).is_empty());
-    }
-
-    #[test]
-    fn fpt_strategy_falls_back_gracefully_without_witness() {
-        // A genuinely cyclic query with no helpful constraints: the FPT
-        // strategy must still return the right answers (via fallback).
-        let q = ConjunctiveQuery::boolean(vec![
-            atom!("E", var "x", var "y"),
-            atom!("E", var "y", var "z"),
-            atom!("E", var "z", var "x"),
-        ])
-        .unwrap();
-        let mut db = Instance::new();
-        for (s, t) in [("a", "b"), ("b", "c"), ("c", "a")] {
-            db.insert(Atom::from_parts(
-                "E",
-                vec![Term::constant(s), Term::constant(t)],
-            ))
-            .unwrap();
-        }
-        let answers = evaluate_semantically_acyclic(
-            &q,
-            &[],
-            &db,
-            EvaluationStrategy::RewriteThenYannakakis,
-            SemAcConfig::default(),
-        );
-        assert_eq!(answers.len(), 1);
-    }
-
-    #[test]
-    fn evaluation_over_larger_satisfying_database_scales() {
-        // A sanity check used by the E8 experiment in miniature: the answers
-        // of the witness match the original query on a database closed under
-        // the constraints.
-        let tgds = collector_tgd();
-        let mut base = Instance::new();
-        for i in 0..40 {
-            base.insert(Atom::from_parts(
-                "Interest",
-                vec![
-                    Term::constant(&format!("cust{i}")),
-                    Term::constant(&format!("style{}", i % 5)),
-                ],
-            ))
-            .unwrap();
-            base.insert(Atom::from_parts(
-                "Class",
-                vec![
-                    Term::constant(&format!("rec{i}")),
-                    Term::constant(&format!("style{}", i % 5)),
-                ],
-            ))
-            .unwrap();
-        }
-        let db = tgd_chase(&base, &tgds, ChaseBudget::large()).instance;
-        let q = example1_triangle();
-        let naive = evaluate(&q, &db);
-        let fpt = evaluate_semantically_acyclic(
-            &q,
-            &tgds,
-            &db,
-            EvaluationStrategy::RewriteThenYannakakis,
-            SemAcConfig::default(),
-        );
-        assert_eq!(naive, fpt);
-        assert_eq!(naive.len(), 40 * 8); // each customer owns the 8 records of their style
     }
 }

@@ -14,9 +14,9 @@
 //!   Σ-contained acyclic queries for queries that are *not* semantically
 //!   acyclic.
 //! * [`eval`] — evaluation of semantically acyclic CQs (Section 7): the
-//!   fixed-parameter tractable rewrite-then-Yannakakis pipeline
-//!   (Proposition 24) and the polynomial-time cover-game evaluation for
-//!   guarded tgds and FDs (Theorem 25).
+//!   polynomial-time cover-game evaluation for guarded tgds and FDs
+//!   (Theorem 25).  The fixed-parameter tractable rewrite-then-Yannakakis
+//!   pipeline (Proposition 24) is the `sac-engine` witness rung.
 //! * [`pcp`] — the Theorem 7 reduction from the Post Correspondence Problem
 //!   to semantic acyclicity under full tgds, demonstrating undecidability
 //!   executably on concrete PCP instances.
@@ -34,7 +34,7 @@ pub use containment::{
     contained_under_egds, contained_under_tgds, equivalent_under_egds, equivalent_under_tgds,
     ContainmentAnswer,
 };
-pub use eval::{cover_game_evaluate, evaluate_semantically_acyclic, EvaluationStrategy};
+pub use eval::cover_game_evaluate;
 pub use pcp::{build_pcp_reduction, solution_path_query, PcpInstance};
 pub use semac::{
     is_semantically_acyclic_no_constraints, semantic_acyclicity_under_egds,

@@ -32,12 +32,14 @@
 //! visibility.
 //!
 //! The **worker pool** sits outside that order entirely: its queue mutex
-//! is leaf-level (the pool never takes an engine lock, and morsel closures
-//! only ever read the immutable snapshots they captured), so submitting a
-//! region while holding the instance *read* guard — what every parallel
-//! run does — cannot participate in a lock cycle.  The pool is created
-//! lazily at the first `parallelism > 1` run (a `OnceLock`), parked while
-//! idle, and joined when the database drops.
+//! is leaf-level (the pool never takes an engine lock) and regions are
+//! submitted with no engine lock held — a [`Database::run_batch`] morsel is
+//! an ordinary run that takes the instance read guard itself, a Datalog
+//! rule morsel works on the evaluation's private snapshot — so the pool
+//! cannot participate in a lock cycle.  It is created lazily by the first
+//! batch or multi-rule stratum at `parallelism > 1` (a `OnceLock`), parked
+//! while idle, and joined when the database drops.  A single run, a
+//! prepared execution and a view refresh never touch it.
 
 use crate::datalog::{self, DatalogOptions, DatalogRun, DatalogSource, PreparedDatalog};
 use crate::durability::{
@@ -93,44 +95,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// Execution-layer knobs, fixed per [`Database`].
-///
-/// `parallelism` is the width of the **persistent worker pool** used by
-/// [`Database::run_batch`] (queries fan out across workers) and by single
-/// runs (match sets and fallback searches fan out across row ranges of the
-/// scanned relations, semijoin sweeps across table chunks, as morsels).  The
-/// pool is created lazily at the first `parallelism > 1` run —
-/// `parallelism - 1` OS threads, because the submitting thread executes
-/// morsels too while it waits — then reused for every subsequent region and
-/// joined when the database drops.  `1` (the default) is the plain serial
-/// path — no pool is ever created and no thread is ever spawned.  Parallel
-/// scans read the one stored copy of each relation, so a parallel database
-/// costs no extra memory per relation and no extra work per insert.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Effective threads per parallel region (pool workers + the
-    /// submitting thread); clamped to at least 1.
-    pub parallelism: usize,
-    /// Minimum table/relation size (in tuples) before a parallel region
-    /// fans out, and the target **rows per morsel** once it does: a region
-    /// over `n` rows splits into roughly `n / min_parallel_rows` morsels
-    /// (clamped to `[2, 4 * parallelism]` for sweeps, `[parallelism,
-    /// 4 * parallelism]` for relation scans).  Below this bound the
-    /// dispatch cost exceeds the scan, so the run stays serial.  The
-    /// default keeps small-data workloads on the serial fast path; tests
-    /// set it to 0 to force the parallel machinery on tiny fixtures.
-    pub min_parallel_rows: usize,
-}
-
-impl Default for ExecOptions {
-    fn default() -> ExecOptions {
-        ExecOptions {
-            parallelism: 1,
-            min_parallel_rows: 512,
-        }
-    }
-}
-
 /// Counters describing a session's workload so far.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
@@ -150,20 +114,18 @@ pub struct EngineMetrics {
     pub runs_indexed_search: usize,
     /// Join-key indexes built over the session's lifetime.
     pub indexes_built: usize,
-    /// Parallel work items executed (match-set row ranges, semijoin
-    /// chunks, fallback-search row ranges).  Zero on the serial path.  The
-    /// name predates row-range scans and is kept for metric continuity.
-    pub shard_tasks: usize,
     /// Worker threads alive in the persistent pool — reported **once**
     /// (the live pool size, `parallelism - 1`), not accumulated per
     /// region, and surviving [`Database::reset_metrics`] like
     /// [`EngineMetrics::indexes_built`] the pool itself does.  Zero until
-    /// the first `parallelism > 1` run creates the pool, and always zero
-    /// on a serial database.
+    /// the first batch or multi-rule Datalog stratum at `parallelism > 1`
+    /// creates the pool, and always zero on a serial database.
     pub threads_spawned: usize,
-    /// Morsels submitted to the worker pool (batch queries, match-set
-    /// row ranges, semijoin chunks, fallback-search row ranges).  Zero on the
-    /// serial path.  Deterministic for a given workload.
+    /// Morsels submitted to the worker pool: one per query of a fanned-out
+    /// [`Database::run_batch`], one per rule per iteration of a multi-rule
+    /// Datalog stratum.  Zero for single runs, prepared executions and
+    /// view refreshes at any parallelism.  Deterministic for a given
+    /// workload.
     pub morsels_dispatched: usize,
     /// Morsels a pool thread claimed from another worker's deque.  Purely
     /// scheduler-dependent — two identical runs steal different amounts —
@@ -262,7 +224,7 @@ impl fmt::Display for EngineMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} runs ({} planned, {} cache hits, {:.0}% hit rate); strategies: {} direct / {} witness / {} fallback; {} indexes built; {} shard tasks / {} morsels ({} stolen) on a {}-thread pool; {} views ({} incremental / {} full refreshes, {} delta rows)",
+            "{} runs ({} planned, {} cache hits, {:.0}% hit rate); strategies: {} direct / {} witness / {} fallback; {} indexes built; {} morsels ({} stolen) on a {}-thread pool; {} views ({} incremental / {} full refreshes, {} delta rows)",
             self.queries_run,
             self.plans_built,
             self.plan_cache_hits,
@@ -271,7 +233,6 @@ impl fmt::Display for EngineMetrics {
             self.runs_yannakakis_witness,
             self.runs_indexed_search,
             self.indexes_built,
-            self.shard_tasks,
             self.morsels_dispatched,
             self.morsel_steals,
             self.threads_spawned,
@@ -332,7 +293,6 @@ struct MetricCounters {
     runs_yannakakis_direct: AtomicUsize,
     runs_yannakakis_witness: AtomicUsize,
     runs_indexed_search: AtomicUsize,
-    shard_tasks: AtomicUsize,
     morsels_dispatched: AtomicUsize,
     /// Pool-lifetime readings at the last [`Database::reset_metrics`]:
     /// the pool's own counters are cumulative (they outlive metric
@@ -372,7 +332,6 @@ impl MetricCounters {
             runs_yannakakis_witness: self.runs_yannakakis_witness.load(Ordering::Relaxed),
             runs_indexed_search: self.runs_indexed_search.load(Ordering::Relaxed),
             indexes_built,
-            shard_tasks: self.shard_tasks.load(Ordering::Relaxed),
             threads_spawned: pool.threads,
             morsels_dispatched: self.morsels_dispatched.load(Ordering::Relaxed),
             morsel_steals: pool
@@ -409,7 +368,6 @@ impl MetricCounters {
         self.runs_yannakakis_direct.store(0, Ordering::Relaxed);
         self.runs_yannakakis_witness.store(0, Ordering::Relaxed);
         self.runs_indexed_search.store(0, Ordering::Relaxed);
-        self.shard_tasks.store(0, Ordering::Relaxed);
         self.morsels_dispatched.store(0, Ordering::Relaxed);
         self.steals_baseline.store(pool.steals, Ordering::Relaxed);
         self.queue_wait_baseline_ns
@@ -513,7 +471,9 @@ pub struct Database {
     instance: RwLock<Instance>,
     tgds: RwLock<Vec<Tgd>>,
     config: EngineConfig,
-    exec: ExecOptions,
+    /// Worker-pool width for batch and Datalog-stratum fan-out (1 = no
+    /// pool); see [`Database::with_parallelism`].
+    parallelism: usize,
     plans: RwLock<HashMap<PlanKey, Arc<Plan>>>,
     indexes: Mutex<IndexCache>,
     /// Registered materialized views, held weakly: dropping every
@@ -528,10 +488,10 @@ pub struct Database {
     durability: Option<DurabilityCore>,
     /// What recovery found, for databases created by [`Database::open`].
     recovery: Option<RecoveryReport>,
-    /// The persistent worker pool, created at the first `parallelism > 1`
-    /// run and joined when the database drops (the pool's `Drop` flags
-    /// shutdown and joins its threads).  Never populated on a serial
-    /// database.  Leaf-level locking: see the module docs.
+    /// The persistent worker pool, created by the first fan-out at
+    /// `parallelism > 1` and joined when the database drops (the pool's
+    /// `Drop` flags shutdown and joins its threads).  Never populated on a
+    /// serial database.  Leaf-level locking: see the module docs.
     pool: OnceLock<Arc<WorkerPool>>,
     metrics: MetricCounters,
     latency: LatencyRecorders,
@@ -556,7 +516,7 @@ impl Database {
             instance: RwLock::new(instance),
             tgds: RwLock::new(Vec::new()),
             config: EngineConfig::default(),
-            exec: ExecOptions::default(),
+            parallelism: 1,
             plans: RwLock::new(HashMap::new()),
             indexes,
             views: RwLock::new(Vec::new()),
@@ -569,16 +529,17 @@ impl Database {
         }
     }
 
-    /// The worker pool for `parallelism > 1` runs, creating it on first
+    /// The worker pool for `parallelism > 1` fan-out, creating it on first
     /// use; `None` exactly when the database is serial, so parallelism-1
     /// sessions never spawn a thread.
     pub(crate) fn pool_handle(&self) -> Option<Arc<WorkerPool>> {
-        if self.exec.parallelism <= 1 {
+        if self.parallelism <= 1 {
             return None;
         }
-        Some(Arc::clone(self.pool.get_or_init(|| {
-            Arc::new(WorkerPool::new(self.exec.parallelism))
-        })))
+        Some(Arc::clone(
+            self.pool
+                .get_or_init(|| Arc::new(WorkerPool::new(self.parallelism))),
+        ))
     }
 
     /// Live pool readings for metric snapshots (zeroes before the pool
@@ -617,31 +578,24 @@ impl Database {
         self
     }
 
-    /// Sets the worker-pool width for batch fan-out and row-range sweeps
-    /// (builder-style).  `1` keeps the plain serial path; values are clamped
-    /// to at least 1.  See [`ExecOptions`].
+    /// Sets the width of the **persistent worker pool** (builder-style;
+    /// clamped to at least 1).  The pool parallelizes *across* units of
+    /// work, never inside one: [`Database::run_batch`] fans out one morsel
+    /// per query and a multi-rule Datalog stratum one morsel per rule.  A
+    /// single [`Database::run`], [`PreparedQuery::execute`] or view refresh
+    /// runs the one serial executor path at every width.  The pool is
+    /// created lazily by the first fan-out — `parallelism - 1` OS threads,
+    /// because the submitting thread executes morsels too while it waits —
+    /// reused for every later region and joined when the database drops.
+    /// `1` (the default) never creates a pool or spawns a thread.
     pub fn with_parallelism(mut self, parallelism: usize) -> Database {
-        self.exec.parallelism = parallelism.max(1);
+        self.parallelism = parallelism.max(1);
         self
-    }
-
-    /// Overrides every execution-layer option (builder-style).
-    pub fn with_exec_options(mut self, options: ExecOptions) -> Database {
-        self.exec = ExecOptions {
-            parallelism: options.parallelism.max(1),
-            min_parallel_rows: options.min_parallel_rows,
-        };
-        self
-    }
-
-    /// The execution-layer options.
-    pub fn exec_options(&self) -> ExecOptions {
-        self.exec
     }
 
     /// The configured worker-pool width (1 = serial).
     pub fn parallelism(&self) -> usize {
-        self.exec.parallelism
+        self.parallelism
     }
 
     /// Replaces the constraint set, invalidating every cached plan (their
@@ -669,11 +623,6 @@ impl Database {
     /// The constraints the planner reformulates under.
     pub fn tgds(&self) -> Vec<Tgd> {
         self.read_tgds().clone()
-    }
-
-    /// The planner configuration.
-    pub fn config(&self) -> EngineConfig {
-        self.config
     }
 
     /// Runs `f` over the current instance under the read lock.  Keep `f`
@@ -880,14 +829,14 @@ impl Database {
     /// Evaluates an already-validated query.
     pub fn run(&self, query: &ConjunctiveQuery) -> ResultSet {
         let plan = self.plan_arc(query);
-        self.run_plan_core(&plan, self.exec.parallelism, None).0
+        self.run_plan_core(&plan, None).0
     }
 
     /// [`Database::run`] with a [`QueryTrace`] alongside the results: the
     /// rung chosen, plan- and index-cache outcomes, per-phase wall times
     /// (which sum to the recorded total by construction — see
-    /// [`sac_telemetry::Probe`]), per-join-tree-node rows in/out, and the
-    /// run's parallel fan-out.  Tracing adds a handful of `Instant` reads
+    /// [`sac_telemetry::Probe`]) and per-join-tree-node rows in/out.
+    /// Tracing adds a handful of `Instant` reads
     /// to this run only; untraced runs are unaffected.
     pub fn run_traced(&self, query: &ConjunctiveQuery) -> (ResultSet, QueryTrace) {
         let mut probe = Probe::start();
@@ -898,7 +847,7 @@ impl Database {
             plan_cache_hit,
             query: query.to_string(),
         };
-        let (result, trace) = self.run_plan_core(&plan, self.exec.parallelism, Some(start));
+        let (result, trace) = self.run_plan_core(&plan, Some(start));
         (result, trace.expect("traced runs always produce a trace"))
     }
 
@@ -911,13 +860,8 @@ impl Database {
     /// Evaluates a batch of queries, amortizing planning and index building
     /// across the whole workload.  With [`Database::with_parallelism`] above
     /// 1, the queries fan out over the persistent worker pool, one morsel
-    /// per query — results still come back in input order, identical to the
-    /// serial batch.
-    ///
-    /// The parallelism budget is spent once: when the batch itself fans
-    /// out, each morsel executes its query serially (row-range parallelism
-    /// applies to single [`Database::run`] / [`PreparedQuery::execute`]
-    /// calls), so batch morsels never submit nested regions.
+    /// per query (each an ordinary serial run) — results still come back in
+    /// input order, identical to the serial batch.
     pub fn run_batch(&self, queries: &[ConjunctiveQuery]) -> Vec<ResultSet> {
         let Some(pool) = self.pool_handle().filter(|_| queries.len() > 1) else {
             return queries.iter().map(|q| self.run(q)).collect();
@@ -926,7 +870,7 @@ impl Database {
         // would otherwise race the cold plan cache and re-run the expensive
         // witness search once per worker instead of once per shape.
         let plans: Vec<Arc<Plan>> = queries.iter().map(|q| self.plan_arc(q)).collect();
-        let results = pool.run(&plans, |plan| self.run_plan_core(plan, 1, None).0);
+        let results = pool.run(&plans, |plan| self.run_plan_core(plan, None).0);
         self.metrics
             .morsels_dispatched
             .fetch_add(plans.len(), Ordering::Relaxed);
@@ -998,15 +942,8 @@ impl Database {
         } else {
             Vec::new()
         };
-        let run = datalog::evaluate(
-            program,
-            work,
-            &tgds,
-            &self.config,
-            self.exec,
-            self.pool_handle(),
-            options,
-        )?;
+        let pool = || self.pool_handle();
+        let run = datalog::evaluate(program, work, &tgds, &self.config, &pool, options)?;
         let elapsed = started.elapsed();
         self.latency.datalog.record(elapsed);
         self.metrics.datalog_runs.fetch_add(1, Ordering::Relaxed);
@@ -1016,6 +953,9 @@ impl Database {
         self.metrics
             .datalog_facts_derived
             .fetch_add(run.stats.facts_derived, Ordering::Relaxed);
+        self.metrics
+            .morsels_dispatched
+            .fetch_add(run.stats.morsels_dispatched, Ordering::Relaxed);
         bus::emit(|| Event::DatalogCompleted {
             rules: run.stats.rules,
             strata: run.stats.strata,
@@ -1034,7 +974,6 @@ impl Database {
     fn run_plan_core(
         &self,
         plan: &Plan,
-        parallelism: usize,
         trace: Option<TraceStart>,
     ) -> (ResultSet, Option<QueryTrace>) {
         self.metrics.record_run(plan.strategy());
@@ -1050,13 +989,7 @@ impl Database {
         };
         // …then execute lock-free (the instance read guard is still held, so
         // the snapshots stay consistent with the data for the whole run).
-        let pool = if parallelism > 1 {
-            self.pool_handle()
-        } else {
-            None
-        };
-        let mut ctx = exec::ExecContext::new(indexes, parallelism, self.exec.min_parallel_rows)
-            .with_pool(pool);
+        let mut ctx = exec::ExecContext::new(indexes);
         let (plan_cache_hit, query_text) = match trace {
             Some(TraceStart {
                 mut probe,
@@ -1070,7 +1003,6 @@ impl Database {
             None => (false, String::new()),
         };
         let tuples = exec::execute_with(plan, &instance, &ctx);
-        self.note_exec_work(&ctx);
         let result = ResultSet::from_tuples(Arc::clone(plan.columns()), tuples);
         let elapsed = run_started.elapsed();
         self.latency.run.record(elapsed);
@@ -1093,8 +1025,6 @@ impl Database {
                 phases,
                 total_ns,
                 node_rows,
-                shard_tasks: ctx.shard_tasks(),
-                threads_spawned: ctx.threads_spawned(),
                 answers: result.len(),
                 refresh_mode: None,
                 delta_rows: None,
@@ -1157,14 +1087,6 @@ impl Database {
             self.checkpoint()?;
         }
         Ok(MaterializedView::new(self, core))
-    }
-
-    /// Number of currently registered (live) materialized views.
-    pub fn registered_views(&self) -> usize {
-        self.read_views()
-            .iter()
-            .filter(|weak| weak.strong_count() > 0)
-            .count()
     }
 
     /// [`MaterializedView::refresh`]: catch one view up with the current
@@ -1262,7 +1184,7 @@ impl Database {
         let fresh_trace = |probe: Option<Probe>, refresh: &ViewRefresh, answers: usize| {
             probe.map(|p| {
                 let (phases, node_rows, total_ns) = p.finish();
-                self.view_query_trace(core, refresh, phases, node_rows, total_ns, 0, 0, answers)
+                self.view_query_trace(core, refresh, phases, node_rows, total_ns, answers)
             })
         };
         let mut state = core.lock_state();
@@ -1319,7 +1241,6 @@ impl Database {
             && core.plan.strategy() == Strategy::YannakakisDirect
             && (delta_rows as f64) <= core.options.max_incremental_fraction * relevant_rows as f64;
         let before = state.answers.len();
-        let parallelism = self.exec.parallelism;
         let attach = |mut ctx: exec::ExecContext, probe: Option<Probe>| match probe {
             Some(mut p) => {
                 p.mark(Phase::Snapshot);
@@ -1332,15 +1253,10 @@ impl Database {
             let indexes = self
                 .lock_indexes()
                 .snapshot(instance, &core.incremental_indexes);
-            let ctx = attach(
-                exec::ExecContext::new(indexes, parallelism, self.exec.min_parallel_rows)
-                    .with_pool(self.pool_handle()),
-                probe,
-            );
+            let ctx = attach(exec::ExecContext::new(indexes), probe);
             let delta = exec::execute_delta(&core.plan, instance, &watermarks, &ctx)
                 .expect("the direct rung compiles to a Yannakakis plan");
             Arc::make_mut(&mut state.answers).extend(delta);
-            self.note_exec_work(&ctx);
             self.metrics
                 .view_refreshes_incremental
                 .fetch_add(1, Ordering::Relaxed);
@@ -1352,13 +1268,8 @@ impl Database {
             let indexes = self
                 .lock_indexes()
                 .snapshot(instance, &exec::required_indexes(&core.plan));
-            let ctx = attach(
-                exec::ExecContext::new(indexes, parallelism, self.exec.min_parallel_rows)
-                    .with_pool(self.pool_handle()),
-                probe,
-            );
+            let ctx = attach(exec::ExecContext::new(indexes), probe);
             state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
-            self.note_exec_work(&ctx);
             self.metrics
                 .view_refreshes_full
                 .fetch_add(1, Ordering::Relaxed);
@@ -1384,22 +1295,12 @@ impl Database {
         });
         let trace = ctx.take_probe().map(|probe| {
             let (phases, node_rows, total_ns) = probe.finish();
-            self.view_query_trace(
-                core,
-                &refresh,
-                phases,
-                node_rows,
-                total_ns,
-                ctx.shard_tasks(),
-                ctx.threads_spawned(),
-                answers,
-            )
+            self.view_query_trace(core, &refresh, phases, node_rows, total_ns, answers)
         });
         (refresh, trace)
     }
 
     /// Assembles the [`QueryTrace`] for one view maintenance pass.
-    #[allow(clippy::too_many_arguments)]
     fn view_query_trace(
         &self,
         core: &ViewCore,
@@ -1407,8 +1308,6 @@ impl Database {
         phases: sac_telemetry::PhaseTimes,
         node_rows: Vec<sac_telemetry::NodeRows>,
         total_ns: u64,
-        shard_tasks: usize,
-        threads_spawned: usize,
         answers: usize,
     ) -> QueryTrace {
         QueryTrace {
@@ -1422,23 +1321,10 @@ impl Database {
             phases,
             total_ns,
             node_rows,
-            shard_tasks,
-            threads_spawned,
             answers,
             refresh_mode: Some(refresh.mode.to_string()),
             delta_rows: Some(refresh.delta_rows),
         }
-    }
-
-    /// Folds one execution context's parallel-work counters into the
-    /// session metrics.
-    fn note_exec_work(&self, ctx: &exec::ExecContext) {
-        self.metrics
-            .shard_tasks
-            .fetch_add(ctx.shard_tasks(), Ordering::Relaxed);
-        self.metrics
-            .morsels_dispatched
-            .fetch_add(ctx.morsels_dispatched(), Ordering::Relaxed);
     }
 
     /// Session counters (plan-cache hit rate, per-strategy runs, …).
@@ -1581,11 +1467,6 @@ impl Database {
     /// [`Database::open`]).
     pub fn is_durable(&self) -> bool {
         self.durability.is_some()
-    }
-
-    /// The durability options this database was opened with, if durable.
-    pub fn durability_options(&self) -> Option<DurabilityOptions> {
-        self.durability.as_ref().map(|core| core.options)
     }
 
     /// What recovery found and did, for databases created by
@@ -1784,9 +1665,7 @@ pub struct PreparedQuery<'db> {
 impl PreparedQuery<'_> {
     /// Executes the prepared plan against the current data.
     pub fn execute(&self) -> ResultSet {
-        self.database
-            .run_plan_core(&self.plan, self.database.exec.parallelism, None)
-            .0
+        self.database.run_plan_core(&self.plan, None).0
     }
 
     /// The Boolean reading of [`PreparedQuery::execute`].
@@ -1806,9 +1685,7 @@ impl PreparedQuery<'_> {
             plan_cache_hit: true,
             query: self.query.to_string(),
         };
-        let (result, trace) =
-            self.database
-                .run_plan_core(&self.plan, self.database.exec.parallelism, Some(start));
+        let (result, trace) = self.database.run_plan_core(&self.plan, Some(start));
         (result, trace.expect("traced runs always produce a trace"))
     }
 
@@ -2073,46 +1950,53 @@ mod tests {
         let text = format!("{}", db.metrics());
         assert!(text.contains("1 runs"));
         assert!(text.contains("direct"));
-        assert!(text.contains("shard tasks"));
+        assert!(text.contains("morsels"));
     }
 
     #[test]
     fn parallelism_is_clamped_and_defaults_to_serial() {
         let db = Database::new();
         assert_eq!(db.parallelism(), 1);
-        assert_eq!(db.exec_options(), ExecOptions::default());
         let db = Database::new().with_parallelism(0);
         assert_eq!(db.parallelism(), 1, "0 clamps to serial");
-        let db = Database::new().with_exec_options(ExecOptions {
-            parallelism: 4,
-            ..ExecOptions::default()
-        });
+        let db = Database::new().with_parallelism(4);
         assert_eq!(db.parallelism(), 4);
     }
 
     #[test]
-    fn parallel_runs_agree_with_serial_and_record_shard_work() {
+    fn single_runs_never_touch_the_pool_at_any_parallelism() {
+        // One executor path: `with_parallelism(4)` changes nothing about a
+        // single run, a prepared execution or a view refresh — same
+        // answers, no pool, no morsels.
         let data = sac_gen::random_graph_database(16, 80, 23);
         let serial = Database::from_instance(data.clone());
-        // min_parallel_rows 0: force the parallel machinery on the small fixture.
-        let parallel = Database::from_instance(data.clone()).with_exec_options(ExecOptions {
-            parallelism: 4,
-            min_parallel_rows: 0,
-        });
+        let wide = Database::from_instance(data).with_parallelism(4);
         for q in [
             sac_gen::path_query(3),
             sac_gen::star_query(3),
             sac_gen::cycle_query(3),
             sac_gen::clique_query(3),
         ] {
-            assert_eq!(serial.run(&q), parallel.run(&q), "disagreement on {q}");
+            let expected = serial.run(&q);
+            assert_eq!(wide.run(&q), expected, "run disagrees on {q}");
+            let prepared = wide.prepare(&q).unwrap();
+            assert_eq!(prepared.execute(), expected, "execute disagrees on {q}");
+            assert_eq!(prepared.run_traced().0, expected);
         }
-        let m_serial = serial.metrics();
-        assert_eq!(m_serial.shard_tasks, 0, "serial path splits nothing");
-        assert_eq!(m_serial.threads_spawned, 0);
-        let m_parallel = parallel.metrics();
-        assert!(m_parallel.shard_tasks > 0, "per-range tasks ran");
-        assert!(m_parallel.threads_spawned > 0, "workers were spawned");
+        let two_hops = "q(X, Z) :- E(X, Y), E(Y, Z).";
+        let view = wide.materialize(two_hops).unwrap();
+        let mirror = serial.materialize(two_hops).unwrap();
+        for db in [&wide, &serial] {
+            db.insert(atom!("E", cst "n0", cst "fresh")).unwrap();
+            db.insert(atom!("E", cst "fresh", cst "n1")).unwrap();
+        }
+        assert_eq!(view.refresh_traced().0.mode, crate::RefreshMode::Fresh);
+        assert_eq!(view.snapshot(), mirror.snapshot());
+        let m = wide.metrics();
+        assert!(m.view_refreshes_incremental >= 2, "the view was maintained");
+        assert_eq!(m.threads_spawned, 0, "no single run creates the pool");
+        assert_eq!(m.morsels_dispatched, 0);
+        assert_eq!(m.morsel_steals, 0);
     }
 
     #[test]
@@ -2134,21 +2018,23 @@ mod tests {
         assert_eq!(expected, got, "same answers in the same order");
         let m = parallel.metrics();
         assert_eq!(m.queries_run, workload.len());
-        assert!(m.threads_spawned > 0, "the batch fanned out");
+        assert_eq!(m.threads_spawned, 3, "the batch created the pool");
+        assert_eq!(m.morsels_dispatched, workload.len(), "one morsel each");
+        // A second batch reuses the same pool.
+        assert_eq!(parallel.run_batch(&workload), expected);
+        let m = parallel.metrics();
+        assert_eq!(m.threads_spawned, 3, "created once");
+        assert_eq!(m.morsels_dispatched, 2 * workload.len());
     }
 
     #[test]
     fn parallel_appends_build_nothing_and_are_visible_to_the_next_run() {
-        let db = Database::from_instance(sac_gen::random_graph_database(10, 40, 4))
-            .with_exec_options(ExecOptions {
-                parallelism: 4,
-                min_parallel_rows: 0,
-            });
+        let db =
+            Database::from_instance(sac_gen::random_graph_database(10, 40, 4)).with_parallelism(4);
         let q: ConjunctiveQuery = "q(X, Z) :- E(X, Y), E(Y, Z).".parse().unwrap();
         let probe = [Term::constant("fresh_a"), Term::constant("fresh_c")];
         assert!(!db.run(&q).into_tuples().contains(probe.as_slice()));
         let before = db.metrics();
-        assert!(before.shard_tasks > 0, "the run scanned E in row ranges");
         assert!(db.insert(atom!("E", cst "fresh_a", cst "fresh_b")).unwrap());
         assert!(db.insert(atom!("E", cst "fresh_b", cst "fresh_c")).unwrap());
         // Appends touch no derived structure: every build counter is where
@@ -2156,16 +2042,15 @@ mod tests {
         let after = db.metrics();
         assert_eq!(after.indexes_built, before.indexes_built);
         assert_eq!(after.plans_built, before.plans_built);
-        // …and the next parallel run reads the new rows off the base
-        // relation (its ranges tile the grown `0..len`).
+        // …and the next run reads the new rows off the base relation.
         assert!(db.run(&q).into_tuples().contains(probe.as_slice()));
         assert_eq!(db.metrics().indexes_built, before.indexes_built);
     }
 
     #[test]
     fn concurrent_traffic_on_a_parallel_database_stays_consistent() {
-        // Nested parallelism: outer request threads over a database whose
-        // runs themselves fan out over the worker pool.
+        // Outer request threads over a database configured with a pool
+        // width: every run is the same serial path.
         let db =
             Database::from_instance(sac_gen::random_graph_database(12, 50, 31)).with_parallelism(2);
         let reference = db.snapshot();

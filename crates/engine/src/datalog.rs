@@ -28,12 +28,12 @@
 //! provenance: the row *is* the substitution, and every premise resolves to
 //! a stable base row id or an earlier derivation step.
 //!
-//! Parallelism reuses the database's persistent morsel pool at two
-//! granularities without nesting regions: a multi-rule stratum fans out one
-//! morsel per rule (each rule executing serially), while a single-rule
-//! stratum gives that rule the full intra-query fan-out.
+//! Parallelism reuses the database's persistent morsel pool at one grain:
+//! each iteration of a multi-rule stratum fans out one morsel per rule.
+//! Every rule evaluation itself is the ordinary serial executor path, so a
+//! single-rule stratum never touches the pool.
 
-use crate::database::{Database, EngineConfig, ExecOptions};
+use crate::database::{Database, EngineConfig};
 use crate::error::{SacError, SacResult};
 use crate::exec;
 use crate::index::IndexCache;
@@ -95,6 +95,10 @@ pub struct DatalogStats {
     /// Rule evaluations served by the Yannakakis delta executor (the
     /// remaining delta passes used seeded homomorphism search).
     pub delta_rule_runs: usize,
+    /// Rule evaluations submitted to the worker pool: one morsel per rule
+    /// per iteration of a multi-rule stratum at parallelism above 1, zero
+    /// otherwise.  The only field that depends on the parallelism.
+    pub morsels_dispatched: usize,
 }
 
 impl DatalogStats {
@@ -232,8 +236,7 @@ pub(crate) fn evaluate(
     mut work: Instance,
     tgds: &[Tgd],
     config: &EngineConfig,
-    exec_options: ExecOptions,
-    pool: Option<Arc<WorkerPool>>,
+    pool: &dyn Fn() -> Option<Arc<WorkerPool>>,
     options: DatalogOptions,
 ) -> Result<DatalogRun> {
     // Everything at or below this cursor is a base fact: certificate
@@ -273,13 +276,9 @@ pub(crate) fn evaluate(
 
     for stratum in program.strata() {
         let rules: Vec<&CompiledRule<'_>> = stratum.iter().map(|&i| &compiled[i]).collect();
-        // A single-rule stratum keeps the full intra-query fan-out; a
-        // multi-rule stratum fans out one morsel per rule instead (each
-        // rule serial), so pool regions never nest.
-        let single = rules.len() == 1;
-        let inner_parallelism = if single { exec_options.parallelism } else { 1 };
-        let inner_pool = if single { pool.clone() } else { None };
-
+        // Only a multi-rule stratum fans out (one morsel per rule): the
+        // pool is fetched — and, the first time, created — only then.
+        let pool = if rules.len() > 1 { pool() } else { None };
         let mut delta_from = work.delta_cursor();
         let mut full_pass = true;
         loop {
@@ -302,13 +301,7 @@ pub(crate) fn evaluate(
                     if !full_pass {
                         needed.extend(exec::delta_edge_indexes(&cr.plan));
                     }
-                    let indexes = cache.snapshot(&work, &needed);
-                    exec::ExecContext::new(
-                        indexes,
-                        inner_parallelism,
-                        exec_options.min_parallel_rows,
-                    )
-                    .with_pool(inner_pool.clone())
+                    exec::ExecContext::new(cache.snapshot(&work, &needed))
                 })
                 .collect();
 
@@ -325,8 +318,11 @@ pub(crate) fn evaluate(
             };
             let slots: Vec<usize> = (0..rules.len()).collect();
             let outputs: Vec<(BTreeSet<Vec<Term>>, bool)> = match &pool {
-                Some(pool) if !single => pool.run(&slots, run_one),
-                _ => slots.iter().map(run_one).collect(),
+                Some(pool) => {
+                    stats.morsels_dispatched += rules.len();
+                    pool.run(&slots, run_one)
+                }
+                None => slots.iter().map(run_one).collect(),
             };
 
             for (cr, (_, via_delta_exec)) in rules.iter().zip(outputs.iter()) {
@@ -553,17 +549,66 @@ mod tests {
             .unwrap()
             .run_datalog(&program)
             .unwrap();
+        assert_eq!(serial.stats.morsels_dispatched, 0);
         for parallelism in [2, 4] {
             let db = Database::from_facts(&facts)
                 .unwrap()
-                .with_exec_options(ExecOptions {
-                    parallelism,
-                    min_parallel_rows: 0,
-                });
+                .with_parallelism(parallelism);
             let run = db.run_datalog(&program).unwrap();
             assert_eq!(run.derived, serial.derived, "parallelism {parallelism}");
             assert_eq!(run.certificate, serial.certificate);
+            // {T-base, T-step} share a stratum and fan out; the single-rule
+            // S stratum runs inline.
+            assert!(run.stats.morsels_dispatched > 0);
+            assert_eq!(
+                db.metrics().morsels_dispatched,
+                run.stats.morsels_dispatched
+            );
+
+            // Exactly one morsel per rule per iteration: on the two T rules
+            // alone (one stratum) the count is 2 × iterations.
+            let db = Database::from_facts(&facts)
+                .unwrap()
+                .with_parallelism(parallelism);
+            let reach = db
+                .run_datalog("T(X, Y) :- E(X, Y).\nT(X, Z) :- E(X, Y), T(Y, Z).")
+                .unwrap();
+            assert_eq!(reach.stats.strata, 1);
+            assert_eq!(reach.stats.morsels_dispatched, 2 * reach.stats.iterations);
+            assert_eq!(db.metrics().threads_spawned, parallelism - 1);
         }
+    }
+
+    #[test]
+    fn single_rule_strata_never_touch_the_pool() {
+        // A recursive single-rule stratum (the base case is a fact set, not
+        // a rule): at parallelism 4 the certificate is byte-identical to
+        // parallelism 1 and nothing is dispatched — the pool is not even
+        // created.
+        let mut facts = String::new();
+        for i in 0..30 {
+            facts.push_str(&format!(
+                "E(n{}, n{}). T(n{}, n{}). ",
+                i,
+                (i + 1) % 30,
+                i,
+                i
+            ));
+        }
+        let program: DatalogProgram = "T(X, Z) :- E(X, Y), T(Y, Z).".parse().unwrap();
+        let serial = Database::from_facts(&facts)
+            .unwrap()
+            .run_datalog(&program)
+            .unwrap();
+        assert!(serial.stats.iterations > 2, "the rule is recursive");
+        let db = Database::from_facts(&facts).unwrap().with_parallelism(4);
+        let run = db.run_datalog(&program).unwrap();
+        assert_eq!(run.certificate, serial.certificate);
+        assert_eq!(run.derived, serial.derived);
+        assert_eq!(run.stats, serial.stats);
+        let m = db.metrics();
+        assert_eq!(m.morsels_dispatched, 0);
+        assert_eq!(m.threads_spawned, 0);
     }
 
     #[test]

@@ -18,113 +18,58 @@
 //! 3. **join-back-up** — non-Boolean answers are produced by hash-joining
 //!    each subtree bottom-up, projecting eagerly onto the node's carry set
 //!    (its subtree's head variables plus the join key with the parent), so
-//!    intermediate tables stay output-bounded instead of exploding into the
-//!    cross-product walk the scan-based evaluator performs.
+//!    intermediate tables stay output-bounded instead of exploding into a
+//!    cross-product walk over the reduced tree.
 //!
 //! The fallback path executes the planner's fixed atom order, fetching the
 //! candidates of each step from a cached hash index on exactly the step's
 //! bound columns.  It is the non-hot rung (cyclic cores only) and keeps the
 //! simpler term-level representation via [`Substitution`].
 //!
-//! ## Parallel execution
+//! ## One path
 //!
-//! With [`ExecContext::parallelism`] above 1 and a pool handle attached,
-//! the data-proportional phases submit morsels to the persistent
-//! [`crate::pool::WorkerPool`] owned by the database.  Scans are split by
-//! **row range** over the one stored copy of each relation ([`row_ranges`])
-//! — the run holds the instance read guard, so `0..len` is stable:
-//!
-//! * **match sets** are computed per `(node, row range)` morsel —
-//!   full-scan nodes split into one morsel per range of the relation's
-//!   column slices — and the per-range partial tables are merged by
-//!   hash-set union;
-//! * **semijoin sweeps** chunk each large node table into morsels of
-//!   roughly [`ExecContext::morsel_rows`] rows each and filter the chunks
-//!   concurrently against the shared key set;
-//! * the **fallback search** seeds one backtracking morsel per row range
-//!   of the first atom's relation and merges the per-range answer sets.
-//!
-//! Morsel *sizes* are row-count-derived (the same figures
-//! [`sac_storage::RelationStats`] reports), not thread-count-derived: a
-//! region over `n` rows produces about `n / morsel_rows` morsels, clamped
-//! to a small multiple of the parallelism, so small inputs stay serial and
-//! large inputs produce enough morsels for the pool's stealing to balance
-//! skew.
-//!
-//! Merging is order-insensitive (sets all the way down) and the final
-//! answers land in a `BTreeSet` of decoded terms, so results are
-//! byte-identical to the serial path regardless of thread interleaving.
+//! A plan execution is **serial**, at every [`crate::Database::with_parallelism`]
+//! setting: the worker pool fans out *across* queries (one morsel per query
+//! in [`crate::Database::run_batch`], one per rule in a multi-rule Datalog
+//! stratum), never inside one.  Splitting a single run by row range or
+//! table chunk lost to this path in every committed measurement (BENCH_e13
+//! `single` axis 0.41–0.95× over three designs: the per-range
+//! `FxHashSet<Vec<u32>>` partials are re-hashed into one set), so the
+//! executor holds no pool handle and has no second branch to keep in step.
 //!
 //! Execution itself is **read-only**: [`execute_with`] consumes an immutable
 //! [`ExecContext`] snapshot, so the concurrent [`crate::Database`] can run
 //! many queries at once without holding the index-cache lock — the snapshot
 //! is assembled (and any missing indexes built) in one short locked
 //! section beforehand.  Snapshot entries that could not be built degrade
-//! to serial filtered scans, never to wrong answers.
+//! to filtered scans, never to wrong answers.
 
 use crate::index::PlanIndexes;
 use crate::plan::{ExecPlan, IndexedPlan, NodeShape, Plan, YannakakisPlan};
-use crate::pool::WorkerPool;
 use sac_common::{FxHashMap, FxHashSet, Substitution, Symbol, Term};
 use sac_storage::{dict, Instance, Relation};
 use sac_telemetry::{Phase, Probe};
 use std::collections::{BTreeSet, HashMap};
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Everything one plan execution works from: an immutable index snapshot,
-/// the configured parallelism and size gate, and counters the run reports
-/// back into [`crate::EngineMetrics`].
+/// Everything one plan execution works from: an immutable index snapshot
+/// and, on traced runs, the probe collecting phase boundaries.
 pub(crate) struct ExecContext {
     pub(crate) indexes: PlanIndexes,
-    pub(crate) parallelism: usize,
-    /// Tables smaller than this are processed serially — below it the
-    /// thread-spawn overhead dwarfs the work (see
-    /// [`crate::ExecOptions::min_parallel_rows`]).
-    pub(crate) min_parallel_rows: usize,
-    /// Handle to the database's persistent worker pool; `None` for serial
-    /// contexts (`parallelism == 1` never creates a pool).
-    pool: Option<Arc<WorkerPool>>,
-    shard_tasks: AtomicUsize,
-    morsels: AtomicUsize,
-    pool_width: AtomicUsize,
     /// Phase timers and per-node row counts for a traced run; `None` for
     /// ordinary runs, whose only tracing cost is this `Option` check.
-    /// Only the orchestrating thread marks, so the mutex is uncontended —
-    /// it exists because the context is shared as `&self`.
+    /// The mutex is uncontended (one run, one thread) — it exists because
+    /// the context is shared as `&self`, across pool workers when a Datalog
+    /// stratum evaluates its rules side by side.
     probe: Option<Mutex<Probe>>,
 }
 
 impl ExecContext {
-    pub(crate) fn new(
-        indexes: PlanIndexes,
-        parallelism: usize,
-        min_parallel_rows: usize,
-    ) -> ExecContext {
+    pub(crate) fn new(indexes: PlanIndexes) -> ExecContext {
         ExecContext {
             indexes,
-            parallelism: parallelism.max(1),
-            min_parallel_rows,
-            pool: None,
-            shard_tasks: AtomicUsize::new(0),
-            morsels: AtomicUsize::new(0),
-            pool_width: AtomicUsize::new(0),
             probe: None,
         }
-    }
-
-    /// Attaches the database's worker pool (builder-style).  Without a
-    /// pool every region runs inline regardless of `parallelism`.
-    pub(crate) fn with_pool(mut self, pool: Option<Arc<WorkerPool>>) -> ExecContext {
-        self.pool = pool;
-        self
-    }
-
-    /// A context for plain serial execution.
-    #[cfg(test)]
-    pub(crate) fn serial(indexes: PlanIndexes) -> ExecContext {
-        ExecContext::new(indexes, 1, 0)
     }
 
     /// Attaches `probe`: execution phases and per-node row counts are
@@ -166,95 +111,6 @@ impl ExecContext {
                 .node(node, rows_in, rows_out);
         }
     }
-
-    fn note_parallel(&self, tasks: usize) {
-        self.shard_tasks.fetch_add(tasks, Ordering::Relaxed);
-    }
-
-    /// Target rows per morsel for data-chunked regions.  The serial size
-    /// gate doubles as the morsel granule: below `min_parallel_rows` the
-    /// dispatch cost exceeds the scan, so that is exactly the row count a
-    /// single morsel should carry.
-    pub(crate) fn morsel_rows(&self) -> usize {
-        self.min_parallel_rows.max(1)
-    }
-
-    /// Whether this context can actually fan work out (a pool is attached
-    /// and parallelism allows it).  Callers use this to skip the
-    /// chunk/merge bookkeeping entirely on serial runs.
-    fn parallel_enabled(&self) -> bool {
-        self.parallelism > 1 && self.pool.is_some()
-    }
-
-    /// Runs one parallel region over `items` on the database's pool — one
-    /// morsel per item, results in item order — and records the morsel
-    /// count and pool width for [`crate::EngineMetrics`].  Falls back to
-    /// an inline map when no pool is attached or there is at most one
-    /// item, which is exactly the serial path byte-for-byte.
-    fn run_region<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        match &self.pool {
-            Some(pool) if self.parallelism > 1 && items.len() > 1 => {
-                self.morsels.fetch_add(items.len(), Ordering::Relaxed);
-                self.pool_width.store(pool.size(), Ordering::Relaxed);
-                pool.run(items, f)
-            }
-            _ => items.iter().map(f).collect(),
-        }
-    }
-
-    /// The relation a parallel scan of `atom` reads and the row ranges it
-    /// splits into, or `None` when the scan stays serial: no relation with
-    /// the atom's arity, or fewer than `min_parallel_rows` rows.
-    fn scan_ranges<'a>(
-        &self,
-        db: &'a Instance,
-        atom: &sac_common::Atom,
-    ) -> Option<(&'a Relation, Vec<Range<usize>>)> {
-        let rel = db
-            .relation(atom.predicate)
-            .filter(|rel| rel.arity() == atom.arity())?;
-        let ranges = row_ranges(rel.len(), self.parallelism, self.min_parallel_rows);
-        (!ranges.is_empty()).then_some((rel, ranges))
-    }
-
-    /// Row-range and chunk tasks executed by this run's parallel regions.
-    pub(crate) fn shard_tasks(&self) -> usize {
-        self.shard_tasks.load(Ordering::Relaxed)
-    }
-
-    /// Morsels this run dispatched to the worker pool.
-    pub(crate) fn morsels_dispatched(&self) -> usize {
-        self.morsels.load(Ordering::Relaxed)
-    }
-
-    /// Pool width the run had available: the number of persistent worker
-    /// threads, reported once (0 when every region ran inline).  Kept
-    /// under the historical `threads_spawned` name for trace/metric
-    /// continuity — the pool spawns nothing per run.
-    pub(crate) fn threads_spawned(&self) -> usize {
-        self.pool_width.load(Ordering::Relaxed)
-    }
-}
-
-/// Splits `0..rows` into the contiguous row ranges one parallel scan hands
-/// out: roughly one per `min_parallel_rows`-sized morsel, clamped to
-/// `[parallelism, 4 * parallelism]` so every pool lane gets work and one
-/// slow range cannot serialize the region.  The ranges tile `0..rows`
-/// exactly once, in order; empty when `rows < min_parallel_rows` (the scan
-/// is too small to pay morsel dispatch).
-fn row_ranges(rows: usize, parallelism: usize, min_parallel_rows: usize) -> Vec<Range<usize>> {
-    if rows < min_parallel_rows {
-        return Vec::new();
-    }
-    let tasks = (rows / min_parallel_rows.max(1)).clamp(parallelism, parallelism * 4);
-    (0..tasks)
-        .map(|i| i * rows / tasks..(i + 1) * rows / tasks)
-        .collect()
 }
 
 /// The multi-column index keys `plan` probes during execution — exactly the
@@ -286,7 +142,7 @@ pub(crate) fn required_indexes(plan: &Plan) -> Vec<(Symbol, Vec<usize>)> {
 
 /// Executes `plan` over `db` against an immutable [`ExecContext`] snapshot
 /// (see [`required_indexes`]).  Missing snapshot entries fall back to
-/// serial scans.
+/// scans.
 pub(crate) fn execute_with(plan: &Plan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
     match &plan.exec {
         ExecPlan::Yannakakis(yp) => run_yannakakis(yp, db, ctx),
@@ -351,9 +207,8 @@ impl Table {
     /// on the shared variables.  With no shared variables this is "keep all
     /// iff `other` is non-empty".  Single-column join keys (the common case
     /// on graph-shaped queries) probe a `u32` set with no per-tuple
-    /// allocation.  Large tables are filtered in parallel chunks when the
-    /// context allows it.
-    fn semijoin(&mut self, other: &Table, ctx: &ExecContext) {
+    /// allocation.
+    fn semijoin(&mut self, other: &Table) {
         let shared: Vec<Symbol> = self
             .vars
             .iter()
@@ -371,51 +226,15 @@ impl Table {
         if let ([mp], [op]) = (my_pos.as_slice(), other_pos.as_slice()) {
             let (mp, op) = (*mp, *op);
             let keys: FxHashSet<u32> = other.tuples.iter().map(|t| t[op]).collect();
-            self.retain_tuples(ctx, |t| keys.contains(&t[mp]));
+            self.tuples.retain(|t| keys.contains(&t[mp]));
         } else {
             let keys: FxHashSet<Vec<u32>> = other
                 .tuples
                 .iter()
                 .map(|t| other_pos.iter().map(|p| t[*p]).collect())
                 .collect();
-            self.retain_tuples(ctx, |t| {
-                keys.contains(&my_pos.iter().map(|p| t[*p]).collect::<Vec<_>>())
-            });
-        }
-    }
-
-    /// Keeps exactly the tuples `survives` accepts, chunked into morsels
-    /// across the worker pool for large tables when the context allows it.
-    fn retain_tuples<F: Fn(&Vec<u32>) -> bool + Sync>(&mut self, ctx: &ExecContext, survives: F) {
-        let rows = self.tuples.len();
-        let morsel_rows = ctx.morsel_rows();
-        // Morsel count is row-derived, not thread-derived: a sweep goes
-        // parallel only when it yields at least two full morsels, and then
-        // splits into roughly `rows / morsel_rows` chunks (clamped to a
-        // small multiple of the pool width so dispatch overhead stays
-        // bounded).  Under the old `parallelism * 4` sizing a 512-row
-        // table at parallelism 8 produced 16-row chunks whose dispatch
-        // cost exceeded the scan; it now stays serial.
-        if ctx.parallel_enabled() && rows >= ctx.min_parallel_rows.max(2) && rows >= 2 * morsel_rows
-        {
-            // Workers return keep-masks (chunks partition `drained` in
-            // order, and region results come back in morsel order), so the
-            // surviving tuples are moved, never cloned.
-            let drained: Vec<Vec<u32>> = self.tuples.drain().collect();
-            let chunk_count = (rows / morsel_rows).clamp(2, ctx.parallelism * 4);
-            let chunk_len = drained.len().div_ceil(chunk_count);
-            let chunks: Vec<&[Vec<u32>]> = drained.chunks(chunk_len).collect();
-            let masks = ctx.run_region(&chunks, |chunk| {
-                chunk.iter().map(&survives).collect::<Vec<bool>>()
-            });
-            ctx.note_parallel(chunks.len());
-            self.tuples = drained
-                .into_iter()
-                .zip(masks.into_iter().flatten())
-                .filter_map(|(tuple, keep)| keep.then_some(tuple))
-                .collect();
-        } else {
-            self.tuples.retain(survives);
+            self.tuples
+                .retain(|t| keys.contains(&my_pos.iter().map(|p| t[*p]).collect::<Vec<_>>()));
         }
     }
 
@@ -562,8 +381,8 @@ impl<'a> CodeShape<'a> {
     /// distinct variables' first occurrences) when the row passes the
     /// shape's repeated-variable and constant filters, `None` otherwise.
     /// The one definition of "this relation row matches this atom", shared
-    /// by the full scan, per-range and incremental (delta) paths so they
-    /// can never disagree.
+    /// by the full scan and incremental (delta) paths so they can never
+    /// disagree.
     #[inline]
     fn admit_row(&self, cols: &[&[u32]], row: usize) -> Option<Vec<u32>> {
         let codes = self.const_codes.as_ref()?;
@@ -650,31 +469,6 @@ fn node_matches(
     table
 }
 
-/// The row-range half of [`node_matches`]: sweep rows `rows` of a
-/// constant-free node's relation, projecting consistent rows.
-fn node_matches_range(shape: &NodeShape, rel: &Relation, rows: Range<usize>) -> Table {
-    let mut table = Table::empty(shape);
-    let code_shape = CodeShape::of(shape);
-    if code_shape.const_codes.is_none() {
-        return table;
-    }
-    table.tuples.reserve(rows.len());
-    let cols = columns_of(rel);
-    for row in rows {
-        if let Some(projected) = code_shape.admit_row(&cols, row) {
-            table.tuples.insert(projected);
-        }
-    }
-    table
-}
-
-/// One unit of phase-1 work: a whole node, or one row range of a node whose
-/// relation is large enough to scan in parallel.
-enum MatchTask<'a> {
-    Whole(usize),
-    Rows(usize, &'a Relation, Range<usize>),
-}
-
 /// Whether nodes `i` and `j` provably have identical match-set *tuples*:
 /// same relation, and the same structural shape (projection positions,
 /// repeated-variable checks, constant filters).  Variable *names* may
@@ -689,96 +483,23 @@ fn same_match_set(plan: &YannakakisPlan, i: usize, j: usize) -> bool {
         && a.const_key == b.const_key
 }
 
-/// Phase 1 of Yannakakis: one match-set [`Table`] per join-tree node,
-/// computed in parallel per `(node, row range)` when the context allows it
-/// and merged by hash-set union.  Structurally identical nodes (common in
-/// self-join queries) are scanned once and shared by tuple-set clone.
-fn match_tables(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> Vec<Table> {
-    let n = plan.tree.len();
-    // leaders[i] == i for the first node of each structural class; later
-    // members copy the leader's tuples instead of rescanning.
-    let leaders: Vec<usize> = (0..n)
-        .map(|i| (0..i).find(|&j| same_match_set(plan, i, j)).unwrap_or(i))
-        .collect();
-    let share_duplicates = |tables: &mut Vec<Table>| {
-        for i in 0..n {
-            if leaders[i] != i {
-                let shared = tables[leaders[i]].tuples.clone();
-                tables[i].tuples = shared;
-            }
-        }
-    };
-    let serial = || -> Vec<Table> {
-        let mut tables: Vec<Table> = plan.shapes.iter().map(Table::empty).collect();
-        for i in 0..n {
-            if leaders[i] != i {
-                continue;
-            }
-            let atom = &plan.tree.atoms[i];
-            tables[i] = node_matches(
-                &plan.shapes[i],
-                atom.predicate,
-                atom.arity(),
-                db,
-                &ctx.indexes,
-            );
-        }
-        share_duplicates(&mut tables);
-        tables
-    };
-    if !ctx.parallel_enabled() {
-        return serial();
-    }
-    let mut tasks: Vec<MatchTask<'_>> = Vec::with_capacity(n);
-    let mut range_tasks = 0usize;
-    for (i, &leader) in leaders.iter().enumerate() {
-        if leader != i {
-            continue;
-        }
-        let atom = &plan.tree.atoms[i];
-        let scan = if plan.shapes[i].const_positions.is_empty() {
-            ctx.scan_ranges(db, atom)
-        } else {
-            None
-        };
-        match scan {
-            Some((rel, ranges)) => {
-                range_tasks += ranges.len();
-                tasks.extend(ranges.into_iter().map(|r| MatchTask::Rows(i, rel, r)));
-            }
-            None => tasks.push(MatchTask::Whole(i)),
-        }
-    }
-    // Honour the size gate: with no relation split (everything under
-    // `min_parallel_rows`, or nothing scanned), the run stays serial rather
-    // than paying morsel dispatch for per-node tasks over small data.
-    if range_tasks == 0 {
-        return serial();
-    }
-    let partials = ctx.run_region(&tasks, |task| match task {
-        MatchTask::Whole(i) => {
-            let atom = &plan.tree.atoms[*i];
-            (
-                *i,
-                node_matches(
-                    &plan.shapes[*i],
-                    atom.predicate,
-                    atom.arity(),
-                    db,
-                    &ctx.indexes,
-                ),
-            )
-        }
-        MatchTask::Rows(i, rel, rows) => {
-            (*i, node_matches_range(&plan.shapes[*i], rel, rows.clone()))
-        }
-    });
-    ctx.note_parallel(range_tasks);
+/// Phase 1 of Yannakakis: one match-set [`Table`] per join-tree node.
+/// Structurally identical nodes (common in self-join queries) are scanned
+/// once and shared by tuple-set clone.
+fn match_tables(plan: &YannakakisPlan, db: &Instance, indexes: &PlanIndexes) -> Vec<Table> {
     let mut tables: Vec<Table> = plan.shapes.iter().map(Table::empty).collect();
-    for (i, partial) in partials {
-        tables[i].tuples.extend(partial.tuples);
+    for i in 0..plan.tree.len() {
+        // The first node of each structural class scans; later members
+        // copy its tuples instead of rescanning.
+        match (0..i).find(|&j| same_match_set(plan, i, j)) {
+            Some(leader) => tables[i].tuples = tables[leader].tuples.clone(),
+            None => {
+                let atom = &plan.tree.atoms[i];
+                tables[i] =
+                    node_matches(&plan.shapes[i], atom.predicate, atom.arity(), db, indexes);
+            }
+        }
     }
-    share_duplicates(&mut tables);
     tables
 }
 
@@ -787,8 +508,8 @@ fn run_yannakakis(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> BT
         // The empty conjunction holds vacuously, with the empty answer tuple.
         return BTreeSet::from([Vec::new()]);
     }
-    // Phase 1: match sets (per row range when parallel)…
-    let tables = match_tables(plan, db, ctx);
+    // Phase 1: match sets…
+    let tables = match_tables(plan, db, &ctx.indexes);
     ctx.mark(Phase::MatchSets);
     // …then the semijoin sweeps and the join-back-up.
     yannakakis_phases(plan, tables, ctx)
@@ -829,7 +550,7 @@ fn yannakakis_phases(
     for &node in plan.order.iter().rev() {
         for &child in &plan.children[node] {
             let child_table = std::mem::replace(&mut tables[child], Table::unit());
-            tables[node].semijoin(&child_table, ctx);
+            tables[node].semijoin(&child_table);
             tables[child] = child_table;
         }
         if tables[node].tuples.is_empty() {
@@ -853,7 +574,7 @@ fn yannakakis_phases(
     for &node in &plan.order {
         if let Some(parent) = plan.tree.parent[node] {
             let parent_table = std::mem::replace(&mut tables[parent], Table::unit());
-            tables[node].semijoin(&parent_table, ctx);
+            tables[node].semijoin(&parent_table);
             tables[parent] = parent_table;
         }
     }
@@ -865,7 +586,7 @@ fn yannakakis_phases(
     // Phase 3: bottom-up hash join, projecting each subtree onto its carry
     // set as it is joined — fused into the last join's emit, so the wide
     // intermediate is never materialized.  Joins follow the tree structure
-    // and stay output-bounded, so this phase is kept serial.
+    // and stay output-bounded.
     let mut joined: Vec<Option<Table>> = vec![None; n];
     for &node in plan.order.iter().rev() {
         let kids = &plan.children[node];
@@ -1180,30 +901,6 @@ fn run_indexed(plan: &IndexedPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet
         })
         .collect();
 
-    // Parallel root: when the first step is an unbound scan over a relation
-    // large enough to split, seed one backtracking morsel per row range and
-    // merge the per-range answer sets.
-    if ctx.parallel_enabled() && !plan.order.is_empty() && plan.bound_positions[0].is_empty() {
-        let atom = &plan.query.body[plan.order[0]];
-        if let Some((rel, ranges)) = ctx.scan_ranges(db, atom) {
-            let partials = ctx.run_region(&ranges, |rows| {
-                let mut local = BTreeSet::new();
-                let mut state = Substitution::new();
-                for tuple in rel.rows_from(rows.start).take(rows.len()) {
-                    try_match(plan, db, &step_indexes, 0, &tuple, &mut state, &mut local);
-                }
-                local
-            });
-            ctx.note_parallel(ranges.len());
-            let mut answers = BTreeSet::new();
-            for partial in partials {
-                answers.extend(partial);
-            }
-            ctx.mark(Phase::Search);
-            return answers;
-        }
-    }
-
     let mut answers = BTreeSet::new();
     let mut state = Substitution::new();
     indexed_step(plan, db, &step_indexes, 0, &mut state, &mut answers);
@@ -1212,7 +909,7 @@ fn run_indexed(plan: &IndexedPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet
 }
 
 /// Tries to extend `state` with `tuple` at step `depth`; on success recurses
-/// into the next step.  Shared by the serial walk and the per-range workers.
+/// into the next step.
 fn try_match(
     plan: &IndexedPlan,
     db: &Instance,
@@ -1329,22 +1026,11 @@ mod tests {
     use sac_common::{atom, intern, Atom};
     use sac_query::{evaluate, ConjunctiveQuery};
 
-    /// A throwaway pool for parallel test contexts (`None` keeps the
-    /// context serial, mirroring what the database does at parallelism 1).
-    fn pooled(parallelism: usize) -> Option<Arc<WorkerPool>> {
-        (parallelism > 1).then(|| Arc::new(WorkerPool::new(parallelism)))
-    }
-
-    fn run_at(q: &ConjunctiveQuery, db: &Instance, parallelism: usize) -> BTreeSet<Vec<Term>> {
+    fn run(q: &ConjunctiveQuery, db: &Instance) -> BTreeSet<Vec<Term>> {
         let plan = plan_query(q, &[], db, &EngineConfig::default());
         let mut cache = IndexCache::new(db);
         let indexes = cache.snapshot(db, &required_indexes(&plan));
-        let ctx = ExecContext::new(indexes, parallelism, 0).with_pool(pooled(parallelism));
-        execute_with(&plan, db, &ctx)
-    }
-
-    fn run(q: &ConjunctiveQuery, db: &Instance) -> BTreeSet<Vec<Term>> {
-        run_at(q, db, 1)
+        execute_with(&plan, db, &ExecContext::new(indexes))
     }
 
     fn music_db() -> Instance {
@@ -1442,11 +1128,7 @@ mod tests {
             .unwrap(),
         ] {
             let plan = plan_query(&q, &[], &db, &EngineConfig::default());
-            let ctx = ExecContext::serial(PlanIndexes::new());
-            assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db));
-            // A parallel context with no index snapshot also degrades
-            // cleanly (range scans, identical answers).
-            let ctx = ExecContext::new(PlanIndexes::new(), 4, 0).with_pool(pooled(4));
+            let ctx = ExecContext::new(PlanIndexes::new());
             assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db));
         }
     }
@@ -1487,12 +1169,6 @@ mod tests {
         // The empty conjunction holds vacuously.
         let empty_q = ConjunctiveQuery::boolean(vec![]).unwrap();
         assert_eq!(run(&empty_q, &Instance::new()).len(), 1);
-        // The same holds at every parallelism level.
-        for par in [2, 4] {
-            assert_eq!(run_at(&q, &music_db(), par).len(), 1);
-            assert!(run_at(&q, &Instance::new(), par).is_empty());
-            assert_eq!(run_at(&empty_q, &Instance::new(), par).len(), 1);
-        }
     }
 
     #[test]
@@ -1571,57 +1247,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_execution_agrees_with_serial_on_every_strategy() {
-        let db = sac_gen::random_graph_database(14, 70, 19);
-        for q in [
-            sac_gen::path_query(3),   // acyclic → Yannakakis
-            sac_gen::star_query(4),   // acyclic, shared hub
-            sac_gen::cycle_query(3),  // cyclic core → indexed fallback
-            sac_gen::clique_query(3), // cyclic core → indexed fallback
-        ] {
-            let serial = run_at(&q, &db, 1);
-            for par in [2, 3, 4, 8] {
-                assert_eq!(
-                    run_at(&q, &db, par),
-                    serial,
-                    "parallelism {par} disagrees on {q}"
-                );
-            }
-            assert_eq!(serial, evaluate(&q, &db), "serial disagrees on {q}");
-        }
-    }
-
-    #[test]
-    fn parallel_runs_record_shard_tasks_and_threads() {
-        let db = sac_gen::random_graph_database(16, 80, 3);
-        let q = sac_gen::path_query(3);
-        let plan = plan_query(&q, &[], &db, &EngineConfig::default());
-        let mut cache = IndexCache::new(&db);
-        let indexes = cache.snapshot(&db, &required_indexes(&plan));
-        let ctx = ExecContext::new(indexes, 4, 0).with_pool(pooled(4));
-        let answers = execute_with(&plan, &db, &ctx);
-        assert_eq!(answers, evaluate(&q, &db));
-        assert!(ctx.shard_tasks() >= 4, "per-range match tasks ran");
-        assert!(ctx.morsels_dispatched() >= 4, "morsels went to the pool");
-        assert_eq!(
-            ctx.threads_spawned(),
-            3,
-            "pool width is reported once, not accumulated per region"
-        );
-    }
-
     /// Delta oracle: materialize at `base`, append `appends`, push the
     /// delta, and check the union equals a from-scratch evaluation.
-    fn check_delta(q: &ConjunctiveQuery, base: &Instance, appends: &[Atom], parallelism: usize) {
+    fn check_delta(q: &ConjunctiveQuery, base: &Instance, appends: &[Atom]) {
         let mut grown = base.clone();
         let cursor = grown.delta_cursor();
         let plan = plan_query(q, &[], &grown, &EngineConfig::default());
         let mut cache = IndexCache::new(&grown);
         let mut answers = {
             let indexes = cache.snapshot(&grown, &required_indexes(&plan));
-            let ctx = ExecContext::new(indexes, parallelism, 0).with_pool(pooled(parallelism));
-            execute_with(&plan, &grown, &ctx)
+            execute_with(&plan, &grown, &ExecContext::new(indexes))
         };
         for atom in appends {
             grown.insert(atom.clone()).unwrap();
@@ -1637,7 +1272,7 @@ mod tests {
             .chain(delta_edge_indexes(&plan))
             .collect();
         let indexes = cache.snapshot(&grown, &needed);
-        let ctx = ExecContext::new(indexes, parallelism, 0).with_pool(pooled(parallelism));
+        let ctx = ExecContext::new(indexes);
         let delta = execute_delta(&plan, &grown, &watermarks, &ctx)
             .expect("acyclic queries compile to Yannakakis plans");
         answers.extend(delta);
@@ -1673,9 +1308,7 @@ mod tests {
             )
             .unwrap(),
         ] {
-            for parallelism in [1, 2] {
-                check_delta(&q, &base, &appends, parallelism);
-            }
+            check_delta(&q, &base, &appends);
         }
     }
 
@@ -1693,12 +1326,7 @@ mod tests {
             vec![atom!("A", var "u"), atom!("B", var "v")],
         )
         .unwrap();
-        check_delta(
-            &cross,
-            &base,
-            &[atom!("A", cst "2"), atom!("B", cst "y")],
-            1,
-        );
+        check_delta(&cross, &base, &[atom!("A", cst "2"), atom!("B", cst "y")]);
         // Repeated variables: only the loop row may enter the match set.
         let diag =
             ConjunctiveQuery::new(vec![intern("x")], vec![atom!("R", var "x", var "x")]).unwrap();
@@ -1706,7 +1334,6 @@ mod tests {
             &diag,
             &base,
             &[atom!("R", cst "b", cst "b"), atom!("R", cst "b", cst "c")],
-            1,
         );
         // Constant-pinned atom joined to a growing relation.
         let pinned = ConjunctiveQuery::new(
@@ -1718,7 +1345,6 @@ mod tests {
             &pinned,
             &base,
             &[atom!("R", cst "a", cst "b"), atom!("R", cst "b", cst "z")],
-            1,
         );
     }
 
@@ -1735,7 +1361,6 @@ mod tests {
             &q,
             &base,
             &[atom!("E", cst "p", cst "q"), atom!("E", cst "q", cst "r")],
-            1,
         );
     }
 
@@ -1748,7 +1373,7 @@ mod tests {
             &db,
             &EngineConfig::default(),
         );
-        let ctx = ExecContext::serial(PlanIndexes::new());
+        let ctx = ExecContext::new(PlanIndexes::new());
         assert!(execute_delta(&plan, &db, &HashMap::new(), &ctx).is_none());
         assert!(delta_edge_indexes(&plan).is_empty());
     }
@@ -1780,64 +1405,6 @@ mod tests {
                 atom!("S", cst "u", cst "v", cst "w1"),
                 atom!("T", cst "u", cst "v", cst "w2"),
             ],
-            1,
         );
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
-
-        /// Row ranges tile `0..len` exactly once, and the union of the
-        /// per-range match sets is the whole-relation match set — for
-        /// atoms with constants and repeated variables alike, at any
-        /// `(parallelism, min_parallel_rows)`.
-        #[test]
-        fn row_ranges_tile_the_relation_and_union_to_the_full_match_set(
-            arity in 1usize..4,
-            tuples in 0usize..80,
-            parallelism in 2usize..9,
-            min_parallel_rows in 0usize..40,
-            seed in 0u64..10_000,
-        ) {
-            use proptest::prelude::*;
-            use rand::{rngs::StdRng, Rng, SeedableRng};
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut term = |vars: bool| match rng.gen_range(0u64..if vars { 7 } else { 4 }) {
-                n @ 0..=3 => Term::constant(&format!("rr{n}")),
-                n => Term::variable(&format!("v{}", n % 2)),
-            };
-            let mut db = Instance::new();
-            for _ in 0..tuples {
-                let args = (0..arity).map(|_| term(false)).collect();
-                db.insert(Atom::from_parts("RR", args)).unwrap();
-            }
-            let atom = Atom::from_parts("RR", (0..arity).map(|_| term(true)).collect());
-            let shape = NodeShape::of_atom(&atom);
-            let whole = node_matches(&shape, atom.predicate, arity, &db, &PlanIndexes::new());
-
-            let rows = db.relation(atom.predicate).map_or(0, Relation::len);
-            let ranges = row_ranges(rows, parallelism, min_parallel_rows);
-            if rows < min_parallel_rows {
-                prop_assert!(ranges.is_empty(), "small scans stay serial");
-                return Ok(());
-            }
-            prop_assert!((parallelism..=4 * parallelism).contains(&ranges.len()));
-            let mut next = 0;
-            for range in &ranges {
-                // Contiguous and in order, so each row lies in exactly one.
-                prop_assert_eq!(range.start, next);
-                prop_assert!(range.end >= range.start);
-                next = range.end;
-            }
-            prop_assert_eq!(next, rows);
-
-            let mut union = FxHashSet::default();
-            if let Some(rel) = db.relation(atom.predicate) {
-                for range in ranges {
-                    union.extend(node_matches_range(&shape, rel, range).tuples);
-                }
-            }
-            prop_assert_eq!(union, whole.tuples);
-        }
     }
 }

@@ -5,8 +5,7 @@
 //! eagerly — which column sets matter depends on the queries — so the engine
 //! builds them **on demand** through [`sac_storage::Relation::project_index`]
 //! and caches them here, keyed by `(predicate, column set)`.  Join indexes
-//! are all the cache holds: parallel scans split the stored relation into
-//! row ranges (see [`crate::ExecOptions`]) and need no derived structure.
+//! are all the cache holds.
 //!
 //! Staleness is tracked with the instance's mutation [`Instance::epoch`]:
 //! the cache remembers the epoch it was built against, and

@@ -60,46 +60,41 @@
 //! assert_eq!(db.metrics().plans_built, 1);
 //! ```
 //!
-//! ## Morsel-driven parallel execution
+//! ## What is parallel, and what is not
 //!
-//! With [`Database::with_parallelism`] (or [`ExecOptions`]) above 1, the
-//! data-proportional phases of a run submit morsel-sized work units to a
-//! **persistent worker pool** (spawned once at the first parallel run,
-//! parked when idle, joined on drop).  Scans split the **one stored copy**
-//! of each relation into contiguous row ranges:
+//! [`Database::with_parallelism`] above 1 sizes a **persistent worker
+//! pool** (spawned once by the first fan-out, parked when idle, joined on
+//! drop) that parallelizes *across* units of work:
 //!
 //! ```text
-//!        Database::run / run_batch      ExecOptions { parallelism: k }
-//!                    │
-//!          plan cache (Arc<Plan>)           batch: one morsel per query
-//!                    │
-//!     IndexCache snapshot (one short lock): multi-column join indexes,
-//!                    │                      extended in place on insert
-//!     relation R, columnar, rows 0..n  (instance read guard held: n fixed)
-//!       ┌────────────┼────────────┐         m ≈ n / min_parallel_rows
-//!    rows 0..a    rows a..b  …  rows y..n       persistent pool (k−1
-//!    match sets · semijoin chunks · fallback    threads + the submitter):
-//!    search roots, one morsel per range         injector + per-worker
-//!       └────────────┼────────────┘             deques, steal on empty
-//!                    ▼
-//!        merge per-range partials (set union)
-//!                    │
-//!         ResultSet (deterministic order)
+//!   Database::run_batch(&[q1 … qn])        Database::run_datalog(program)
+//!             │  plans resolved serially             │  per stratum, per iteration
+//!      one morsel per query                   one morsel per rule (strata
+//!             │                               with ≥ 2 rules; else inline)
+//!   ┌─────────┼─────────┐                     ┌───────┼───────┐
+//!  run(q1)  run(q2) … run(qn)               rule 1  rule 2 … rule m
+//!   each: the one serial executor path, on the submitter + k−1 pool
+//!   threads (injector + per-worker deques, steal on empty)
+//!             │                                       │
+//!   results in input order                   apply phase in rule order
 //! ```
 //!
-//! Merging is order-insensitive and the final answers are sorted, so a
-//! parallel run is **byte-identical** to the serial (`parallelism = 1`)
-//! run regardless of thread interleaving or of where the range boundaries
-//! fall — the differential test suite asserts exactly this across every
-//! strategy rung.  Row ranges are computed per run from the relation's
-//! current length, so a parallel database keeps no second copy of its
-//! data and an insert maintains nothing beyond the join indexes
-//! ([`IndexCache::note_growth`]).
-//! [`EngineMetrics::shard_tasks`], [`EngineMetrics::morsels_dispatched`]
-//! and [`EngineMetrics::morsel_steals`] make the fan-out observable even
-//! on single-core hosts, where wall-clock speedup cannot show;
-//! [`EngineMetrics::threads_spawned`] reports the pool size once, not a
-//! per-region spawn count — the pool never respawns.
+//! A single [`Database::run`], [`PreparedQuery::execute`] or view refresh
+//! is **not** split: it runs the same serial path at every pool width and
+//! never creates or touches the pool.  Intra-query row-range / chunk
+//! morsels were measured over three designs and lost to the serial path
+//! every time (BENCH_e13 `single` axis: 0.41–0.95×, 0.57–1.00×,
+//! 0.41–0.93×; per-range hash-set partials re-hashed into one set), while
+//! the per-query grain reaches 1.59× on the same 2-core host — see
+//! ARCHITECTURE.md.  Every morsel is an ordinary run and results are
+//! reassembled in submission order, so a fanned-out batch or stratum is
+//! **byte-identical** to the serial one regardless of thread interleaving
+//! — the differential suites assert exactly this.
+//! [`EngineMetrics::morsels_dispatched`] and
+//! [`EngineMetrics::morsel_steals`] make the fan-out observable even on
+//! single-core hosts, where wall-clock speedup cannot show;
+//! [`EngineMetrics::threads_spawned`] reports the pool size once — the
+//! pool never respawns.
 //!
 //! ## Materialized views
 //!
@@ -125,8 +120,8 @@
 //! - [`Database::run_traced`] / [`PreparedQuery::run_traced`] /
 //!   [`MaterializedView::refresh_traced`] return a [`QueryTrace`] alongside
 //!   the answers — rung chosen, plan- and index-cache outcomes, per-phase
-//!   wall times that sum to the recorded total by construction, per-node
-//!   rows in/out, and the parallel fan-out.
+//!   wall times that sum to the recorded total by construction, and
+//!   per-node rows in/out.
 //! - [`EngineMetrics`] carries lock-free log-bucketed latency histograms
 //!   ([`HistogramSnapshot`]: p50/p90/p99) for runs, plan compilations and
 //!   view refreshes, recorded on **every** operation at the cost of a few
@@ -152,9 +147,7 @@ pub mod view;
 /// histograms, and the process-wide event bus.
 pub use sac_telemetry as telemetry;
 
-pub use database::{
-    Database, EngineConfig, EngineMetrics, ExecOptions, PreparedQuery, QuerySource,
-};
+pub use database::{Database, EngineConfig, EngineMetrics, PreparedQuery, QuerySource};
 pub use datalog::{DatalogOptions, DatalogRun, DatalogSource, DatalogStats, PreparedDatalog};
 pub use durability::{CheckpointReport, DurabilityOptions, RecoveryReport, SyncMode};
 pub use error::{SacError, SacResult};

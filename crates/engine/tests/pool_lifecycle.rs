@@ -1,28 +1,27 @@
 //! Lifecycle suite for the persistent worker pool behind a parallel
-//! [`Database`]: the pool is created once and reused across runs (no
-//! respawn — asserted through the metrics), parallelism-1 sessions never
-//! create it, results over the work-stealing path are identical run to
-//! run and across parallelism levels, and dropping the database joins the
-//! pool threads.
+//! [`Database`]: the pool is created once by the first fanned-out batch
+//! and reused across batches (no respawn — asserted through the metrics),
+//! parallelism-1 sessions and single runs never create it, results over
+//! the work-stealing path are identical run to run and across parallelism
+//! levels, and dropping the database joins the pool threads.
+//!
+//! The pool's grain is one morsel per query of a [`Database::run_batch`]
+//! (and one per rule of a multi-rule Datalog stratum, covered by the
+//! datalog suites), so every case here drives it through `run_batch`.
 //!
 //! Panic propagation without pool poisoning is covered by the pool's own
 //! unit tests (`crates/engine/src/pool.rs`), where a panicking morsel can
 //! be injected directly.
 
-use sac_engine::{Database, ExecOptions};
+use sac_engine::Database;
 use sac_query::ConjunctiveQuery;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread;
 
 fn parallel_db(parallelism: usize) -> Database {
-    // min_parallel_rows: 0 forces morsel dispatch on the small fixture.
-    Database::from_instance(sac_gen::random_graph_database(60, 400, 11)).with_exec_options(
-        ExecOptions {
-            parallelism,
-            min_parallel_rows: 0,
-        },
-    )
+    Database::from_instance(sac_gen::random_graph_database(60, 400, 11))
+        .with_parallelism(parallelism)
 }
 
 fn workload() -> Vec<ConjunctiveQuery> {
@@ -35,13 +34,16 @@ fn workload() -> Vec<ConjunctiveQuery> {
     ]
 }
 
-/// One stable fingerprint over a full workload's answers.
+/// One stable fingerprint over a full workload's answers, computed as one
+/// batch (fanned out over the pool above parallelism 1).
 fn digest(db: &Database) -> BTreeSet<String> {
-    workload()
+    let queries = workload();
+    queries
         .iter()
-        .flat_map(|q| {
+        .zip(db.run_batch(&queries))
+        .flat_map(|(q, result)| {
             let name = q.to_string();
-            db.run(q)
+            result
                 .into_tuples()
                 .into_iter()
                 .map(move |t| format!("{name} -> {t:?}"))
@@ -55,12 +57,27 @@ fn the_pool_is_created_once_and_reused_across_runs() {
     assert_eq!(
         db.metrics().threads_spawned,
         0,
-        "no pool before the first parallel run"
+        "no pool before the first batch"
     );
+    // Single runs, prepared executions and view refreshes are serial at
+    // every width: they must not create the pool either.
+    for q in workload() {
+        let _ = db.run(&q);
+        let _ = db.prepare(&q).unwrap().execute();
+    }
+    let _ = db.materialize(sac_gen::path_query(2)).unwrap().refresh();
+    let m0 = db.metrics();
+    assert_eq!(m0.threads_spawned, 0, "single runs never create the pool");
+    assert_eq!(m0.morsels_dispatched, 0);
+
     let first = digest(&db);
     let m1 = db.metrics();
     assert_eq!(m1.threads_spawned, 3, "pool size is parallelism - 1");
-    assert!(m1.morsels_dispatched > 0, "regions dispatched morsels");
+    assert_eq!(
+        m1.morsels_dispatched,
+        workload().len(),
+        "one morsel per batch query"
+    );
 
     let second = digest(&db);
     let m2 = db.metrics();
@@ -70,9 +87,10 @@ fn the_pool_is_created_once_and_reused_across_runs() {
         "threads_spawned reports the live pool size once — a respawning \
          pool (or per-region accumulation) would inflate it"
     );
-    assert!(
-        m2.morsels_dispatched > m1.morsels_dispatched,
-        "the second sweep dispatched onto the same pool"
+    assert_eq!(
+        m2.morsels_dispatched,
+        2 * workload().len(),
+        "the second batch dispatched onto the same pool"
     );
 }
 
@@ -80,12 +98,14 @@ fn the_pool_is_created_once_and_reused_across_runs() {
 fn serial_databases_never_create_the_pool() {
     let db = parallel_db(1);
     let _ = digest(&db);
-    let _ = db.run_batch(&workload());
+    for q in workload() {
+        let _ = db.run(&q);
+    }
     let m = db.metrics();
     assert_eq!(m.threads_spawned, 0, "parallelism 1 spawns zero threads");
     assert_eq!(m.morsels_dispatched, 0);
     assert_eq!(m.morsel_steals, 0);
-    assert_eq!(m.shard_tasks, 0);
+    assert_eq!(m.pool_queue_wait_ns, 0);
 }
 
 #[test]
@@ -95,9 +115,10 @@ fn batch_fan_out_counts_one_morsel_per_query() {
     let results = db.run_batch(&queries);
     assert_eq!(results.len(), queries.len());
     let m = db.metrics();
-    assert!(
-        m.morsels_dispatched >= queries.len(),
-        "each batch query is one morsel (inner runs stay serial)"
+    assert_eq!(
+        m.morsels_dispatched,
+        queries.len(),
+        "each batch query is exactly one morsel (the runs inside are serial)"
     );
     assert_eq!(m.threads_spawned, 1);
 }

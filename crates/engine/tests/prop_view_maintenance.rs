@@ -1,14 +1,14 @@
 //! Property tests for materialized-view maintenance: under a random append
 //! sequence, an incrementally maintained view must always equal a
 //! from-scratch evaluation of its query — for auto-refresh and lazy views,
-//! Boolean and non-Boolean heads, every strategy rung the generated
-//! queries reach, and serial as well as parallel execution.
+//! Boolean and non-Boolean heads, and every strategy rung the generated
+//! queries reach.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sac_common::{intern, Atom, Term};
-use sac_engine::{Database, ExecOptions, ViewOptions};
+use sac_engine::{Database, ViewOptions};
 use sac_query::{evaluate, ConjunctiveQuery};
 use sac_storage::Instance;
 
@@ -34,7 +34,6 @@ fn view_queries() -> Vec<ConjunctiveQuery> {
 fn check_sequence(
     base_edges: usize,
     appends: usize,
-    parallelism: usize,
     lazy: bool,
     seed: u64,
 ) -> Result<(), TestCaseError> {
@@ -51,10 +50,7 @@ fn check_sequence(
     for _ in 0..base_edges {
         let _ = reference.insert(draw(&mut rng)).unwrap();
     }
-    let db = Database::from_instance(reference.clone()).with_exec_options(ExecOptions {
-        parallelism,
-        min_parallel_rows: 0,
-    });
+    let db = Database::from_instance(reference.clone());
     let options = ViewOptions {
         auto_refresh: !lazy,
         ..ViewOptions::default()
@@ -93,10 +89,9 @@ proptest! {
     fn maintained_views_always_equal_from_scratch_evaluation(
         base_edges in 0usize..30,
         appends in 1usize..20,
-        parallelism in 1usize..3,
         lazy_bit in 0u8..2,
         seed in 0u64..10_000,
     ) {
-        check_sequence(base_edges, appends, parallelism, lazy_bit == 1, seed)?;
+        check_sequence(base_edges, appends, lazy_bit == 1, seed)?;
     }
 }

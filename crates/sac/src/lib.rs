@@ -140,16 +140,16 @@ pub use sac_engine::{
     DatalogStats, DerivationStep, Premise, PreparedDatalog,
 };
 pub use sac_engine::{
-    CheckpointReport, DurabilityOptions, EngineConfig, EngineMetrics, ExecOptions,
-    MaterializedView, PreparedQuery, QuerySource, RecoveryReport, RefreshMode, ResultSet, Row,
-    SacError, SacResult, SyncMode, ViewOptions, ViewRefresh,
+    CheckpointReport, DurabilityOptions, EngineConfig, EngineMetrics, MaterializedView,
+    PreparedQuery, QuerySource, RecoveryReport, RefreshMode, ResultSet, Row, SacError, SacResult,
+    SyncMode, ViewOptions, ViewRefresh,
 };
 
 /// The most commonly used items, importable with `use sac::prelude::*`.
 pub mod prelude {
     pub use sac_acyclic::{
         cover_equivalent, is_acyclic_instance, is_acyclic_query, join_tree_of_atoms,
-        yannakakis_boolean, yannakakis_evaluate, CoverGameInput, JoinTree,
+        CoverGameInput, JoinTree,
     };
     pub use sac_chase::{
         chase_preserves_acyclicity, egd_chase, egd_chase_query, tgd_chase, tgd_chase_query,
@@ -159,10 +159,9 @@ pub mod prelude {
     pub use sac_core::{
         acyclic_approximations, build_pcp_reduction, contained_under_egds, contained_under_tgds,
         cover_game_evaluate, equivalent_under_egds, equivalent_under_tgds,
-        evaluate_semantically_acyclic, is_semantically_acyclic_no_constraints,
-        semantic_acyclicity_under_egds, semantic_acyclicity_under_tgds, solution_path_query,
-        ucq_semantic_acyclicity_under_tgds, ContainmentAnswer, EvaluationStrategy, PcpInstance,
-        SemAcConfig, SemAcResult,
+        is_semantically_acyclic_no_constraints, semantic_acyclicity_under_egds,
+        semantic_acyclicity_under_tgds, solution_path_query, ucq_semantic_acyclicity_under_tgds,
+        ContainmentAnswer, PcpInstance, SemAcConfig, SemAcResult,
     };
     pub use sac_deps::{
         classify_tgds, connecting_operator, is_sticky, sticky_marking, Egd, FunctionalDependency,
@@ -174,9 +173,9 @@ pub mod prelude {
     pub use sac_engine::{
         Certificate, CheckError, CheckpointReport, Database, DatalogOptions, DatalogProgram,
         DatalogRun, DatalogSource, DatalogStats, DerivationStep, DurabilityOptions, EngineConfig,
-        EngineMetrics, ExecOptions, Explain, IndexCache, JoinIndex, MaterializedView, Plan,
-        Premise, PreparedDatalog, PreparedQuery, QuerySource, RecoveryReport, RefreshMode,
-        ResultSet, Row, SacError, SacResult, SyncMode, ViewOptions, ViewRefresh,
+        EngineMetrics, Explain, IndexCache, JoinIndex, MaterializedView, Plan, Premise,
+        PreparedDatalog, PreparedQuery, QuerySource, RecoveryReport, RefreshMode, ResultSet, Row,
+        SacError, SacResult, SyncMode, ViewOptions, ViewRefresh,
     };
     pub use sac_parser::{
         parse_database, parse_datalog_program, parse_egd, parse_program, parse_query, parse_tgd,

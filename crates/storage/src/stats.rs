@@ -91,9 +91,8 @@ impl InstanceStats {
         self.relations.iter().find(|r| r.predicate == predicate)
     }
 
-    /// The relation holding the most tuples — the scan any row-range
-    /// parallelism or trace node-row report is dominated by.  `None` on an
-    /// empty instance.
+    /// The relation holding the most tuples — the scan a trace's node-row
+    /// report is dominated by.  `None` on an empty instance.
     pub fn largest_relation(&self) -> Option<&RelationStats> {
         self.relations.iter().max_by_key(|r| r.tuples)
     }

@@ -231,13 +231,6 @@ pub struct QueryTrace {
     pub total_ns: u64,
     /// Rows in/out per join-tree node (empty on the indexed rung).
     pub node_rows: Vec<NodeRows>,
-    /// Parallel tasks executed across the run's fan-out points.
-    pub shard_tasks: usize,
-    /// Worker-pool width the run had available (the persistent pool's
-    /// thread count, reported once; 0 when every region ran inline).  The
-    /// historical name is kept for schema continuity — the pool spawns
-    /// nothing per run.
-    pub threads_spawned: usize,
     /// Answer rows returned.
     pub answers: usize,
     /// For view refreshes: the refresh mode (`fresh`, `incremental`,
@@ -269,10 +262,7 @@ impl QueryTrace {
         for n in &self.node_rows {
             absorb(&format!("|{} {}->{}", n.node, n.rows_in, n.rows_out));
         }
-        absorb(&format!(
-            "|tasks {} answers {}",
-            self.shard_tasks, self.answers
-        ));
+        absorb(&format!("|answers {}", self.answers));
         if let (Some(mode), Some(delta)) = (&self.refresh_mode, self.delta_rows) {
             absorb(&format!("|{mode} {delta}"));
         }
@@ -299,13 +289,6 @@ impl fmt::Display for QueryTrace {
         )?;
         for n in &self.node_rows {
             write!(f, "; {} {}→{}", n.node, n.rows_in, n.rows_out)?;
-        }
-        if self.shard_tasks > 0 {
-            write!(
-                f,
-                "; {} shard tasks on a {}-thread pool",
-                self.shard_tasks, self.threads_spawned
-            )?;
         }
         if let (Some(mode), Some(delta)) = (&self.refresh_mode, self.delta_rows) {
             write!(f, "; refresh {mode} ({delta} delta rows)")?;
@@ -336,8 +319,6 @@ mod tests {
                 rows_in: 10,
                 rows_out: 7,
             }],
-            shard_tasks: 4,
-            threads_spawned: 2,
             answers: 7,
             refresh_mode: None,
             delta_rows: None,

@@ -107,9 +107,9 @@ fn main() {
     println!("sample trace: {trace}");
 
     // The other axis of parallelism: a single client, but every batch fans
-    // out over the database's worker pool and every large scan is split
-    // into row ranges of the one stored relation.  On a 1-core host the
-    // wall clock will not improve — the task/thread metrics show the
+    // out over the database's worker pool, one morsel per query (each query
+    // itself runs the one serial executor path).  On a 1-core host the
+    // wall clock will not improve — the morsel/thread metrics show the
     // fan-out happened.
     let par_db = Database::from_instance(db.snapshot())
         .with_tgds(vec![sac::gen::collector_tgd()])
@@ -130,8 +130,8 @@ fn main() {
     );
     let pm = par_db.metrics();
     println!(
-        "  fan-out: {} shard tasks / {} morsels ({} stolen) on a {}-thread pool",
-        pm.shard_tasks, pm.morsels_dispatched, pm.morsel_steals, pm.threads_spawned
+        "  fan-out: {} morsels ({} stolen) on a {}-thread pool",
+        pm.morsels_dispatched, pm.morsel_steals, pm.threads_spawned
     );
     println!(
         "  run latency: p50 {} / p99 {} over {} runs",

@@ -1,7 +1,8 @@
 //! The recursive-query differential suite: every Datalog workload runs
 //! through every plan-strategy rung — the planner's own pick and the forced
 //! indexed fallback, plus the constraint-assisted witness rung where it
-//! applies — at parallelism 1, 2 and 4, and every configuration must derive
+//! applies — at pool widths 1, 2 and 4 (above 1, every multi-rule stratum
+//! fans out one morsel per rule), and every configuration must derive
 //! exactly the facts of an independent naive bottom-up fixpoint
 //! ([`sac::datalog::naive::naive_fixpoint`]).
 //!
@@ -90,15 +91,17 @@ fn run_cell(
         force_indexed,
         ..EngineConfig::default()
     };
-    // min_parallel_rows 0 forces the parallel machinery even on these small
-    // oracle fixtures — the sweep exists to drive those paths, not the gate.
     let db = Database::from_instance(base.clone())
         .with_config(config)
-        .with_exec_options(ExecOptions {
-            parallelism,
-            min_parallel_rows: 0,
-        });
+        .with_parallelism(parallelism);
     let run = db.run_datalog(program).unwrap();
+    // The pool's grain is one morsel per rule of a multi-rule stratum.
+    let fans_out = parallelism > 1 && program.strata().iter().any(|s| s.len() > 1);
+    assert_eq!(
+        run.stats.morsels_dispatched > 0,
+        fans_out,
+        "{name}: parallelism={parallelism}"
+    );
     let derived: BTreeSet<Atom> = run.derived.iter().cloned().collect();
     assert_eq!(
         &derived, reference,
@@ -186,10 +189,7 @@ fn witness_rung_fires_under_constraints_and_agrees_with_the_fallback() {
     for parallelism in PARALLELISM_LEVELS {
         let db = Database::from_instance(base.clone())
             .with_tgds(vec![sac::gen::collector_tgd()])
-            .with_exec_options(ExecOptions {
-                parallelism,
-                min_parallel_rows: 0,
-            });
+            .with_parallelism(parallelism);
         let witness = db
             .run_datalog_with(
                 &program,
@@ -205,6 +205,8 @@ fn witness_rung_fires_under_constraints_and_agrees_with_the_fallback() {
         );
         let fallback = db.run_datalog(&program).unwrap();
         assert_eq!(fallback.stats.rule_runs_yannakakis_witness, 0);
+        // One rule, one stratum: nothing to fan out at any pool width.
+        assert_eq!(db.metrics().morsels_dispatched, 0);
         assert_eq!(witness.derived, fallback.derived);
 
         let derived: BTreeSet<Atom> = witness.derived.iter().cloned().collect();

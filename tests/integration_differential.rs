@@ -1,16 +1,22 @@
 //! The differential oracle suite: every generated query family runs through
 //! every plan-strategy rung — the planner's own pick, the forced indexed
-//! fallback, and (where applicable) the witness rung — at parallelism 1, 2
+//! fallback, and (where applicable) the witness rung — at pool widths 1, 2
 //! and 4, and every configuration must return a [`ResultSet`] identical to
 //! naive homomorphism enumeration (sorted-tuple comparison; `ResultSet`
 //! equality also covers the column names).
 //!
+//! The executor has one path, so the parallelism axis is driven where the
+//! pool actually fans out: each cell runs its whole query family as one
+//! [`Database::run_batch`] (one morsel per query above width 1).
+//!
 //! The suite prints one `differential digest:` line per test, a hash over
 //! the display form of every (query, answers) pair.  CI runs the suite
-//! twice under `--test-threads=1` and diffs those lines: any scheduling or
-//! iteration-order nondeterminism that leaks into results breaks the build.
+//! twice under `--test-threads=1`, once under `--test-threads=4`, and diffs
+//! those lines: any scheduling or iteration-order nondeterminism that leaks
+//! into results breaks the build.
 
 use sac::prelude::*;
+use std::collections::BTreeSet;
 
 /// FNV-1a over the display form of everything the sweep produced: cheap,
 /// dependency-free, and stable across runs iff the results are.
@@ -27,6 +33,26 @@ impl Digest {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
+
+/// A result in digest form: [`ResultSet`]'s display layout with the rows
+/// sorted by their **rendered text**.  The set's own row order is `Term`'s
+/// `Ord`, which compares symbols by *intern* order — and the threaded test
+/// harness interns the fixtures' constants in a different order on every
+/// run, so absorbing the raw display made the sweep digests differ between
+/// `--test-threads=1` and `--test-threads=4` for identical answers.
+fn render(result: &ResultSet) -> String {
+    if result.columns().is_empty() {
+        return result.is_true().to_string();
+    }
+    let mut rows: Vec<String> = result.iter().map(Row::to_string).collect();
+    rows.sort_unstable();
+    let mut text = format!("[{}]", result.columns().join(", "));
+    for row in rows {
+        text.push(' ');
+        text.push_str(&row);
+    }
+    text
 }
 
 const PARALLELISM_LEVELS: [usize; 3] = [1, 2, 4];
@@ -59,42 +85,66 @@ fn graph_queries() -> Vec<ConjunctiveQuery> {
     queries
 }
 
-/// Runs `query` on `data` through one (config, parallelism) cell and
-/// returns the typed result set, asserting it matches the naive oracle.
+/// Runs `queries` on `data` through one (config, pool width) cell as a
+/// single batch — serial at width 1, one morsel per query above it — and
+/// returns the typed result sets.
 fn run_cell(
     data: &Instance,
     tgds: &[Tgd],
-    query: &ConjunctiveQuery,
+    queries: &[ConjunctiveQuery],
     force_indexed: bool,
     parallelism: usize,
-    seen: &mut std::collections::BTreeSet<String>,
-    oracle: &std::collections::BTreeSet<Vec<Term>>,
-) -> ResultSet {
+    seen: &mut BTreeSet<String>,
+) -> Vec<ResultSet> {
     let config = EngineConfig {
         force_indexed,
         ..EngineConfig::default()
     };
-    // min_parallel_rows 0 forces the parallel machinery (sharded match
-    // sets, semijoin chunks, per-shard fallback roots) even on these small
-    // oracle fixtures — the whole point of the sweep is to drive those
-    // paths, not the size gate.
     let db = Database::from_instance(data.clone())
         .with_tgds(tgds.to_vec())
         .with_config(config)
-        .with_exec_options(ExecOptions {
-            parallelism,
-            min_parallel_rows: 0,
-        });
-    seen.insert(db.explain(query).strategy.to_string());
-    let result = db.run(query);
-    assert_eq!(
-        &result.clone().into_tuples(),
-        oracle,
-        "rung {} (forced={force_indexed}) at parallelism {parallelism} \
-         disagrees with naive evaluation on {query}",
-        db.explain(query).strategy,
-    );
-    result
+        .with_parallelism(parallelism);
+    let results = db.run_batch(queries);
+    seen.extend(queries.iter().map(|q| db.explain(q).strategy.to_string()));
+    let fanned_out = if parallelism > 1 { queries.len() } else { 0 };
+    assert_eq!(db.metrics().morsels_dispatched, fanned_out);
+    results
+}
+
+/// Every (pool width, forced-fallback) cell of `queries` over `data`: the
+/// width-1 planner's-pick cell must equal naive evaluation, and every other
+/// cell must be identical to it — column names, row order and row count,
+/// not just the tuple sets.  Returns that first cell.
+fn identical_cells(
+    data: &Instance,
+    tgds: &[Tgd],
+    queries: &[ConjunctiveQuery],
+    seen: &mut BTreeSet<String>,
+) -> Vec<ResultSet> {
+    let mut first: Option<Vec<ResultSet>> = None;
+    for parallelism in PARALLELISM_LEVELS {
+        for force_indexed in [false, true] {
+            let cell = run_cell(data, tgds, queries, force_indexed, parallelism, seen);
+            match &first {
+                None => {
+                    for (query, result) in queries.iter().zip(&cell) {
+                        assert_eq!(
+                            result.clone().into_tuples(),
+                            evaluate(query, data),
+                            "the engine disagrees with naive evaluation on {query}"
+                        );
+                    }
+                    first = Some(cell);
+                }
+                Some(first) => assert_eq!(
+                    &cell, first,
+                    "forced={force_indexed} at parallelism {parallelism} differs from \
+                     the serial planner's-pick cell"
+                ),
+            }
+        }
+    }
+    first.expect("at least one cell ran")
 }
 
 #[test]
@@ -103,31 +153,13 @@ fn every_rung_and_parallelism_level_matches_naive_evaluation() {
         ("sparse graph", sac::gen::random_graph_database(10, 25, 7)),
         ("dense graph", sac::gen::random_graph_database(14, 90, 41)),
     ];
+    let queries = graph_queries();
     let mut digest = Digest::new();
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = BTreeSet::new();
     for (name, data) in &databases {
-        for query in graph_queries() {
-            let oracle = evaluate(&query, data);
-            let mut cells: Vec<ResultSet> = Vec::new();
-            for parallelism in PARALLELISM_LEVELS {
-                for force_indexed in [false, true] {
-                    cells.push(run_cell(
-                        data,
-                        &[],
-                        &query,
-                        force_indexed,
-                        parallelism,
-                        &mut seen,
-                        &oracle,
-                    ));
-                }
-            }
-            // Every cell is identical to every other — including column
-            // names, row order and row count, not just the tuple sets.
-            for pair in cells.windows(2) {
-                assert_eq!(pair[0], pair[1], "cells disagree on {query} over {name}");
-            }
-            digest.absorb(&format!("{name} | {query} -> {}", cells[0]));
+        let results = identical_cells(data, &[], &queries, &mut seen);
+        for (query, result) in queries.iter().zip(&results) {
+            digest.absorb(&format!("{name} | {query} -> {}", render(result)));
         }
     }
     assert_eq!(
@@ -147,32 +179,20 @@ fn witness_rung_under_tgds_matches_naive_at_every_parallelism() {
     let data = sac::gen::music_database(30, 60, 5);
     let tgds = vec![sac::gen::collector_tgd()];
     let query = sac::gen::example1_triangle();
-    let oracle = evaluate(&query, &data);
+    // The triangle beside its Boolean shadow: a batch of two fans out.
+    let queries = [
+        query.clone(),
+        ConjunctiveQuery::boolean(query.body.clone()).unwrap(),
+    ];
     let mut digest = Digest::new();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut cells = Vec::new();
-    for parallelism in PARALLELISM_LEVELS {
-        for force_indexed in [false, true] {
-            cells.push(run_cell(
-                &data,
-                &tgds,
-                &query,
-                force_indexed,
-                parallelism,
-                &mut seen,
-                &oracle,
-            ));
-        }
-    }
+    let mut seen = BTreeSet::new();
+    let results = identical_cells(&data, &tgds, &queries, &mut seen);
     assert!(
         seen.contains("yannakakis-witness"),
         "the collector tgd must put Example 1 on the witness rung"
     );
     assert!(seen.contains("indexed-search"));
-    for pair in cells.windows(2) {
-        assert_eq!(pair[0], pair[1]);
-    }
-    digest.absorb(&format!("{query} -> {}", cells[0]));
+    digest.absorb(&format!("{query} -> {}", render(&results[0])));
     println!("differential digest: tgd witness {:016x}", digest.0);
 }
 
@@ -182,13 +202,15 @@ fn maintained_views_match_from_scratch_queries_after_every_append_batch() {
     // every append batch its maintained contents must be cell-identical
     // (columns, rows, order) to a from-scratch `query()` on the same
     // database AND to naive evaluation over the accumulated facts — across
-    // the planner's own rung and the forced indexed fallback, at
-    // parallelism 1, 2 and 4.  Even-indexed views are auto-refreshed by the
+    // the planner's own rung and the forced indexed fallback, at pool
+    // widths 1, 2 and 4 (the from-scratch runs are one `run_batch`, fanned
+    // out above width 1, racing nothing: maintenance happened under the
+    // insert's write guard).  Even-indexed views are auto-refreshed by the
     // inserts themselves; odd-indexed views stay lazy and are refreshed
     // here, so both maintenance shapes are driven.
     let (base, stream) = sac::gen::streaming_graph_workload(12, 40, 3, 8, 31);
     let mut digest = Digest::new();
-    let mut seen = std::collections::BTreeSet::new();
+    let mut seen = BTreeSet::new();
     for parallelism in PARALLELISM_LEVELS {
         for force_indexed in [false, true] {
             let config = EngineConfig {
@@ -197,10 +219,7 @@ fn maintained_views_match_from_scratch_queries_after_every_append_batch() {
             };
             let db = Database::from_instance(base.clone())
                 .with_config(config)
-                .with_exec_options(ExecOptions {
-                    parallelism,
-                    min_parallel_rows: 0,
-                });
+                .with_parallelism(parallelism);
             let queries = graph_queries();
             let views: Vec<MaterializedView<'_>> = queries
                 .iter()
@@ -222,7 +241,8 @@ fn maintained_views_match_from_scratch_queries_after_every_append_batch() {
                     db.insert(atom.clone()).unwrap();
                     accumulated.insert(atom.clone()).unwrap();
                 }
-                for view in &views {
+                let from_scratch = db.run_batch(&queries);
+                for (view, scratch) in views.iter().zip(&from_scratch) {
                     seen.insert(view.strategy().to_string());
                     let report = view.refresh(); // no-op for fresh auto views
                     if view.options().auto_refresh {
@@ -234,8 +254,8 @@ fn maintained_views_match_from_scratch_queries_after_every_append_batch() {
                     }
                     let snapshot = view.snapshot();
                     assert_eq!(
-                        snapshot,
-                        db.run(view.query()),
+                        &snapshot,
+                        scratch,
                         "maintained view differs from a from-scratch run of {} \
                          (forced={force_indexed}, parallelism {parallelism})",
                         view.query()
@@ -253,7 +273,7 @@ fn maintained_views_match_from_scratch_queries_after_every_append_batch() {
                 digest.absorb(&format!(
                     "forced={force_indexed} par={parallelism} | {} -> {}",
                     view.query(),
-                    view.snapshot()
+                    render(&view.snapshot())
                 ));
             }
         }
@@ -306,7 +326,7 @@ fn tgd_witness_views_stay_exact_under_constraint_closed_appends() {
         );
     }
     assert!(db.metrics().view_refreshes_full > 1);
-    digest.absorb(&format!("{} -> {}", view.query(), view.snapshot()));
+    digest.absorb(&format!("{} -> {}", view.query(), render(&view.snapshot())));
     println!("differential digest: tgd view {:016x}", digest.0);
 }
 
@@ -323,10 +343,11 @@ fn parallel_batches_are_identical_to_serial_batches() {
         assert_eq!(expected, got, "batch at parallelism {parallelism} drifted");
         let m = parallel.metrics();
         assert_eq!(m.queries_run, workload.len());
-        assert!(m.threads_spawned > 0, "the batch really fanned out");
+        assert_eq!(m.threads_spawned, parallelism - 1, "one pool, made once");
+        assert_eq!(m.morsels_dispatched, workload.len(), "one morsel a query");
     }
     for (query, result) in workload.iter().zip(&expected) {
-        digest.absorb(&format!("{query} -> {result}"));
+        digest.absorb(&format!("{query} -> {}", render(result)));
     }
     println!("differential digest: batch sweep {:016x}", digest.0);
 }
@@ -334,28 +355,36 @@ fn parallel_batches_are_identical_to_serial_batches() {
 #[test]
 fn trace_structure_is_deterministic_across_runs() {
     // Query traces carry wall times (nondeterministic by nature) next to
-    // structure (rung, cache outcomes, per-node rows, fan-out, answers).
-    // The structure must be a pure function of (data, query, config): this
+    // structure (rung, cache outcomes, per-node rows, answers).  The
+    // structure must be a pure function of (data, query, config) — and, a
+    // single run being the one serial path, not of the pool width: this
     // digest folds `QueryTrace::structure_digest` for the whole sweep into
     // one `differential digest:` line, so the CI double-run diff catches
     // any scheduling nondeterminism that leaks into what traces *say*.
     let data = sac::gen::random_graph_database(10, 25, 7);
     let mut digest = Digest::new();
+    let mut at_width_one = Vec::new();
     for parallelism in PARALLELISM_LEVELS {
-        for query in graph_queries() {
-            let db = Database::from_instance(data.clone()).with_exec_options(ExecOptions {
-                parallelism,
-                min_parallel_rows: 0,
-            });
-            let (cold_result, cold) = db.run_traced(&query);
-            let (warm_result, warm) = db.run_traced(&query);
+        for (i, query) in graph_queries().iter().enumerate() {
+            let db = Database::from_instance(data.clone()).with_parallelism(parallelism);
+            let (cold_result, cold) = db.run_traced(query);
+            let (warm_result, warm) = db.run_traced(query);
             assert_eq!(cold_result, warm_result);
             assert!(!cold.plan_cache_hit && warm.plan_cache_hit);
             assert_eq!(
                 warm.structure_digest(),
-                db.run_traced(&query).1.structure_digest(),
+                db.run_traced(query).1.structure_digest(),
                 "repeat runs must agree structurally on {query}"
             );
+            let structure = (cold.structure_digest(), warm.structure_digest());
+            if parallelism == 1 {
+                at_width_one.push(structure);
+            }
+            assert_eq!(
+                structure, at_width_one[i],
+                "pool width {parallelism} changed the trace of {query}"
+            );
+            assert_eq!(db.metrics().threads_spawned, 0, "single runs: no pool");
             digest.absorb(&format!(
                 "par={parallelism} | {query} -> {:016x} {:016x}",
                 cold.structure_digest(),

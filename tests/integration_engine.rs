@@ -35,19 +35,13 @@ fn engine_agrees_with_every_other_evaluator_on_example1() {
 
     let naive = evaluate(&q, &reference);
     let game = cover_game_evaluate(&q, &reference);
-    let fpt = evaluate_semantically_acyclic(
-        &q,
-        &tgds,
-        &reference,
-        EvaluationStrategy::RewriteThenYannakakis,
-        SemAcConfig::default(),
-    );
+    // Proposition 24 is the engine's witness rung.
     let db = Database::from_instance(reference).with_tgds(tgds);
+    assert_eq!(db.explain(&q).strategy, PlanStrategy::YannakakisWitness);
     let engine_answers = db.run(&q).into_tuples();
 
     assert_eq!(engine_answers, naive);
     assert_eq!(engine_answers, game);
-    assert_eq!(engine_answers, fpt);
 }
 
 #[test]

@@ -1,57 +1,58 @@
-//! Integration tests for the evaluation pipelines (Section 7).
+//! Integration tests for the evaluation results of Section 7, each against
+//! the one reference evaluator (`evaluate`, naive homomorphism enumeration):
+//!
+//! * Section 2's Yannakakis algorithm is the engine's executor — acyclic
+//!   queries plan on the `yannakakis-direct` rung;
+//! * Proposition 24 (find an acyclic Σ-witness, then run Yannakakis) *is*
+//!   `Database::with_tgds(Σ).run(q)` on the `yannakakis-witness` rung;
+//! * Theorem 25 is `cover_game_evaluate`, an algorithm of its own.
 
 use sac::prelude::*;
 
+/// Runs Example 1's triangle through the engine under the collector tgd,
+/// asserting the planner took Proposition 24's route.
+fn run_on_the_witness_rung(data: &Instance, query: &ConjunctiveQuery) -> ResultSet {
+    let db = Database::from_instance(data.clone()).with_tgds(vec![sac::gen::collector_tgd()]);
+    let explain = db.explain(query);
+    assert_eq!(explain.strategy, PlanStrategy::YannakakisWitness);
+    let witness = explain
+        .witness
+        .expect("the witness rung records its witness");
+    assert!(is_acyclic_query(&witness));
+    db.run(query)
+}
+
 #[test]
 fn all_evaluation_strategies_agree_on_the_music_workload() {
+    // Oracle, Proposition 24 and Theorem 25 on databases closed under the
+    // collector tgd, at three sizes.
     let q = sac::gen::example1_triangle();
-    let tgds = vec![sac::gen::collector_tgd()];
-    let db = sac::gen::music_database(60, 120, 8);
-
-    let naive = evaluate_semantically_acyclic(
-        &q,
-        &tgds,
-        &db,
-        EvaluationStrategy::Naive,
-        SemAcConfig::default(),
-    );
-    let fpt = evaluate_semantically_acyclic(
-        &q,
-        &tgds,
-        &db,
-        EvaluationStrategy::RewriteThenYannakakis,
-        SemAcConfig::default(),
-    );
-    assert_eq!(naive, fpt);
-    assert!(!naive.is_empty());
+    for (customers, records, styles) in [(6usize, 12usize, 2usize), (12, 24, 3), (24, 48, 4)] {
+        let data = sac::gen::music_database(customers, records, styles);
+        let naive = evaluate(&q, &data);
+        assert!(!naive.is_empty());
+        assert_eq!(run_on_the_witness_rung(&data, &q).into_tuples(), naive);
+        assert_eq!(cover_game_evaluate(&q, &data), naive);
+    }
 }
 
 #[test]
 fn cover_game_evaluation_matches_naive_on_boolean_queries() {
     let q = ConjunctiveQuery::boolean(sac::gen::example1_triangle().body).unwrap();
-    let tgds = vec![sac::gen::collector_tgd()];
     for customers in [5usize, 20] {
         let db = sac::gen::music_database(customers, customers * 2, 3);
-        let game = evaluate_semantically_acyclic(
-            &q,
-            &tgds,
-            &db,
-            EvaluationStrategy::CoverGame,
-            SemAcConfig::default(),
-        );
-        let naive = evaluate(&q, &db);
-        assert_eq!(game, naive);
+        assert_eq!(cover_game_evaluate(&q, &db), evaluate(&q, &db));
     }
 }
 
 #[test]
 fn yannakakis_matches_naive_on_star_schema_joins() {
-    let db = sac::gen::star_schema_database(500, 20, 20, 11);
+    let data = sac::gen::star_schema_database(500, 20, 20, 11);
     let q = parse_query("q(A) :- Fact(F, D1, D2), Dim1(D1, A), Dim2(D2, B).").unwrap();
     assert!(is_acyclic_query(&q));
-    let fast = yannakakis_evaluate(&q, &db).unwrap();
-    let slow = evaluate(&q, &db);
-    assert_eq!(fast, slow);
+    let db = Database::from_instance(data.clone());
+    assert_eq!(db.explain(&q).strategy, PlanStrategy::YannakakisDirect);
+    assert_eq!(db.run(&q).into_tuples(), evaluate(&q, &data));
 }
 
 #[test]
@@ -73,17 +74,11 @@ fn fpt_evaluation_scales_linearly_in_the_database_in_answer_counts() {
     // Not a timing test (that's the benchmark's job): checks that answer
     // counts and agreement hold as |D| grows.
     let q = sac::gen::example1_triangle();
-    let tgds = vec![sac::gen::collector_tgd()];
     let mut last = 0usize;
     for customers in [20usize, 40, 80] {
-        let db = sac::gen::music_database(customers, customers, 10);
-        let answers = evaluate_semantically_acyclic(
-            &q,
-            &tgds,
-            &db,
-            EvaluationStrategy::RewriteThenYannakakis,
-            SemAcConfig::default(),
-        );
+        let data = sac::gen::music_database(customers, customers, 10);
+        let answers = run_on_the_witness_rung(&data, &q).into_tuples();
+        assert_eq!(answers, evaluate(&q, &data));
         assert!(answers.len() >= last);
         last = answers.len();
     }

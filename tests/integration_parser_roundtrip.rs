@@ -1,7 +1,7 @@
 //! Property-based round-trip tests: parsed artifacts survive printing and
 //! reparsing, and random generated queries behave consistently across the
-//! independent engines (naive evaluation vs Yannakakis, chase- vs
-//! rewriting-based containment).
+//! independent engines (naive evaluation vs the engine's Yannakakis rung,
+//! chase- vs rewriting-based containment).
 
 use proptest::prelude::*;
 use sac::prelude::*;
@@ -27,10 +27,11 @@ proptest! {
         edges in 1usize..60,
         seed in 0u64..1000,
     ) {
-        let db = sac::gen::random_graph_database(nodes, edges, seed);
-        let fast = yannakakis_boolean(&q, &db).unwrap();
-        let slow = evaluate_boolean(&q, &db);
-        prop_assert_eq!(fast, slow);
+        let data = sac::gen::random_graph_database(nodes, edges, seed);
+        let slow = evaluate_boolean(&q, &data);
+        let db = Database::from_instance(data);
+        prop_assert_eq!(db.explain(&q).strategy, PlanStrategy::YannakakisDirect);
+        prop_assert_eq!(db.run_boolean(&q), slow);
     }
 
     #[test]

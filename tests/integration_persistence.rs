@@ -59,8 +59,9 @@ fn rung_queries() -> Vec<ConjunctiveQuery> {
 }
 
 /// Asserts `recovered` answers every rung query identically to `twin` at
-/// every parallelism level (and through the forced-indexed fallback),
-/// absorbing each answer set into `digest`.
+/// every pool width — the rung queries go through as one `run_batch`, one
+/// morsel per query above width 1 — and through the forced-indexed
+/// fallback, absorbing each answer set into `digest`.
 fn assert_identical_answers(recovered: Database, twin: &Database, digest: &mut Digest) {
     let mut recovered = recovered;
     let mut rungs = std::collections::BTreeSet::new();
@@ -70,14 +71,12 @@ fn assert_identical_answers(recovered: Database, twin: &Database, digest: &mut D
             ..EngineConfig::default()
         });
         for parallelism in PARALLELISM_LEVELS {
-            recovered = recovered.with_exec_options(ExecOptions {
-                parallelism,
-                min_parallel_rows: 0,
-            });
-            for query in rung_queries() {
-                rungs.insert(recovered.explain(&query).strategy.to_string());
-                let ours = recovered.run(&query);
-                let theirs = twin.run(&query);
+            recovered = recovered.with_parallelism(parallelism);
+            let queries = rung_queries();
+            let answers = recovered.run_batch(&queries);
+            for (query, ours) in queries.iter().zip(answers) {
+                rungs.insert(recovered.explain(query).strategy.to_string());
+                let theirs = twin.run(query);
                 assert_eq!(
                     ours, theirs,
                     "recovered database disagrees with the never-restarted twin on \
