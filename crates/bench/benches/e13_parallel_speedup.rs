@@ -1,18 +1,18 @@
-//! E13 — batch fan-out: queries/sec per worker-pool width.
+//! E13 — batch fan-out: queries/sec per batch width.
 //!
 //! One mixed workload (acyclic star and path → direct Yannakakis, a cyclic
 //! clique → indexed search, the Example 1 triangle under its tgd → witness
 //! Yannakakis) runs through `Database::run_batch` with `parallelism` ∈
-//! {1, 2, 4, 8}: one morsel per query on the persistent pool, every query
-//! the one serial executor path.  Results are asserted identical to the
+//! {1, 2, 4, 8}: the queries fan out over scoped helper threads, every
+//! query the one serial executor path.  Results are asserted identical to the
 //! serial batch before anything is timed — a perf experiment must not
-//! quietly measure wrong answers.  A single run is never split (see EXPERIMENTS.md for the measurements
-//! behind that), so there is no per-run axis.
+//! quietly measure wrong answers.  A single run is never split (see
+//! EXPERIMENTS.md for the measurements behind that), so there is no
+//! per-run axis.
 //!
 //! The experiment always writes `BENCH_e13.json` at the workspace root
-//! (queries/sec per pool width, plus the morsel/steal/queue-wait metrics
-//! of the persistent pool) and prints the same table; `--json` additionally
-//! echoes the JSON to stdout.
+//! (queries/sec per width, plus the dispatch count) and prints the same
+//! table; `--json` additionally echoes the JSON to stdout.
 //!
 //! Every row records `available_cores` so a reader can tell a genuine
 //! scaling regression from a 1-core container where speedup *cannot* show.
@@ -69,15 +69,15 @@ fn main() {
     let serial = Database::from_instance(data.clone()).with_tgds(tgds.clone());
     let expected = serial.run_batch(&queries);
 
-    // Batch fan-out: one morsel per query on the persistent pool, each an
-    // ordinary serial run (see `Database::run_batch`).
+    // Batch fan-out: every query an ordinary serial run (see
+    // `Database::run_batch`).
     println!(
         "e13 — batch fan-out ({} queries/batch, {cores} core(s) available):",
         queries.len()
     );
     println!(
-        "{:>12} {:>14} {:>10} {:>8} {:>9} {:>8} {:>12}",
-        "parallelism", "queries/sec", "speedup", "pool", "morsels", "stolen", "queue-wait"
+        "{:>12} {:>14} {:>10} {:>11}",
+        "parallelism", "queries/sec", "speedup", "dispatched"
     );
     let mut rows = Vec::new();
     let mut batch_speedups: Vec<(usize, f64)> = Vec::new();
@@ -106,12 +106,8 @@ fn main() {
         std::hint::black_box(db.run_batch(&queries).len());
         let m = db.metrics();
         println!(
-            "{parallelism:>12} {rate:>14.0} {:>9.2}x {:>8} {:>9} {:>8} {:>10}us",
-            speedup,
-            m.threads_spawned,
+            "{parallelism:>12} {rate:>14.0} {speedup:>9.2}x {:>11}",
             m.morsels_dispatched,
-            m.morsel_steals,
-            m.pool_queue_wait_ns / 1_000,
         );
         rows.push(json_object(&[
             ("axis", "\"batch\"".to_owned()),
@@ -121,13 +117,7 @@ fn main() {
             ("median_batch_secs", format!("{secs:.6}")),
             ("queries_per_sec", format!("{rate:.1}")),
             ("speedup_vs_serial", format!("{speedup:.3}")),
-            ("threads_spawned", m.threads_spawned.to_string()),
             ("morsels_dispatched", m.morsels_dispatched.to_string()),
-            ("morsel_steals", m.morsel_steals.to_string()),
-            (
-                "pool_queue_wait_micros",
-                (m.pool_queue_wait_ns / 1_000).to_string(),
-            ),
         ]));
     }
 
@@ -169,8 +159,6 @@ fn main() {
             speedups.join(", ")
         );
     } else if cores == 1 {
-        println!(
-            "(1-core host: validate the fan-out via morsels_dispatched/threads_spawned, not wall clock)"
-        );
+        println!("(1-core host: validate the fan-out via morsels_dispatched, not wall clock)");
     }
 }

@@ -1,7 +1,7 @@
 //! # sac-bench
 //!
 //! Criterion benchmark harness reproducing every figure/example experiment of
-//! the paper (see DESIGN.md §4 for the experiment index E1–E14 and
+//! the paper (see README.md, "Benches", for the index and
 //! EXPERIMENTS.md for recorded results).  Shared helpers live here; each
 //! `benches/eN_*.rs` target regenerates one experiment, and the
 //! `complexity_table` / `experiment_report` binaries print the summary tables.

@@ -14,7 +14,8 @@
 use sac_chase::{egd_chase_query, tgd_chase_query, ChaseBudget};
 use sac_common::Term;
 use sac_deps::{Egd, Tgd};
-use sac_query::{evaluate, ConjunctiveQuery};
+use sac_query::evaluate::contains_answer;
+use sac_query::ConjunctiveQuery;
 use sac_rewrite::{contained_via_rewriting, RewriteBudget};
 
 /// The outcome of a containment test under tgds.
@@ -58,8 +59,7 @@ pub fn contained_under_tgds(
         return ContainmentAnswer::Fails;
     }
     let (result, frozen) = tgd_chase_query(q, tgds, budget);
-    let answers = evaluate(q_prime, &result.instance);
-    if answers.contains(&frozen.head) {
+    if contains_answer(q_prime, &result.instance, &frozen.head) {
         // A chase prefix is homomorphically embeddable into the full chase,
         // so a hit on the prefix certifies containment.
         return ContainmentAnswer::Holds;
@@ -108,7 +108,7 @@ pub fn contained_under_egds(
         Err(_) => true, // q is unsatisfiable w.r.t. Σ: contained vacuously.
         Ok((result, frozen)) => {
             let head: Vec<Term> = result.resolve_tuple(&frozen.head);
-            evaluate(q_prime, &result.instance).contains(&head)
+            contains_answer(q_prime, &result.instance, &head)
         }
     }
 }

@@ -50,7 +50,6 @@
 //! check::check_certificate(&program, &base, &certificate).unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod certificate;

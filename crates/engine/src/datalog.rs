@@ -28,17 +28,18 @@
 //! provenance: the row *is* the substitution, and every premise resolves to
 //! a stable base row id or an earlier derivation step.
 //!
-//! Parallelism reuses the database's persistent morsel pool at one grain:
-//! each iteration of a multi-rule stratum fans out one morsel per rule.
-//! Every rule evaluation itself is the ordinary serial executor path, so a
-//! single-rule stratum never touches the pool.
+//! The evaluation is serial at every [`Database::with_parallelism`] width:
+//! a stratum's rules are evaluated one after another, in rule order.
+//! Fanning them out (one task per rule per iteration) was measured on all
+//! three shipped program families and won on none — in linear recursion
+//! only one rule has a delta after the first iteration — see
+//! EXPERIMENTS.md, "rule grain".
 
 use crate::database::{Database, EngineConfig};
 use crate::error::{SacError, SacResult};
 use crate::exec;
 use crate::index::IndexCache;
 use crate::plan::{plan_query, Plan, Strategy};
-use crate::pool::WorkerPool;
 use sac_common::{Atom, Error, FxHashMap, Result, Substitution, Symbol, Term};
 use sac_datalog::{Certificate, DatalogProgram, DerivationStep, Premise, Rule};
 use sac_deps::Tgd;
@@ -95,10 +96,6 @@ pub struct DatalogStats {
     /// Rule evaluations served by the Yannakakis delta executor (the
     /// remaining delta passes used seeded homomorphism search).
     pub delta_rule_runs: usize,
-    /// Rule evaluations submitted to the worker pool: one morsel per rule
-    /// per iteration of a multi-rule stratum at parallelism above 1, zero
-    /// otherwise.  The only field that depends on the parallelism.
-    pub morsels_dispatched: usize,
 }
 
 impl DatalogStats {
@@ -236,7 +233,6 @@ pub(crate) fn evaluate(
     mut work: Instance,
     tgds: &[Tgd],
     config: &EngineConfig,
-    pool: &dyn Fn() -> Option<Arc<WorkerPool>>,
     options: DatalogOptions,
 ) -> Result<DatalogRun> {
     // Everything at or below this cursor is a base fact: certificate
@@ -276,9 +272,6 @@ pub(crate) fn evaluate(
 
     for stratum in program.strata() {
         let rules: Vec<&CompiledRule<'_>> = stratum.iter().map(|&i| &compiled[i]).collect();
-        // Only a multi-rule stratum fans out (one morsel per rule): the
-        // pool is fetched — and, the first time, created — only then.
-        let pool = if rules.len() > 1 { pool() } else { None };
         let mut delta_from = work.delta_cursor();
         let mut full_pass = true;
         loop {
@@ -292,48 +285,30 @@ pub(crate) fn evaluate(
                     .collect()
             };
 
-            // Snapshot one execution context per rule up front (the cache
-            // needs `&mut`), then fan the evaluations out.
-            let contexts: Vec<exec::ExecContext> = rules
-                .iter()
-                .map(|cr| {
-                    let mut needed = exec::required_indexes(&cr.plan);
-                    if !full_pass {
-                        needed.extend(exec::delta_edge_indexes(&cr.plan));
-                    }
-                    exec::ExecContext::new(cache.snapshot(&work, &needed))
-                })
-                .collect();
-
-            let run_one = |slot: &usize| -> (BTreeSet<Vec<Term>>, bool) {
-                let (cr, ctx) = (rules[*slot], &contexts[*slot]);
-                if full_pass {
-                    (exec::execute_with(&cr.plan, &work, ctx), false)
+            // Evaluate phase: every rule against the same state of `work`
+            // (nothing is inserted until the apply phase below).
+            let mut outputs = Vec::with_capacity(rules.len());
+            for cr in &rules {
+                let mut needed = exec::required_indexes(&cr.plan);
+                if !full_pass {
+                    needed.extend(exec::delta_edge_indexes(&cr.plan));
+                }
+                let ctx = exec::ExecContext::new(cache.snapshot(&work, &needed));
+                let (rows, via_delta_exec) = if full_pass {
+                    (exec::execute_with(&cr.plan, &work, &ctx), false)
                 } else {
-                    match exec::execute_delta(&cr.plan, &work, &watermarks, ctx) {
+                    match exec::execute_delta(&cr.plan, &work, &watermarks, &ctx) {
                         Some(rows) => (rows, true),
                         None => (seeded_delta(cr, &work, &watermarks), false),
                     }
-                }
-            };
-            let slots: Vec<usize> = (0..rules.len()).collect();
-            let outputs: Vec<(BTreeSet<Vec<Term>>, bool)> = match &pool {
-                Some(pool) => {
-                    stats.morsels_dispatched += rules.len();
-                    pool.run(&slots, run_one)
-                }
-                None => slots.iter().map(run_one).collect(),
-            };
-
-            for (cr, (_, via_delta_exec)) in rules.iter().zip(outputs.iter()) {
+                };
                 match cr.plan.strategy() {
                     Strategy::YannakakisDirect => stats.rule_runs_yannakakis_direct += 1,
                     Strategy::YannakakisWitness => stats.rule_runs_yannakakis_witness += 1,
                     Strategy::IndexedSearch => stats.rule_runs_indexed_search += 1,
                 }
-                if *via_delta_exec {
-                    stats.delta_rule_runs += 1;
-                }
+                stats.delta_rule_runs += usize::from(via_delta_exec);
+                outputs.push(rows);
             }
 
             // Apply phase: rule order, then the body query's sorted answer
@@ -341,7 +316,7 @@ pub(crate) fn evaluate(
             // were computed.
             let before_apply = work.delta_cursor();
             let mut changed = false;
-            for (cr, (rows, _)) in rules.iter().zip(outputs.iter()) {
+            for (cr, rows) in rules.iter().zip(&outputs) {
                 for row in rows {
                     let lookup = |term: Term| match term {
                         Term::Variable(v) => {
@@ -536,79 +511,41 @@ mod tests {
 
     #[test]
     fn parallel_runs_are_byte_identical_to_serial() {
-        let mut facts = String::new();
+        // The evaluation is serial at every width, so width 4 must change
+        // nothing — certificate, derivation order, stats — and dispatch
+        // nothing, on a multi-rule recursive stratum (reachability), a
+        // non-linear one (same generation) and stratified negation.
+        let mut edges = String::new();
         for i in 0..40 {
-            facts.push_str(&format!("E(n{}, n{}). ", i, (i * 7 + 3) % 40));
+            edges.push_str(&format!("E(n{}, n{}). ", i, (i * 7 + 3) % 40));
         }
-        let program: DatalogProgram = "T(X, Y) :- E(X, Y).\n\
-                                       T(X, Z) :- E(X, Y), T(Y, Z).\n\
-                                       S(X) :- T(X, X)."
-            .parse()
-            .unwrap();
-        let serial = Database::from_facts(&facts)
-            .unwrap()
-            .run_datalog(&program)
-            .unwrap();
-        assert_eq!(serial.stats.morsels_dispatched, 0);
-        for parallelism in [2, 4] {
-            let db = Database::from_facts(&facts)
-                .unwrap()
-                .with_parallelism(parallelism);
-            let run = db.run_datalog(&program).unwrap();
-            assert_eq!(run.derived, serial.derived, "parallelism {parallelism}");
-            assert_eq!(run.certificate, serial.certificate);
-            // {T-base, T-step} share a stratum and fan out; the single-rule
-            // S stratum runs inline.
-            assert!(run.stats.morsels_dispatched > 0);
-            assert_eq!(
-                db.metrics().morsels_dispatched,
-                run.stats.morsels_dispatched
-            );
-
-            // Exactly one morsel per rule per iteration: on the two T rules
-            // alone (one stratum) the count is 2 × iterations.
-            let db = Database::from_facts(&facts)
-                .unwrap()
-                .with_parallelism(parallelism);
-            let reach = db
-                .run_datalog("T(X, Y) :- E(X, Y).\nT(X, Z) :- E(X, Y), T(Y, Z).")
+        let fixtures: [(DatalogProgram, Instance); 3] = [
+            (sac_gen::reachability_program(), edges.parse().unwrap()),
+            (
+                sac_gen::same_generation_program(),
+                sac_gen::parent_tree_database(4, 2),
+            ),
+            (
+                "T(X, Y) :- E(X, Y).\n\
+                 T(X, Z) :- E(X, Y), T(Y, Z).\n\
+                 Un(X, Y) :- N(X), N(Y), not T(X, Y)."
+                    .parse()
+                    .unwrap(),
+                "E(a, b). E(b, c). N(a). N(b). N(c).".parse().unwrap(),
+            ),
+        ];
+        for (program, base) in fixtures {
+            let serial = Database::from_instance(base.clone())
+                .run_datalog(&program)
                 .unwrap();
-            assert_eq!(reach.stats.strata, 1);
-            assert_eq!(reach.stats.morsels_dispatched, 2 * reach.stats.iterations);
-            assert_eq!(db.metrics().threads_spawned, parallelism - 1);
+            assert!(serial.stats.iterations > 1);
+            let db = Database::from_instance(base).with_parallelism(4);
+            let run = db.run_datalog(&program).unwrap();
+            assert_eq!(run.certificate, serial.certificate);
+            assert_eq!(run.derived, serial.derived);
+            assert_eq!(run.stats, serial.stats);
+            assert_eq!(db.metrics().morsels_dispatched, 0);
         }
-    }
-
-    #[test]
-    fn single_rule_strata_never_touch_the_pool() {
-        // A recursive single-rule stratum (the base case is a fact set, not
-        // a rule): at parallelism 4 the certificate is byte-identical to
-        // parallelism 1 and nothing is dispatched — the pool is not even
-        // created.
-        let mut facts = String::new();
-        for i in 0..30 {
-            facts.push_str(&format!(
-                "E(n{}, n{}). T(n{}, n{}). ",
-                i,
-                (i + 1) % 30,
-                i,
-                i
-            ));
-        }
-        let program: DatalogProgram = "T(X, Z) :- E(X, Y), T(Y, Z).".parse().unwrap();
-        let serial = Database::from_facts(&facts)
-            .unwrap()
-            .run_datalog(&program)
-            .unwrap();
-        assert!(serial.stats.iterations > 2, "the rule is recursive");
-        let db = Database::from_facts(&facts).unwrap().with_parallelism(4);
-        let run = db.run_datalog(&program).unwrap();
-        assert_eq!(run.certificate, serial.certificate);
-        assert_eq!(run.derived, serial.derived);
-        assert_eq!(run.stats, serial.stats);
-        let m = db.metrics();
-        assert_eq!(m.morsels_dispatched, 0);
-        assert_eq!(m.threads_spawned, 0);
     }
 
     #[test]

@@ -29,13 +29,12 @@
 //! ## One path
 //!
 //! A plan execution is **serial**, at every [`crate::Database::with_parallelism`]
-//! setting: the worker pool fans out *across* queries (one morsel per query
-//! in [`crate::Database::run_batch`], one per rule in a multi-rule Datalog
-//! stratum), never inside one.  Splitting a single run by row range or
-//! table chunk lost to this path in every committed measurement (BENCH_e13
-//! `single` axis 0.41–0.95× over three designs: the per-range
+//! setting: [`crate::Database::run_batch`] fans out *across* the queries of
+//! a batch, never inside one.  Splitting a single run by row range or
+//! table chunk lost to this path in every committed measurement
+//! (EXPERIMENTS.md: 0.41–0.95× over three designs — the per-range
 //! `FxHashSet<Vec<u32>>` partials are re-hashed into one set), so the
-//! executor holds no pool handle and has no second branch to keep in step.
+//! executor spawns nothing and has no second branch to keep in step.
 //!
 //! Execution itself is **read-only**: [`execute_with`] consumes an immutable
 //! [`ExecContext`] snapshot, so the concurrent [`crate::Database`] can run
@@ -49,8 +48,9 @@ use crate::plan::{ExecPlan, IndexedPlan, NodeShape, Plan, YannakakisPlan};
 use sac_common::{FxHashMap, FxHashSet, Substitution, Symbol, Term};
 use sac_storage::{dict, Instance, Relation};
 use sac_telemetry::{Phase, Probe};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Everything one plan execution works from: an immutable index snapshot
 /// and, on traced runs, the probe collecting phase boundaries.
@@ -58,10 +58,9 @@ pub(crate) struct ExecContext {
     pub(crate) indexes: PlanIndexes,
     /// Phase timers and per-node row counts for a traced run; `None` for
     /// ordinary runs, whose only tracing cost is this `Option` check.
-    /// The mutex is uncontended (one run, one thread) — it exists because
-    /// the context is shared as `&self`, across pool workers when a Datalog
-    /// stratum evaluates its rules side by side.
-    probe: Option<Mutex<Probe>>,
+    /// A context never leaves the thread of the run that built it; the
+    /// cell is there because execution shares it as `&self`.
+    probe: Option<RefCell<Probe>>,
 }
 
 impl ExecContext {
@@ -75,16 +74,13 @@ impl ExecContext {
     /// Attaches `probe`: execution phases and per-node row counts are
     /// recorded into it from here on.
     pub(crate) fn with_probe(mut self, probe: Probe) -> ExecContext {
-        self.probe = Some(Mutex::new(probe));
+        self.probe = Some(RefCell::new(probe));
         self
     }
 
     /// Detaches the probe to read the collected trace back out.
     pub(crate) fn take_probe(&mut self) -> Option<Probe> {
-        self.probe.take().map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-        })
+        self.probe.take().map(RefCell::into_inner)
     }
 
     /// Whether a probe is attached (callers gate string formatting on it).
@@ -95,20 +91,14 @@ impl ExecContext {
     /// Ends `phase` on the attached probe, if any.
     pub(crate) fn mark(&self, phase: Phase) {
         if let Some(probe) = &self.probe {
-            probe
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .mark(phase);
+            probe.borrow_mut().mark(phase);
         }
     }
 
     /// Records one join-tree node's rows in/out on the attached probe.
     fn note_node(&self, node: impl Into<String>, rows_in: usize, rows_out: usize) {
         if let Some(probe) = &self.probe {
-            probe
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .node(node, rows_in, rows_out);
+            probe.borrow_mut().node(node, rows_in, rows_out);
         }
     }
 }

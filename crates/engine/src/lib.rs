@@ -62,39 +62,36 @@
 //!
 //! ## What is parallel, and what is not
 //!
-//! [`Database::with_parallelism`] above 1 sizes a **persistent worker
-//! pool** (spawned once by the first fan-out, parked when idle, joined on
-//! drop) that parallelizes *across* units of work:
+//! One thing is: the queries of a batch.  [`Database::with_parallelism`]
+//! above 1 lets [`Database::run_batch`] fan its queries out over scoped
+//! helper threads — `min(parallelism, n) - 1` of them, spawned for the
+//! call and joined before it returns, with the calling thread working
+//! alongside:
 //!
 //! ```text
-//!   Database::run_batch(&[q1 … qn])        Database::run_datalog(program)
-//!             │  plans resolved serially             │  per stratum, per iteration
-//!      one morsel per query                   one morsel per rule (strata
-//!             │                               with ≥ 2 rules; else inline)
-//!   ┌─────────┼─────────┐                     ┌───────┼───────┐
-//!  run(q1)  run(q2) … run(qn)               rule 1  rule 2 … rule m
-//!   each: the one serial executor path, on the submitter + k−1 pool
-//!   threads (injector + per-worker deques, steal on empty)
-//!             │                                       │
-//!   results in input order                   apply phase in rule order
+//!   Database::run_batch(&[q1 … qn])
+//!             │  plans resolved serially
+//!   ┌─────────┼─────────┐      every thread claims the next unclaimed
+//!  run(q1)  run(q2) … run(qn)  query from one shared cursor; each run is
+//!             │                the one serial executor path
+//!   results in input order
 //! ```
 //!
-//! A single [`Database::run`], [`PreparedQuery::execute`] or view refresh
-//! is **not** split: it runs the same serial path at every pool width and
-//! never creates or touches the pool.  Intra-query row-range / chunk
-//! morsels were measured over three designs and lost to the serial path
-//! every time (BENCH_e13 `single` axis: 0.41–0.95×, 0.57–1.00×,
-//! 0.41–0.93×; per-range hash-set partials re-hashed into one set), while
-//! the per-query grain reaches 1.59× on the same 2-core host — see
-//! ARCHITECTURE.md.  Every morsel is an ordinary run and results are
-//! reassembled in submission order, so a fanned-out batch or stratum is
-//! **byte-identical** to the serial one regardless of thread interleaving
-//! — the differential suites assert exactly this.
-//! [`EngineMetrics::morsels_dispatched`] and
-//! [`EngineMetrics::morsel_steals`] make the fan-out observable even on
-//! single-core hosts, where wall-clock speedup cannot show;
-//! [`EngineMetrics::threads_spawned`] reports the pool size once — the
-//! pool never respawns.
+//! Everything else runs the same serial path at every width and spawns
+//! nothing, each by measurement (ARCHITECTURE.md, "Fan-out", and
+//! EXPERIMENTS.md).  A single [`Database::run`], [`PreparedQuery::execute`]
+//! or view refresh is not split: row-range / chunk splitting lost to the
+//! serial path over three designs (0.41–0.95×, 0.57–1.00×, 0.41–0.93× —
+//! per-range hash-set partials re-hashed into one set).  The rules of a
+//! Datalog stratum are not fanned out: it won on none of the three shipped
+//! program families (median 0.90–0.96× at width 2).  The per-query grain,
+//! on the same 2-core host, is about 1.7×.  Every fanned-out query is an
+//! ordinary run and results are reassembled in input order, so a parallel
+//! batch is **byte-identical** to the serial one regardless of thread
+//! interleaving — the differential suites assert exactly this — and
+//! [`EngineMetrics::morsels_dispatched`] (one per fanned-out query) makes
+//! the fan-out observable even on single-core hosts, where wall-clock
+//! speedup cannot show.
 //!
 //! ## Materialized views
 //!

@@ -1,17 +1,14 @@
-//! Lifecycle suite for the persistent worker pool behind a parallel
-//! [`Database`]: the pool is created once by the first fanned-out batch
-//! and reused across batches (no respawn — asserted through the metrics),
-//! parallelism-1 sessions and single runs never create it, results over
-//! the work-stealing path are identical run to run and across parallelism
-//! levels, and dropping the database joins the pool threads.
+//! Batch fan-out through the public [`Database`] surface: a width-1
+//! database dispatches nothing, a wider one dispatches exactly one unit
+//! per batch query, answers are identical run to run and across widths,
+//! and concurrent callers of one database each get the serial answers.
 //!
-//! The pool's grain is one morsel per query of a [`Database::run_batch`]
-//! (and one per rule of a multi-rule Datalog stratum, covered by the
-//! datalog suites), so every case here drives it through `run_batch`.
-//!
-//! Panic propagation without pool poisoning is covered by the pool's own
-//! unit tests (`crates/engine/src/pool.rs`), where a panicking morsel can
-//! be injected directly.
+//! The only fanned-out grain is one query of a [`Database::run_batch`], so
+//! every case here drives `run_batch`.  Nothing persists between batches
+//! (the helper threads are scoped to the call), so there is no lifecycle
+//! left to test; panic propagation is covered by `fan_out`'s own unit
+//! tests (`crates/engine/src/pool.rs`), where a panicking item can be
+//! injected directly.
 
 use sac_engine::Database;
 use sac_query::ConjunctiveQuery;
@@ -35,7 +32,7 @@ fn workload() -> Vec<ConjunctiveQuery> {
 }
 
 /// One stable fingerprint over a full workload's answers, computed as one
-/// batch (fanned out over the pool above parallelism 1).
+/// batch (fanned out above parallelism 1).
 fn digest(db: &Database) -> BTreeSet<String> {
     let queries = workload();
     queries
@@ -52,60 +49,17 @@ fn digest(db: &Database) -> BTreeSet<String> {
 }
 
 #[test]
-fn the_pool_is_created_once_and_reused_across_runs() {
-    let db = parallel_db(4);
-    assert_eq!(
-        db.metrics().threads_spawned,
-        0,
-        "no pool before the first batch"
-    );
-    // Single runs, prepared executions and view refreshes are serial at
-    // every width: they must not create the pool either.
-    for q in workload() {
-        let _ = db.run(&q);
-        let _ = db.prepare(&q).unwrap().execute();
-    }
-    let _ = db.materialize(sac_gen::path_query(2)).unwrap().refresh();
-    let m0 = db.metrics();
-    assert_eq!(m0.threads_spawned, 0, "single runs never create the pool");
-    assert_eq!(m0.morsels_dispatched, 0);
-
-    let first = digest(&db);
-    let m1 = db.metrics();
-    assert_eq!(m1.threads_spawned, 3, "pool size is parallelism - 1");
-    assert_eq!(
-        m1.morsels_dispatched,
-        workload().len(),
-        "one morsel per batch query"
-    );
-
-    let second = digest(&db);
-    let m2 = db.metrics();
-    assert_eq!(first, second, "pool reuse does not change answers");
-    assert_eq!(
-        m2.threads_spawned, m1.threads_spawned,
-        "threads_spawned reports the live pool size once — a respawning \
-         pool (or per-region accumulation) would inflate it"
-    );
-    assert_eq!(
-        m2.morsels_dispatched,
-        2 * workload().len(),
-        "the second batch dispatched onto the same pool"
-    );
-}
-
-#[test]
 fn serial_databases_never_create_the_pool() {
     let db = parallel_db(1);
     let _ = digest(&db);
     for q in workload() {
         let _ = db.run(&q);
     }
-    let m = db.metrics();
-    assert_eq!(m.threads_spawned, 0, "parallelism 1 spawns zero threads");
-    assert_eq!(m.morsels_dispatched, 0);
-    assert_eq!(m.morsel_steals, 0);
-    assert_eq!(m.pool_queue_wait_ns, 0);
+    assert_eq!(
+        db.metrics().morsels_dispatched,
+        0,
+        "parallelism 1 fans nothing out"
+    );
 }
 
 #[test]
@@ -118,15 +72,21 @@ fn batch_fan_out_counts_one_morsel_per_query() {
     assert_eq!(
         m.morsels_dispatched,
         queries.len(),
-        "each batch query is exactly one morsel (the runs inside are serial)"
+        "each batch query is exactly one unit (the runs inside are serial)"
     );
-    assert_eq!(m.threads_spawned, 1);
+    // The counter is a window like every other: reset zeroes it and the
+    // next batch counts from there.
+    db.reset_metrics();
+    assert_eq!(db.metrics().morsels_dispatched, 0);
+    let _ = db.run_batch(&queries);
+    assert_eq!(db.metrics().morsels_dispatched, queries.len());
 }
 
 #[test]
 fn differential_double_run_digest_across_parallelism_levels() {
-    // The work-stealing path must be invisible in the answers: two runs at
-    // the same level agree, and every level agrees with the serial digest.
+    // Which thread claimed which query must be invisible in the answers:
+    // two runs at the same level agree, and every level agrees with the
+    // serial digest.
     let serial = digest(&parallel_db(1));
     for parallelism in [2, 4] {
         let db = parallel_db(parallelism);
@@ -138,38 +98,9 @@ fn differential_double_run_digest_across_parallelism_levels() {
         );
         assert_eq!(
             first, serial,
-            "parallelism {parallelism}: stolen morsels changed answers"
+            "parallelism {parallelism}: fan-out changed answers"
         );
     }
-}
-
-#[test]
-fn reset_metrics_keeps_the_pool_and_its_size() {
-    let db = parallel_db(4);
-    let _ = digest(&db);
-    let before = db.metrics();
-    assert_eq!(before.threads_spawned, 3);
-    db.reset_metrics();
-    let after = db.metrics();
-    assert_eq!(
-        after.threads_spawned, 3,
-        "the pool survives a metrics window reset"
-    );
-    assert_eq!(after.morsels_dispatched, 0, "the window itself is zeroed");
-    assert_eq!(after.morsel_steals, 0, "steal readings re-anchor to zero");
-    let _ = digest(&db);
-    assert!(
-        db.metrics().morsels_dispatched > 0,
-        "the kept pool keeps serving after the reset"
-    );
-}
-
-#[test]
-fn dropping_the_database_joins_the_pool() {
-    // Hangs (and times the suite out) if a worker fails to exit.
-    let db = parallel_db(4);
-    let _ = digest(&db);
-    drop(db);
 }
 
 #[test]
@@ -185,5 +116,9 @@ fn a_shared_database_serves_concurrent_parallel_runs_from_one_pool() {
     for handle in handles {
         assert_eq!(handle.join().unwrap(), expected);
     }
-    assert_eq!(db.metrics().threads_spawned, 3, "still one shared pool");
+    assert_eq!(
+        db.metrics().morsels_dispatched,
+        5 * workload().len(),
+        "every caller's batch fanned out"
+    );
 }

@@ -4,9 +4,9 @@
 //! of tuples `h(x̄)` over the target's domain, for `h` ranging over the
 //! homomorphisms from `q` to `I`.  This is the general-purpose (NP-hard in
 //! combined complexity) evaluator; the linear-time evaluator for *acyclic*
-//! CQs lives in `sac-acyclic` (Yannakakis), and the PTIME evaluator for
-//! semantically acyclic CQs under guarded tgds lives in `sac-core`
-//! (cover-game based, Theorem 25).
+//! CQs is the engine's executor (`sac-engine`, `exec`: Yannakakis), and the
+//! PTIME evaluator for semantically acyclic CQs under guarded tgds lives in
+//! `sac-core` (cover-game based, Theorem 25).
 
 use crate::cq::ConjunctiveQuery;
 use crate::homomorphism::HomomorphismSearch;

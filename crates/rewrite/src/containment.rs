@@ -8,6 +8,7 @@
 use crate::budget::RewriteBudget;
 use crate::xrewrite::rewrite;
 use sac_deps::Tgd;
+use sac_query::evaluate::contains_answer;
 use sac_query::{ConjunctiveQuery, FrozenQuery};
 
 /// Decides `q_left ⊆Σ q_right` via the UCQ rewriting of `q_right`.
@@ -29,8 +30,8 @@ pub fn contained_via_rewriting(
         return None;
     }
     let frozen = FrozenQuery::freeze(q_left);
-    let answers = rewriting.ucq.evaluate(&frozen.instance);
-    Some(answers.contains(&frozen.head))
+    let hit = |disjunct| contains_answer(disjunct, &frozen.instance, &frozen.head);
+    Some(rewriting.ucq.disjuncts.iter().any(hit))
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Engine events and pluggable sinks.
 //!
-//! The engine's subsystems (executor, worker pool, index cache, view
+//! The engine's subsystems (executor, batch fan-out, index cache, view
 //! registry) emit [`Event`]s through a process-global [`bus`] rather than
 //! holding a reference to any backend.  The bus costs one relaxed atomic
 //! load when no sink is installed — the event value is never even
@@ -62,14 +62,13 @@ pub enum Event {
         /// The indexed column positions.
         positions: Vec<usize>,
     },
-    /// The persistent worker pool fanned a parallel region out.
+    /// A batch fanned its queries out over helper threads.
     ParallelRegion {
-        /// Morsels dispatched across the region (one per work item).
+        /// Work items in the region (one per batch query).
         tasks: usize,
-        /// Pool size: the persistent worker threads available to claim
-        /// them (the submitting thread helps too, so effective width is
-        /// `threads + 1`).  Pool threads are spawned once per database,
-        /// not per region.
+        /// Helper threads spawned for this region and joined at its end
+        /// (the calling thread works too, so effective width is
+        /// `threads + 1`).
         threads: usize,
     },
     /// A materialized view was registered with the database.
@@ -252,7 +251,7 @@ fn json_string(text: &str) -> String {
 /// A backend that receives engine events.
 ///
 /// Implementations must tolerate concurrent calls: events arrive from
-/// whichever thread produced them, including pool workers.
+/// whichever thread produced them, including fan-out helpers.
 pub trait EventSink: Send + Sync {
     /// Receives one event.  Must not block for long — it runs inline on
     /// engine threads.

@@ -107,10 +107,10 @@ fn main() {
     println!("sample trace: {trace}");
 
     // The other axis of parallelism: a single client, but every batch fans
-    // out over the database's worker pool, one morsel per query (each query
+    // out over scoped helper threads, one query per claim (each query
     // itself runs the one serial executor path).  On a 1-core host the
-    // wall clock will not improve — the morsel/thread metrics show the
-    // fan-out happened.
+    // wall clock will not improve — `morsels_dispatched` shows the fan-out
+    // happened.
     let par_db = Database::from_instance(db.snapshot())
         .with_tgds(vec![sac::gen::collector_tgd()])
         .with_parallelism(4);
@@ -130,8 +130,9 @@ fn main() {
     );
     let pm = par_db.metrics();
     println!(
-        "  fan-out: {} morsels ({} stolen) on a {}-thread pool",
-        pm.morsels_dispatched, pm.morsel_steals, pm.threads_spawned
+        "  fan-out: {} queries dispatched over {} threads",
+        pm.morsels_dispatched,
+        par_db.parallelism()
     );
     println!(
         "  run latency: p50 {} / p99 {} over {} runs",

@@ -1,13 +1,13 @@
 //! The differential oracle suite: every generated query family runs through
 //! every plan-strategy rung — the planner's own pick, the forced indexed
-//! fallback, and (where applicable) the witness rung — at pool widths 1, 2
+//! fallback, and (where applicable) the witness rung — at batch widths 1, 2
 //! and 4, and every configuration must return a [`ResultSet`] identical to
 //! naive homomorphism enumeration (sorted-tuple comparison; `ResultSet`
 //! equality also covers the column names).
 //!
 //! The executor has one path, so the parallelism axis is driven where the
-//! pool actually fans out: each cell runs its whole query family as one
-//! [`Database::run_batch`] (one morsel per query above width 1).
+//! engine actually fans out: each cell runs its whole query family as one
+//! [`Database::run_batch`] (one query per claim above width 1).
 //!
 //! The suite prints one `differential digest:` line per test, a hash over
 //! the display form of every (query, answers) pair.  CI runs the suite
@@ -85,8 +85,8 @@ fn graph_queries() -> Vec<ConjunctiveQuery> {
     queries
 }
 
-/// Runs `queries` on `data` through one (config, pool width) cell as a
-/// single batch — serial at width 1, one morsel per query above it — and
+/// Runs `queries` on `data` through one (config, batch width) cell as a
+/// single batch — serial at width 1, fanned out per query above it — and
 /// returns the typed result sets.
 fn run_cell(
     data: &Instance,
@@ -111,7 +111,7 @@ fn run_cell(
     results
 }
 
-/// Every (pool width, forced-fallback) cell of `queries` over `data`: the
+/// Every (batch width, forced-fallback) cell of `queries` over `data`: the
 /// width-1 planner's-pick cell must equal naive evaluation, and every other
 /// cell must be identical to it — column names, row order and row count,
 /// not just the tuple sets.  Returns that first cell.
@@ -202,7 +202,7 @@ fn maintained_views_match_from_scratch_queries_after_every_append_batch() {
     // every append batch its maintained contents must be cell-identical
     // (columns, rows, order) to a from-scratch `query()` on the same
     // database AND to naive evaluation over the accumulated facts — across
-    // the planner's own rung and the forced indexed fallback, at pool
+    // the planner's own rung and the forced indexed fallback, at batch
     // widths 1, 2 and 4 (the from-scratch runs are one `run_batch`, fanned
     // out above width 1, racing nothing: maintenance happened under the
     // insert's write guard).  Even-indexed views are auto-refreshed by the
@@ -343,8 +343,7 @@ fn parallel_batches_are_identical_to_serial_batches() {
         assert_eq!(expected, got, "batch at parallelism {parallelism} drifted");
         let m = parallel.metrics();
         assert_eq!(m.queries_run, workload.len());
-        assert_eq!(m.threads_spawned, parallelism - 1, "one pool, made once");
-        assert_eq!(m.morsels_dispatched, workload.len(), "one morsel a query");
+        assert_eq!(m.morsels_dispatched, workload.len(), "one per query");
     }
     for (query, result) in workload.iter().zip(&expected) {
         digest.absorb(&format!("{query} -> {}", render(result)));
@@ -357,7 +356,7 @@ fn trace_structure_is_deterministic_across_runs() {
     // Query traces carry wall times (nondeterministic by nature) next to
     // structure (rung, cache outcomes, per-node rows, answers).  The
     // structure must be a pure function of (data, query, config) — and, a
-    // single run being the one serial path, not of the pool width: this
+    // single run being the one serial path, not of the batch width: this
     // digest folds `QueryTrace::structure_digest` for the whole sweep into
     // one `differential digest:` line, so the CI double-run diff catches
     // any scheduling nondeterminism that leaks into what traces *say*.
@@ -382,9 +381,9 @@ fn trace_structure_is_deterministic_across_runs() {
             }
             assert_eq!(
                 structure, at_width_one[i],
-                "pool width {parallelism} changed the trace of {query}"
+                "width {parallelism} changed the trace of {query}"
             );
-            assert_eq!(db.metrics().threads_spawned, 0, "single runs: no pool");
+            assert_eq!(db.metrics().morsels_dispatched, 0, "single runs: serial");
             digest.absorb(&format!(
                 "par={parallelism} | {query} -> {:016x} {:016x}",
                 cold.structure_digest(),

@@ -59,8 +59,8 @@ fn rung_queries() -> Vec<ConjunctiveQuery> {
 }
 
 /// Asserts `recovered` answers every rung query identically to `twin` at
-/// every pool width — the rung queries go through as one `run_batch`, one
-/// morsel per query above width 1 — and through the forced-indexed
+/// every batch width — the rung queries go through as one `run_batch`,
+/// fanned out per query above width 1 — and through the forced-indexed
 /// fallback, absorbing each answer set into `digest`.
 fn assert_identical_answers(recovered: Database, twin: &Database, digest: &mut Digest) {
     let mut recovered = recovered;

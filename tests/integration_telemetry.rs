@@ -4,8 +4,12 @@
 
 use sac::prelude::*;
 use sac::telemetry::RingSink;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread;
+
+/// The event bus is process-global with one sink slot, so the tests that
+/// install a sink take turns.
+static BUS: Mutex<()> = Mutex::new(());
 
 fn service_database() -> Database {
     Database::from_instance(sac::gen::random_graph_database(16, 80, 7))
@@ -121,6 +125,7 @@ fn trace_structure_is_deterministic_across_identical_runs() {
 fn ring_sink_observes_the_engine_lifecycle() {
     // The bus is process-global: filter by this test's unique predicate so
     // parallel tests (which may also emit) cannot contaminate the counts.
+    let _turn = BUS.lock().unwrap_or_else(|e| e.into_inner());
     let sink = Arc::new(RingSink::with_capacity(4096));
     sac::telemetry::bus::install(sink.clone());
     let db = Database::from_facts("TelemetryLifecycleEdge(a, b). TelemetryLifecycleEdge(b, c).")
@@ -162,4 +167,35 @@ fn ring_sink_observes_the_engine_lifecycle() {
     let before = sink.len();
     db.run(&q);
     assert_eq!(sink.len(), before, "no sink, no events");
+}
+
+#[test]
+fn rewidening_between_batches_takes_effect() {
+    // The batch width is read per call, so a re-widened database spawns
+    // what its current setting says — observed as the helper count of each
+    // batch's `ParallelRegion`.  (No other test in this binary runs a
+    // seven-query batch, so `tasks: 7` identifies ours.)
+    let _turn = BUS.lock().unwrap_or_else(|e| e.into_inner());
+    let sink = Arc::new(RingSink::with_capacity(4096));
+    sac::telemetry::bus::install(sink.clone());
+    let batch = vec![sac::gen::path_query(2); 7];
+    let helpers_seen = |db: &Database| -> Vec<usize> {
+        db.run_batch(&batch);
+        let events = sink.drain();
+        let regions = events.iter().filter_map(|event| match event {
+            Event::ParallelRegion { tasks: 7, threads } => Some(*threads),
+            _ => None,
+        });
+        regions.collect()
+    };
+
+    let db = service_database().with_parallelism(4);
+    assert_eq!(helpers_seen(&db), [3]);
+    let db = db.with_parallelism(2);
+    assert_eq!(db.parallelism(), 2);
+    assert_eq!(helpers_seen(&db), [1]);
+    let db = db.with_parallelism(1);
+    assert_eq!(helpers_seen(&db), [0usize; 0], "width 1 spawns nothing");
+    assert_eq!(db.metrics().morsels_dispatched, 14);
+    sac::telemetry::bus::uninstall();
 }
