@@ -64,32 +64,15 @@ use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
 /// Planner knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
     /// Configuration for the semantic-acyclicity witness search.
     pub semac: SemAcConfig,
-    /// Whether to look for acyclic reformulations of cyclic queries at all.
-    pub witness_search: bool,
-    /// Skip the (query-exponential) witness search under tgds for queries
-    /// with more body atoms than this.  The constraint-free core check is
-    /// cheap and always runs.
-    pub max_witness_atoms: usize,
     /// Compile every query with [`Strategy::IndexedSearch`], skipping both
     /// Yannakakis rungs.  A differential-testing knob: the fallback is
     /// correct on every query, so a forced-fallback database is an
     /// independent second opinion on any planner decision.
     pub force_indexed: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            semac: SemAcConfig::default(),
-            witness_search: true,
-            max_witness_atoms: 12,
-            force_indexed: false,
-        }
-    }
 }
 
 /// Counters describing a session's workload so far.
@@ -1298,7 +1281,9 @@ impl Database {
     /// default [`DurabilityOptions`]: every append fsynced, automatic
     /// snapshots.
     ///
-    /// Recovery loads the newest valid snapshot, replays the WAL tail
+    /// Recovery loads the newest snapshot — a newest file that does not
+    /// verify is a [`SacError::Persistence`] naming it, never a silent
+    /// fallback to an older one — replays the WAL tail
     /// (truncating a torn final record), re-registers and refreshes every
     /// persisted materialized view, warms the plan cache from the persisted
     /// query fingerprints, and checkpoints the rebuilt state so this
@@ -1505,8 +1490,11 @@ impl Database {
         let (snapshot, dict_len) = durability::snapshot_of(instance, last_seq, tgds, views, plans);
         let atoms = snapshot.atoms();
         let (path, bytes) = durability::persist_snapshot(&core.dir, &snapshot)?;
-        state.wal.reset()?;
+        // The snapshot is the baseline from here on, whether or not the
+        // reset below succeeds: recovery skips the records it covers, so
+        // the next record's dictionary delta must start where it ends.
         state.dict_mark = dict_len;
+        state.wal.reset()?;
         state.since_snapshot = 0;
         self.metrics
             .snapshots_written

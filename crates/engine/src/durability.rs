@@ -25,9 +25,10 @@
 //! definitions, and the plan cache's query fingerprints — into an
 //! atomically-renamed snapshot file, then truncates the WAL it covers.
 //!
-//! **Recovery** ([`Database::open`](crate::Database::open)) is the reverse: load the newest valid
-//! snapshot, replay the WAL tail (truncating a torn final record per the
-//! [`sac_wal::log`] repair rule), re-register and refresh the persisted
+//! **Recovery** ([`Database::open`](crate::Database::open)) is the reverse: load the newest
+//! snapshot (failing closed if it does not verify — the reset WAL cannot
+//! make up for an older one), replay the WAL tail (truncating a torn final
+//! record per the [`sac_wal::log`] repair rule), re-register and refresh the persisted
 //! materialized views, warm the plan cache from the persisted fingerprints,
 //! and finish with a fresh checkpoint so the rebuilt state — whose
 //! dictionary codes belong to *this* process — is the new baseline.
@@ -60,7 +61,8 @@ pub use sac_wal::{DurabilityOptions, SyncMode};
 /// WAL file name inside a durable database's directory.
 const WAL_FILE: &str = "wal.sacwal";
 
-/// Snapshot files kept after a checkpoint (the newest plus one fallback).
+/// Snapshot files kept after a checkpoint: the newest, plus the previous
+/// one for an operator to fall back to by deleting a corrupt newest.
 const SNAPSHOTS_KEPT: usize = 2;
 
 impl From<WalError> for SacError {
@@ -315,20 +317,19 @@ pub(crate) struct DiskState {
     pub(crate) plans: Vec<QueryRepr>,
 }
 
-/// Loads the newest valid snapshot and replays the (repaired) WAL tail
+/// Loads the newest snapshot and replays the (repaired) WAL tail
 /// into a fresh [`Instance`], translating persisted codes through the
 /// writing process's dictionary images.
 pub(crate) fn load_disk_state(dir: &Path, options: DurabilityOptions) -> SacResult<DiskState> {
     std::fs::create_dir_all(dir).map_err(|e| SacError::Persistence {
         message: format!("create durability directory {}: {e}", dir.display()),
     })?;
-    let (snapshot, _skipped) = latest_snapshot(dir)?;
+    let snapshot = latest_snapshot(dir)?;
     let mut report = RecoveryReport::default();
 
     // The translate table: persisted code → live term.  Codes are local to
     // the process that wrote them; the snapshot's dictionary prefix seeds
-    // the table and each batch's delta extends (or, after a mid-epoch
-    // restart, overwrites) it.
+    // the table and each replayed batch's delta extends it.
     let mut translate: Vec<sac_common::Term> = Vec::new();
     let mut instance = Instance::new();
     let (tgds, views, plans) = match &snapshot {
@@ -349,12 +350,13 @@ pub(crate) fn load_disk_state(dir: &Path, options: DurabilityOptions) -> SacResu
     report.truncated_bytes = outcome.truncated_bytes;
     let mut last_seq = snapshot_seq;
     for batch in &outcome.batches {
-        // The dictionary delta applies even for records the snapshot
-        // already covers: later records reference codes it introduced.
-        apply_dict_delta(&mut translate, batch)?;
+        // Records the snapshot covers (a crash between its rename and the
+        // WAL reset) are skipped whole: the snapshot's dictionary prefix
+        // already holds every code they introduced.
         if batch.seq <= snapshot_seq {
             continue;
         }
+        apply_dict_delta(&mut translate, batch)?;
         for rel in &batch.relations {
             insert_code_rows(&mut instance, rel, &translate)?;
         }
@@ -374,28 +376,25 @@ pub(crate) fn load_disk_state(dir: &Path, options: DurabilityOptions) -> SacResu
     })
 }
 
-/// Extends (or overwrites a prefix of) the translate table with one
-/// batch's dictionary delta.  A gap means a record that introduced the
-/// missing codes was lost mid-log — unrecoverable corruption, unlike a
-/// torn tail.
+/// Extends the translate table with one batch's dictionary delta, which
+/// must start exactly where the table ends: every successful open ends in
+/// a re-baselining checkpoint, so a snapshot and its tail always carry one
+/// process's contiguous codes.  A gap means a record that introduced the
+/// missing codes was lost mid-log, an overlap that the log and the
+/// snapshot come from different epochs — unrecoverable corruption either
+/// way, unlike a torn tail.
 fn apply_dict_delta(translate: &mut Vec<sac_common::Term>, batch: &FactBatch) -> SacResult<()> {
     let start = batch.dict_start as usize;
-    if start > translate.len() {
+    if start != translate.len() {
         return Err(SacError::Persistence {
             message: format!(
-                "WAL record {} starts its dictionary delta at code {start} but only {} codes are known",
+                "WAL record {} starts its dictionary delta at code {start} but exactly {} codes are known",
                 batch.seq,
                 translate.len()
             ),
         });
     }
-    for (i, repr) in batch.dict_terms.iter().enumerate() {
-        let term = repr.to_term();
-        match translate.get_mut(start + i) {
-            Some(slot) => *slot = term,
-            None => translate.push(term),
-        }
-    }
+    translate.extend(batch.dict_terms.iter().map(TermRepr::to_term));
     Ok(())
 }
 
@@ -487,11 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn dict_delta_overwrites_are_allowed() {
-        // A process restarted mid-epoch re-ships its dictionary from code
-        // 0; the overwrite re-binds the codes for the records that follow.
+    fn dict_delta_overlaps_are_corruption() {
         let mut translate = vec![Term::constant("old")];
-        let batch = FactBatch {
+        let mut batch = FactBatch {
             seq: 2,
             dict_start: 0,
             dict_terms: vec![
@@ -500,11 +497,16 @@ mod tests {
             ],
             relations: Vec::new(),
         };
+        assert!(matches!(
+            apply_dict_delta(&mut translate, &batch),
+            Err(SacError::Persistence { .. })
+        ));
+        assert_eq!(translate, vec![Term::constant("old")], "left untouched");
+
+        // The same delta starting exactly at the table's end extends it.
+        batch.dict_start = 1;
         apply_dict_delta(&mut translate, &batch).unwrap();
-        assert_eq!(
-            translate,
-            vec![Term::constant("new"), Term::constant("tail")]
-        );
+        assert_eq!(translate.len(), 3);
     }
 
     #[test]

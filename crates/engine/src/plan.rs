@@ -234,6 +234,11 @@ impl fmt::Display for Explain {
     }
 }
 
+/// The witness search under tgds is query-exponential: queries with more
+/// body atoms than this skip it and fall to indexed search.  The
+/// constraint-free core check is cheap and always runs.
+const MAX_WITNESS_ATOMS: usize = 12;
+
 /// Compiles `query` into a plan against `db` (whose statistics drive the
 /// fallback atom order) under the engine's constraint set.
 pub(crate) fn plan_query(
@@ -263,30 +268,28 @@ pub(crate) fn plan_query(
         );
     }
 
-    if config.witness_search {
-        let witness = if tgds.is_empty() {
-            // Without constraints, semantic acyclicity is exactly "the core
-            // is acyclic" — and core equivalence holds over every database.
-            is_semantically_acyclic_no_constraints(query)
-        } else if query.size() <= config.max_witness_atoms {
-            match semantic_acyclicity_under_tgds(query, tgds, config.semac) {
-                SemAcResult::Witness(w) => Some(w),
-                SemAcResult::NoWitness { .. } => None,
-            }
-        } else {
-            None
-        };
-        if let Some(w) = witness {
-            if let Some(tree) = join_tree_of_atoms(&w.body) {
-                return yannakakis_plan(
-                    w.clone(),
-                    tree,
-                    Strategy::YannakakisWitness,
-                    Some(w),
-                    db,
-                    columns,
-                );
-            }
+    let witness = if tgds.is_empty() {
+        // Without constraints, semantic acyclicity is exactly "the core
+        // is acyclic" — and core equivalence holds over every database.
+        is_semantically_acyclic_no_constraints(query)
+    } else if query.size() <= MAX_WITNESS_ATOMS {
+        match semantic_acyclicity_under_tgds(query, tgds, config.semac) {
+            SemAcResult::Witness(w) => Some(w),
+            SemAcResult::NoWitness { .. } => None,
+        }
+    } else {
+        None
+    };
+    if let Some(w) = witness {
+        if let Some(tree) = join_tree_of_atoms(&w.body) {
+            return yannakakis_plan(
+                w.clone(),
+                tree,
+                Strategy::YannakakisWitness,
+                Some(w),
+                db,
+                columns,
+            );
         }
     }
 
@@ -533,12 +536,24 @@ mod tests {
 
     #[test]
     fn witness_search_respects_the_size_cap() {
-        let q = sac_gen::example1_triangle();
         let tgds = vec![sac_gen::collector_tgd()];
         let db = sac_gen::music_database(5, 10, 2);
-        let mut cfg = config();
-        cfg.max_witness_atoms = 2; // triangle has 3 atoms: skip the search
-        let plan = plan_query(&q, &tgds, &db, &cfg);
+        let triangle = sac_gen::example1_triangle();
+        let plan = plan_query(&triangle, &tgds, &db, &config());
+        assert_eq!(plan.strategy(), Strategy::YannakakisWitness);
+
+        // One atom over the cap: the triangle padded with redundant
+        // Interest(x, zᵢ) atoms is equivalent to it, but skips the search.
+        let mut body = triangle.body.clone();
+        for i in body.len()..=MAX_WITNESS_ATOMS {
+            body.push(Atom::from_parts(
+                "Interest",
+                vec![Term::variable("x"), Term::variable(&format!("z{i}"))],
+            ));
+        }
+        let padded = ConjunctiveQuery::new(triangle.head.clone(), body).unwrap();
+        assert_eq!(padded.size(), MAX_WITNESS_ATOMS + 1);
+        let plan = plan_query(&padded, &tgds, &db, &config());
         assert_eq!(plan.strategy(), Strategy::IndexedSearch);
     }
 

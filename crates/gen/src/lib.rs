@@ -1,8 +1,8 @@
 //! # sac-gen
 //!
-//! Workload generators for the experiments: the query families, dependency
-//! sets and synthetic databases that back every benchmark in `sac-bench` and
-//! the examples.
+//! Workload generators: the query families, dependency sets and synthetic
+//! databases that back the benchmark (sacbench), the examples and the
+//! integration suites.
 //!
 //! * [`queries`] — parameterized CQ families (paths, cycles, stars, cliques,
 //!   grids) and the paper's named queries (Example 1, Example 2, Example 4,

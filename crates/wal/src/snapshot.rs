@@ -11,11 +11,14 @@
 //!
 //! Writes go to a `.tmp` sibling, fsync, then rename over the final name
 //! and fsync the directory — a crash mid-write leaves at worst a stale
-//! temp file, never a half-visible snapshot.  Readers take the **newest
-//! valid** snapshot: a corrupt or unreadable file is skipped (with its
-//! name reported) and the next-older one is tried, so one bad checkpoint
-//! degrades recovery to an older baseline plus a longer WAL replay rather
-//! than failing it.
+//! temp file, never a half-visible snapshot.  Readers take the
+//! **newest-named** snapshot and fail if it does not verify: every
+//! checkpoint resets the WAL it covers, so an older snapshot plus the log
+//! is missing everything appended between the two checkpoints and is never
+//! a safe substitute.  (The one window in which the log still covers the
+//! older file is a crash between the rename and the reset — and then the
+//! newest file is intact.)  An operator who wants the older state deletes
+//! the corrupt file deliberately.
 
 use crate::codec::fnv64;
 use crate::record::Snapshot;
@@ -105,27 +108,21 @@ pub fn read_snapshot(path: &Path) -> WalResult<Snapshot> {
     Snapshot::decode(body)
 }
 
-/// The newest **valid** snapshot in `dir`, if any, with the names of
-/// corrupt snapshot files that were skipped on the way (newest first).
-pub fn latest_snapshot(dir: &Path) -> WalResult<(Option<Snapshot>, Vec<PathBuf>)> {
-    let mut seqs: Vec<u64> = match fs::read_dir(dir) {
+/// The newest-named snapshot in `dir`, if any.  A newest file that does
+/// not verify is an error naming it, never a fallback to an older one (see
+/// the module docs).
+pub fn latest_snapshot(dir: &Path) -> WalResult<Option<Snapshot>> {
+    let newest = match fs::read_dir(dir) {
         Ok(entries) => entries
             .filter_map(|entry| entry.ok())
             .filter_map(|entry| parse_file_name(&entry.file_name().to_string_lossy()))
-            .collect(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            .max(),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
         Err(e) => return Err(WalError::io(format!("list {}", dir.display()), e)),
     };
-    seqs.sort_unstable_by(|a, b| b.cmp(a));
-    let mut skipped = Vec::new();
-    for seq in seqs {
-        let path = dir.join(file_name(seq));
-        match read_snapshot(&path) {
-            Ok(snapshot) => return Ok((Some(snapshot), skipped)),
-            Err(_) => skipped.push(path),
-        }
-    }
-    Ok((None, skipped))
+    newest
+        .map(|seq| read_snapshot(&dir.join(file_name(seq))))
+        .transpose()
 }
 
 /// Removes all but the newest `keep` snapshot files (temp leftovers
@@ -200,8 +197,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         write_snapshot(&dir, &snapshot(3)).unwrap();
         write_snapshot(&dir, &snapshot(8)).unwrap();
-        let (latest, skipped) = latest_snapshot(&dir).unwrap();
-        assert!(skipped.is_empty());
+        let latest = latest_snapshot(&dir).unwrap();
         assert_eq!(latest.unwrap().last_seq, 8);
         fs::remove_dir_all(&dir).ok();
     }
@@ -217,18 +213,25 @@ mod tests {
         bytes[len - 1] ^= 0xff;
         fs::write(&newest, &bytes).unwrap();
 
-        let (latest, skipped) = latest_snapshot(&dir).unwrap();
-        assert_eq!(latest.unwrap().last_seq, 3);
-        assert_eq!(skipped, vec![newest]);
+        // The corrupt newest file is an error naming it, not a silent
+        // fallback: the older snapshot lacks what the log no longer holds.
+        match latest_snapshot(&dir) {
+            Err(WalError::Corrupt { message }) => assert!(
+                message.contains(&*newest.to_string_lossy()),
+                "the error names the file: {message}"
+            ),
+            other => panic!("expected a corruption error, got {other:?}"),
+        }
+        // Falling back is the operator's decision: delete the corrupt file.
+        fs::remove_file(&newest).unwrap();
+        assert_eq!(latest_snapshot(&dir).unwrap().unwrap().last_seq, 3);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn missing_directory_means_no_snapshot() {
         let dir = std::env::temp_dir().join(format!("sac_wal_absent_{}", std::process::id()));
-        let (latest, skipped) = latest_snapshot(&dir).unwrap();
-        assert!(latest.is_none());
-        assert!(skipped.is_empty());
+        assert!(latest_snapshot(&dir).unwrap().is_none());
     }
 
     #[test]
@@ -238,7 +241,7 @@ mod tests {
             write_snapshot(&dir, &snapshot(seq)).unwrap();
         }
         prune_snapshots(&dir, 2);
-        let (latest, _) = latest_snapshot(&dir).unwrap();
+        let latest = latest_snapshot(&dir).unwrap();
         assert_eq!(latest.unwrap().last_seq, 9);
         let names: Vec<_> = fs::read_dir(&dir)
             .unwrap()

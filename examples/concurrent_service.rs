@@ -108,21 +108,35 @@ fn main() {
 
     // The other axis of parallelism: a single client, but every batch fans
     // out over scoped helper threads, one query per claim (each query
-    // itself runs the one serial executor path).  On a 1-core host the
-    // wall clock will not improve — `morsels_dispatched` shows the fan-out
-    // happened.
+    // itself runs the one serial executor path).  Both sides are timed the
+    // same way — median of five batches after one warm-up batch, so plans
+    // and indexes are cached on both — and the ratio is the fan-out's
+    // speedup.  On a 1-core host it will not exceed 1 —
+    // `morsels_dispatched` shows the fan-out happened.
     let par_db = Database::from_instance(db.snapshot())
         .with_tgds(vec![sac::gen::collector_tgd()])
         .with_parallelism(4);
     let batch: Vec<ConjunctiveQuery> = (0..8).flat_map(|_| shapes.clone()).collect();
-    let serial_answers = db.run_batch(&batch);
-    let start = Instant::now();
-    let parallel_answers = par_db.run_batch(&batch);
+    let median_batch = |db: &Database| {
+        let answers = db.run_batch(&batch);
+        db.reset_metrics();
+        let mut times: Vec<Duration> = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                std::hint::black_box(db.run_batch(&batch));
+                start.elapsed()
+            })
+            .collect();
+        times.sort_unstable();
+        (answers, times[times.len() / 2])
+    };
+    let (serial_answers, serial) = median_batch(&db);
+    let (parallel_answers, parallel) = median_batch(&par_db);
     println!(
-        "\nparallel batch: {} queries at parallelism {} in {:?}",
+        "\nbatch of {} queries: serial {serial:.1?}, parallelism {} {parallel:.1?} — {:.2}x ({cores} core(s))",
         batch.len(),
         par_db.parallelism(),
-        start.elapsed()
+        serial.as_secs_f64() / parallel.as_secs_f64()
     );
     println!(
         "  identical to the serial batch: {}",

@@ -233,6 +233,49 @@ fn a_torn_final_wal_record_recovers_the_acknowledged_prefix() {
 }
 
 #[test]
+fn corrupt_newest_snapshot_fails_closed() {
+    let dir = scratch_dir("corrupt-newest");
+    let newest = {
+        let db = Database::open(&dir).expect("create durable database");
+        db.load_facts("E(a, b). E(b, c).").expect("facts");
+        db.checkpoint().expect("first checkpoint");
+        db.load_facts("E(c, d). E(d, e). E(e, f).").expect("facts");
+        let report = db.checkpoint().expect("second checkpoint");
+        assert_eq!(db.len(), 5);
+        report.path
+    };
+
+    let mut bytes = std::fs::read(&newest).expect("newest snapshot exists");
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0xff;
+    std::fs::write(&newest, &bytes).expect("corrupt the newest snapshot");
+
+    // Every checkpoint resets the WAL, so the older snapshot is three
+    // acknowledged, checkpointed facts short and nothing on disk can make
+    // up the difference: opening must refuse, not serve 2 of 5 facts.
+    let file_name = newest.file_name().unwrap().to_string_lossy().into_owned();
+    match Database::open(&dir) {
+        Err(SacError::Persistence { message }) => assert!(
+            message.contains(&file_name),
+            "the error must name the corrupt snapshot, got: {message}"
+        ),
+        Err(other) => panic!("expected a persistence error, got {other:?}"),
+        Ok(db) => panic!(
+            "opened with {} of 5 facts, recovery report {:?}",
+            db.len(),
+            db.recovery_report()
+        ),
+    }
+
+    // The refusal left the directory alone: the operator's way out —
+    // deleting the corrupt file deliberately — opens the older state.
+    std::fs::remove_file(&newest).expect("delete the corrupt snapshot");
+    assert_eq!(Database::open(&dir).expect("older snapshot").len(), 2);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn recovery_is_idempotent_across_repeated_reopens() {
     let dir = scratch_dir("idempotent");
     {

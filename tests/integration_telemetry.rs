@@ -53,7 +53,10 @@ fn eight_threads_of_traced_runs_lose_no_histogram_increments() {
     );
     assert!(m.run_latency.p50() <= m.run_latency.p90());
     assert!(m.run_latency.p90() <= m.run_latency.p99());
-    assert!(m.run_latency.p99() <= 2 * m.run_latency.max_ns.max(1));
+    assert!(
+        m.run_latency.p99() <= m.run_latency.max_ns,
+        "quantiles clamp to the observed maximum"
+    );
     assert_eq!(
         m.plans_built + m.plan_cache_hits,
         total,
