@@ -7,8 +7,10 @@
 //! (Example 2) and for keys over wider schemas (Examples 4 and 5).
 //!
 //! The probe runs the chase on a concrete acyclic query and reports whether
-//! acyclicity survived, plus the cyclicity measurements used by experiments
-//! E4 and E6 (clique lower bound of the Gaifman graph).
+//! acyclicity survived, plus the cyclicity measurement Examples 2 and 4 / 5
+//! are asserted with (clique lower bound of the Gaifman graph; the retired
+//! experiments are rows e4 and e6 of EXPERIMENTS.md, "e1–e10: the paper's
+//! examples").
 
 use crate::budget::ChaseBudget;
 use crate::egd_chase::egd_chase_query;

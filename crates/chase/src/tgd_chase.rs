@@ -19,14 +19,6 @@ pub struct TgdChaseResult {
     pub steps: usize,
 }
 
-impl TgdChaseResult {
-    /// Convenience: `true` iff the chase terminated and the instance hence
-    /// satisfies the dependencies.
-    pub fn is_model(&self) -> bool {
-        self.terminated
-    }
-}
-
 /// Runs the restricted chase of `instance` under `tgds` within `budget`.
 ///
 /// A tgd fires on a trigger (a homomorphism of its body) only if the trigger

@@ -70,11 +70,6 @@ impl Atom {
         self.args.iter().any(|t| t.as_variable() == Some(var))
     }
 
-    /// Returns `true` if `term` occurs among the arguments.
-    pub fn mentions_term(&self, term: Term) -> bool {
-        self.args.contains(&term)
-    }
-
     /// Returns the positions (0-based) at which `term` occurs.
     pub fn positions_of(&self, term: Term) -> Vec<usize> {
         self.args

@@ -48,11 +48,6 @@ impl FreshSource {
         intern(&format!("{prefix}#{v}"))
     }
 
-    /// Returns a fresh variable term (see [`FreshSource::fresh_var`]).
-    pub fn fresh_var_term(&mut self, prefix: &str) -> Term {
-        Term::Variable(self.fresh_var(prefix))
-    }
-
     /// The label the next fresh null would receive (useful for tests).
     pub fn peek_null(&self) -> u64 {
         self.next_null

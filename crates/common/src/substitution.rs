@@ -72,11 +72,6 @@ impl Substitution {
         atom.map_args(|t| self.apply(t))
     }
 
-    /// Applies the substitution to a slice of atoms.
-    pub fn apply_atoms(&self, atoms: &[Atom]) -> Vec<Atom> {
-        atoms.iter().map(|a| self.apply_atom(a)).collect()
-    }
-
     /// Attempts to bind `from ↦ to`.
     ///
     /// Returns `false` (and leaves the substitution unchanged) if `from` is a
@@ -101,11 +96,6 @@ impl Substitution {
     /// Attempts to bind a variable to a term (see [`Substitution::bind`]).
     pub fn bind_var(&mut self, var: Symbol, to: Term) -> bool {
         self.bind(Term::Variable(var), to)
-    }
-
-    /// Removes the binding for `from`, if any.
-    pub fn unbind(&mut self, from: Term) {
-        self.map.remove(&from);
     }
 
     /// Iterates over `(from, to)` bindings in a deterministic order.

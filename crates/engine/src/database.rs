@@ -63,6 +63,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::Instant;
 
+/// Incremental view maintenance stops paying off when the delta stops being
+/// small: past this fraction of the total rows of the relations a view
+/// reads, a refresh recomputes from scratch instead of pushing the delta
+/// (the recompute also resets the delta-proportional bound for the next
+/// refresh).  A constant, not an option: Δ/|D| says nothing about the join
+/// fan-out that decides which path is cheaper (EXPERIMENTS.md, `hub-3rays`),
+/// so no other value answers the question better.
+const MAX_INCREMENTAL_FRACTION: f64 = 0.5;
+
 /// Planner knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
@@ -114,7 +123,7 @@ pub struct EngineMetrics {
     /// the cached join tree).
     pub view_refreshes_incremental: usize,
     /// View refreshes served by full recompute (initial materializations,
-    /// witness/indexed-rung plans, oversized deltas).
+    /// indexed-rung plans, oversized deltas).
     pub view_refreshes_full: usize,
     /// Appended rows consumed by incremental view refreshes — the total
     /// "Δ" that maintenance was proportional to instead of the database.
@@ -170,20 +179,6 @@ impl EngineMetrics {
     /// live database).
     pub fn reset(&mut self) {
         *self = EngineMetrics::default();
-    }
-
-    /// This snapshot with the latency histograms cleared — the plain
-    /// deterministic counters, for comparisons where wall-clock is
-    /// expected to differ (two sessions running the same workload take
-    /// different times but must count the same work).
-    pub fn counters_only(&self) -> EngineMetrics {
-        EngineMetrics {
-            run_latency: HistogramSnapshot::default(),
-            prepare_latency: HistogramSnapshot::default(),
-            view_refresh_latency: HistogramSnapshot::default(),
-            datalog_latency: HistogramSnapshot::default(),
-            ..self.clone()
-        }
     }
 }
 
@@ -888,11 +883,11 @@ impl Database {
         let run_started = Instant::now();
         let instance = self.read_instance();
         // Short locked section: build/fetch exactly the plan's indexes…
-        let required = exec::required_indexes(plan);
+        let required = plan.probe_keys();
         let (indexes, cache_misses) = {
             let mut cache = self.lock_indexes();
             let built_before = cache.built();
-            let indexes = cache.snapshot(&instance, &required);
+            let indexes = cache.snapshot(&instance, required);
             (indexes, cache.built() - built_before)
         };
         // …then execute lock-free (the instance read guard is still held, so
@@ -944,13 +939,13 @@ impl Database {
     /// Registers `source` as a [`MaterializedView`] with default
     /// [`ViewOptions`]: the answer set is computed now, stored, and then
     /// **maintained** under every append — incrementally (delta push
-    /// through the cached join tree) on the [`Strategy::YannakakisDirect`]
-    /// rung, by recompute otherwise.  See [`crate::view`] for the
+    /// through the cached join tree) on both Yannakakis rungs, by recompute
+    /// on [`Strategy::IndexedSearch`].  See [`crate::view`] for the
     /// maintenance model.
     ///
     /// Cost shape to be aware of: with the default `auto_refresh`, a view
-    /// whose plan is **not** on the direct rung pays a full recompute on
-    /// every mutation call, under the instance write guard.  For such
+    /// whose plan has no join tree (the indexed rung) pays a full recompute
+    /// on every mutation call, under the instance write guard.  For such
     /// views — or for per-fact `insert` loops generally — prefer batched
     /// appends ([`Database::load_facts`] / [`Database::extend_from`]
     /// refresh once per batch) or [`Database::materialize_with`] with
@@ -1069,9 +1064,9 @@ impl Database {
     ///
     /// Refresh decision, in order: not grown (or grown only off the view's
     /// schema) → nothing; an already-true Boolean view → nothing (CQs are
-    /// monotone, true stays true); a direct-rung plan with a delta under
-    /// [`ViewOptions::max_incremental_fraction`] → push the delta through
-    /// the join tree; otherwise → recompute.
+    /// monotone, true stays true); a delta within
+    /// [`MAX_INCREMENTAL_FRACTION`] on a plan that has a join tree → push
+    /// the delta through it; otherwise → recompute.
     fn refresh_core(&self, core: &ViewCore, instance: &Instance) -> ViewRefresh {
         self.refresh_core_traced(core, instance, None).0
     }
@@ -1145,43 +1140,42 @@ impl Database {
             .filter_map(|p| instance.relation(*p))
             .map(|rel| rel.len())
             .sum();
-        let incremental = initialized
-            && core.plan.strategy() == Strategy::YannakakisDirect
-            && (delta_rows as f64) <= core.options.max_incremental_fraction * relevant_rows as f64;
+        let small =
+            initialized && (delta_rows as f64) <= MAX_INCREMENTAL_FRACTION * relevant_rows as f64;
         let before = state.answers.len();
-        let attach = |mut ctx: exec::ExecContext, probe: Option<Probe>| match probe {
-            Some(mut p) => {
-                p.mark(Phase::Snapshot);
-                ctx = ctx.with_probe(p);
-                ctx
-            }
-            None => ctx,
-        };
-        let (mode, mut ctx) = if incremental {
-            let indexes = self
-                .lock_indexes()
-                .snapshot(instance, &core.incremental_indexes);
-            let ctx = attach(exec::ExecContext::new(indexes), probe);
-            let delta = exec::execute_delta(&core.plan, instance, &watermarks, &ctx)
-                .expect("the direct rung compiles to a Yannakakis plan");
-            Arc::make_mut(&mut state.answers).extend(delta);
-            self.metrics
-                .view_refreshes_incremental
-                .fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .view_delta_rows
-                .fetch_add(delta_rows, Ordering::Relaxed);
-            (RefreshMode::Incremental, ctx)
+        // A small delta is offered to the plan's join tree (the snapshot
+        // then covers the edge keys too); a plan without one declines.
+        let keys = if small {
+            &core.plan.index_keys
         } else {
-            let indexes = self
-                .lock_indexes()
-                .snapshot(instance, &exec::required_indexes(&core.plan));
-            let ctx = attach(exec::ExecContext::new(indexes), probe);
-            state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
-            self.metrics
-                .view_refreshes_full
-                .fetch_add(1, Ordering::Relaxed);
-            (RefreshMode::Full, ctx)
+            core.plan.probe_keys()
+        };
+        let mut ctx = exec::ExecContext::new(self.lock_indexes().snapshot(instance, keys));
+        if let Some(mut p) = probe {
+            p.mark(Phase::Snapshot);
+            ctx = ctx.with_probe(p);
+        }
+        let delta = small
+            .then(|| exec::execute_delta(&core.plan, instance, &watermarks, &ctx))
+            .flatten();
+        let mode = match delta {
+            Some(delta) => {
+                Arc::make_mut(&mut state.answers).extend(delta);
+                self.metrics
+                    .view_refreshes_incremental
+                    .fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .view_delta_rows
+                    .fetch_add(delta_rows, Ordering::Relaxed);
+                RefreshMode::Incremental
+            }
+            None => {
+                state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
+                self.metrics
+                    .view_refreshes_full
+                    .fetch_add(1, Ordering::Relaxed);
+                RefreshMode::Full
+            }
         };
         state.cursor = Some(instance.delta_cursor());
         let refresh = ViewRefresh {
@@ -1331,7 +1325,6 @@ impl Database {
             let query = durability::query_from_repr(&view.query)?;
             let options = ViewOptions {
                 auto_refresh: view.auto_refresh,
-                max_incremental_fraction: view.max_incremental_fraction,
             };
             let handle = db.materialize_with(query, options)?;
             let core = handle.core_arc();
@@ -2066,7 +2059,6 @@ mod tests {
                 "q(X, Z) :- E(X, Y), E(Y, Z).",
                 crate::ViewOptions {
                     auto_refresh: false,
-                    ..crate::ViewOptions::default()
                 },
             )
             .unwrap();

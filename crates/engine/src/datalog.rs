@@ -98,17 +98,6 @@ pub struct DatalogStats {
     pub delta_rule_runs: usize,
 }
 
-impl DatalogStats {
-    /// Rule evaluations by strategy rung, as `(direct, witness, fallback)`.
-    pub fn rule_runs(&self) -> (usize, usize, usize) {
-        (
-            self.rule_runs_yannakakis_direct,
-            self.rule_runs_yannakakis_witness,
-            self.rule_runs_indexed_search,
-        )
-    }
-}
-
 /// The result of one Datalog fixpoint evaluation.
 #[derive(Debug, Clone)]
 pub struct DatalogRun {
@@ -202,12 +191,30 @@ impl PreparedDatalog<'_> {
 
 /// One rule compiled for the evaluation loop: its positive body planned as
 /// a conjunctive query whose head is **every** distinct body variable, so
-/// each answer row is a full substitution.
+/// each answer row is a full substitution — and every argument of the rule
+/// resolved against that row once, here, not per derived fact.
 struct CompiledRule<'p> {
     index: usize,
     rule: &'p Rule,
     vars: Vec<Symbol>,
     plan: Plan,
+    /// Argument slots of the head, of each positive body atom and of each
+    /// negated literal, aligned with the rule's own atoms.
+    head: Vec<Option<usize>>,
+    body: Vec<Vec<Option<usize>>>,
+    negated: Vec<Vec<Option<usize>>>,
+}
+
+/// `atom` under the substitution an answer `row` stands for: an argument
+/// with a slot is that column of the row, one without is the rule's own
+/// rigid term.
+fn ground(atom: &Atom, slots: &[Option<usize>], row: &[Term]) -> Atom {
+    let args = atom.args.iter().zip(slots);
+    Atom::new(
+        atom.predicate,
+        args.map(|(term, slot)| slot.map_or(*term, |column| row[column]))
+            .collect(),
+    )
 }
 
 /// Distinct positive-body variables in first-occurrence order — the answer
@@ -248,9 +255,20 @@ pub(crate) fn evaluate(
             let vars = body_variables(rule);
             let query = ConjunctiveQuery::new(vars.clone(), rule.body.clone())?;
             let plan = plan_query(&query, planning_tgds, &work, config);
+            // Safe rules only use positive body variables, so every
+            // variable argument has a column.
+            let column: FxHashMap<Symbol, usize> =
+                vars.iter().enumerate().map(|(i, v)| (*v, i)).collect();
+            let slots = |atom: &Atom| -> Vec<Option<usize>> {
+                let slot = |term: &Term| term.as_variable().map(|v| column[&v]);
+                atom.args.iter().map(slot).collect()
+            };
             Ok(CompiledRule {
                 index,
                 rule,
+                head: slots(&rule.head),
+                body: rule.body.iter().map(slots).collect(),
+                negated: rule.negated.iter().map(slots).collect(),
                 vars,
                 plan,
             })
@@ -289,11 +307,12 @@ pub(crate) fn evaluate(
             // (nothing is inserted until the apply phase below).
             let mut outputs = Vec::with_capacity(rules.len());
             for cr in &rules {
-                let mut needed = exec::required_indexes(&cr.plan);
-                if !full_pass {
-                    needed.extend(exec::delta_edge_indexes(&cr.plan));
-                }
-                let ctx = exec::ExecContext::new(cache.snapshot(&work, &needed));
+                let keys = if full_pass {
+                    cr.plan.probe_keys()
+                } else {
+                    &cr.plan.index_keys
+                };
+                let ctx = exec::ExecContext::new(cache.snapshot(&work, keys));
                 let (rows, via_delta_exec) = if full_pass {
                     (exec::execute_with(&cr.plan, &work, &ctx), false)
                 } else {
@@ -318,29 +337,19 @@ pub(crate) fn evaluate(
             let mut changed = false;
             for (cr, rows) in rules.iter().zip(&outputs) {
                 for row in rows {
-                    let lookup = |term: Term| match term {
-                        Term::Variable(v) => {
-                            let slot = cr
-                                .vars
-                                .iter()
-                                .position(|&u| u == v)
-                                .expect("safe rules only use positive body variables");
-                            row[slot]
-                        }
-                        rigid => rigid,
-                    };
                     let negated: Vec<Atom> = cr
                         .rule
                         .negated
                         .iter()
-                        .map(|literal| literal.map_args(lookup))
+                        .zip(&cr.negated)
+                        .map(|(literal, slots)| ground(literal, slots, row))
                         .collect();
                     // Negated predicates sit in strictly lower strata, so
                     // their extent is already final here.
                     if negated.iter().any(|literal| work.contains(literal)) {
                         continue;
                     }
-                    let fact = cr.rule.head.map_args(lookup);
+                    let fact = ground(&cr.rule.head, &cr.head, row);
                     if !work.insert(fact.clone())? {
                         continue;
                     }
@@ -351,13 +360,10 @@ pub(crate) fn evaluate(
                             .rule
                             .body
                             .iter()
-                            .map(|atom| {
-                                resolve_premise(
-                                    &work,
-                                    &base_cursor,
-                                    &derived_step,
-                                    &atom.map_args(lookup),
-                                )
+                            .zip(&cr.body)
+                            .map(|(atom, slots)| {
+                                let premise = ground(atom, slots, row);
+                                resolve_premise(&work, &base_cursor, &derived_step, &premise)
                             })
                             .collect::<Result<Vec<Premise>>>()?;
                         derived_step.insert(fact.clone(), cert.steps.len());

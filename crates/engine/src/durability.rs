@@ -300,7 +300,6 @@ pub(crate) fn snapshot_of(
 pub(crate) fn view_repr(query: &ConjunctiveQuery, options: ViewOptions) -> ViewRepr {
     ViewRepr {
         auto_refresh: options.auto_refresh,
-        max_incremental_fraction: options.max_incremental_fraction,
         query: query_repr(query.name.as_ref(), &query.head, &query.body),
     }
 }

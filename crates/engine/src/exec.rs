@@ -26,6 +26,18 @@
 //! bound columns.  It is the non-hot rung (cyclic cores only) and keeps the
 //! simpler term-level representation via [`Substitution`].
 //!
+//! ## Compile time, run time
+//!
+//! The executor interprets; it decides nothing that depends only on the
+//! query.  [`crate::plan`] has already turned every variable name into a
+//! column position and every index key into a slot: a [`Table`] here is a
+//! bare set of code rows with no schema of its own, a semijoin or join is
+//! handed its key and emit columns ([`EdgeSpec`], [`JoinSpec`]), nodes with
+//! identical match sets are listed in the plan, and an index is
+//! `ctx.indexes[slot]`.  What is left for run time is what depends on the
+//! data: dictionary codes of constants, which operand of a join is smaller,
+//! which relations grew.
+//!
 //! ## One path
 //!
 //! A plan execution is **serial**, at every [`crate::Database::with_parallelism`]
@@ -40,11 +52,13 @@
 //! [`ExecContext`] snapshot, so the concurrent [`crate::Database`] can run
 //! many queries at once without holding the index-cache lock — the snapshot
 //! is assembled (and any missing indexes built) in one short locked
-//! section beforehand.  Snapshot entries that could not be built degrade
-//! to filtered scans, never to wrong answers.
+//! section beforehand.  [`crate::IndexCache::snapshot`] fills every slot
+//! whose relation exists with the atom's arity, and an atom over a missing
+//! or mis-sized relation returns before it probes, so a probe never finds
+//! its slot empty.
 
-use crate::index::PlanIndexes;
-use crate::plan::{ExecPlan, IndexedPlan, NodeShape, Plan, YannakakisPlan};
+use crate::index::JoinIndex;
+use crate::plan::{EdgeSpec, ExecPlan, IndexedPlan, JoinSpec, NodeShape, Plan, YannakakisPlan};
 use sac_common::{FxHashMap, FxHashSet, Substitution, Symbol, Term};
 use sac_storage::{dict, Instance, Relation};
 use sac_telemetry::{Phase, Probe};
@@ -55,7 +69,9 @@ use std::sync::Arc;
 /// Everything one plan execution works from: an immutable index snapshot
 /// and, on traced runs, the probe collecting phase boundaries.
 pub(crate) struct ExecContext {
-    pub(crate) indexes: PlanIndexes,
+    /// Aligned with the plan's index keys ([`Plan::index_keys`], or its
+    /// [`Plan::probe_keys`] prefix for a full execution).
+    indexes: Vec<Option<Arc<JoinIndex>>>,
     /// Phase timers and per-node row counts for a traced run; `None` for
     /// ordinary runs, whose only tracing cost is this `Option` check.
     /// A context never leaves the thread of the run that built it; the
@@ -64,7 +80,7 @@ pub(crate) struct ExecContext {
 }
 
 impl ExecContext {
-    pub(crate) fn new(indexes: PlanIndexes) -> ExecContext {
+    pub(crate) fn new(indexes: Vec<Option<Arc<JoinIndex>>>) -> ExecContext {
         ExecContext {
             indexes,
             probe: None,
@@ -101,38 +117,17 @@ impl ExecContext {
             probe.borrow_mut().node(node, rows_in, rows_out);
         }
     }
-}
 
-/// The multi-column index keys `plan` probes during execution — exactly the
-/// entries [`crate::IndexCache::snapshot`] must provide for an index-served
-/// run.
-pub(crate) fn required_indexes(plan: &Plan) -> Vec<(Symbol, Vec<usize>)> {
-    match &plan.exec {
-        ExecPlan::Yannakakis(yp) => yp
-            .shapes
-            .iter()
-            .zip(&yp.query.body)
-            .filter(|(shape, _)| shape.const_positions.len() > 1)
-            .map(|(shape, atom)| (atom.predicate, shape.const_positions.clone()))
-            .collect(),
-        ExecPlan::Indexed(ip) => ip
-            .order
-            .iter()
-            .enumerate()
-            .filter(|(step, _)| ip.bound_positions[*step].len() > 1)
-            .map(|(step, &atom_idx)| {
-                (
-                    ip.query.body[atom_idx].predicate,
-                    ip.bound_positions[step].clone(),
-                )
-            })
-            .collect(),
+    /// The snapshot index in `slot`; filled whenever a probe gets this far
+    /// (see the module docs).
+    fn index(&self, slot: usize) -> &JoinIndex {
+        let index = self.indexes[slot].as_deref();
+        index.expect("the snapshot fills every slot whose relation exists")
     }
 }
 
 /// Executes `plan` over `db` against an immutable [`ExecContext`] snapshot
-/// (see [`required_indexes`]).  Missing snapshot entries fall back to
-/// scans.
+/// of (at least) the plan's [`Plan::probe_keys`].
 pub(crate) fn execute_with(plan: &Plan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
     match &plan.exec {
         ExecPlan::Yannakakis(yp) => run_yannakakis(yp, db, ctx),
@@ -140,162 +135,73 @@ pub(crate) fn execute_with(plan: &Plan, db: &Instance, ctx: &ExecContext) -> BTr
     }
 }
 
-/// An intermediate relation over query variables.  Tuples are packed rows of
-/// dictionary codes; nothing in the Yannakakis phases ever compares a
-/// [`Term`].
-#[derive(Debug, Clone)]
+/// An intermediate relation over query variables: a bare set of packed
+/// dictionary-code rows.  Which column holds which variable is the plan's
+/// knowledge, not the table's; nothing in the Yannakakis phases ever
+/// compares a [`Term`] or a variable name.
+#[derive(Debug, Clone, Default)]
 struct Table {
-    vars: Vec<Symbol>,
     tuples: FxHashSet<Vec<u32>>,
 }
 
+/// The projection of code row `t` onto `cols`.
+#[inline]
+fn gather(t: &[u32], cols: &[usize]) -> Vec<u32> {
+    cols.iter().map(|c| t[*c]).collect()
+}
+
 impl Table {
-    /// An empty table over `shape`'s distinct variables.
-    fn empty(shape: &NodeShape) -> Table {
+    /// Projects onto `cols`, deduplicating.
+    fn project(&self, cols: &[usize]) -> Table {
         Table {
-            vars: shape.vars.clone(),
-            tuples: FxHashSet::default(),
+            tuples: self.tuples.iter().map(|t| gather(t, cols)).collect(),
         }
     }
 
-    /// The relation holding exactly the empty tuple (join identity).
-    fn unit() -> Table {
-        let mut tuples = FxHashSet::default();
-        tuples.insert(Vec::new());
-        Table {
-            vars: Vec::new(),
-            tuples,
-        }
-    }
-
-    fn positions_of(&self, vars: &[Symbol]) -> Vec<usize> {
-        vars.iter()
-            .map(|v| {
-                self.vars
-                    .iter()
-                    .position(|u| u == v)
-                    .expect("variable present in table")
-            })
-            .collect()
-    }
-
-    /// Projects onto `keep` (must be a subset of the table's variables),
-    /// deduplicating.
-    fn project(&self, keep: &[Symbol]) -> Table {
-        let positions = self.positions_of(keep);
-        Table {
-            vars: keep.to_vec(),
-            tuples: self
-                .tuples
-                .iter()
-                .map(|t| positions.iter().map(|p| t[*p]).collect())
-                .collect(),
-        }
-    }
-
-    /// Hash semijoin: keeps only tuples agreeing with some tuple of `other`
-    /// on the shared variables.  With no shared variables this is "keep all
-    /// iff `other` is non-empty".  Single-column join keys (the common case
-    /// on graph-shaped queries) probe a `u32` set with no per-tuple
-    /// allocation.
-    fn semijoin(&mut self, other: &Table) {
-        let shared: Vec<Symbol> = self
-            .vars
-            .iter()
-            .copied()
-            .filter(|v| other.vars.contains(v))
-            .collect();
-        if shared.is_empty() {
-            if other.tuples.is_empty() {
-                self.tuples.clear();
+    /// Hash semijoin: keeps only the tuples whose `cols` equal some tuple of
+    /// `other` on `other_cols` (aligned key columns).  With no key columns
+    /// this is "keep all iff `other` is non-empty".  Single-column join keys
+    /// (the common case on graph-shaped queries) probe a `u32` set with no
+    /// per-tuple allocation.
+    fn semijoin(&mut self, cols: &[usize], other: &Table, other_cols: &[usize]) {
+        match (cols, other_cols) {
+            ([], _) => {
+                if other.tuples.is_empty() {
+                    self.tuples.clear();
+                }
             }
-            return;
-        }
-        let my_pos = self.positions_of(&shared);
-        let other_pos = other.positions_of(&shared);
-        if let ([mp], [op]) = (my_pos.as_slice(), other_pos.as_slice()) {
-            let (mp, op) = (*mp, *op);
-            let keys: FxHashSet<u32> = other.tuples.iter().map(|t| t[op]).collect();
-            self.tuples.retain(|t| keys.contains(&t[mp]));
-        } else {
-            let keys: FxHashSet<Vec<u32>> = other
-                .tuples
-                .iter()
-                .map(|t| other_pos.iter().map(|p| t[*p]).collect())
-                .collect();
-            self.tuples
-                .retain(|t| keys.contains(&my_pos.iter().map(|p| t[*p]).collect::<Vec<_>>()));
+            ([mp], [op]) => {
+                let keys: FxHashSet<u32> = other.tuples.iter().map(|t| t[*op]).collect();
+                self.tuples.retain(|t| keys.contains(&t[*mp]));
+            }
+            _ => {
+                let keys: FxHashSet<Vec<u32>> =
+                    other.tuples.iter().map(|t| gather(t, other_cols)).collect();
+                self.tuples.retain(|t| keys.contains(&gather(t, cols)));
+            }
         }
     }
 
-    /// Hash join on the shared variables; the output's variables are
-    /// `self.vars` followed by `other`'s non-shared variables.  With no
-    /// shared variables this is the cross product.
-    fn join(&self, other: &Table) -> Table {
-        self.join_onto(other, None)
-    }
-
-    /// [`Table::join`] with the projection fused into the emit: with
-    /// `keep` set, output tuples are gathered directly onto those variables
-    /// (a subset of the joined variables), so an output-bounded join never
-    /// materializes the wide intermediate only to project it away.
-    /// Single-column join keys index a `u32` map with no per-key
-    /// allocation.
-    fn join_onto(&self, other: &Table, keep: Option<&[Symbol]>) -> Table {
-        let shared: Vec<Symbol> = self
-            .vars
-            .iter()
-            .copied()
-            .filter(|v| other.vars.contains(v))
-            .collect();
-        let my_pos = self.positions_of(&shared);
-        let other_pos = other.positions_of(&shared);
-        let extra_pos: Vec<usize> = (0..other.vars.len())
-            .filter(|p| !other_pos.contains(p))
-            .collect();
-
-        // The emitted columns: each is a side (false = self, true = other)
-        // and a position within that side's tuple.
-        let (vars, out_cols): (Vec<Symbol>, Vec<(bool, usize)>) = match keep {
-            None => {
-                let mut vars = self.vars.clone();
-                vars.extend(extra_pos.iter().map(|p| other.vars[*p]));
-                let mut cols: Vec<(bool, usize)> =
-                    (0..self.vars.len()).map(|p| (false, p)).collect();
-                cols.extend(extra_pos.iter().map(|p| (true, *p)));
-                (vars, cols)
-            }
-            Some(keep) => {
-                let cols = keep
-                    .iter()
-                    .map(|v| {
-                        self.vars
-                            .iter()
-                            .position(|u| u == v)
-                            .map(|p| (false, p))
-                            .or_else(|| other.vars.iter().position(|u| u == v).map(|p| (true, p)))
-                            .expect("carry variable present in the joined table")
-                    })
-                    .collect();
-                (keep.to_vec(), cols)
-            }
-        };
-
-        // Index the smaller operand's tuples by join key and probe with the
-        // larger.
+    /// Hash join by `spec` (`self` is the left operand): output tuples are
+    /// gathered directly onto the spec's emit columns, so an output-bounded
+    /// join never materializes the wide intermediate only to project it
+    /// away.  With no key columns this is the cross product.  The smaller
+    /// operand is indexed and the larger probes; single-column join keys
+    /// index a `u32` map with no per-key allocation.
+    fn join(&self, other: &Table, spec: &JoinSpec) -> Table {
         let emit = |mine: &Vec<u32>, theirs: &Vec<u32>| -> Vec<u32> {
-            out_cols
+            spec.emit
                 .iter()
                 .map(|&(from_other, p)| if from_other { theirs[p] } else { mine[p] })
                 .collect()
         };
         let mut tuples = FxHashSet::default();
-        let (build, probe, build_pos, probe_pos, build_is_self) =
-            if self.tuples.len() <= other.tuples.len() {
-                (&self.tuples, &other.tuples, &my_pos, &other_pos, true)
-            } else {
-                (&other.tuples, &self.tuples, &other_pos, &my_pos, false)
-            };
+        let build_is_self = self.tuples.len() <= other.tuples.len();
+        let (build, probe, build_pos, probe_pos) = if build_is_self {
+            (&self.tuples, &other.tuples, &spec.left_key, &spec.right_key)
+        } else {
+            (&other.tuples, &self.tuples, &spec.right_key, &spec.left_key)
+        };
         let pair = |b: &Vec<u32>, p: &Vec<u32>| {
             if build_is_self {
                 emit(b, p)
@@ -319,29 +225,17 @@ impl Table {
         } else {
             let mut by_key: FxHashMap<Vec<u32>, Vec<&Vec<u32>>> = FxHashMap::default();
             for t in build {
-                let key: Vec<u32> = build_pos.iter().map(|p| t[*p]).collect();
-                by_key.entry(key).or_default().push(t);
+                by_key.entry(gather(t, build_pos)).or_default().push(t);
             }
             for t in probe {
-                let key: Vec<u32> = probe_pos.iter().map(|p| t[*p]).collect();
-                if let Some(matches) = by_key.get(&key) {
+                if let Some(matches) = by_key.get(&gather(t, probe_pos)) {
                     for m in matches {
                         tuples.insert(pair(m, t));
                     }
                 }
             }
         }
-        Table { vars, tuples }
-    }
-
-    /// [`Table::project`] by value: the identity projection (same variables,
-    /// same order) is a move, not a copy.
-    fn into_projected(self, keep: &[Symbol]) -> Table {
-        if keep == self.vars {
-            self
-        } else {
-            self.project(keep)
-        }
+        Table { tuples }
     }
 }
 
@@ -396,25 +290,25 @@ fn columns_of(rel: &Relation) -> Vec<&[u32]> {
     (0..rel.arity()).map(|p| rel.column(p)).collect()
 }
 
+/// The relation `node`'s atom reads, when it exists with the atom's arity
+/// (otherwise nothing can match the atom).
+fn relation_of<'d>(plan: &YannakakisPlan, node: usize, db: &'d Instance) -> Option<&'d Relation> {
+    let atom = &plan.tree.atoms[node];
+    db.relation(atom.predicate)
+        .filter(|rel| rel.arity() == atom.arity())
+}
+
 /// Computes a node's match set: the projection onto its distinct variables of
 /// the relation tuples matching the atom's constants and repeated variables.
 /// Constant positions are served by the relation's sidecar index (one
-/// constant) or a snapshot index (several) when available; the fallback is a
-/// keep-mask sweep over the column slices.
-fn node_matches(
-    shape: &NodeShape,
-    predicate: Symbol,
-    arity: usize,
-    db: &Instance,
-    indexes: &PlanIndexes,
-) -> Table {
-    let mut table = Table::empty(shape);
-    let Some(rel) = db.relation(predicate) else {
+/// constant) or the node's snapshot index (several); without constants the
+/// column slices are swept.
+fn node_matches(plan: &YannakakisPlan, node: usize, db: &Instance, ctx: &ExecContext) -> Table {
+    let mut table = Table::default();
+    let Some(rel) = relation_of(plan, node, db) else {
         return table;
     };
-    if rel.arity() != arity {
-        return table;
-    }
+    let shape = &plan.shapes[node];
     let code_shape = CodeShape::of(shape);
     let Some(const_codes) = code_shape.const_codes.as_deref() else {
         return table; // a rigid term the dictionary never saw: no match
@@ -428,67 +322,34 @@ fn node_matches(
             table.tuples.insert(projected);
         }
     };
-    match shape.const_positions.len() {
-        0 => {
-            for row in 0..rel.len() {
-                admit(row);
-            }
+    if let Some(slot) = plan.probe_index[node] {
+        for &row in ctx.index(slot).rows_codes(const_codes) {
+            admit(row as usize);
         }
+    } else if let Some(&position) = shape.const_positions.first() {
         // One constant: the storage layer's sidecar index serves it
         // incrementally — no cached copy needed.
-        1 => {
-            for &row in rel.rows_with_code(shape.const_positions[0], const_codes[0]) {
-                admit(row as usize);
-            }
+        for &row in rel.rows_with_code(position, const_codes[0]) {
+            admit(row as usize);
         }
-        _ => match indexes.get(&(predicate, shape.const_positions.clone())) {
-            Some(index) => {
-                for &row in index.rows_codes(const_codes) {
-                    admit(row as usize);
-                }
-            }
-            // No snapshot index (e.g. the cache could not build one):
-            // degrade to a keep-mask sweep.
-            None => {
-                for row in 0..rel.len() {
-                    admit(row);
-                }
-            }
-        },
+    } else {
+        (0..rel.len()).for_each(admit);
     }
     table
 }
 
-/// Whether nodes `i` and `j` provably have identical match-set *tuples*:
-/// same relation, and the same structural shape (projection positions,
-/// repeated-variable checks, constant filters).  Variable *names* may
-/// differ — the star query's `E(c,l1), E(c,l2), E(c,l3)` shares one scan
-/// three ways.
-fn same_match_set(plan: &YannakakisPlan, i: usize, j: usize) -> bool {
-    let (a, b) = (&plan.shapes[i], &plan.shapes[j]);
-    plan.tree.atoms[i].predicate == plan.tree.atoms[j].predicate
-        && a.var_first == b.var_first
-        && a.eq_checks == b.eq_checks
-        && a.const_positions == b.const_positions
-        && a.const_key == b.const_key
-}
-
 /// Phase 1 of Yannakakis: one match-set [`Table`] per join-tree node.
 /// Structurally identical nodes (common in self-join queries) are scanned
-/// once and shared by tuple-set clone.
-fn match_tables(plan: &YannakakisPlan, db: &Instance, indexes: &PlanIndexes) -> Vec<Table> {
-    let mut tables: Vec<Table> = plan.shapes.iter().map(Table::empty).collect();
-    for i in 0..plan.tree.len() {
-        // The first node of each structural class scans; later members
-        // copy its tuples instead of rescanning.
-        match (0..i).find(|&j| same_match_set(plan, i, j)) {
-            Some(leader) => tables[i].tuples = tables[leader].tuples.clone(),
-            None => {
-                let atom = &plan.tree.atoms[i];
-                tables[i] =
-                    node_matches(&plan.shapes[i], atom.predicate, atom.arity(), db, indexes);
-            }
-        }
+/// once and shared by tuple-set clone: the first node of each class
+/// ([`YannakakisPlan::match_leader`]) scans, later members copy.
+fn match_tables(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> Vec<Table> {
+    let mut tables: Vec<Table> = Vec::with_capacity(plan.tree.len());
+    for (node, &leader) in plan.match_leader.iter().enumerate() {
+        let table = match tables.get(leader) {
+            Some(scanned) => scanned.clone(),
+            None => node_matches(plan, node, db, ctx),
+        };
+        tables.push(table);
     }
     tables
 }
@@ -499,7 +360,7 @@ fn run_yannakakis(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> BT
         return BTreeSet::from([Vec::new()]);
     }
     // Phase 1: match sets…
-    let tables = match_tables(plan, db, &ctx.indexes);
+    let tables = match_tables(plan, db, ctx);
     ctx.mark(Phase::MatchSets);
     // …then the semijoin sweeps and the join-back-up.
     yannakakis_phases(plan, tables, ctx)
@@ -514,6 +375,14 @@ fn note_node_rows(plan: &YannakakisPlan, rows_in: &[usize], tables: &[Table], ct
     }
 }
 
+/// Semijoins `tables[to]` by `tables[from]` in place, along `edge` (which
+/// runs `from → to`).
+fn semijoin_along(tables: &mut [Table], edge: &EdgeSpec, from: usize, to: usize) {
+    let source = std::mem::take(&mut tables[from]);
+    tables[to].semijoin(&edge.to_cols, &source, &edge.from_cols);
+    tables[from] = source;
+}
+
 /// Phases 2–3 of Yannakakis over already-computed per-node tables: the
 /// upward/downward semijoin sweeps and the output-bounded join-back-up.
 /// Shared between the full path ([`run_yannakakis`], whose tables are the
@@ -526,7 +395,6 @@ fn yannakakis_phases(
     mut tables: Vec<Table>,
     ctx: &ExecContext,
 ) -> BTreeSet<Vec<Term>> {
-    let n = plan.tree.len();
     let mut answers = BTreeSet::new();
     // Match-set sizes entering the sweeps, for the trace's per-node rows.
     // Collected only under a probe so untraced runs pay one branch.
@@ -539,9 +407,8 @@ fn yannakakis_phases(
     // Phase 2a: upward semijoin sweep (children into parents, leaves first).
     for &node in plan.order.iter().rev() {
         for &child in &plan.children[node] {
-            let child_table = std::mem::replace(&mut tables[child], Table::unit());
-            tables[node].semijoin(&child_table);
-            tables[child] = child_table;
+            let edge = plan.up[child].as_ref().expect("a child has an up edge");
+            semijoin_along(&mut tables, edge, child, node);
         }
         if tables[node].tuples.is_empty() {
             ctx.mark(Phase::SemijoinUp);
@@ -562,10 +429,8 @@ fn yannakakis_phases(
 
     // Phase 2b: downward sweep (parents into children, roots first).
     for &node in &plan.order {
-        if let Some(parent) = plan.tree.parent[node] {
-            let parent_table = std::mem::replace(&mut tables[parent], Table::unit());
-            tables[node].semijoin(&parent_table);
-            tables[parent] = parent_table;
+        if let (Some(parent), Some(edge)) = (plan.tree.parent[node], &plan.down[node]) {
+            semijoin_along(&mut tables, edge, parent, node);
         }
     }
     ctx.mark(Phase::SemijoinDown);
@@ -573,45 +438,38 @@ fn yannakakis_phases(
         note_node_rows(plan, &rows_in, &tables, ctx);
     }
 
-    // Phase 3: bottom-up hash join, projecting each subtree onto its carry
-    // set as it is joined — fused into the last join's emit, so the wide
-    // intermediate is never materialized.  Joins follow the tree structure
-    // and stay output-bounded.
-    let mut joined: Vec<Option<Table>> = vec![None; n];
+    // Phase 3: bottom-up hash join.  Each node's table is replaced by the
+    // join of its subtree, projected onto its carry set as it is joined —
+    // fused into the last join's emit, so the wide intermediate is never
+    // materialized.  Joins follow the tree structure and stay
+    // output-bounded.
     for &node in plan.order.iter().rev() {
-        let kids = &plan.children[node];
-        let mut t = std::mem::replace(&mut tables[node], Table::unit());
-        for (i, &child) in kids.iter().enumerate() {
-            let child_table = joined[child].take().expect("children joined first");
-            let keep = (i + 1 == kids.len()).then_some(plan.carry[node].as_slice());
-            t = t.join_onto(&child_table, keep);
+        let mut t = std::mem::take(&mut tables[node]);
+        if let Some(cols) = &plan.leaf_cols[node] {
+            t = t.project(cols);
         }
-        joined[node] = Some(if kids.is_empty() {
-            t.into_projected(&plan.carry[node])
-        } else {
-            t
-        });
+        for (&child, spec) in plan.children[node].iter().zip(&plan.joins[node]) {
+            let child_table = std::mem::take(&mut tables[child]);
+            t = t.join(&child_table, spec);
+        }
+        tables[node] = t;
     }
     // Chain the root tables; a single root (the connected-query case) moves
     // straight through.
-    let mut acc: Option<Table> = None;
-    for root in plan.tree.roots() {
-        let root_table = joined[root].take().expect("roots joined last");
-        acc = Some(match acc {
-            None => root_table,
-            Some(done) => done.join(&root_table),
-        });
+    let mut roots = plan.tree.roots().into_iter();
+    let first = roots.next().expect("non-empty tree has a root");
+    let mut acc = std::mem::take(&mut tables[first]);
+    for (root, spec) in roots.zip(&plan.root_joins) {
+        acc = acc.join(&tables[root], spec);
     }
-    let acc = acc.expect("non-empty tree has a root");
     ctx.mark(Phase::JoinBack);
 
     // Materialize answers in head order (head variables may repeat),
     // decoding each projected code row under one dictionary guard.
-    let head_pos = acc.positions_of(&plan.query.head);
     let decoder = dict::decoder();
     for t in &acc.tuples {
         answers.insert(
-            head_pos
+            plan.head_cols
                 .iter()
                 .map(|p| decoder.decode(t[*p]))
                 .collect::<Vec<Term>>(),
@@ -621,123 +479,53 @@ fn yannakakis_phases(
     answers
 }
 
-/// The multi-column index keys the **incremental** path probes when walking
-/// join-tree edges: for every (parent, child) edge and both directions, the
-/// target atom's first-occurrence positions of the variables shared with the
-/// source atom.  Single-column keys are served by the storage layer's
-/// incremental sidecar indexes and need no cache entry.  Empty for
-/// non-Yannakakis plans (the fallback rung recomputes in full).
-pub(crate) fn delta_edge_indexes(plan: &Plan) -> Vec<(Symbol, Vec<usize>)> {
-    let ExecPlan::Yannakakis(yp) = &plan.exec else {
-        return Vec::new();
-    };
-    let mut out: Vec<(Symbol, Vec<usize>)> = Vec::new();
-    for child in 0..yp.tree.len() {
-        let Some(parent) = yp.tree.parent[child] else {
-            continue;
-        };
-        for (source, target) in [(parent, child), (child, parent)] {
-            let positions = shared_positions(&yp.shapes[source].vars, &yp.shapes[target])
-                .into_iter()
-                .map(|(pos, _)| pos)
-                .collect::<Vec<usize>>();
-            let key = (yp.tree.atoms[target].predicate, positions);
-            if key.1.len() > 1 && !out.contains(&key) {
-                out.push(key);
-            }
-        }
-    }
-    out
-}
-
-/// The join key between two adjacent nodes, from the target's side: for
-/// every target variable also present in `source_vars`, the target atom's
-/// first-occurrence position, ascending — paired with the variable so
-/// callers can project the source table in matching order.
-fn shared_positions(source_vars: &[Symbol], target: &NodeShape) -> Vec<(usize, Symbol)> {
-    let mut shared: Vec<(usize, Symbol)> = target
-        .vars
-        .iter()
-        .zip(&target.var_first)
-        .filter(|(v, _)| source_vars.contains(v))
-        .map(|(v, pos)| (*pos, *v))
-        .collect();
-    shared.sort_unstable();
-    shared
-}
-
-/// The tuples of `target`'s relation that join some tuple of the already
-/// restricted `frontier` table on the shared variables, as a match-set
-/// [`Table`] (shape filters applied, projected onto distinct variables).
+/// The tuples of `to`'s relation that join some tuple of the already
+/// restricted `frontier` table along `edge`, as a match-set [`Table`]
+/// (shape filters applied, projected onto distinct variables).
 ///
-/// Lookups go through the narrowest structure available: the relation's
-/// sidecar index for one shared position, a cached multi-column
-/// [`crate::JoinIndex`] from the snapshot when present, and a
-/// sparsest-sidecar-driven [`Relation::select_rows`] otherwise — all keyed
-/// by the codes the frontier already carries.  With no shared variables the
-/// restriction is vacuous and the full match set is returned.
+/// Lookups go through the narrowest structure there is: the relation's
+/// sidecar index for one shared position, the edge's snapshot
+/// [`crate::JoinIndex`] for several — keyed by the codes the frontier
+/// already carries.  With no shared variables the restriction is vacuous
+/// and the full match set is returned.
 fn restrict_via_edge(
     frontier: &Table,
-    shape: &NodeShape,
-    predicate: Symbol,
-    arity: usize,
+    edge: &EdgeSpec,
+    plan: &YannakakisPlan,
+    to: usize,
     db: &Instance,
-    indexes: &PlanIndexes,
+    ctx: &ExecContext,
 ) -> Table {
-    let mut table = Table::empty(shape);
-    let Some(rel) = db.relation(predicate) else {
+    let mut table = Table::default();
+    let Some(rel) = relation_of(plan, to, db) else {
         return table;
     };
-    if rel.arity() != arity {
-        return table;
-    }
-    let shared = shared_positions(&frontier.vars, shape);
-    if shared.is_empty() {
+    if edge.to_positions.is_empty() {
         // Disconnected neighbour (no join key): every tuple participates.
-        return node_matches(shape, predicate, arity, db, indexes);
+        return node_matches(plan, to, db, ctx);
     }
-    let code_shape = CodeShape::of(shape);
+    let code_shape = CodeShape::of(&plan.shapes[to]);
     if code_shape.const_codes.is_none() {
         return table;
     }
     let cols = columns_of(rel);
-    let positions: Vec<usize> = shared.iter().map(|(pos, _)| *pos).collect();
-    let shared_vars: Vec<Symbol> = shared.iter().map(|(_, v)| *v).collect();
-    let key_pos = frontier.positions_of(&shared_vars);
     let keys: FxHashSet<Vec<u32>> = frontier
         .tuples
         .iter()
-        .map(|t| key_pos.iter().map(|p| t[*p]).collect())
+        .map(|t| gather(t, &edge.from_cols))
         .collect();
-
-    let mut add_row = |row: usize| {
-        if let Some(projected) = code_shape.admit_row(&cols, row) {
-            table.tuples.insert(projected);
-        }
-    };
-    let cached = if positions.len() > 1 {
-        indexes.get(&(predicate, positions.clone()))
-    } else {
-        None
-    };
-    for key in keys {
-        if positions.len() == 1 {
-            for &row in rel.rows_with_code(positions[0], key[0]) {
-                add_row(row as usize);
-            }
-        } else if let Some(index) = cached {
-            for &row in index.rows_codes(&key) {
-                add_row(row as usize);
-            }
-        } else {
-            // No cached multi-column index: drive the lookup through the
-            // sparsest sidecar and verify the rest against the columns.
-            let bound: Vec<(usize, u32)> =
-                positions.iter().copied().zip(key.iter().copied()).collect();
-            for row in rel.select_rows(&bound) {
-                add_row(row as usize);
+    let mut add_rows = |rows: &[u32]| {
+        for &row in rows {
+            if let Some(projected) = code_shape.admit_row(&cols, row as usize) {
+                table.tuples.insert(projected);
             }
         }
+    };
+    for key in &keys {
+        add_rows(match edge.index {
+            None => rel.rows_with_code(edge.to_positions[0], key[0]),
+            Some(slot) => ctx.index(slot).rows_codes(key),
+        });
     }
     table
 }
@@ -745,7 +533,8 @@ fn restrict_via_edge(
 /// Incremental Yannakakis: the answers `plan` gains when the relations in
 /// `watermarks` grow past the given row counts (their append-only delta).
 /// Returns `None` for non-Yannakakis plans — the fallback rung has no join
-/// tree to push deltas through, so callers recompute in full.
+/// tree to push deltas through, so callers recompute in full.  `ctx` must
+/// snapshot all of [`Plan::index_keys`], edge keys included.
 ///
 /// For each join-tree node whose relation grew, the node's match set is
 /// computed from the **delta rows only** (a tail sweep over the column
@@ -773,36 +562,19 @@ pub(crate) fn execute_delta(
         return None;
     };
     let n = yp.tree.len();
+    // (No node, no delta: the empty conjunction's vacuous answer was
+    // materialized up front and never changes.)
     let mut out = BTreeSet::new();
-    if n == 0 {
-        // The empty conjunction never changes; its (vacuous) answer was
-        // materialized up front.
-        return Some(out);
-    }
-    // Undirected adjacency over the join tree.
-    let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for child in 0..n {
-        if let Some(parent) = yp.tree.parent[child] {
-            adjacent[child].push(parent);
-            adjacent[parent].push(child);
-        }
-    }
-
     for dirty in 0..n {
-        let atom = &yp.tree.atoms[dirty];
-        let Some(&from_row) = watermarks.get(&atom.predicate) else {
+        let Some(&from_row) = watermarks.get(&yp.tree.atoms[dirty].predicate) else {
             continue;
         };
-        let Some(rel) = db.relation(atom.predicate) else {
+        let Some(rel) = relation_of(yp, dirty, db).filter(|rel| from_row < rel.len()) else {
             continue;
         };
-        if rel.arity() != atom.arity() || from_row >= rel.len() {
-            continue;
-        }
         // The dirty node's table: its match set over the delta rows only.
-        let shape = &yp.shapes[dirty];
-        let mut delta_table = Table::empty(shape);
-        let code_shape = CodeShape::of(shape);
+        let mut delta_table = Table::default();
+        let code_shape = CodeShape::of(&yp.shapes[dirty]);
         if code_shape.const_codes.is_some() {
             let cols = columns_of(rel);
             for row in from_row..rel.len() {
@@ -816,25 +588,29 @@ pub(crate) fn execute_delta(
         }
 
         // Restrict the rest of the tree to tuples joining the delta: BFS
-        // outward from the dirty node, each step an index lookup keyed by
+        // outward from the dirty node over the tree's edges (up to the
+        // parent, down to each child), each step an index lookup keyed by
         // the frontier's projection onto the shared variables.
         let mut tables: Vec<Option<Table>> = vec![None; n];
         tables[dirty] = Some(delta_table);
         let mut queue = std::collections::VecDeque::from([dirty]);
         let mut contribution_possible = true;
         'bfs: while let Some(node) = queue.pop_front() {
-            for &next in &adjacent[node] {
+            let up = yp.tree.parent[node].map(|parent| (parent, &yp.up[node]));
+            let down = yp.children[node]
+                .iter()
+                .map(|&child| (child, &yp.down[child]));
+            for (next, edge) in up.into_iter().chain(down) {
                 if tables[next].is_some() {
                     continue;
                 }
-                let next_atom = &yp.tree.atoms[next];
                 let restricted = restrict_via_edge(
                     tables[node].as_ref().expect("visited nodes have tables"),
-                    &yp.shapes[next],
-                    next_atom.predicate,
-                    next_atom.arity(),
+                    edge.as_ref().expect("adjacent nodes share an edge"),
+                    yp,
+                    next,
                     db,
-                    &ctx.indexes,
+                    ctx,
                 );
                 if restricted.tuples.is_empty() {
                     // Nothing joins the delta along this edge: this dirty
@@ -855,18 +631,7 @@ pub(crate) fn execute_delta(
         let tables: Vec<Table> = tables
             .into_iter()
             .enumerate()
-            .map(|(i, t)| {
-                t.unwrap_or_else(|| {
-                    let atom = &yp.tree.atoms[i];
-                    node_matches(
-                        &yp.shapes[i],
-                        atom.predicate,
-                        atom.arity(),
-                        db,
-                        &ctx.indexes,
-                    )
-                })
-            })
+            .map(|(i, t)| t.unwrap_or_else(|| node_matches(yp, i, db, ctx)))
             .collect();
         out.extend(yannakakis_phases(yp, tables, ctx));
     }
@@ -874,26 +639,9 @@ pub(crate) fn execute_delta(
 }
 
 fn run_indexed(plan: &IndexedPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
-    // Resolve each step's snapshot index once, so the recursion below does no
-    // hashing on the (predicate, columns) key per visited node.
-    let step_indexes: Vec<Option<&Arc<crate::index::JoinIndex>>> = plan
-        .order
-        .iter()
-        .enumerate()
-        .map(|(step, &atom_idx)| {
-            let bp = &plan.bound_positions[step];
-            if bp.len() > 1 {
-                ctx.indexes
-                    .get(&(plan.query.body[atom_idx].predicate, bp.clone()))
-            } else {
-                None
-            }
-        })
-        .collect();
-
     let mut answers = BTreeSet::new();
     let mut state = Substitution::new();
-    indexed_step(plan, db, &step_indexes, 0, &mut state, &mut answers);
+    indexed_step(plan, db, ctx, 0, &mut state, &mut answers);
     ctx.mark(Phase::Search);
     answers
 }
@@ -903,7 +651,7 @@ fn run_indexed(plan: &IndexedPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet
 fn try_match(
     plan: &IndexedPlan,
     db: &Instance,
-    step_indexes: &[Option<&Arc<crate::index::JoinIndex>>],
+    ctx: &ExecContext,
     depth: usize,
     tuple: &[Term],
     state: &mut Substitution,
@@ -914,7 +662,7 @@ fn try_match(
     let mut extended = state.clone();
     if extended.match_atom(atom, &target) {
         std::mem::swap(state, &mut extended);
-        indexed_step(plan, db, step_indexes, depth + 1, state, answers);
+        indexed_step(plan, db, ctx, depth + 1, state, answers);
         std::mem::swap(state, &mut extended);
     }
 }
@@ -922,7 +670,7 @@ fn try_match(
 fn indexed_step(
     plan: &IndexedPlan,
     db: &Instance,
-    step_indexes: &[Option<&Arc<crate::index::JoinIndex>>],
+    ctx: &ExecContext,
     depth: usize,
     state: &mut Substitution,
     answers: &mut BTreeSet<Vec<Term>>,
@@ -951,60 +699,24 @@ fn indexed_step(
 
     if bp.is_empty() {
         for tuple in rel.iter() {
-            try_match(plan, db, step_indexes, depth, &tuple, state, answers);
+            try_match(plan, db, ctx, depth, &tuple, state, answers);
         }
         return;
     }
+    // Bound positions hold constants or variables of earlier atoms, all of
+    // which `state` has bound by now: the key is ground.
     let key: Vec<Term> = bp.iter().map(|&pos| state.apply(atom.args[pos])).collect();
-    if key.iter().any(|t| t.is_variable()) {
-        // The planner guarantees bound positions are bound; fall back to a
-        // filtered scan if that invariant is ever violated.
-        for tuple in scan_candidates(rel, atom, state) {
-            try_match(plan, db, step_indexes, depth, &tuple, state, answers);
-        }
-        return;
+    debug_assert!(key.iter().all(|t| !t.is_variable()));
+    // One bound column is the relation's sidecar index, several the step's
+    // snapshot index.
+    let rows = match plan.step_index[depth] {
+        None => rel.rows_with(bp[0], key[0]),
+        Some(slot) => ctx.index(slot).rows(&key),
+    };
+    for &row in rows {
+        let tuple = rel.row(row as usize).expect("indexed row exists");
+        try_match(plan, db, ctx, depth, &tuple, state, answers);
     }
-    if bp.len() == 1 {
-        // Single bound column: the relation's sidecar index serves the
-        // lookup directly.
-        for &row in rel.rows_with(bp[0], key[0]) {
-            let tuple = rel.row(row as usize).expect("indexed row exists");
-            try_match(plan, db, step_indexes, depth, &tuple, state, answers);
-        }
-        return;
-    }
-    match step_indexes[depth] {
-        Some(index) => {
-            for &row in index.rows(&key) {
-                let tuple = rel.row(row as usize).expect("indexed row exists");
-                try_match(plan, db, step_indexes, depth, &tuple, state, answers);
-            }
-        }
-        None => {
-            for tuple in scan_candidates(rel, atom, state) {
-                try_match(plan, db, step_indexes, depth, &tuple, state, answers);
-            }
-        }
-    }
-}
-
-/// Fallback candidate enumeration through the relation's sidecar indexes
-/// (used only if a snapshot multi-column index is unavailable).
-fn scan_candidates(
-    rel: &Relation,
-    atom: &sac_common::Atom,
-    state: &Substitution,
-) -> Vec<Vec<Term>> {
-    let bound: Vec<(usize, Term)> = atom
-        .args
-        .iter()
-        .enumerate()
-        .filter_map(|(i, t)| {
-            let image = state.apply(*t);
-            (!image.is_variable()).then_some((i, image))
-        })
-        .collect();
-    rel.select(&bound).collect()
 }
 
 #[cfg(test)]
@@ -1019,7 +731,7 @@ mod tests {
     fn run(q: &ConjunctiveQuery, db: &Instance) -> BTreeSet<Vec<Term>> {
         let plan = plan_query(q, &[], db, &EngineConfig::default());
         let mut cache = IndexCache::new(db);
-        let indexes = cache.snapshot(db, &required_indexes(&plan));
+        let indexes = cache.snapshot(db, plan.probe_keys());
         execute_with(&plan, db, &ExecContext::new(indexes))
     }
 
@@ -1098,28 +810,81 @@ mod tests {
 
     #[test]
     fn execution_degrades_to_scans_without_a_snapshot() {
-        // Force the no-snapshot path: execute plans against an empty
-        // context and check answers are still exact.
+        // The executor has no scan fallback for a missing snapshot index
+        // any more; what makes that safe is that `IndexCache::snapshot`
+        // fills every slot whose relation exists with the atom's arity, and
+        // that atoms over a missing or mis-sized relation match nothing
+        // before they probe.  Multi-constant Yannakakis nodes and
+        // multi-bound-column search steps, on present, absent and mis-sized
+        // relations:
         let db = music_db();
-        for q in [
-            ConjunctiveQuery::new(
-                vec![intern("y")],
-                vec![
-                    atom!("Owns", cst "alice", var "y"),
-                    atom!("Class", var "y", cst "jazz"),
-                ],
-            )
-            .unwrap(),
-            ConjunctiveQuery::boolean(vec![
-                atom!("Interest", var "x", var "z"),
-                atom!("Class", var "y", var "z"),
-                atom!("Owns", var "x", var "y"),
-            ])
-            .unwrap(),
+        let mut cache = IndexCache::new(&db);
+        for (q, filled) in [
+            (
+                ConjunctiveQuery::new(
+                    vec![intern("y")],
+                    vec![
+                        atom!("Owns", cst "alice", var "y"),
+                        atom!("Class", var "y", cst "jazz"),
+                    ],
+                )
+                .unwrap(),
+                true,
+            ),
+            (
+                ConjunctiveQuery::boolean(vec![atom!("Owns", cst "alice", cst "kind_of_blue")])
+                    .unwrap(),
+                true,
+            ),
+            (
+                ConjunctiveQuery::boolean(vec![
+                    atom!("Interest", var "x", var "z"),
+                    atom!("Class", var "y", var "z"),
+                    atom!("Owns", var "x", var "y"),
+                ])
+                .unwrap(),
+                true,
+            ),
+            (
+                ConjunctiveQuery::boolean(vec![atom!("Absent", cst "alice", cst "jazz")]).unwrap(),
+                false,
+            ),
+            (
+                ConjunctiveQuery::boolean(vec![
+                    atom!("Owns", cst "alice", cst "kind_of_blue", cst "jazz"),
+                ])
+                .unwrap(),
+                false,
+            ),
+            (
+                ConjunctiveQuery::boolean(vec![
+                    atom!("Absent", var "x", var "y"),
+                    atom!("Absent", var "y", var "z"),
+                    atom!("Absent", var "z", var "x"),
+                ])
+                .unwrap(),
+                false,
+            ),
         ] {
             let plan = plan_query(&q, &[], &db, &EngineConfig::default());
-            let ctx = ExecContext::new(PlanIndexes::new());
-            assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db));
+            let snapshot = cache.snapshot(&db, &plan.index_keys);
+            assert_eq!(snapshot.len(), plan.index_keys.len());
+            for ((predicate, positions), slot) in plan.index_keys.iter().zip(&snapshot) {
+                let fits = db
+                    .relation(*predicate)
+                    .is_some_and(|rel| positions.iter().all(|p| *p < rel.arity()));
+                assert_eq!(
+                    slot.is_some(),
+                    fits,
+                    "slot for {predicate}{positions:?} of {q}"
+                );
+                assert_eq!(fits, filled, "{q}");
+                if let Some(index) = slot {
+                    assert_eq!(index.positions(), positions.as_slice());
+                }
+            }
+            let ctx = ExecContext::new(snapshot);
+            assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db), "{q}");
         }
     }
 
@@ -1245,7 +1010,7 @@ mod tests {
         let plan = plan_query(q, &[], &grown, &EngineConfig::default());
         let mut cache = IndexCache::new(&grown);
         let mut answers = {
-            let indexes = cache.snapshot(&grown, &required_indexes(&plan));
+            let indexes = cache.snapshot(&grown, plan.probe_keys());
             execute_with(&plan, &grown, &ExecContext::new(indexes))
         };
         for atom in appends {
@@ -1257,12 +1022,7 @@ mod tests {
             .into_iter()
             .map(|d| (d.predicate, d.from_row))
             .collect();
-        let needed: Vec<_> = required_indexes(&plan)
-            .into_iter()
-            .chain(delta_edge_indexes(&plan))
-            .collect();
-        let indexes = cache.snapshot(&grown, &needed);
-        let ctx = ExecContext::new(indexes);
+        let ctx = ExecContext::new(cache.snapshot(&grown, &plan.index_keys));
         let delta = execute_delta(&plan, &grown, &watermarks, &ctx)
             .expect("acyclic queries compile to Yannakakis plans");
         answers.extend(delta);
@@ -1363,15 +1123,20 @@ mod tests {
             &db,
             &EngineConfig::default(),
         );
-        let ctx = ExecContext::new(PlanIndexes::new());
+        let ctx = ExecContext::new(Vec::new());
         assert!(execute_delta(&plan, &db, &HashMap::new(), &ctx).is_none());
-        assert!(delta_edge_indexes(&plan).is_empty());
+        assert_eq!(
+            plan.probe_keys(),
+            plan.index_keys.as_slice(),
+            "no join tree, no edge keys"
+        );
     }
 
     #[test]
     fn delta_edge_indexes_cover_multi_variable_join_keys() {
         // S(x,y,z) child of T(x,y,w): the join key {x,y} needs a cached
-        // two-column index in both directions.
+        // two-column index in both directions — the plan's index keys past
+        // the ones a full execution probes.
         let db = Instance::from_atoms(vec![
             atom!("S", cst "a", cst "b", cst "c"),
             atom!("T", cst "a", cst "b", cst "d"),
@@ -1383,7 +1148,8 @@ mod tests {
         ])
         .unwrap();
         let plan = plan_query(&q, &[], &db, &EngineConfig::default());
-        let edges = delta_edge_indexes(&plan);
+        assert!(plan.probe_keys().is_empty(), "no constants, no probe keys");
+        let edges = &plan.index_keys;
         assert_eq!(edges.len(), 2);
         assert!(edges.contains(&(intern("S"), vec![0, 1])));
         assert!(edges.contains(&(intern("T"), vec![0, 1])));

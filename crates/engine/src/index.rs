@@ -21,10 +21,11 @@
 //! never depends on the owner's diligence.
 //!
 //! Indexes are stored behind [`Arc`] so the concurrent [`crate::Database`]
-//! can hand an executing query a cheap `PlanIndexes` snapshot of exactly
-//! what its plan needs: the executor then runs without touching the cache
-//! (no lock held), while later incremental updates copy-on-write
-//! (`Arc::make_mut`) and leave in-flight snapshots intact.
+//! can hand an executing query a cheap snapshot of exactly what its plan
+//! needs — a vector aligned with the plan's index-key list, so the executor
+//! reaches an index by slot — and the run never touches the cache (no lock
+//! held), while later incremental updates copy-on-write (`Arc::make_mut`)
+//! and leave in-flight snapshots intact.
 
 use sac_common::{FxHashMap, Symbol, Term};
 use sac_storage::{dict, Instance, Relation};
@@ -104,15 +105,14 @@ impl JoinIndex {
     }
 }
 
-/// The indexes one plan execution works from: an immutable snapshot taken
-/// from the [`IndexCache`] right before the run, keyed like the cache.
-pub(crate) type PlanIndexes = HashMap<(Symbol, Vec<usize>), Arc<JoinIndex>>;
+/// What identifies a cached index: the relation and the key columns.
+pub(crate) type IndexKey = (Symbol, Vec<usize>);
 
 /// An epoch-validated cache of [`JoinIndex`]es for one instance.
 #[derive(Debug, Default)]
 pub struct IndexCache {
     epoch: u64,
-    indexes: HashMap<(Symbol, Vec<usize>), Arc<JoinIndex>>,
+    indexes: HashMap<IndexKey, Arc<JoinIndex>>,
     built: usize,
 }
 
@@ -190,24 +190,33 @@ impl IndexCache {
     /// building it from `db` if needed.  Returns `false` when `db` has no
     /// relation for `predicate` (nothing to index).
     pub fn ensure(&mut self, db: &Instance, predicate: Symbol, positions: &[usize]) -> bool {
+        self.ensured(db, predicate, positions).is_some()
+    }
+
+    fn ensured(
+        &mut self,
+        db: &Instance,
+        predicate: Symbol,
+        positions: &[usize],
+    ) -> Option<&Arc<JoinIndex>> {
         self.check_epoch(db);
-        let Some(rel) = db.relation(predicate) else {
-            return false;
-        };
+        let rel = db.relation(predicate)?;
         if positions.iter().any(|p| *p >= rel.arity()) {
-            return false;
+            return None;
         }
-        let key = (predicate, positions.to_vec());
-        if !self.indexes.contains_key(&key) {
-            self.built += 1;
-            bus::emit(|| Event::IndexBuilt {
-                predicate: predicate.to_string(),
-                positions: positions.to_vec(),
+        let built = &mut self.built;
+        let index = self
+            .indexes
+            .entry((predicate, positions.to_vec()))
+            .or_insert_with(|| {
+                *built += 1;
+                bus::emit(|| Event::IndexBuilt {
+                    predicate: predicate.to_string(),
+                    positions: positions.to_vec(),
+                });
+                Arc::new(JoinIndex::build(rel, positions))
             });
-            self.indexes
-                .insert(key, Arc::new(JoinIndex::build(rel, positions)));
-        }
-        true
+        Some(index)
     }
 
     /// The cached index for `(predicate, positions)`, if [`IndexCache::ensure`]
@@ -218,25 +227,20 @@ impl IndexCache {
             .map(|arc| &**arc)
     }
 
-    /// Ensures every index in `needed` and returns an immutable
-    /// [`PlanIndexes`] snapshot over them.  Entries that cannot be built
-    /// (missing relation, out-of-range positions) are simply absent — the
-    /// executor falls back to scans for those.
+    /// Ensures every index in `keys` and returns an immutable snapshot
+    /// aligned with it: slot `i` holds the index for `keys[i]`.  A slot is
+    /// `None` only when the key cannot be built — no relation for the
+    /// predicate, or a key position past its arity — and the executor
+    /// returns before probing in exactly those cases (an atom over a
+    /// missing relation, or one of the wrong arity, matches nothing).
     pub(crate) fn snapshot(
         &mut self,
         db: &Instance,
-        needed: &[(Symbol, Vec<usize>)],
-    ) -> PlanIndexes {
-        let mut out = PlanIndexes::with_capacity(needed.len());
-        for (predicate, positions) in needed {
-            if self.ensure(db, *predicate, positions) {
-                let key = (*predicate, positions.clone());
-                if let Some(arc) = self.indexes.get(&key) {
-                    out.insert(key, Arc::clone(arc));
-                }
-            }
-        }
-        out
+        keys: &[IndexKey],
+    ) -> Vec<Option<Arc<JoinIndex>>> {
+        keys.iter()
+            .map(|(predicate, positions)| self.ensured(db, *predicate, positions).cloned())
+            .collect()
     }
 }
 
@@ -377,13 +381,13 @@ mod tests {
         let mut cache = IndexCache::new(&db);
         let needed = vec![(intern("R"), vec![0usize, 1]), (intern("Missing"), vec![0])];
         let snapshot = cache.snapshot(&db, &needed);
-        assert_eq!(snapshot.len(), 1, "unbuildable entries are absent");
+        assert!(snapshot[1].is_none(), "unbuildable slots stay empty");
         // Extend the cache: the snapshot's Arc forces copy-on-write, so the
         // in-flight view stays pinned at the old rows while the cache serves
         // the new ones.
         assert!(db.insert(atom!("R", cst "z", cst "z")).unwrap());
         cache.note_growth(&db);
-        let old = &snapshot[&(intern("R"), vec![0, 1])];
+        let old = snapshot[0].as_ref().unwrap();
         assert_eq!(old.rows(&[Term::constant("z"), Term::constant("z")]), &[]);
         assert_eq!(old.rows_covered(), 3);
         let new = cache.get(intern("R"), &[0, 1]).unwrap();

@@ -97,14 +97,15 @@
 //!
 //! [`Database::materialize`] turns a query into a standing one: its answer
 //! set is stored and then **maintained** under fact appends instead of
-//! recomputed.  On the direct Yannakakis rung maintenance is incremental —
-//! the storage layer's per-relation delta logs
+//! recomputed.  On both Yannakakis rungs maintenance is incremental — the
+//! storage layer's per-relation delta logs
 //! ([`sac_storage::DeltaCursor`]) name exactly the appended rows, and the
 //! engine pushes them through the view's cached join tree (delta match
 //! sets at the dirty nodes, index-driven restriction along the tree edges,
 //! then the ordinary semijoin sweeps and join-back-up over delta-sized
-//! tables), so a refresh costs O(Δ·fan-out), not O(database).  Witness and
-//! indexed-rung views refresh by recompute.  See [`view`] for the
+//! tables), so a refresh costs O(Δ·fan-out), not O(database).  A
+//! witness-rung view pushes deltas through its pinned witness's join tree;
+//! indexed-rung views have none and refresh by recompute.  See [`view`] for the
 //! maintenance model, [`MaterializedView`] for the handle API
 //! (`snapshot` / `refresh` / `is_fresh`) and the `view_*` counters of
 //! [`EngineMetrics`] for observability.

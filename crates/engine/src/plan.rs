@@ -19,8 +19,24 @@
 //!    step's candidate lookups served by cached multi-column hash indexes.
 //!
 //! Every plan carries an [`Explain`] describing which rung was taken and why.
+//!
+//! ## The plan is the program
+//!
+//! Everything about an execution that depends only on the query is decided
+//! here, once, and cached with the plan: which column of which intermediate
+//! table holds which variable, and which index serves which probe.  A
+//! compiled plan speaks in **column positions** and **index slots**, never in
+//! variable names — per join-tree edge the key columns of both semijoin
+//! sweeps and both delta-walk directions (`EdgeSpec`), per join of the
+//! join-back-up the key and emit columns with the carry projection fused in
+//! (`JoinSpec`), the head projection, the table of nodes that share a
+//! match set, and one `index_keys` list that nodes, edges and search steps
+//! refer to by slot.  The executor resolves no name and hashes no key
+//! description at run time; `IndexCache::snapshot` hands it a vector aligned
+//! with the key list.
 
 use crate::database::EngineConfig;
+use crate::index::IndexKey;
 use sac_acyclic::{join_tree_of_atoms, JoinTree};
 use sac_common::{Atom, Symbol, Term};
 use sac_core::{
@@ -112,6 +128,34 @@ impl NodeShape {
     }
 }
 
+/// One directed join-tree edge `from → to`, compiled to positions: the
+/// columns holding the shared variables in both nodes' match-set tables
+/// (aligned, in `to`'s column order) and how the delta walk reaches `to`'s
+/// relation rows from a `from` tuple.  Semijoining `to`'s table by `from`'s
+/// keeps the tuples whose `to_cols` occur among `from`'s `from_cols`.
+#[derive(Debug, Clone)]
+pub(crate) struct EdgeSpec {
+    pub from_cols: Vec<usize>,
+    pub to_cols: Vec<usize>,
+    /// `to`'s argument positions of the shared variables, ascending — the
+    /// key of the delta walk's row lookup.
+    pub to_positions: Vec<usize>,
+    /// The [`Plan::index_keys`] slot serving that lookup when the key has
+    /// several columns; one column is the relation's own sidecar index.
+    pub index: Option<usize>,
+}
+
+/// One hash join of the join-back-up, compiled to positions.
+#[derive(Debug, Clone)]
+pub(crate) struct JoinSpec {
+    /// The join-key columns of the left and the right operand, aligned
+    /// (both empty: a cross product).
+    pub left_key: Vec<usize>,
+    pub right_key: Vec<usize>,
+    /// The output columns: `(from_right, column)` per emitted position.
+    pub emit: Vec<(bool, usize)>,
+}
+
 /// A compiled Yannakakis plan over an acyclic query (the input or a witness).
 #[derive(Debug, Clone)]
 pub(crate) struct YannakakisPlan {
@@ -123,11 +167,32 @@ pub(crate) struct YannakakisPlan {
     pub order: Vec<usize>,
     /// Children of each node.
     pub children: Vec<Vec<usize>>,
-    /// Per-node atom shapes.
+    /// Per-node atom shapes; a node's match-set table has one column per
+    /// distinct variable, in `shapes[i].vars` order.
     pub shapes: Vec<NodeShape>,
-    /// Variables each node's joined subtree table is projected onto: head
-    /// variables of the subtree plus the join key shared with the parent.
-    pub carry: Vec<Vec<Symbol>>,
+    /// Per node, the index slot serving an atom with several constant
+    /// positions (one constant is served by the relation's sidecar index).
+    pub probe_index: Vec<Option<usize>>,
+    /// Per node, the first node with provably identical match-set tuples:
+    /// same relation and the same structural shape (projection positions,
+    /// repeated-variable checks, constant filters).  Variable *names* may
+    /// differ — the star query's `E(c,l1), E(c,l2), E(c,l3)` shares one scan
+    /// three ways.  A node that leads its class names itself.
+    pub match_leader: Vec<usize>,
+    /// Per non-root node, the edge to its parent and the edge back.
+    pub up: Vec<Option<EdgeSpec>>,
+    pub down: Vec<Option<EdgeSpec>>,
+    /// Per leaf, the columns its table is projected onto before it is joined
+    /// into its parent; `None` when that projection is the identity.
+    pub leaf_cols: Vec<Option<Vec<usize>>>,
+    /// Per node, one join per child (aligned with `children`).  The last one
+    /// emits the node's carry set — its subtree's head variables plus the
+    /// join key with the parent — so the wide intermediate never exists.
+    pub joins: Vec<Vec<JoinSpec>>,
+    /// The joins chaining the second and later roots onto the first.
+    pub root_joins: Vec<JoinSpec>,
+    /// The head's columns in the final joined table (repeats preserved).
+    pub head_cols: Vec<usize>,
 }
 
 /// A compiled fallback plan: fixed atom order + per-step index key columns.
@@ -141,11 +206,14 @@ pub(crate) struct IndexedPlan {
     /// bound when the step runs (constants, plus variables bound by earlier
     /// atoms), ascending — the key columns of the index used for the lookup.
     pub bound_positions: Vec<Vec<usize>>,
+    /// For each step, the index slot serving a lookup on several bound
+    /// positions.
+    pub step_index: Vec<Option<usize>>,
 }
 
 #[derive(Debug, Clone)]
 pub(crate) enum ExecPlan {
-    Yannakakis(YannakakisPlan),
+    Yannakakis(Box<YannakakisPlan>),
     Indexed(IndexedPlan),
 }
 
@@ -155,6 +223,12 @@ pub(crate) enum ExecPlan {
 pub struct Plan {
     pub(crate) exec: ExecPlan,
     pub(crate) explain: Explain,
+    /// The multi-column index behind every probe site of the plan, as
+    /// `(predicate, key positions)`; nodes, edges and steps name their index
+    /// by slot in this list.  The keys a full execution probes come first,
+    /// the join-tree edge keys only the delta walk uses after them.
+    pub(crate) index_keys: Vec<IndexKey>,
+    full_run_keys: usize,
     /// Result column names, resolved once from the *input* query's head at
     /// plan time so runs on a cached plan allocate nothing for them.
     pub(crate) columns: Arc<[String]>,
@@ -175,6 +249,12 @@ impl Plan {
     /// variables, repeats preserved).
     pub fn columns(&self) -> &Arc<[String]> {
         &self.columns
+    }
+
+    /// The index keys a full execution probes: the prefix of
+    /// [`Plan::index_keys`] before the delta walk's edge keys.
+    pub(crate) fn probe_keys(&self) -> &[IndexKey] {
+        &self.index_keys[..self.full_run_keys]
     }
 
     /// The query the executor actually runs: the input query, or its
@@ -258,14 +338,7 @@ pub(crate) fn plan_query(
         return indexed_plan(query, db, input_acyclic, columns);
     }
     if let Some(tree) = input_tree {
-        return yannakakis_plan(
-            query.clone(),
-            tree,
-            Strategy::YannakakisDirect,
-            None,
-            db,
-            columns,
-        );
+        return yannakakis_plan(query.clone(), tree, None, db, columns);
     }
 
     let witness = if tgds.is_empty() {
@@ -282,24 +355,74 @@ pub(crate) fn plan_query(
     };
     if let Some(w) = witness {
         if let Some(tree) = join_tree_of_atoms(&w.body) {
-            return yannakakis_plan(
-                w.clone(),
-                tree,
-                Strategy::YannakakisWitness,
-                Some(w),
-                db,
-                columns,
-            );
+            return yannakakis_plan(w.clone(), tree, Some(w), db, columns);
         }
     }
 
     indexed_plan(query, db, input_acyclic, columns)
 }
 
+/// The column of `v` — of each of `vars` — in a table laid out as `layout`.
+fn column_of(layout: &[Symbol], v: &Symbol) -> usize {
+    let column = layout.iter().position(|u| u == v);
+    column.expect("variable present in the table layout")
+}
+
+fn columns_of(layout: &[Symbol], vars: &[Symbol]) -> Vec<usize> {
+    vars.iter().map(|v| column_of(layout, v)).collect()
+}
+
+/// The columns of the variables two layouts share — `(in a, in b)`, aligned,
+/// in `b`'s column order.
+fn shared_cols(a: &[Symbol], b: &[Symbol]) -> (Vec<usize>, Vec<usize>) {
+    (0..b.len())
+        .filter_map(|j| a.iter().position(|v| *v == b[j]).map(|i| (i, j)))
+        .unzip()
+}
+
+/// A new slot in `keys` for a probe of `predicate` on `positions`.  `None`
+/// for keys of fewer than two columns, which the storage layer's sidecar
+/// indexes serve with no cache entry.  Every probing site gets a slot of its
+/// own: sites with equal keys share the cached index, not the slot, so the
+/// number of keys is the number of index-served probe sites a trace reports.
+fn index_slot(keys: &mut Vec<IndexKey>, predicate: Symbol, positions: &[usize]) -> Option<usize> {
+    (positions.len() > 1).then(|| {
+        keys.push((predicate, positions.to_vec()));
+        keys.len() - 1
+    })
+}
+
+/// Compiles the hash join of a table laid out as `left` with one laid out
+/// as `right`, and rewrites `left` to the output layout: `keep` when given
+/// (the projection is fused into the emit), otherwise `left` followed by
+/// `right`'s other variables.
+fn join_spec(left: &mut Vec<Symbol>, right: &[Symbol], keep: Option<&[Symbol]>) -> JoinSpec {
+    let (left_key, right_key) = shared_cols(left, right);
+    let rest = right.iter().filter(|v| !left.contains(v));
+    let out: Vec<Symbol> = match keep {
+        Some(keep) => keep.to_vec(),
+        None => left.iter().chain(rest).copied().collect(),
+    };
+    let emit = out
+        .iter()
+        .map(|v| match left.iter().position(|u| u == v) {
+            Some(column) => (false, column),
+            None => (true, column_of(right, v)),
+        })
+        .collect();
+    *left = out;
+    JoinSpec {
+        left_key,
+        right_key,
+        emit,
+    }
+}
+
+/// Compiles the Yannakakis plan of `exec_query` over its join tree: the
+/// input query on the direct rung, `witness` itself on the witness rung.
 fn yannakakis_plan(
     exec_query: ConjunctiveQuery,
     tree: JoinTree,
-    strategy: Strategy,
     witness: Option<ConjunctiveQuery>,
     db: &Instance,
     columns: Arc<[String]>,
@@ -307,70 +430,124 @@ fn yannakakis_plan(
     let n = tree.len();
     let children: Vec<Vec<usize>> = (0..n).map(|i| tree.children(i)).collect();
     let order = preorder(&tree, &children);
-    let shapes: Vec<NodeShape> = exec_query.body.iter().map(NodeShape::of_atom).collect();
+    let (head, body) = (&exec_query.head, &exec_query.body);
+    let shapes: Vec<NodeShape> = body.iter().map(NodeShape::of_atom).collect();
 
-    // subtree_head[n] = head variables occurring anywhere in n's subtree.
-    let head_set: BTreeSet<Symbol> = exec_query.head.iter().copied().collect();
-    let mut subtree_head: Vec<BTreeSet<Symbol>> = shapes
-        .iter()
-        .map(|s| {
-            s.vars
-                .iter()
-                .copied()
-                .filter(|v| head_set.contains(v))
-                .collect()
+    // carry[n]: what n's joined subtree table keeps — the head variables of
+    // its subtree plus the join key with the parent (variables shared with
+    // the parent atom).  Own variables first, then the children's head
+    // variables bottom-up.
+    let mut carry: Vec<BTreeSet<Symbol>> = (0..n)
+        .map(|node| {
+            let parent_vars = tree.parent[node].map_or(&[][..], |p| &shapes[p].vars);
+            let kept = |v: &&Symbol| head.contains(v) || parent_vars.contains(v);
+            shapes[node].vars.iter().filter(kept).copied().collect()
         })
         .collect();
     for &node in order.iter().rev() {
         if let Some(parent) = tree.parent[node] {
-            let up = subtree_head[node].clone();
-            subtree_head[parent].extend(up);
+            let up = carry[node].iter().copied().filter(|v| head.contains(v));
+            let up: Vec<Symbol> = up.collect();
+            carry[parent].extend(up);
         }
     }
-    // carry[n]: what n's joined subtree table keeps — its head variables plus
-    // the join key with the parent (variables shared with the parent atom).
-    let carry: Vec<Vec<Symbol>> = (0..n)
-        .map(|node| {
-            let mut keep = subtree_head[node].clone();
-            if let Some(parent) = tree.parent[node] {
-                let parent_vars: BTreeSet<Symbol> = shapes[parent].vars.iter().copied().collect();
-                keep.extend(
-                    shapes[node]
-                        .vars
-                        .iter()
-                        .copied()
-                        .filter(|v| parent_vars.contains(v)),
-                );
-            }
-            keep.into_iter().collect()
+    let carry: Vec<Vec<Symbol>> = carry.into_iter().map(Vec::from_iter).collect();
+
+    // Index slots: the constant probes of phase 1 first (all a full
+    // execution needs), then the edge keys only the delta walk uses.
+    let mut index_keys = Vec::new();
+    let probe_index: Vec<Option<usize>> = (0..n)
+        .map(|i| {
+            index_slot(
+                &mut index_keys,
+                body[i].predicate,
+                &shapes[i].const_positions,
+            )
         })
         .collect();
+    let full_run_keys = index_keys.len();
+    let mut edge = |from: usize, to: usize| {
+        let (from_cols, to_cols) = shared_cols(&shapes[from].vars, &shapes[to].vars);
+        let to_positions: Vec<usize> = to_cols.iter().map(|c| shapes[to].var_first[*c]).collect();
+        EdgeSpec {
+            index: index_slot(&mut index_keys, body[to].predicate, &to_positions),
+            from_cols,
+            to_cols,
+            to_positions,
+        }
+    };
+    let down = (0..n).map(|c| tree.parent[c].map(|p| edge(p, c))).collect();
+    let up = (0..n).map(|c| tree.parent[c].map(|p| edge(c, p))).collect();
+    let class = |i: usize| {
+        let s = &shapes[i];
+        let filters = (&s.eq_checks, &s.const_positions, &s.const_key);
+        (body[i].predicate, &s.var_first, filters)
+    };
+    let match_leader = (0..n)
+        .map(|i| (0..i).find(|&j| class(j) == class(i)).unwrap_or(i))
+        .collect();
+
+    // The join-back-up, bottom-up: `layout[node]` is the variable layout of
+    // the node's table, rewritten by each join below it.
+    let mut layout: Vec<Vec<Symbol>> = shapes.iter().map(|s| s.vars.clone()).collect();
+    let mut leaf_cols = vec![None; n];
+    let mut joins: Vec<Vec<JoinSpec>> = vec![Vec::new(); n];
+    for &node in order.iter().rev() {
+        let kids = &children[node];
+        if kids.is_empty() && carry[node] != layout[node] {
+            leaf_cols[node] = Some(columns_of(&layout[node], &carry[node]));
+            layout[node] = carry[node].clone();
+        }
+        for (i, &child) in kids.iter().enumerate() {
+            let keep = (i + 1 == kids.len()).then_some(carry[node].as_slice());
+            let right = std::mem::take(&mut layout[child]);
+            joins[node].push(join_spec(&mut layout[node], &right, keep));
+        }
+    }
+    let mut roots = tree.roots().into_iter();
+    let mut joined = roots.next().map_or(Vec::new(), |r| layout[r].clone());
+    let root_joins = roots
+        .map(|r| join_spec(&mut joined, &layout[r], None))
+        .collect();
+    let head_cols = columns_of(&joined, head);
 
     // Yannakakis touches every relation a constant number of times.
-    let estimated_cost: f64 = exec_query
-        .body
+    let estimated_cost: f64 = body
         .iter()
         .map(|a| db.relation(a.predicate).map(|r| r.len()).unwrap_or(0) as f64)
         .sum();
 
+    let strategy = match witness {
+        Some(_) => Strategy::YannakakisWitness,
+        None => Strategy::YannakakisDirect,
+    };
     let explain = Explain {
         strategy,
-        input_acyclic: strategy == Strategy::YannakakisDirect,
+        input_acyclic: witness.is_none(),
         witness,
         atom_order: order.clone(),
         estimated_cost,
         planned_epoch: db.epoch(),
     };
     Plan {
-        exec: ExecPlan::Yannakakis(YannakakisPlan {
+        exec: ExecPlan::Yannakakis(Box::new(YannakakisPlan {
             query: exec_query,
             tree,
             order,
             children,
             shapes,
-            carry,
-        }),
+            probe_index,
+            match_leader,
+            up,
+            down,
+            leaf_cols,
+            joins,
+            root_joins,
+            head_cols,
+        })),
         explain,
+        index_keys,
+        full_run_keys,
         columns,
     }
 }
@@ -456,6 +633,12 @@ fn indexed_plan(
         bound_vars.extend(query.body[atom_idx].variables_iter());
     }
 
+    let mut index_keys = Vec::new();
+    let step_index = order
+        .iter()
+        .zip(&bound_positions)
+        .map(|(&atom_idx, bp)| index_slot(&mut index_keys, query.body[atom_idx].predicate, bp))
+        .collect();
     let explain = Explain {
         strategy: Strategy::IndexedSearch,
         input_acyclic,
@@ -469,8 +652,11 @@ fn indexed_plan(
             query: query.clone(),
             order,
             bound_positions,
+            step_index,
         }),
         explain,
+        full_run_keys: index_keys.len(),
+        index_keys,
         columns,
     }
 }
@@ -616,6 +802,258 @@ mod tests {
             plan.explain().input_acyclic,
             "the explain still reports the true shape"
         );
+    }
+
+    /// Where variable `v` first occurs in `atom`, found the slow way.
+    fn first_occurrence(atom: &Atom, v: Symbol) -> usize {
+        let at = atom.args.iter().position(|t| *t == Term::Variable(v));
+        at.expect("variable occurs in the atom")
+    }
+
+    /// An index slot must name exactly `(predicate, positions)` when the key
+    /// has several columns, and must be absent otherwise.
+    fn check_slot(plan: &Plan, slot: Option<usize>, predicate: Symbol, positions: &[usize]) {
+        match slot {
+            None => assert!(positions.len() < 2),
+            Some(slot) => assert_eq!(plan.index_keys[slot], (predicate, positions.to_vec())),
+        }
+    }
+
+    /// Checks every compiled position of a Yannakakis plan by running the
+    /// plan over variable *names* instead of codes — a node's table is the
+    /// row of its variables — and comparing with definitions spelled out by
+    /// name lookup.
+    fn check_yannakakis_positions(plan: &Plan, yp: &YannakakisPlan) {
+        let n = yp.tree.len();
+        let body = &yp.query.body;
+        let vars = |i: usize| -> Vec<Symbol> {
+            let mut seen = Vec::new();
+            for v in body[i].variables_iter() {
+                if !seen.contains(&v) {
+                    seen.push(v);
+                }
+            }
+            seen
+        };
+        let named = |layout: &[Symbol], cols: &[usize]| -> Vec<Symbol> {
+            cols.iter().map(|c| layout[*c]).collect()
+        };
+        let set = |layout: &[Symbol]| -> BTreeSet<Symbol> { layout.iter().copied().collect() };
+
+        // Phase 1: probe slots and match-set classes.
+        for i in 0..n {
+            let consts: Vec<usize> = (0..body[i].arity())
+                .filter(|p| !body[i].args[*p].is_variable())
+                .collect();
+            check_slot(plan, yp.probe_index[i], body[i].predicate, &consts);
+            assert!(yp.probe_index[i].is_none_or(|slot| slot < plan.probe_keys().len()));
+            // Two atoms have the same match set iff they are equal up to
+            // renaming variables by order of first occurrence.
+            let canonical = |j: usize| {
+                body[j].map_args(|t| match t {
+                    Term::Variable(v) => {
+                        let k = vars(j).iter().position(|u| *u == v).unwrap();
+                        Term::variable(&format!("v{k}"))
+                    }
+                    rigid => rigid,
+                })
+            };
+            let leader = (0..=i).find(|j| canonical(*j) == canonical(i)).unwrap();
+            assert_eq!(yp.match_leader[i], leader, "leader of {}", body[i]);
+        }
+
+        // Phase 2 and the delta walk: both directions of every edge.
+        for child in 0..n {
+            let Some(parent) = yp.tree.parent[child] else {
+                assert!(yp.up[child].is_none() && yp.down[child].is_none());
+                continue;
+            };
+            for (edge, from, to) in [
+                (&yp.up[child], child, parent),
+                (&yp.down[child], parent, child),
+            ] {
+                let edge = edge.as_ref().expect("non-root nodes have both edges");
+                let shared = named(&vars(to), &edge.to_cols);
+                assert_eq!(named(&vars(from), &edge.from_cols), shared, "aligned");
+                assert_eq!(shared.len(), set(&shared).len(), "no column twice");
+                let both: BTreeSet<Symbol> = set(&vars(from))
+                    .intersection(&set(&vars(to)))
+                    .copied()
+                    .collect();
+                assert_eq!(set(&shared), both, "exactly the shared variables");
+                let positions: Vec<usize> = shared
+                    .iter()
+                    .map(|v| first_occurrence(&body[to], *v))
+                    .collect();
+                assert_eq!(edge.to_positions, positions);
+                assert!(positions.windows(2).all(|w| w[0] < w[1]), "ascending key");
+                check_slot(plan, edge.index, body[to].predicate, &positions);
+            }
+        }
+
+        // Phase 3: carry sets by definition, then the joins over name rows.
+        let in_subtree = |node: usize, mut other: usize| loop {
+            if other == node {
+                break true;
+            }
+            match yp.tree.parent[other] {
+                Some(up) => other = up,
+                None => break false,
+            }
+        };
+        let carry = |node: usize| -> Vec<Symbol> {
+            let mut keep = BTreeSet::new();
+            for other in (0..n).filter(|o| in_subtree(node, *o)) {
+                keep.extend(
+                    vars(other)
+                        .into_iter()
+                        .filter(|v| yp.query.head.contains(v)),
+                );
+            }
+            if let Some(parent) = yp.tree.parent[node] {
+                keep.extend(vars(node).into_iter().filter(|v| vars(parent).contains(v)));
+            }
+            keep.into_iter().collect()
+        };
+        let join = |left: &[Symbol], right: &[Symbol], spec: &JoinSpec| -> Vec<Symbol> {
+            let key = named(left, &spec.left_key);
+            assert_eq!(key, named(right, &spec.right_key), "aligned join key");
+            assert_eq!(key.len(), set(&key).len());
+            let both: BTreeSet<Symbol> = set(left).intersection(&set(right)).copied().collect();
+            assert_eq!(set(&key), both, "the key is every shared variable");
+            let emit = spec.emit.iter();
+            emit.map(|&(from_right, c)| if from_right { right[c] } else { left[c] })
+                .collect()
+        };
+        let unprojected = |left: &[Symbol], right: &[Symbol]| -> Vec<Symbol> {
+            let rest = right.iter().filter(|v| !left.contains(v));
+            left.iter().chain(rest).copied().collect()
+        };
+        let mut rows: Vec<Vec<Symbol>> = (0..n).map(vars).collect();
+        for &node in yp.order.iter().rev() {
+            let kids = &yp.children[node];
+            assert_eq!(yp.joins[node].len(), kids.len());
+            let mut row = rows[node].clone();
+            match &yp.leaf_cols[node] {
+                Some(cols) => {
+                    assert!(kids.is_empty() && carry(node) != row, "a real projection");
+                    row = named(&row, cols);
+                }
+                None => assert!(!kids.is_empty() || carry(node) == row),
+            }
+            for (i, (&child, spec)) in kids.iter().zip(&yp.joins[node]).enumerate() {
+                let out = join(&row, &rows[child], spec);
+                if i + 1 < kids.len() {
+                    assert_eq!(out, unprojected(&row, &rows[child]));
+                }
+                row = out;
+            }
+            assert_eq!(
+                row,
+                carry(node),
+                "subtree of {} emits its carry",
+                body[node]
+            );
+            rows[node] = row;
+        }
+        let roots = yp.tree.roots();
+        assert_eq!(yp.root_joins.len(), roots.len().saturating_sub(1));
+        let mut acc = roots.first().map_or(Vec::new(), |r| rows[*r].clone());
+        for (root, spec) in roots.iter().skip(1).zip(&yp.root_joins) {
+            let out = join(&acc, &rows[*root], spec);
+            assert_eq!(out, unprojected(&acc, &rows[*root]));
+            acc = out;
+        }
+        assert_eq!(named(&acc, &yp.head_cols), yp.query.head, "head projection");
+    }
+
+    /// The fallback's slots: a step's key is its bound positions, brute
+    /// force — constants, and variables of atoms earlier in the order.
+    fn check_indexed_positions(plan: &Plan, ip: &IndexedPlan) {
+        assert_eq!(plan.probe_keys(), plan.index_keys.as_slice());
+        let mut bound: BTreeSet<Symbol> = BTreeSet::new();
+        for (step, &atom_idx) in ip.order.iter().enumerate() {
+            let atom = &ip.query.body[atom_idx];
+            let positions: Vec<usize> = (0..atom.arity())
+                .filter(|p| {
+                    atom.args[*p]
+                        .as_variable()
+                        .is_none_or(|v| bound.contains(&v))
+                })
+                .collect();
+            assert_eq!(ip.bound_positions[step], positions);
+            check_slot(plan, ip.step_index[step], atom.predicate, &positions);
+            bound.extend(atom.variables_iter());
+        }
+    }
+
+    #[test]
+    fn compiled_positions_agree_with_brute_force_name_lookup() {
+        let with_head = |head: &[&str], body: Vec<Atom>| {
+            ConjunctiveQuery::new(head.iter().map(|v| intern(v)).collect(), body).unwrap()
+        };
+        let graph = sac_gen::random_graph_database(8, 20, 3);
+        let music = sac_gen::music_database(5, 10, 2);
+        let collector = vec![sac_gen::collector_tgd()];
+        let mut cases: Vec<(ConjunctiveQuery, &[Tgd], &Instance)> = Vec::new();
+        for k in 1..=5 {
+            cases.push((sac_gen::path_query(k), &[], &graph));
+            cases.push((sac_gen::star_query(k), &[], &graph));
+            // Non-Boolean readings of the same bodies: the carry sets and
+            // the head projection only matter with a head.
+            let path = sac_gen::path_query(k).body;
+            cases.push((
+                with_head(&["x0", &format!("x{k}")], path.clone()),
+                &[],
+                &graph,
+            ));
+            cases.push((
+                with_head(&[&format!("x{k}"), "x0", "x0"], path),
+                &[],
+                &graph,
+            ));
+            let star = sac_gen::star_query(k).body;
+            cases.push((with_head(&["c"], star.clone()), &[], &graph));
+            cases.push((with_head(&["l0", "c"], star), &[], &graph));
+        }
+        for k in 3..=5 {
+            cases.push((sac_gen::cycle_query(k), &[], &graph));
+        }
+        cases.push((sac_gen::clique_query(3), &[], &graph));
+        cases.push((sac_gen::clique_query(4), &[], &graph));
+        cases.push((sac_gen::looped_triangle_query(), &[], &graph));
+        cases.push((sac_gen::example1_triangle(), &collector, &music));
+        cases.push((sac_gen::example1_triangle(), &[], &music));
+        // Multi-column join keys, constants, repeats, and a second root.
+        cases.push((
+            with_head(
+                &["w", "x", "u"],
+                vec![
+                    atom!("S", var "x", var "y", var "z"),
+                    atom!("T", var "y", cst "a", var "x", cst "b", var "w"),
+                    atom!("T", var "y", cst "a", var "x", cst "b", var "w2"),
+                    atom!("R", var "z", var "z"),
+                    atom!("A", var "u"),
+                ],
+            ),
+            &[],
+            &graph,
+        ));
+        let (mut yannakakis, mut indexed) = (0, 0);
+        for (q, tgds, db) in cases {
+            let plan = plan_query(&q, tgds, db, &config());
+            match &plan.exec {
+                ExecPlan::Yannakakis(yp) => {
+                    check_yannakakis_positions(&plan, yp);
+                    yannakakis += 1;
+                }
+                ExecPlan::Indexed(ip) => {
+                    check_indexed_positions(&plan, ip);
+                    indexed += 1;
+                }
+            }
+        }
+        assert!(yannakakis >= 30 && indexed >= 5, "both rungs were checked");
     }
 
     #[test]

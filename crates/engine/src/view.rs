@@ -12,12 +12,15 @@
 //! Conjunctive queries are monotone, so appends only ever **add** answers
 //! and the maintained set is exactly the from-scratch answer set.
 //!
-//! The incremental path applies to plans on the
-//! [`Strategy::YannakakisDirect`] rung (the view's join tree is the
-//! query's own).  Witness-rung and
-//! indexed-rung plans refresh by full recompute — correct on every rung,
-//! just not delta-proportional; [`ViewRefresh::mode`] reports which path
-//! ran, and the view counters in [`crate::EngineMetrics`] aggregate them.
+//! The incremental path applies to every plan that has a join tree: the
+//! query's own on the [`Strategy::YannakakisDirect`] rung, the pinned
+//! acyclic witness's on the [`Strategy::YannakakisWitness`] rung (the
+//! witness is itself a monotone conjunctive query, so its answers over the
+//! old facts united with what the delta adds are its answers over the new
+//! facts — exactly what a recompute of the witness returns).  Indexed-rung
+//! plans have no join tree and refresh by full recompute — correct, just
+//! not delta-proportional; [`ViewRefresh::mode`] reports which path ran,
+//! and the view counters in [`crate::EngineMetrics`] aggregate them.
 //!
 //! Freshness is observable and maintenance is optional per view:
 //! with [`ViewOptions::auto_refresh`] (the default) every append catches
@@ -45,7 +48,6 @@
 //! ```
 
 use crate::database::Database;
-use crate::exec;
 use crate::plan::{Explain, Plan, Strategy};
 use crate::result::ResultSet;
 use sac_common::{Symbol, Term};
@@ -65,20 +67,11 @@ pub struct ViewOptions {
     /// [`MaterializedView::refresh`] runs; snapshots serve the last
     /// materialized state.  Default: on.
     pub auto_refresh: bool,
-    /// Incremental maintenance stops paying off when the delta stops being
-    /// small: past this fraction of the view's relevant relations' total
-    /// rows, a refresh recomputes from scratch instead of pushing the delta
-    /// (the recompute also resets the delta-proportional bound for the next
-    /// refresh).  Default: 0.5.
-    pub max_incremental_fraction: f64,
 }
 
 impl Default for ViewOptions {
     fn default() -> ViewOptions {
-        ViewOptions {
-            auto_refresh: true,
-            max_incremental_fraction: 0.5,
-        }
+        ViewOptions { auto_refresh: true }
     }
 }
 
@@ -93,9 +86,10 @@ pub enum RefreshMode {
     /// The delta was pushed through the cached join tree (the
     /// delta-proportional path).
     Incremental,
-    /// The answer set was recomputed from scratch (initial materialization,
-    /// witness/indexed-rung plans, or a delta past
-    /// [`ViewOptions::max_incremental_fraction`]).
+    /// The answer set was recomputed from scratch: the initial
+    /// materialization, an indexed-rung plan (no join tree to push a delta
+    /// through), or a delta of more than half the rows of the relations the
+    /// view reads.
     Full,
 }
 
@@ -171,9 +165,6 @@ pub(crate) struct ViewCore {
     /// pinned, so this is an invariant — computed once here rather than on
     /// every append.
     pub(crate) relevant: BTreeSet<Symbol>,
-    /// The index snapshot the incremental path needs: the plan's own probe
-    /// indexes plus the join-tree edge indexes.  Also a plan invariant.
-    pub(crate) incremental_indexes: Vec<(Symbol, Vec<usize>)>,
     state: Mutex<ViewState>,
 }
 
@@ -185,16 +176,11 @@ impl ViewCore {
             .iter()
             .map(|atom| atom.predicate)
             .collect();
-        let incremental_indexes = exec::required_indexes(&plan)
-            .into_iter()
-            .chain(exec::delta_edge_indexes(&plan))
-            .collect();
         ViewCore {
             query: Arc::new(query),
             plan,
             options,
             relevant,
-            incremental_indexes,
             state: Mutex::new(ViewState {
                 cursor: None,
                 answers: Arc::new(BTreeSet::new()),
@@ -247,8 +233,9 @@ impl<'db> MaterializedView<'db> {
     }
 
     /// Brings the view up to date with the database and reports what that
-    /// took: a no-op when fresh, a delta push on the direct Yannakakis
-    /// rung, a recompute otherwise.
+    /// took: a no-op when fresh, a delta push when the pinned plan has a join
+    /// tree (both Yannakakis rungs) and the delta is small, a recompute
+    /// otherwise.
     pub fn refresh(&self) -> ViewRefresh {
         self.database.view_refresh(&self.core)
     }
@@ -289,7 +276,7 @@ impl<'db> MaterializedView<'db> {
     }
 
     /// The strategy of the pinned plan (incremental maintenance applies on
-    /// [`Strategy::YannakakisDirect`]).
+    /// both Yannakakis rungs; [`Strategy::IndexedSearch`] views recompute).
     pub fn strategy(&self) -> Strategy {
         self.core.plan.strategy()
     }
@@ -351,7 +338,6 @@ mod tests {
                 "q(X, Z) :- E(X, Y), E(Y, Z).",
                 ViewOptions {
                     auto_refresh: false,
-                    ..ViewOptions::default()
                 },
             )
             .unwrap();
@@ -381,7 +367,6 @@ mod tests {
                 "q(X, Z) :- E(X, Y), E(Y, Z).",
                 ViewOptions {
                     auto_refresh: false,
-                    ..ViewOptions::default()
                 },
             )
             .unwrap();
@@ -399,13 +384,15 @@ mod tests {
 
     #[test]
     fn non_direct_rungs_refresh_by_full_recompute() {
-        // Witness rung: the looped triangle's core is the single loop atom.
+        // Witness rung: the looped triangle's core is the single loop atom,
+        // whose join tree takes deltas like any other.
         let db = Database::from_facts("E(a, b). E(b, a).").unwrap();
         let view = db.materialize(sac_gen::looped_triangle_query()).unwrap();
         assert_eq!(view.strategy(), Strategy::YannakakisWitness);
         assert!(!view.is_true());
         db.load_facts("E(z, z).").unwrap();
         assert!(view.is_true());
+        assert_eq!(db.metrics().view_refreshes_incremental, 1);
         // Indexed rung via the forced-fallback knob.
         let forced = Database::from_facts("E(a, b). E(b, c).")
             .unwrap()
@@ -430,15 +417,19 @@ mod tests {
                 "q(X, Z) :- E(X, Y), E(Y, Z).",
                 ViewOptions {
                     auto_refresh: false,
-                    max_incremental_fraction: 0.25,
                 },
             )
             .unwrap();
-        // Quadruple the relation: 3 delta rows of 4 total is over the gate.
-        db.load_facts("E(b, c). E(c, d). E(d, e).").unwrap();
+        // One more row is exactly half of the two there are now: under the
+        // gate.
+        db.load_facts("E(b, c).").unwrap();
+        assert_eq!(view.refresh().mode, RefreshMode::Incremental);
+        // Tripling the relation is not: 4 delta rows of 6 are over it.
+        db.load_facts("E(c, d). E(d, e). E(e, f). E(f, g).")
+            .unwrap();
         let report = view.refresh();
         assert_eq!(report.mode, RefreshMode::Full);
-        assert_eq!(report.delta_rows, 3);
+        assert_eq!(report.delta_rows, 4);
         assert_eq!(
             view.snapshot().into_tuples(),
             evaluate(view.query(), &db.snapshot())

@@ -2,13 +2,15 @@
 //! sequence, an incrementally maintained view must always equal a
 //! from-scratch evaluation of its query — for auto-refresh and lazy views,
 //! Boolean and non-Boolean heads, and every strategy rung the generated
-//! queries reach.
+//! queries reach.  A second property pins the witness rung's policy: a view
+//! whose plan is an acyclic witness takes deltas through the witness's join
+//! tree, and stays equal to a recompute.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sac_common::{intern, Atom, Term};
-use sac_engine::{Database, ViewOptions};
+use sac_engine::{Database, RefreshMode, Strategy, ViewOptions};
 use sac_query::{evaluate, ConjunctiveQuery};
 use sac_storage::Instance;
 
@@ -20,7 +22,7 @@ fn view_queries() -> Vec<ConjunctiveQuery> {
     vec![
         sac_gen::path_query(2),           // Boolean, direct rung
         sac_gen::star_query(3),           // Boolean, shared hub
-        sac_gen::looped_triangle_query(), // witness rung (full refresh)
+        sac_gen::looped_triangle_query(), // witness rung, Boolean
         sac_gen::clique_query(3),         // indexed rung (full refresh)
         ConjunctiveQuery::new(
             vec![intern("x0"), intern("x2")],
@@ -53,7 +55,6 @@ fn check_sequence(
     let db = Database::from_instance(reference.clone());
     let options = ViewOptions {
         auto_refresh: !lazy,
-        ..ViewOptions::default()
     };
     let queries = view_queries();
     let views: Vec<_> = queries
@@ -82,8 +83,50 @@ fn check_sequence(
     Ok(())
 }
 
+/// Example 1's triangle under the collector tgd, maintained lazily while
+/// whole customers arrive (an interest plus every record the tgd makes them
+/// own, so the database is constraint-closed at every refresh — the witness
+/// rung's contract).  The plan has a join tree, the witness's, so every
+/// batch must go through it.
+fn check_witness_sequence(
+    customers: usize,
+    records: usize,
+    styles: usize,
+    batches: usize,
+) -> Result<(), TestCaseError> {
+    let mut reference = sac_gen::music_database(customers, records, styles);
+    let db = Database::from_instance(reference.clone()).with_tgds(vec![sac_gen::collector_tgd()]);
+    let options = ViewOptions {
+        auto_refresh: false,
+    };
+    let query = sac_gen::example1_triangle();
+    let view = db.materialize_with(&query, options).unwrap();
+    prop_assert_eq!(view.strategy(), Strategy::YannakakisWitness);
+    for batch in 1..=batches {
+        let grown = sac_gen::music_database(customers + batch, records, styles);
+        for atom in grown.atoms().filter(|a| !reference.contains(a)) {
+            db.insert(atom).unwrap();
+        }
+        reference = grown;
+        prop_assert_eq!(view.refresh().mode, RefreshMode::Incremental);
+        prop_assert_eq!(view.snapshot(), db.run(&query)); // maintained vs recomputed
+        prop_assert_eq!(view.snapshot().into_tuples(), evaluate(&query, &reference));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn witness_rung_views_push_deltas_and_equal_the_recompute(
+        customers in 2usize..10,
+        records in 2usize..14,
+        styles in 1usize..4,
+        batches in 1usize..5,
+    ) {
+        check_witness_sequence(customers, records, styles, batches)?;
+    }
 
     #[test]
     fn maintained_views_always_equal_from_scratch_evaluation(

@@ -11,7 +11,9 @@ use sac_storage::Instance;
 /// it satisfies the constraint by construction.
 ///
 /// Interests and record classifications are assigned round-robin, which makes
-/// the answer counts predictable for the tests and the E1/E8 experiments.
+/// the answer counts predictable for the tests and for the `serve_semac`
+/// benchmark workload (rows e1 and e8 of EXPERIMENTS.md, "e1–e10: the
+/// paper's examples").
 pub fn music_database(customers: usize, records: usize, styles: usize) -> Instance {
     let styles = styles.max(1);
     let mut inst = Instance::new();
@@ -77,8 +79,8 @@ pub fn random_graph_database(nodes: usize, edges: usize, seed: u64) -> Instance 
 /// The batches are what a streaming ingestion pipeline delivers: every
 /// atom is new with respect to the base *and* to every earlier batch, so
 /// replaying them against the base reproduces one deterministic growth
-/// history — exactly the shape the engine's materialized views and the E14
-/// experiment maintain over.  Batches can come up short only when the
+/// history — exactly the shape the engine's materialized views maintain
+/// over (EXPERIMENTS.md, "e14 view maintenance").  Batches can come up short only when the
 /// `nodes²` edge space is nearly exhausted; size `nodes` generously.
 pub fn streaming_graph_workload(
     nodes: usize,
@@ -113,8 +115,9 @@ pub fn streaming_graph_workload(
 }
 
 /// A star-schema database: a `Fact(id, dim1, dim2)` table with two dimension
-/// tables `Dim1(d1, attr)` and `Dim2(d2, attr)` — the shape used by the
-/// evaluation-scaling experiment E8.
+/// tables `Dim1(d1, attr)` and `Dim2(d2, attr)` — a shape for
+/// evaluation-scaling sweeps (row e8 of EXPERIMENTS.md, "e1–e10: the paper's
+/// examples").
 pub fn star_schema_database(facts: usize, dim1: usize, dim2: usize, seed: u64) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed);
     let dim1 = dim1.max(1);

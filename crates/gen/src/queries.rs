@@ -114,7 +114,8 @@ pub fn example4_query() -> ConjunctiveQuery {
 /// is largely graphical in the paper; this family reproduces its point — an
 /// acyclic query whose chase under keys over ≥3-ary predicates is cyclic,
 /// with the amount of cyclic structure growing with `n` — in a form that can
-/// be swept by the E6 experiment.
+/// be swept over `n` (row e6 of EXPERIMENTS.md, "e1–e10: the paper's
+/// examples").
 pub fn key_ring_query(n: usize) -> ConjunctiveQuery {
     assert!(n >= 2, "the ring construction needs n ≥ 2");
     let y = |i: usize| var(format!("y{i}"));

@@ -49,11 +49,6 @@ impl GaifmanGraph {
         self.adjacency.entry(b).or_default().insert(a);
     }
 
-    /// Adds an isolated node.
-    pub fn add_node(&mut self, a: Symbol) {
-        self.adjacency.entry(a).or_default();
-    }
-
     /// The nodes of the graph.
     pub fn nodes(&self) -> impl Iterator<Item = Symbol> + '_ {
         self.adjacency.keys().copied()

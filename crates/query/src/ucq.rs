@@ -62,7 +62,8 @@ impl UnionOfConjunctiveQueries {
 
     /// The *height* of the UCQ: the maximal size (number of atoms) of a
     /// disjunct.  This is the quantity `f_C(q, Σ)` bounds in Section 5 and
-    /// the quantity measured by experiment E5 (Example 3).
+    /// the one Example 3 grows to 2ⁿ (row e5 of EXPERIMENTS.md, "e1–e10:
+    /// the paper's examples").
     pub fn height(&self) -> usize {
         self.disjuncts.iter().map(|q| q.size()).max().unwrap_or(0)
     }

@@ -40,7 +40,8 @@ pub struct UcqRewriting {
 
 impl UcqRewriting {
     /// The height of the rewriting (maximal disjunct size), the quantity
-    /// `f_C(q, Σ)` of Section 5 measured by experiment E5.
+    /// `f_C(q, Σ)` of Section 5 (row e5 of EXPERIMENTS.md, "e1–e10: the
+    /// paper's examples"; `rewrite.xrewrite_ms` times it).
     pub fn height(&self) -> usize {
         self.ucq.height()
     }

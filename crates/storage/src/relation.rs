@@ -117,7 +117,7 @@ impl Relation {
     /// # Panics
     ///
     /// Panics if the row's length differs from the relation's arity.
-    pub fn insert_codes(&mut self, codes: &[u32]) -> bool {
+    pub(crate) fn insert_codes(&mut self, codes: &[u32]) -> bool {
         assert_eq!(
             codes.len(),
             self.arity,
@@ -166,7 +166,7 @@ impl Relation {
     }
 
     /// O(1) membership test on an already-encoded row.
-    pub fn contains_codes(&self, codes: &[u32]) -> bool {
+    pub(crate) fn contains_codes(&self, codes: &[u32]) -> bool {
         if codes.len() != self.arity {
             return false;
         }

@@ -217,9 +217,6 @@ impl TgdRepr {
 pub struct ViewRepr {
     /// `ViewOptions::auto_refresh`.
     pub auto_refresh: bool,
-    /// `ViewOptions::max_incremental_fraction` (bit-exact through
-    /// `f64::to_bits`).
-    pub max_incremental_fraction: f64,
     /// The standing query.
     pub query: QueryRepr,
 }
@@ -227,7 +224,11 @@ pub struct ViewRepr {
 impl ViewRepr {
     fn encode(&self, enc: &mut Encoder) {
         enc.u8(u8::from(self.auto_refresh));
-        enc.u64(self.max_incremental_fraction.to_bits());
+        // Reserved: the slot of the `max_incremental_fraction` option views
+        // once had, written with the bits of its only value (0.5) and
+        // ignored on read.  Kept so the snapshot layout — and with it the
+        // benchmark's exact `killed_dir_bytes` count — does not change.
+        enc.u64(0.5f64.to_bits());
         self.query.encode(enc);
     }
 
@@ -237,11 +238,10 @@ impl ViewRepr {
             1 => true,
             tag => return Err(WalError::corrupt(format!("unknown bool tag {tag}"))),
         };
-        let max_incremental_fraction = f64::from_bits(dec.u64()?);
+        dec.u64()?; // the reserved slot, see `encode`
         let query = QueryRepr::decode(dec)?;
         Ok(ViewRepr {
             auto_refresh,
-            max_incremental_fraction,
             query,
         })
     }
@@ -545,7 +545,6 @@ mod tests {
             }],
             views: vec![ViewRepr {
                 auto_refresh: true,
-                max_incremental_fraction: 0.5,
                 query: QueryRepr {
                     name: Some("reach".into()),
                     head: vec!["X".into(), "Z".into()],

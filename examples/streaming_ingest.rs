@@ -7,8 +7,8 @@
 //! fresh (maintenance ran under the same write guard as the append), the
 //! lazy view is refreshed explicitly, and the refresh reports show which
 //! path ran: the acyclic view is maintained **incrementally** (delta push
-//! through its join tree, work proportional to the batch), while the
-//! witness-rung view recomputes.  A from-scratch `query()` after every
+//! through its join tree, work proportional to the batch), and so is the
+//! witness-rung view, through its witness's.  A from-scratch `query()` after every
 //! batch double-checks that maintenance never drifted.
 //!
 //! Run with `cargo run --release --example streaming_ingest`.
@@ -35,11 +35,11 @@ fn main() {
             "q(X, Z) :- E(X, Y), E(Y, Z).",
             ViewOptions {
                 auto_refresh: false,
-                ..ViewOptions::default()
             },
         )
         .expect("valid standing query");
-    // Semantically acyclic (witness rung): refreshes by recompute.
+    // Semantically acyclic (witness rung): deltas go through the join tree
+    // of the acyclic witness the plan pinned.
     let looped = db
         .materialize(sac::gen::looped_triangle_query())
         .expect("valid standing query");
