@@ -119,11 +119,11 @@ pub struct EngineMetrics {
     /// Materialized views registered over the session's lifetime
     /// ([`Database::materialize`] calls).
     pub views_registered: usize,
-    /// View refreshes served by the incremental path (delta pushed through
-    /// the cached join tree).
+    /// View refreshes served by the incremental path (only the delta
+    /// evaluated, on any rung).
     pub view_refreshes_incremental: usize,
     /// View refreshes served by full recompute (initial materializations,
-    /// indexed-rung plans, oversized deltas).
+    /// oversized deltas).
     pub view_refreshes_full: usize,
     /// Appended rows consumed by incremental view refreshes — the total
     /// "Δ" that maintenance was proportional to instead of the database.
@@ -844,12 +844,7 @@ impl Database {
     ) -> SacResult<DatalogRun> {
         let started = Instant::now();
         let work = self.snapshot();
-        let tgds = if options.use_constraints {
-            self.tgds()
-        } else {
-            Vec::new()
-        };
-        let run = datalog::evaluate(program, work, &tgds, &self.config, options)?;
+        let run = datalog::evaluate(program, work, &self.tgds(), &self.config, options)?;
         let elapsed = started.elapsed();
         self.latency.datalog.record(elapsed);
         self.metrics.datalog_runs.fetch_add(1, Ordering::Relaxed);
@@ -883,16 +878,14 @@ impl Database {
         let run_started = Instant::now();
         let instance = self.read_instance();
         // Short locked section: build/fetch exactly the plan's indexes…
-        let required = plan.probe_keys();
-        let (indexes, cache_misses) = {
+        let (mut ctx, cache_misses) = {
             let mut cache = self.lock_indexes();
             let built_before = cache.built();
-            let indexes = cache.snapshot(&instance, required);
-            (indexes, cache.built() - built_before)
+            let ctx = exec::ExecContext::snapshot(plan, false, &instance, &mut cache);
+            (ctx, cache.built() - built_before)
         };
         // …then execute lock-free (the instance read guard is still held, so
         // the snapshots stay consistent with the data for the whole run).
-        let mut ctx = exec::ExecContext::new(indexes);
         let (plan_cache_hit, query_text) = match trace {
             Some(TraceStart {
                 mut probe,
@@ -923,7 +916,7 @@ impl Database {
                 query: query_text,
                 strategy: plan.strategy().as_str().to_owned(),
                 plan_cache_hit,
-                index_cache_hits: required.len().saturating_sub(cache_misses),
+                index_cache_hits: ctx.index_count().saturating_sub(cache_misses),
                 index_cache_misses: cache_misses,
                 phases,
                 total_ns,
@@ -938,17 +931,17 @@ impl Database {
 
     /// Registers `source` as a [`MaterializedView`] with default
     /// [`ViewOptions`]: the answer set is computed now, stored, and then
-    /// **maintained** under every append — incrementally (delta push
-    /// through the cached join tree) on both Yannakakis rungs, by recompute
-    /// on [`Strategy::IndexedSearch`].  See [`crate::view`] for the
-    /// maintenance model.
+    /// **maintained** under every append — incrementally on every rung
+    /// (delta push through the cached join tree on the Yannakakis rungs,
+    /// searches seeded at the delta rows on [`Strategy::IndexedSearch`]).
+    /// See [`crate::view`] for the maintenance model.
     ///
-    /// Cost shape to be aware of: with the default `auto_refresh`, a view
-    /// whose plan has no join tree (the indexed rung) pays a full recompute
-    /// on every mutation call, under the instance write guard.  For such
-    /// views — or for per-fact `insert` loops generally — prefer batched
-    /// appends ([`Database::load_facts`] / [`Database::extend_from`]
-    /// refresh once per batch) or [`Database::materialize_with`] with
+    /// Cost shape to be aware of: with the default `auto_refresh`, every
+    /// mutation call refreshes the view under the instance write guard, and
+    /// a batch past half the rows the view reads recomputes it.  For
+    /// per-fact `insert` loops prefer batched appends
+    /// ([`Database::load_facts`] / [`Database::extend_from`] refresh once
+    /// per batch) or [`Database::materialize_with`] with
     /// `auto_refresh: false` and one explicit refresh per batch.
     pub fn materialize<Q: QuerySource>(&self, source: Q) -> SacResult<MaterializedView<'_>> {
         self.materialize_with(source, ViewOptions::default())
@@ -963,7 +956,19 @@ impl Database {
         source: Q,
         options: ViewOptions,
     ) -> SacResult<MaterializedView<'_>> {
-        let query = source.into_query()?;
+        let core = self.register_view(source.into_query()?, options);
+        if self.durability.is_some() {
+            // View definitions live in snapshots, not the fact WAL; a
+            // checkpoint here makes the registration itself durable.
+            self.checkpoint()?;
+        }
+        Ok(MaterializedView::new(self, core))
+    }
+
+    /// Plans, materializes and registers a view — everything about a
+    /// registration except making it durable, which recovery does once for
+    /// all the views it brings back.
+    fn register_view(&self, query: ConjunctiveQuery, options: ViewOptions) -> Arc<ViewCore> {
         let plan = self.plan_arc(&query);
         let core = Arc::new(ViewCore::new(query, plan, options));
         {
@@ -984,12 +989,7 @@ impl Database {
             query: core.query.to_string(),
             strategy: core.plan.strategy().as_str().to_owned(),
         });
-        if self.durability.is_some() {
-            // View definitions live in snapshots, not the fact WAL; a
-            // checkpoint here makes the registration itself durable.
-            self.checkpoint()?;
-        }
-        Ok(MaterializedView::new(self, core))
+        core
     }
 
     /// [`MaterializedView::refresh`]: catch one view up with the current
@@ -1065,8 +1065,8 @@ impl Database {
     /// Refresh decision, in order: not grown (or grown only off the view's
     /// schema) → nothing; an already-true Boolean view → nothing (CQs are
     /// monotone, true stays true); a delta within
-    /// [`MAX_INCREMENTAL_FRACTION`] on a plan that has a join tree → push
-    /// the delta through it; otherwise → recompute.
+    /// [`MAX_INCREMENTAL_FRACTION`] → evaluate the delta only, on whichever
+    /// rung the plan is; otherwise → recompute.
     fn refresh_core(&self, core: &ViewCore, instance: &Instance) -> ViewRefresh {
         self.refresh_core_traced(core, instance, None).0
     }
@@ -1143,39 +1143,28 @@ impl Database {
         let small =
             initialized && (delta_rows as f64) <= MAX_INCREMENTAL_FRACTION * relevant_rows as f64;
         let before = state.answers.len();
-        // A small delta is offered to the plan's join tree (the snapshot
-        // then covers the edge keys too); a plan without one declines.
-        let keys = if small {
-            &core.plan.index_keys
-        } else {
-            core.plan.probe_keys()
-        };
-        let mut ctx = exec::ExecContext::new(self.lock_indexes().snapshot(instance, keys));
+        let mut ctx =
+            exec::ExecContext::snapshot(&core.plan, small, instance, &mut self.lock_indexes());
         if let Some(mut p) = probe {
             p.mark(Phase::Snapshot);
             ctx = ctx.with_probe(p);
         }
-        let delta = small
-            .then(|| exec::execute_delta(&core.plan, instance, &watermarks, &ctx))
-            .flatten();
-        let mode = match delta {
-            Some(delta) => {
-                Arc::make_mut(&mut state.answers).extend(delta);
-                self.metrics
-                    .view_refreshes_incremental
-                    .fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .view_delta_rows
-                    .fetch_add(delta_rows, Ordering::Relaxed);
-                RefreshMode::Incremental
-            }
-            None => {
-                state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
-                self.metrics
-                    .view_refreshes_full
-                    .fetch_add(1, Ordering::Relaxed);
-                RefreshMode::Full
-            }
+        let mode = if small {
+            let delta = exec::execute_delta(&core.plan, instance, &watermarks, &ctx);
+            Arc::make_mut(&mut state.answers).extend(delta);
+            self.metrics
+                .view_refreshes_incremental
+                .fetch_add(1, Ordering::Relaxed);
+            self.metrics
+                .view_delta_rows
+                .fetch_add(delta_rows, Ordering::Relaxed);
+            RefreshMode::Incremental
+        } else {
+            state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
+            self.metrics
+                .view_refreshes_full
+                .fetch_add(1, Ordering::Relaxed);
+            RefreshMode::Full
         };
         state.cursor = Some(instance.delta_cursor());
         let refresh = ViewRefresh {
@@ -1319,16 +1308,16 @@ impl Database {
             .fetch_add(report.replayed_batches, Ordering::Relaxed);
 
         // Re-register the persisted views (initial refresh included) and
-        // pin them: the recovery-time handles drop right here, and the weak
-        // registry alone would unregister the views with them.
+        // pin them: the weak registry alone would unregister them as soon
+        // as this loop drops its reference.  Nothing is written until every
+        // view is back — a snapshot taken in between would list a prefix of
+        // the view set and reset the WAL behind it.
         for view in &disk.views {
             let query = durability::query_from_repr(&view.query)?;
             let options = ViewOptions {
                 auto_refresh: view.auto_refresh,
             };
-            let handle = db.materialize_with(query, options)?;
-            let core = handle.core_arc();
-            drop(handle);
+            let core = db.register_view(query, options);
             db.pinned_views
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -2177,6 +2166,31 @@ mod tests {
         db.load_facts("E(d, e).").unwrap();
         views[0].refresh();
         assert!(views[0].snapshot().into_tuples().len() > expected.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn open_checkpoints_once_after_every_view_is_back() {
+        let dir = durability_dir("two-views");
+        {
+            let db = Database::open(&dir).unwrap();
+            let _paths = db.materialize("q(X, Z) :- E(X, Y), E(Y, Z).").unwrap();
+            let _sources = db.materialize("q(X) :- E(X, Y).").unwrap();
+            db.load_facts("E(a, b). E(b, c).").unwrap();
+        }
+        let db = Database::open(&dir).unwrap();
+        // One snapshot, written when both views were registered again: a
+        // crash during recovery can no longer leave a newest snapshot that
+        // lists a prefix of them.
+        assert_eq!(db.metrics().snapshots_written, 1);
+        let views = db.durable_views();
+        assert_eq!(views.len(), 2);
+        assert_eq!((views[0].len(), views[1].len()), (1, 2));
+        let on_disk = sac_wal::latest_snapshot(&dir).unwrap().unwrap();
+        let recovered = views
+            .iter()
+            .map(|v| durability::view_repr(v.query(), v.options()));
+        assert_eq!(on_disk.views, recovered.collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -13,11 +13,11 @@
 //! - **Iteration 1** of a stratum evaluates every rule body in full with
 //!   `exec::execute_with`.
 //! - **Iteration k+1** evaluates only against the rows appended by
-//!   iteration k.  Yannakakis-rung rules reuse the *view maintenance* delta
-//!   executor (`exec::execute_delta`): delta match sets at the dirty join
-//!   tree nodes, index-driven restriction outward, then the ordinary
-//!   sweeps.  Fallback-rung rules seed a homomorphism search from each
-//!   delta row at each body-atom occurrence.
+//!   iteration k, through the *view maintenance* delta executor
+//!   (`exec::execute_delta`): delta match sets at the dirty join tree
+//!   nodes, index-driven restriction outward, then the ordinary sweeps —
+//!   or, on the search rung, the search seeded at each occurrence of a
+//!   grown relation.
 //! - Consequences are collected per iteration and applied **after** the
 //!   iteration (Jacobi style), in rule order then tuple order, so the
 //!   derivation log — and therefore the [`Certificate`] — is byte-identical
@@ -40,12 +40,12 @@ use crate::error::{SacError, SacResult};
 use crate::exec;
 use crate::index::IndexCache;
 use crate::plan::{plan_query, Plan, Strategy};
-use sac_common::{Atom, Error, FxHashMap, Result, Substitution, Symbol, Term};
+use sac_common::{Atom, Error, FxHashMap, Result, Symbol, Term};
 use sac_datalog::{Certificate, DatalogProgram, DerivationStep, Premise, Rule};
 use sac_deps::Tgd;
-use sac_query::{ConjunctiveQuery, HomomorphismSearch};
+use sac_query::ConjunctiveQuery;
 use sac_storage::{DeltaCursor, Instance};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Per-run knobs for [`Database::run_datalog_with`].
@@ -55,22 +55,11 @@ pub struct DatalogOptions {
     /// default).  Disable to skip provenance bookkeeping on runs where only
     /// the fixpoint matters.
     pub certificate: bool,
-    /// Plan rule bodies under the database's tgds, enabling the
-    /// [`Strategy::YannakakisWitness`] rung for cyclic-but-semantically-
-    /// acyclic bodies.  Sound when the tgds mention only extensional
-    /// predicates and the base instance satisfies them: derived facts only
-    /// touch rule-head predicates, so they can never violate such
-    /// constraints mid-fixpoint.  Off by default — without constraints
-    /// every rung is unconditionally equivalent.
-    pub use_constraints: bool,
 }
 
 impl Default for DatalogOptions {
     fn default() -> DatalogOptions {
-        DatalogOptions {
-            certificate: true,
-            use_constraints: false,
-        }
+        DatalogOptions { certificate: true }
     }
 }
 
@@ -93,9 +82,6 @@ pub struct DatalogStats {
     pub rule_runs_yannakakis_witness: usize,
     /// Rule evaluations executed on [`Strategy::IndexedSearch`] plans.
     pub rule_runs_indexed_search: usize,
-    /// Rule evaluations served by the Yannakakis delta executor (the
-    /// remaining delta passes used seeded homomorphism search).
-    pub delta_rule_runs: usize,
 }
 
 /// The result of one Datalog fixpoint evaluation.
@@ -196,7 +182,6 @@ impl PreparedDatalog<'_> {
 struct CompiledRule<'p> {
     index: usize,
     rule: &'p Rule,
-    vars: Vec<Symbol>,
     plan: Plan,
     /// Argument slots of the head, of each positive body atom and of each
     /// negated literal, aligned with the rule's own atoms.
@@ -235,6 +220,12 @@ fn body_variables(rule: &Rule) -> Vec<Symbol> {
 
 /// Evaluates `program` to fixpoint over the owned working instance `work`
 /// (a snapshot of the database), semi-naively, stratum by stratum.
+///
+/// Rule bodies are planned under `tgds` — which opens the
+/// [`Strategy::YannakakisWitness`] rung to cyclic but semantically acyclic
+/// bodies — exactly when no tgd mentions a predicate the program derives:
+/// the base instance satisfies the database's constraints, and facts of
+/// other predicates cannot violate such tgds mid-fixpoint.
 pub(crate) fn evaluate(
     program: &DatalogProgram,
     mut work: Instance,
@@ -245,7 +236,13 @@ pub(crate) fn evaluate(
     // Everything at or below this cursor is a base fact: certificate
     // premises below it use stable row ids, above it derivation steps.
     let base_cursor = work.delta_cursor();
-    let planning_tgds: &[Tgd] = if options.use_constraints { tgds } else { &[] };
+    let derived_by_program = |atom: &Atom| program.idb_predicates().contains(&atom.predicate);
+    let mut constrained = tgds.iter().flat_map(|tgd| tgd.body.iter().chain(&tgd.head));
+    let planning_tgds: &[Tgd] = if constrained.any(derived_by_program) {
+        &[]
+    } else {
+        tgds
+    };
 
     let compiled = program
         .rules()
@@ -253,12 +250,12 @@ pub(crate) fn evaluate(
         .enumerate()
         .map(|(index, rule)| {
             let vars = body_variables(rule);
-            let query = ConjunctiveQuery::new(vars.clone(), rule.body.clone())?;
-            let plan = plan_query(&query, planning_tgds, &work, config);
             // Safe rules only use positive body variables, so every
             // variable argument has a column.
             let column: FxHashMap<Symbol, usize> =
                 vars.iter().enumerate().map(|(i, v)| (*v, i)).collect();
+            let query = ConjunctiveQuery::new(vars, rule.body.clone())?;
+            let plan = plan_query(&query, planning_tgds, &work, config);
             let slots = |atom: &Atom| -> Vec<Option<usize>> {
                 let slot = |term: &Term| term.as_variable().map(|v| column[&v]);
                 atom.args.iter().map(slot).collect()
@@ -269,7 +266,6 @@ pub(crate) fn evaluate(
                 head: slots(&rule.head),
                 body: rule.body.iter().map(slots).collect(),
                 negated: rule.negated.iter().map(slots).collect(),
-                vars,
                 plan,
             })
         })
@@ -307,26 +303,17 @@ pub(crate) fn evaluate(
             // (nothing is inserted until the apply phase below).
             let mut outputs = Vec::with_capacity(rules.len());
             for cr in &rules {
-                let keys = if full_pass {
-                    cr.plan.probe_keys()
+                let ctx = exec::ExecContext::snapshot(&cr.plan, !full_pass, &work, &mut cache);
+                let rows = if full_pass {
+                    exec::execute_with(&cr.plan, &work, &ctx)
                 } else {
-                    &cr.plan.index_keys
-                };
-                let ctx = exec::ExecContext::new(cache.snapshot(&work, keys));
-                let (rows, via_delta_exec) = if full_pass {
-                    (exec::execute_with(&cr.plan, &work, &ctx), false)
-                } else {
-                    match exec::execute_delta(&cr.plan, &work, &watermarks, &ctx) {
-                        Some(rows) => (rows, true),
-                        None => (seeded_delta(cr, &work, &watermarks), false),
-                    }
+                    exec::execute_delta(&cr.plan, &work, &watermarks, &ctx)
                 };
                 match cr.plan.strategy() {
                     Strategy::YannakakisDirect => stats.rule_runs_yannakakis_direct += 1,
                     Strategy::YannakakisWitness => stats.rule_runs_yannakakis_witness += 1,
                     Strategy::IndexedSearch => stats.rule_runs_indexed_search += 1,
                 }
-                stats.delta_rule_runs += usize::from(via_delta_exec);
                 outputs.push(rows);
             }
 
@@ -394,49 +381,6 @@ pub(crate) fn evaluate(
     })
 }
 
-/// Delta evaluation for rules whose plan has no Yannakakis delta executor:
-/// seed a full-body homomorphism search from every appended row at every
-/// body-atom occurrence.  Complete because any new body match must use at
-/// least one appended row at some occurrence; the result may repeat older
-/// matches, which the apply phase's insert dedup absorbs.
-fn seeded_delta(
-    cr: &CompiledRule<'_>,
-    work: &Instance,
-    watermarks: &HashMap<Symbol, usize>,
-) -> BTreeSet<Vec<Term>> {
-    let mut out = BTreeSet::new();
-    for atom in &cr.rule.body {
-        let Some(&from_row) = watermarks.get(&atom.predicate) else {
-            continue;
-        };
-        let Some(relation) = work.relation(atom.predicate) else {
-            continue;
-        };
-        if relation.arity() != atom.arity() {
-            continue;
-        }
-        for tuple in relation.rows_from(from_row) {
-            let target = Atom::new(atom.predicate, tuple);
-            let mut seed = Substitution::new();
-            if !seed.match_atom(atom, &target) {
-                continue;
-            }
-            for sub in HomomorphismSearch::new(&cr.rule.body, work)
-                .with_initial(seed)
-                .all()
-            {
-                out.insert(
-                    cr.vars
-                        .iter()
-                        .map(|&v| sub.apply(Term::Variable(v)))
-                        .collect::<Vec<Term>>(),
-                );
-            }
-        }
-    }
-    out
-}
-
 /// Resolves a ground premise fact to its certificate reference: a stable
 /// base row id when the fact predates the fixpoint, otherwise the step that
 /// derived it.
@@ -487,10 +431,6 @@ mod tests {
         let (reference, _) = naive::naive_fixpoint(&program, &db.snapshot()).unwrap();
         assert_eq!(atoms(&run.fixpoint), atoms(&reference));
         assert!(run.stats.iterations >= 3, "recursion needs delta passes");
-        assert!(
-            run.stats.delta_rule_runs > 0,
-            "acyclic bodies take the delta executor"
-        );
 
         let certificate = run.certificate.expect("certificates are on by default");
         assert_eq!(certificate.len(), run.derived.len());
@@ -560,10 +500,7 @@ mod tests {
         let run = db
             .run_datalog_with(
                 "T(X, Y) :- E(X, Y).\nT(X, Z) :- E(X, Y), T(Y, Z).",
-                DatalogOptions {
-                    certificate: false,
-                    ..DatalogOptions::default()
-                },
+                DatalogOptions { certificate: false },
             )
             .unwrap();
         assert!(run.certificate.is_none());
@@ -591,32 +528,68 @@ mod tests {
     }
 
     #[test]
+    fn cyclic_recursive_bodies_take_deltas_on_the_search_rung() {
+        // Triangle ∧ recursive atom: the body is cyclic and its own core,
+        // so the rule runs on the search rung — the delta passes through
+        // the searches seeded at the grown `T` occurrence — and must agree
+        // with the naive reference, certificate included, at every width.
+        let program: DatalogProgram = "T(X, Y) :- E(X, Y).
+                                       T(X, W) :- E(X, Y), E(Y, Z), E(Z, X), T(Z, W)."
+            .parse()
+            .unwrap();
+        let base = sac_gen::random_graph_database(9, 40, 11);
+        let (reference, _) = naive::naive_fixpoint(&program, &base).unwrap();
+        let mut serial = None;
+        for width in [1, 2, 4] {
+            let db = Database::from_instance(base.clone()).with_parallelism(width);
+            let run = db.run_datalog(&program).unwrap();
+            // Both rules run in every pass of the one stratum, each counted
+            // under its rung and nowhere else.
+            let passes = run.stats.iterations;
+            assert!(passes >= 3, "delta passes ran");
+            let expected = DatalogStats {
+                rules: 2,
+                strata: 1,
+                iterations: passes,
+                facts_derived: run.derived.len(),
+                rule_runs_yannakakis_direct: passes,
+                rule_runs_yannakakis_witness: 0,
+                rule_runs_indexed_search: passes,
+            };
+            assert_eq!(run.stats, expected);
+            assert!(run.derived.len() > base.len(), "the recursion derives");
+            assert_eq!(atoms(&run.fixpoint), atoms(&reference));
+            let certificate = run.certificate.as_ref().unwrap();
+            check::check_certificate(&program, &base, certificate).unwrap();
+            let serial = serial.get_or_insert_with(|| run.clone());
+            assert_eq!(run.certificate, serial.certificate);
+            assert_eq!(run.stats, serial.stats);
+        }
+    }
+
+    #[test]
     fn constraint_planning_can_take_the_witness_rung() {
         // The cyclic rule body E(X,Y), E(Y,Z), C(X,Z) is semantically
-        // acyclic under the collector tgd, so with `use_constraints` its
-        // rule runs on the witness rung; without it, the fallback.
-        let db = Database::from_instance(sac_gen::music_database(30, 60, 7))
-            .with_tgds(vec![sac_gen::collector_tgd()]);
+        // acyclic under the collector tgd, which mentions no predicate the
+        // program derives: its rule runs on the witness rung.  Without the
+        // tgd — or with one over the rule's head — the fallback.
+        let base = sac_gen::music_database(30, 60, 7);
         let triangle = sac_gen::example1_triangle();
-        let head_var = triangle.body[0].args[0];
-        let rule = sac_datalog::Rule::positive(
-            Atom::from_parts("Tri", vec![head_var]),
-            triangle.body.clone(),
-        )
-        .unwrap();
+        let head = Atom::from_parts("Tri", vec![triangle.body[0].args[0]]);
+        let rule = sac_datalog::Rule::positive(head.clone(), triangle.body.clone()).unwrap();
         let program = sac_datalog::DatalogProgram::new(vec![rule]).unwrap();
-        let witness = db
-            .run_datalog_with(
-                &program,
-                DatalogOptions {
-                    use_constraints: true,
-                    ..DatalogOptions::default()
-                },
-            )
-            .unwrap();
+        let collector = sac_gen::collector_tgd();
+        let over_the_head = Tgd::new(vec![head.clone()], vec![head]).unwrap();
+        let run = |tgds: Vec<Tgd>| {
+            let db = Database::from_instance(base.clone()).with_tgds(tgds);
+            db.run_datalog(&program).unwrap()
+        };
+        let witness = run(vec![collector.clone()]);
         assert!(witness.stats.rule_runs_yannakakis_witness > 0);
-        let fallback = db.run_datalog(&program).unwrap();
-        assert!(fallback.stats.rule_runs_yannakakis_witness == 0);
-        assert_eq!(witness.derived, fallback.derived);
+        for fallback in [run(Vec::new()), run(vec![collector, over_the_head])] {
+            assert!(fallback.stats.rule_runs_yannakakis_witness == 0);
+            assert_eq!(witness.derived, fallback.derived);
+            assert_eq!(witness.certificate, fallback.certificate);
+        }
     }
 }

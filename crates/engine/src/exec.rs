@@ -21,10 +21,14 @@
 //!    intermediate tables stay output-bounded instead of exploding into a
 //!    cross-product walk over the reduced tree.
 //!
-//! The fallback path executes the planner's fixed atom order, fetching the
-//! candidates of each step from a cached hash index on exactly the step's
-//! bound columns.  It is the non-hot rung (cyclic cores only) and keeps the
-//! simpler term-level representation via [`Substitution`].
+//! The fallback path is a backtracking search over the planner's fixed atom
+//! order, compiled the same way: every variable is a slot of one `[u32]`
+//! binding array that the steps overwrite in place, a step's candidates come
+//! from the sidecar or snapshot index on exactly its bound columns, keyed by
+//! the codes the array already holds, each candidate row passes the same
+//! [`CodeShape::admit_row`] as a Yannakakis match set, a Boolean head stops
+//! at the first homomorphism, and the answers leave through the same
+//! head projection and decoder.
 //!
 //! ## Compile time, run time
 //!
@@ -33,7 +37,8 @@
 //! column position and every index key into a slot: a [`Table`] here is a
 //! bare set of code rows with no schema of its own, a semijoin or join is
 //! handed its key and emit columns ([`EdgeSpec`], [`JoinSpec`]), nodes with
-//! identical match sets are listed in the plan, and an index is
+//! identical match sets are listed in the plan, a search step is told which
+//! slots it binds and probes with ([`SearchStep`]), and an index is
 //! `ctx.indexes[slot]`.  What is left for run time is what depends on the
 //! data: dictionary codes of constants, which operand of a join is smaller,
 //! which relations grew.
@@ -48,18 +53,22 @@
 //! `FxHashSet<Vec<u32>>` partials are re-hashed into one set), so the
 //! executor spawns nothing and has no second branch to keep in step.
 //!
-//! Execution itself is **read-only**: [`execute_with`] consumes an immutable
-//! [`ExecContext`] snapshot, so the concurrent [`crate::Database`] can run
-//! many queries at once without holding the index-cache lock — the snapshot
-//! is assembled (and any missing indexes built) in one short locked
-//! section beforehand.  [`crate::IndexCache::snapshot`] fills every slot
+//! Execution itself is **read-only**: [`execute_with`] and [`execute_delta`]
+//! consume an immutable [`ExecContext`] snapshot, so the concurrent
+//! [`crate::Database`] can run many queries at once without holding the
+//! index-cache lock — the snapshot is assembled (and any missing indexes
+//! built) in one short locked section beforehand, and which of the plan's
+//! keys it covers is decided here ([`ExecContext::snapshot`]).
+//! [`crate::IndexCache::snapshot`] fills every slot
 //! whose relation exists with the atom's arity, and an atom over a missing
 //! or mis-sized relation returns before it probes, so a probe never finds
 //! its slot empty.
 
-use crate::index::JoinIndex;
-use crate::plan::{EdgeSpec, ExecPlan, IndexedPlan, JoinSpec, NodeShape, Plan, YannakakisPlan};
-use sac_common::{FxHashMap, FxHashSet, Substitution, Symbol, Term};
+use crate::index::{IndexCache, JoinIndex};
+use crate::plan::{
+    EdgeSpec, ExecPlan, IndexedPlan, JoinSpec, KeyPart, NodeShape, Plan, SearchStep, YannakakisPlan,
+};
+use sac_common::{Atom, FxHashMap, FxHashSet, Symbol, Term};
 use sac_storage::{dict, Instance, Relation};
 use sac_telemetry::{Phase, Probe};
 use std::cell::RefCell;
@@ -69,8 +78,8 @@ use std::sync::Arc;
 /// Everything one plan execution works from: an immutable index snapshot
 /// and, on traced runs, the probe collecting phase boundaries.
 pub(crate) struct ExecContext {
-    /// Aligned with the plan's index keys ([`Plan::index_keys`], or its
-    /// [`Plan::probe_keys`] prefix for a full execution).
+    /// Aligned with the plan's index keys: [`Plan::index_keys`] for a delta
+    /// execution, its [`Plan::probe_keys`] prefix for a full one.
     indexes: Vec<Option<Arc<JoinIndex>>>,
     /// Phase timers and per-node row counts for a traced run; `None` for
     /// ordinary runs, whose only tracing cost is this `Option` check.
@@ -80,11 +89,30 @@ pub(crate) struct ExecContext {
 }
 
 impl ExecContext {
-    pub(crate) fn new(indexes: Vec<Option<Arc<JoinIndex>>>) -> ExecContext {
+    /// Snapshots the indexes one execution of `plan` probes, building the
+    /// missing ones: the probe keys for a full execution ([`execute_with`]),
+    /// every key — edge and seeded-search keys too — for a `delta` one
+    /// ([`execute_delta`]).
+    pub(crate) fn snapshot(
+        plan: &Plan,
+        delta: bool,
+        db: &Instance,
+        cache: &mut IndexCache,
+    ) -> ExecContext {
+        let keys = if delta {
+            &plan.index_keys
+        } else {
+            plan.probe_keys()
+        };
         ExecContext {
-            indexes,
+            indexes: cache.snapshot(db, keys),
             probe: None,
         }
+    }
+
+    /// How many index slots the snapshot covers.
+    pub(crate) fn index_count(&self) -> usize {
+        self.indexes.len()
     }
 
     /// Attaches `probe`: execution phases and per-node row counts are
@@ -126,12 +154,11 @@ impl ExecContext {
     }
 }
 
-/// Executes `plan` over `db` against an immutable [`ExecContext`] snapshot
-/// of (at least) the plan's [`Plan::probe_keys`].
+/// Executes `plan` over `db` against a full-execution [`ExecContext::snapshot`].
 pub(crate) fn execute_with(plan: &Plan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
     match &plan.exec {
         ExecPlan::Yannakakis(yp) => run_yannakakis(yp, db, ctx),
-        ExecPlan::Indexed(ip) => run_indexed(ip, db, ctx),
+        ExecPlan::Indexed(ip) => run_indexed(ip, [(ip.steps.as_slice(), 0)], db, ctx),
     }
 }
 
@@ -241,24 +268,23 @@ impl Table {
 
 /// A [`NodeShape`] with its constant key pushed through the dictionary: the
 /// executor's decode-free admission test over columnar rows.
-///
-/// `const_codes` is `None` when some rigid term of the atom was never
-/// encoded — then no stored tuple can match and the node's match set is
-/// empty without touching the relation (the dictionary's `None` is a
-/// process-wide absence guarantee).
 struct CodeShape<'a> {
     shape: &'a NodeShape,
-    const_codes: Option<Vec<u32>>,
+    /// The codes of `shape.const_key`, aligned.
+    const_codes: Vec<u32>,
 }
 
 impl<'a> CodeShape<'a> {
-    fn of(shape: &'a NodeShape) -> CodeShape<'a> {
-        let const_codes = shape
-            .const_key
-            .iter()
-            .map(|t| dict::lookup(*t))
-            .collect::<Option<Vec<u32>>>();
-        CodeShape { shape, const_codes }
+    /// `None` when some rigid term of the atom was never encoded — then no
+    /// stored tuple can match and the atom's match set is empty without
+    /// touching the relation (the dictionary's `None` is a process-wide
+    /// absence guarantee).
+    fn of(shape: &'a NodeShape) -> Option<CodeShape<'a>> {
+        let const_codes = shape.const_key.iter().map(|t| dict::lookup(*t));
+        Some(CodeShape {
+            shape,
+            const_codes: const_codes.collect::<Option<Vec<u32>>>()?,
+        })
     }
 
     /// The match-set projection of row `row` of `cols` (its codes at the
@@ -269,7 +295,6 @@ impl<'a> CodeShape<'a> {
     /// disagree.
     #[inline]
     fn admit_row(&self, cols: &[&[u32]], row: usize) -> Option<Vec<u32>> {
-        let codes = self.const_codes.as_ref()?;
         let shape = self.shape;
         let consistent = shape
             .eq_checks
@@ -278,7 +303,7 @@ impl<'a> CodeShape<'a> {
         let constants = shape
             .const_positions
             .iter()
-            .zip(codes)
+            .zip(&self.const_codes)
             .all(|(p, k)| cols[*p][row] == *k);
         (consistent && constants).then(|| shape.var_first.iter().map(|p| cols[*p][row]).collect())
     }
@@ -290,12 +315,11 @@ fn columns_of(rel: &Relation) -> Vec<&[u32]> {
     (0..rel.arity()).map(|p| rel.column(p)).collect()
 }
 
-/// The relation `node`'s atom reads, when it exists with the atom's arity
+/// The relation `atom` reads, when it exists with the atom's arity
 /// (otherwise nothing can match the atom).
-fn relation_of<'d>(plan: &YannakakisPlan, node: usize, db: &'d Instance) -> Option<&'d Relation> {
-    let atom = &plan.tree.atoms[node];
-    db.relation(atom.predicate)
-        .filter(|rel| rel.arity() == atom.arity())
+fn relation_of<'d>(atom: &Atom, db: &'d Instance) -> Option<&'d Relation> {
+    let relation = db.relation(atom.predicate);
+    relation.filter(|rel| rel.arity() == atom.arity())
 }
 
 /// Computes a node's match set: the projection onto its distinct variables of
@@ -305,14 +329,14 @@ fn relation_of<'d>(plan: &YannakakisPlan, node: usize, db: &'d Instance) -> Opti
 /// column slices are swept.
 fn node_matches(plan: &YannakakisPlan, node: usize, db: &Instance, ctx: &ExecContext) -> Table {
     let mut table = Table::default();
-    let Some(rel) = relation_of(plan, node, db) else {
+    let Some(rel) = relation_of(&plan.tree.atoms[node], db) else {
         return table;
     };
     let shape = &plan.shapes[node];
-    let code_shape = CodeShape::of(shape);
-    let Some(const_codes) = code_shape.const_codes.as_deref() else {
+    let Some(code_shape) = CodeShape::of(shape) else {
         return table; // a rigid term the dictionary never saw: no match
     };
+    let const_codes = &code_shape.const_codes;
     let cols = columns_of(rel);
     if shape.const_positions.is_empty() {
         table.tuples.reserve(rel.len());
@@ -388,8 +412,7 @@ fn semijoin_along(tables: &mut [Table], edge: &EdgeSpec, from: usize, to: usize)
 /// Shared between the full path ([`run_yannakakis`], whose tables are the
 /// complete match sets) and the incremental path ([`execute_delta`], whose
 /// tables are restricted to tuples joining a relation delta).  Answers are
-/// decoded from codes to terms here, at the very end — the only
-/// term-materialization point of the whole pipeline.
+/// decoded from codes to terms at the very end.
 fn yannakakis_phases(
     plan: &YannakakisPlan,
     mut tables: Vec<Table>,
@@ -464,19 +487,18 @@ fn yannakakis_phases(
     }
     ctx.mark(Phase::JoinBack);
 
-    // Materialize answers in head order (head variables may repeat),
-    // decoding each projected code row under one dictionary guard.
-    let decoder = dict::decoder();
-    for t in &acc.tuples {
-        answers.insert(
-            plan.head_cols
-                .iter()
-                .map(|p| decoder.decode(t[*p]))
-                .collect::<Vec<Term>>(),
-        );
-    }
+    let answers = decode_answers(&acc, &plan.head_cols);
     ctx.mark(Phase::Decode);
     answers
+}
+
+/// Materializes answers in head order (head variables may repeat): each code
+/// row projected onto `head_cols` and decoded under one dictionary guard —
+/// the only place an execution builds a [`Term`].
+fn decode_answers(table: &Table, head_cols: &[usize]) -> BTreeSet<Vec<Term>> {
+    let decoder = dict::decoder();
+    let decode = |t: &Vec<u32>| head_cols.iter().map(|p| decoder.decode(t[*p])).collect();
+    table.tuples.iter().map(decode).collect()
 }
 
 /// The tuples of `to`'s relation that join some tuple of the already
@@ -497,17 +519,16 @@ fn restrict_via_edge(
     ctx: &ExecContext,
 ) -> Table {
     let mut table = Table::default();
-    let Some(rel) = relation_of(plan, to, db) else {
+    let Some(rel) = relation_of(&plan.tree.atoms[to], db) else {
         return table;
     };
     if edge.to_positions.is_empty() {
         // Disconnected neighbour (no join key): every tuple participates.
         return node_matches(plan, to, db, ctx);
     }
-    let code_shape = CodeShape::of(&plan.shapes[to]);
-    if code_shape.const_codes.is_none() {
+    let Some(code_shape) = CodeShape::of(&plan.shapes[to]) else {
         return table;
-    }
+    };
     let cols = columns_of(rel);
     let keys: FxHashSet<Vec<u32>> = frontier
         .tuples
@@ -530,36 +551,45 @@ fn restrict_via_edge(
     table
 }
 
-/// Incremental Yannakakis: the answers `plan` gains when the relations in
-/// `watermarks` grow past the given row counts (their append-only delta).
-/// Returns `None` for non-Yannakakis plans — the fallback rung has no join
-/// tree to push deltas through, so callers recompute in full.  `ctx` must
-/// snapshot all of [`Plan::index_keys`], edge keys included.
-///
-/// For each join-tree node whose relation grew, the node's match set is
-/// computed from the **delta rows only** (a tail sweep over the column
-/// buffers) and pushed outward through the tree: each neighbour's table is
-/// restricted to tuples joining the frontier (index lookups, not scans), so
-/// the per-refresh work is proportional to the delta and its join fan-out,
-/// not to the database.  The restricted tables then run the ordinary
-/// semijoin sweeps and join-back-up, and contributions from all dirty nodes
-/// are unioned.
+/// The answers `plan` gains when the relations in `watermarks` grow past the
+/// given row counts (their append-only delta), on every rung.  `ctx` must be
+/// a delta [`ExecContext::snapshot`].
 ///
 /// Conjunctive queries are monotone, so appended facts can only **add**
 /// answers; the union of the returned set into a previously materialized
-/// answer set is exactly the new answer set.  Completeness: any new
-/// homomorphism uses a delta tuple at some node `i`; walking the join tree
-/// outward from `i` over shared-variable lookups reaches a superset of
-/// every tuple that joins transitively with the delta (connectedness of
-/// join trees), and the sweeps then prune that superset exactly.
+/// answer set is exactly the new answer set.  Any new homomorphism uses a
+/// delta row at some body atom, so it is enough to evaluate, for each
+/// occurrence of a grown relation, the query with that occurrence confined
+/// to the delta rows, and to unite the results — work proportional to the
+/// delta and its join fan-out, not to the database.
+///
+/// **With a join tree**, the dirty node's match set is computed from the
+/// delta rows only (a tail sweep over the column buffers) and pushed
+/// outward through the tree: each neighbour's table is restricted to tuples
+/// joining the frontier (index lookups, not scans) — a superset of every
+/// tuple that joins transitively with the delta, by connectedness of join
+/// trees — and the restricted tables then run the ordinary semijoin sweeps
+/// and join-back-up, which prune that superset exactly.
+///
+/// **On the search rung**, the plan holds one step list per body atom with
+/// that atom first ([`IndexedPlan::seeded`]); it is run with its first step
+/// starting at the watermark.
 pub(crate) fn execute_delta(
     plan: &Plan,
     db: &Instance,
     watermarks: &HashMap<Symbol, usize>,
     ctx: &ExecContext,
-) -> Option<BTreeSet<Vec<Term>>> {
-    let ExecPlan::Yannakakis(yp) = &plan.exec else {
-        return None;
+) -> BTreeSet<Vec<Term>> {
+    let yp = match &plan.exec {
+        ExecPlan::Yannakakis(yp) => yp,
+        ExecPlan::Indexed(ip) => {
+            let seeds = ip.query.body.iter().zip(&ip.seeded);
+            let grown = seeds.filter_map(|(atom, steps)| {
+                let from_row = watermarks.get(&atom.predicate)?;
+                Some((steps.as_slice(), *from_row))
+            });
+            return run_indexed(ip, grown, db, ctx);
+        }
     };
     let n = yp.tree.len();
     // (No node, no delta: the empty conjunction's vacuous answer was
@@ -569,13 +599,13 @@ pub(crate) fn execute_delta(
         let Some(&from_row) = watermarks.get(&yp.tree.atoms[dirty].predicate) else {
             continue;
         };
-        let Some(rel) = relation_of(yp, dirty, db).filter(|rel| from_row < rel.len()) else {
+        let rel = relation_of(&yp.tree.atoms[dirty], db);
+        let Some(rel) = rel.filter(|rel| from_row < rel.len()) else {
             continue;
         };
         // The dirty node's table: its match set over the delta rows only.
         let mut delta_table = Table::default();
-        let code_shape = CodeShape::of(&yp.shapes[dirty]);
-        if code_shape.const_codes.is_some() {
+        if let Some(code_shape) = CodeShape::of(&yp.shapes[dirty]) {
             let cols = columns_of(rel);
             for row in from_row..rel.len() {
                 if let Some(projected) = code_shape.admit_row(&cols, row) {
@@ -635,104 +665,139 @@ pub(crate) fn execute_delta(
             .collect();
         out.extend(yannakakis_phases(yp, tables, ctx));
     }
-    Some(out)
+    out
 }
 
-fn run_indexed(plan: &IndexedPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
-    let mut answers = BTreeSet::new();
-    let mut state = Substitution::new();
-    indexed_step(plan, db, ctx, 0, &mut state, &mut answers);
-    ctx.mark(Phase::Search);
-    answers
+/// A [`SearchStep`] with what one run adds to it: the relation's column
+/// slices and the dictionary codes of the atom's constants.
+struct BoundStep<'a> {
+    step: &'a SearchStep,
+    rel: &'a Relation,
+    cols: Vec<&'a [u32]>,
+    shape: CodeShape<'a>,
 }
 
-/// Tries to extend `state` with `tuple` at step `depth`; on success recurses
-/// into the next step.
-fn try_match(
+/// Runs the compiled search `steps` of `plan`, its first step confined to
+/// rows at or above `from_row`: `visit` sees the binding array of every
+/// homomorphism — of the first one only when the head is empty, which a
+/// single homomorphism decides.  Nothing is visited when some atom can
+/// match nothing at all: its relation is missing or of another arity, or
+/// the dictionary never saw one of its constants.
+fn for_each_match(
     plan: &IndexedPlan,
+    steps: &[SearchStep],
+    from_row: usize,
     db: &Instance,
     ctx: &ExecContext,
-    depth: usize,
-    tuple: &[Term],
-    state: &mut Substitution,
-    answers: &mut BTreeSet<Vec<Term>>,
+    mut visit: impl FnMut(&[u32]),
 ) {
-    let atom = &plan.query.body[plan.order[depth]];
-    let target = sac_common::Atom::new(atom.predicate, tuple.to_vec());
-    let mut extended = state.clone();
-    if extended.match_atom(atom, &target) {
-        std::mem::swap(state, &mut extended);
-        indexed_step(plan, db, ctx, depth + 1, state, answers);
-        std::mem::swap(state, &mut extended);
+    let bound = steps.iter().map(|step| {
+        let rel = relation_of(&plan.query.body[step.atom], db)?;
+        let (cols, shape) = (columns_of(rel), CodeShape::of(&step.shape)?);
+        Some(BoundStep {
+            step,
+            rel,
+            cols,
+            shape,
+        })
+    });
+    if let Some(bound) = bound.collect::<Option<Vec<BoundStep<'_>>>>() {
+        let boolean = plan.head_slots.is_empty();
+        let mut visit = |bindings: &[u32]| {
+            visit(bindings);
+            boolean
+        };
+        search(&bound, from_row, ctx, &mut vec![0; plan.slots], &mut visit);
     }
 }
 
-fn indexed_step(
-    plan: &IndexedPlan,
-    db: &Instance,
+/// One level of the backtracking search: extends `bindings` by every row of
+/// the first of `steps` that agrees with them, and recurses into the rest,
+/// until `visit` returns `true` for some homomorphism (which is then also
+/// what the search returns).  Candidates come from the index on exactly the
+/// step's bound columns, so they agree with the bindings by construction;
+/// slots are overwritten in place — a step only writes slots no earlier
+/// step reads, so nothing needs undoing on the way back.
+fn search<F: FnMut(&[u32]) -> bool>(
+    steps: &[BoundStep<'_>],
+    from_row: usize,
     ctx: &ExecContext,
-    depth: usize,
-    state: &mut Substitution,
-    answers: &mut BTreeSet<Vec<Term>>,
-) {
-    if depth == plan.order.len() {
-        let tuple: Vec<Term> = plan
-            .query
-            .head
-            .iter()
-            .map(|v| state.apply(Term::Variable(*v)))
-            .collect();
-        if tuple.iter().all(|t| !t.is_variable()) {
-            answers.insert(tuple);
-        }
-        return;
-    }
-    let atom_idx = plan.order[depth];
-    let atom = &plan.query.body[atom_idx];
-    let Some(rel) = db.relation(atom.predicate) else {
-        return;
+    bindings: &mut [u32],
+    visit: &mut F,
+) -> bool {
+    let Some((bound, rest)) = steps.split_first() else {
+        return visit(bindings);
     };
-    if rel.arity() != atom.arity() {
-        return;
-    }
-    let bp = &plan.bound_positions[depth];
-
-    if bp.is_empty() {
-        for tuple in rel.iter() {
-            try_match(plan, db, ctx, depth, &tuple, state, answers);
-        }
-        return;
-    }
-    // Bound positions hold constants or variables of earlier atoms, all of
-    // which `state` has bound by now: the key is ground.
-    let key: Vec<Term> = bp.iter().map(|&pos| state.apply(atom.args[pos])).collect();
-    debug_assert!(key.iter().all(|t| !t.is_variable()));
+    let step = bound.step;
+    let code = |part: &KeyPart| match part {
+        KeyPart::Const(i) => bound.shape.const_codes[*i],
+        KeyPart::Slot(slot) => bindings[*slot],
+    };
     // One bound column is the relation's sidecar index, several the step's
-    // snapshot index.
-    let rows = match plan.step_index[depth] {
-        None => rel.rows_with(bp[0], key[0]),
-        Some(slot) => ctx.index(slot).rows(&key),
+    // snapshot index; both list row ids in ascending order.
+    let rows = match (step.index, step.key.first()) {
+        (Some(slot), _) => {
+            let key: Vec<u32> = step.key.iter().map(|(_, part)| code(part)).collect();
+            Some(ctx.index(slot).rows_codes(&key))
+        }
+        (None, Some((pos, part))) => Some(bound.rel.rows_with_code(*pos, code(part))),
+        (None, None) => None,
     };
-    for &row in rows {
-        let tuple = rel.row(row as usize).expect("indexed row exists");
-        try_match(plan, db, ctx, depth, &tuple, state, answers);
+    let mut extend = |row: usize| {
+        let Some(codes) = bound.shape.admit_row(&bound.cols, row) else {
+            return false;
+        };
+        for (column, slot) in &step.binds {
+            bindings[*slot] = codes[*column];
+        }
+        search(rest, 0, ctx, bindings, visit)
+    };
+    match rows {
+        Some(rows) => {
+            let skipped = rows.partition_point(|row| (*row as usize) < from_row);
+            rows[skipped..].iter().any(|row| extend(*row as usize))
+        }
+        None => (from_row..bound.rel.len()).any(extend),
     }
+}
+
+/// Runs each of `searches` — a step list and the row its first step starts
+/// at — and decodes the union of the head rows they find.
+fn run_indexed<'a>(
+    plan: &IndexedPlan,
+    searches: impl IntoIterator<Item = (&'a [SearchStep], usize)>,
+    db: &Instance,
+    ctx: &ExecContext,
+) -> BTreeSet<Vec<Term>> {
+    let mut found = Table::default();
+    for (steps, from_row) in searches {
+        for_each_match(plan, steps, from_row, db, ctx, |bindings| {
+            found.tuples.insert(gather(bindings, &plan.head_slots));
+        });
+    }
+    ctx.mark(Phase::Search);
+    let head: Vec<usize> = (0..plan.head_slots.len()).collect();
+    let answers = decode_answers(&found, &head);
+    ctx.mark(Phase::Decode);
+    answers
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::EngineConfig;
-    use crate::index::IndexCache;
     use crate::plan::plan_query;
-    use sac_common::{atom, intern, Atom};
+    use sac_common::{atom, intern};
     use sac_query::{evaluate, ConjunctiveQuery};
 
     fn run(q: &ConjunctiveQuery, db: &Instance) -> BTreeSet<Vec<Term>> {
         let plan = plan_query(q, &[], db, &EngineConfig::default());
         let mut cache = IndexCache::new(db);
-        let indexes = cache.snapshot(db, plan.probe_keys());
-        execute_with(&plan, db, &ExecContext::new(indexes))
+        execute_with(
+            &plan,
+            db,
+            &ExecContext::snapshot(&plan, false, db, &mut cache),
+        )
     }
 
     fn music_db() -> Instance {
@@ -883,7 +948,7 @@ mod tests {
                     assert_eq!(index.positions(), positions.as_slice());
                 }
             }
-            let ctx = ExecContext::new(snapshot);
+            let ctx = ExecContext::snapshot(&plan, false, &db, &mut cache);
             assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db), "{q}");
         }
     }
@@ -1009,10 +1074,8 @@ mod tests {
         let cursor = grown.delta_cursor();
         let plan = plan_query(q, &[], &grown, &EngineConfig::default());
         let mut cache = IndexCache::new(&grown);
-        let mut answers = {
-            let indexes = cache.snapshot(&grown, plan.probe_keys());
-            execute_with(&plan, &grown, &ExecContext::new(indexes))
-        };
+        let ctx = ExecContext::snapshot(&plan, false, &grown, &mut cache);
+        let mut answers = execute_with(&plan, &grown, &ctx);
         for atom in appends {
             grown.insert(atom.clone()).unwrap();
         }
@@ -1022,10 +1085,8 @@ mod tests {
             .into_iter()
             .map(|d| (d.predicate, d.from_row))
             .collect();
-        let ctx = ExecContext::new(cache.snapshot(&grown, &plan.index_keys));
-        let delta = execute_delta(&plan, &grown, &watermarks, &ctx)
-            .expect("acyclic queries compile to Yannakakis plans");
-        answers.extend(delta);
+        let ctx = ExecContext::snapshot(&plan, true, &grown, &mut cache);
+        answers.extend(execute_delta(&plan, &grown, &watermarks, &ctx));
         assert_eq!(
             answers,
             evaluate(q, &grown),
@@ -1116,20 +1177,61 @@ mod tests {
 
     #[test]
     fn delta_execution_declines_indexed_plans() {
+        // (Name kept from when it did decline.)  The search rung answers a
+        // delta like the other two: one seeded search per body atom, their
+        // index keys after the ones a full execution probes.
         let db = sac_gen::random_graph_database(8, 20, 3);
-        let plan = plan_query(
-            &sac_gen::clique_query(3),
-            &[],
-            &db,
-            &EngineConfig::default(),
+        let appends: Vec<Atom> = [("n0", "n1"), ("n1", "n2"), ("n2", "n0"), ("n3", "n3")]
+            .iter()
+            .map(|(s, t)| Atom::from_parts("E", vec![Term::constant(s), Term::constant(t)]))
+            .collect();
+        let with_head = |q: ConjunctiveQuery| {
+            let head = q.body[0].variables_iter().collect();
+            ConjunctiveQuery::new(head, q.body).unwrap()
+        };
+        for q in [
+            sac_gen::clique_query(3),
+            sac_gen::cycle_query(4),
+            with_head(sac_gen::clique_query(3)),
+            with_head(sac_gen::cycle_query(4)),
+            with_head(sac_gen::clique_query(4)),
+        ] {
+            let plan = plan_query(&q, &[], &db, &EngineConfig::default());
+            let ExecPlan::Indexed(ip) = &plan.exec else {
+                panic!("{q} is cyclic");
+            };
+            assert_eq!(ip.seeded.len(), q.body.len());
+            assert!(plan.probe_keys().len() < plan.index_keys.len());
+            check_delta(&q, &db, &appends);
+        }
+    }
+
+    #[test]
+    fn boolean_heads_stop_the_search_at_the_first_homomorphism() {
+        // A complete graph with loops: every assignment of the clique's
+        // variables is a homomorphism.
+        let nodes = ["a", "b", "c", "d", "e"];
+        let edges = nodes.iter().flat_map(|s| nodes.iter().map(move |t| (s, t)));
+        let db = Instance::from_atoms(
+            edges.map(|(s, t)| Atom::from_parts("E", vec![Term::constant(s), Term::constant(t)])),
+        )
+        .unwrap();
+        let boolean = sac_gen::clique_query(3);
+        let all = ConjunctiveQuery::new(
+            vec![intern("x0"), intern("x1"), intern("x2")],
+            boolean.body.clone(),
         );
-        let ctx = ExecContext::new(Vec::new());
-        assert!(execute_delta(&plan, &db, &HashMap::new(), &ctx).is_none());
-        assert_eq!(
-            plan.probe_keys(),
-            plan.index_keys.as_slice(),
-            "no join tree, no edge keys"
-        );
+        for (q, expected_visits) in [(boolean, 1), (all.unwrap(), 125)] {
+            let plan = plan_query(&q, &[], &db, &EngineConfig::default());
+            let ExecPlan::Indexed(ip) = &plan.exec else {
+                panic!("the clique is cyclic");
+            };
+            let ctx = ExecContext::snapshot(&plan, false, &db, &mut IndexCache::new(&db));
+            let mut visits = 0;
+            for_each_match(ip, &ip.steps, 0, &db, &ctx, |_| visits += 1);
+            assert_eq!(visits, expected_visits, "{q}");
+            assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db));
+        }
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! held), while later incremental updates copy-on-write (`Arc::make_mut`)
 //! and leave in-flight snapshots intact.
 
-use sac_common::{FxHashMap, Symbol, Term};
-use sac_storage::{dict, Instance, Relation};
+use sac_common::{FxHashMap, Symbol};
+use sac_storage::{Instance, Relation};
 use sac_telemetry::{bus, Event};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,9 +37,8 @@ use std::sync::Arc;
 /// key tuple → row ids sharing it.
 ///
 /// Keys are rows of dictionary **codes** (see [`sac_storage::dict`]), so the
-/// engine's hot path probes with the codes it already carries — no term
-/// materialization per lookup.  The [`JoinIndex::rows`] veneer accepts terms
-/// and encodes through the dictionary for callers outside the hot path.
+/// executor probes with the codes it already carries — no term
+/// materialization per lookup.
 #[derive(Debug, Clone)]
 pub struct JoinIndex {
     positions: Vec<usize>,
@@ -72,20 +71,6 @@ impl JoinIndex {
     /// The indexed column positions, in key order.
     pub fn positions(&self) -> &[usize] {
         &self.positions
-    }
-
-    /// Row ids whose projection onto the indexed columns equals the term
-    /// tuple `key`.  A key term the dictionary has never seen matches no
-    /// row.
-    pub fn rows(&self, key: &[Term]) -> &[u32] {
-        let mut codes = Vec::with_capacity(key.len());
-        for term in key {
-            match dict::lookup(*term) {
-                Some(code) => codes.push(code),
-                None => return &[],
-            }
-        }
-        self.rows_codes(&codes)
     }
 
     /// Row ids whose projection onto the indexed columns equals the code
@@ -247,7 +232,18 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_common::{atom, intern};
+    use sac_common::{atom, intern, Term};
+    use sac_storage::dict;
+
+    /// The rows of `index` under the constants `key`; a constant the
+    /// dictionary has never seen occurs in no row.
+    fn rows<'a>(index: &'a JoinIndex, key: &[&str]) -> &'a [u32] {
+        let codes = key.iter().map(|c| dict::lookup(Term::constant(c)));
+        match codes.collect::<Option<Vec<u32>>>() {
+            Some(codes) => index.rows_codes(&codes),
+            None => &[],
+        }
+    }
 
     fn db() -> Instance {
         Instance::from_atoms(vec![
@@ -267,8 +263,8 @@ mod tests {
         assert!(cache.ensure(&db, intern("R"), &[0]));
         assert_eq!(cache.built(), 1);
         let idx = cache.get(intern("R"), &[0]).unwrap();
-        assert_eq!(idx.rows(&[Term::constant("a")]).len(), 2);
-        assert_eq!(idx.rows(&[Term::constant("zzz")]).len(), 0);
+        assert_eq!(rows(idx, &["a"]).len(), 2);
+        assert_eq!(rows(idx, &["zzz"]).len(), 0);
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.rows_covered(), 3);
     }
@@ -297,7 +293,7 @@ mod tests {
 
         // The extended index serves the new row without a rebuild.
         let idx = cache.get(intern("R"), &[0]).unwrap();
-        assert_eq!(idx.rows(&[Term::constant("e")]), &[3]);
+        assert_eq!(rows(idx, &["e"]), &[3]);
         assert_eq!(idx.rows_covered(), 4);
         // The untouched predicate's index is untouched.
         assert!(cache.get(intern("S"), &[0]).is_some());
@@ -321,8 +317,10 @@ mod tests {
         let incremental = cache.get(intern("R"), &[0, 1]).unwrap();
         let rebuilt = fresh.get(intern("R"), &[0, 1]).unwrap();
         assert_eq!(incremental.distinct_keys(), rebuilt.distinct_keys());
-        for tuple in db.relation(intern("R")).unwrap().iter() {
-            assert_eq!(incremental.rows(&tuple), rebuilt.rows(&tuple));
+        let rel = db.relation(intern("R")).unwrap();
+        for row in 0..rel.len() {
+            let key = [rel.column(0)[row], rel.column(1)[row]];
+            assert_eq!(incremental.rows_codes(&key), rebuilt.rows_codes(&key));
         }
     }
 
@@ -340,7 +338,7 @@ mod tests {
         assert!(db.insert(atom!("S", cst "u")).unwrap());
         cache.note_growth(&db);
         let idx = cache.get(intern("R"), &[0]).unwrap();
-        assert_eq!(idx.rows(&[Term::constant("u")]), &[3]);
+        assert_eq!(rows(idx, &["u"]), &[3]);
         assert_eq!(idx.rows_covered(), 4);
         // The cache is fully synchronized: ensure keeps it warm.
         assert!(cache.ensure(&db, intern("R"), &[0]));
@@ -359,7 +357,7 @@ mod tests {
         assert!(cache.ensure(&db, intern("T"), &[0]));
         assert_eq!(cache.len(), 1);
         let idx = cache.get(intern("T"), &[0]).unwrap();
-        assert_eq!(idx.rows(&[Term::constant("x")]).len(), 1);
+        assert_eq!(rows(idx, &["x"]).len(), 1);
     }
 
     #[test]
@@ -369,10 +367,7 @@ mod tests {
         cache.ensure(&db, intern("R"), &[0, 1]);
         let idx = cache.get(intern("R"), &[0, 1]).unwrap();
         assert_eq!(idx.distinct_keys(), 3);
-        assert_eq!(
-            idx.rows(&[Term::constant("a"), Term::constant("c")]).len(),
-            1
-        );
+        assert_eq!(rows(idx, &["a", "c"]).len(), 1);
     }
 
     #[test]
@@ -388,10 +383,10 @@ mod tests {
         assert!(db.insert(atom!("R", cst "z", cst "z")).unwrap());
         cache.note_growth(&db);
         let old = snapshot[0].as_ref().unwrap();
-        assert_eq!(old.rows(&[Term::constant("z"), Term::constant("z")]), &[]);
+        assert_eq!(rows(old, &["z", "z"]), &[]);
         assert_eq!(old.rows_covered(), 3);
         let new = cache.get(intern("R"), &[0, 1]).unwrap();
-        assert_eq!(new.rows(&[Term::constant("z"), Term::constant("z")]), &[3]);
+        assert_eq!(rows(new, &["z", "z"]), &[3]);
     }
 
     #[test]

@@ -97,7 +97,7 @@
 //!
 //! [`Database::materialize`] turns a query into a standing one: its answer
 //! set is stored and then **maintained** under fact appends instead of
-//! recomputed.  On both Yannakakis rungs maintenance is incremental — the
+//! recomputed.  Maintenance is incremental on every rung — the
 //! storage layer's per-relation delta logs
 //! ([`sac_storage::DeltaCursor`]) name exactly the appended rows, and the
 //! engine pushes them through the view's cached join tree (delta match
@@ -105,7 +105,8 @@
 //! then the ordinary semijoin sweeps and join-back-up over delta-sized
 //! tables), so a refresh costs O(Δ·fan-out), not O(database).  A
 //! witness-rung view pushes deltas through its pinned witness's join tree;
-//! indexed-rung views have none and refresh by recompute.  See [`view`] for the
+//! an indexed-rung view has none and searches from the delta rows of each
+//! grown atom instead.  See [`view`] for the
 //! maintenance model, [`MaterializedView`] for the handle API
 //! (`snapshot` / `refresh` / `is_fresh`) and the `view_*` counters of
 //! [`EngineMetrics`] for observability.

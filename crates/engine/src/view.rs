@@ -4,23 +4,26 @@
 //! [`MaterializedView`]: its answer set is computed once, stored, and from
 //! then on **maintained** instead of recomputed.  The storage layer's
 //! per-relation delta logs ([`sac_storage::DeltaCursor`]) tell each view
-//! exactly which facts appeared since its last refresh, and the engine's
-//! incremental Yannakakis path pushes those deltas through the view's
-//! cached join tree — delta match sets at the dirty nodes, index-driven
-//! restriction outward along the tree edges, then the ordinary semijoin
-//! sweeps and join-back-up over the restricted (delta-sized) tables.
+//! exactly which facts appeared since its last refresh, and the executor's
+//! delta path (`exec::execute_delta`) evaluates the standing query with one
+//! occurrence of a grown relation at a time confined to those facts.
 //! Conjunctive queries are monotone, so appends only ever **add** answers
 //! and the maintained set is exactly the from-scratch answer set.
 //!
-//! The incremental path applies to every plan that has a join tree: the
+//! The delta path exists on every rung.  A plan with a join tree — the
 //! query's own on the [`Strategy::YannakakisDirect`] rung, the pinned
 //! acyclic witness's on the [`Strategy::YannakakisWitness`] rung (the
 //! witness is itself a monotone conjunctive query, so its answers over the
 //! old facts united with what the delta adds are its answers over the new
-//! facts — exactly what a recompute of the witness returns).  Indexed-rung
-//! plans have no join tree and refresh by full recompute — correct, just
-//! not delta-proportional; [`ViewRefresh::mode`] reports which path ran,
-//! and the view counters in [`crate::EngineMetrics`] aggregate them.
+//! facts — exactly what a recompute of the witness returns) — pushes the
+//! delta through it: delta match sets at the dirty nodes, index-driven
+//! restriction outward along the tree edges, then the ordinary semijoin
+//! sweeps and join-back-up over the restricted (delta-sized) tables.  A
+//! [`Strategy::IndexedSearch`] plan runs, per occurrence of a grown
+//! relation, the search that starts at that occurrence's delta rows.  Only
+//! the initial materialization and deltas past half the rows the view reads
+//! recompute; [`ViewRefresh::mode`] reports which path ran, and the view
+//! counters in [`crate::EngineMetrics`] aggregate them.
 //!
 //! Freshness is observable and maintenance is optional per view:
 //! with [`ViewOptions::auto_refresh`] (the default) every append catches
@@ -83,13 +86,12 @@ pub enum RefreshMode {
     /// unsatisfy a monotone query, so its delta is skipped outright — the
     /// skipped rows are still reported in [`ViewRefresh::delta_rows`]).
     Fresh,
-    /// The delta was pushed through the cached join tree (the
-    /// delta-proportional path).
+    /// Only the delta was evaluated (the delta-proportional path): pushed
+    /// through the cached join tree, or searched from on the indexed rung.
     Incremental,
     /// The answer set was recomputed from scratch: the initial
-    /// materialization, an indexed-rung plan (no join tree to push a delta
-    /// through), or a delta of more than half the rows of the relations the
-    /// view reads.
+    /// materialization, or a delta of more than half the rows of the
+    /// relations the view reads.
     Full,
 }
 
@@ -214,13 +216,6 @@ impl<'db> MaterializedView<'db> {
         MaterializedView { database, core }
     }
 
-    /// The shared maintained state, for callers that must keep the view
-    /// alive beyond this handle (the durability layer pins recovered views
-    /// so they are not unregistered when the recovery-time handle drops).
-    pub(crate) fn core_arc(&self) -> Arc<ViewCore> {
-        Arc::clone(&self.core)
-    }
-
     /// The current materialized answers, as a typed [`ResultSet`].  No
     /// recomputation happens: this is a read of the maintained state (call
     /// [`MaterializedView::refresh`] first if the view may be stale and
@@ -233,9 +228,8 @@ impl<'db> MaterializedView<'db> {
     }
 
     /// Brings the view up to date with the database and reports what that
-    /// took: a no-op when fresh, a delta push when the pinned plan has a join
-    /// tree (both Yannakakis rungs) and the delta is small, a recompute
-    /// otherwise.
+    /// took: a no-op when fresh, a delta evaluation (on whichever rung the
+    /// pinned plan is) when the delta is small, a recompute otherwise.
     pub fn refresh(&self) -> ViewRefresh {
         self.database.view_refresh(&self.core)
     }
@@ -276,7 +270,7 @@ impl<'db> MaterializedView<'db> {
     }
 
     /// The strategy of the pinned plan (incremental maintenance applies on
-    /// both Yannakakis rungs; [`Strategy::IndexedSearch`] views recompute).
+    /// every rung).
     pub fn strategy(&self) -> Strategy {
         self.core.plan.strategy()
     }
@@ -384,6 +378,7 @@ mod tests {
 
     #[test]
     fn non_direct_rungs_refresh_by_full_recompute() {
+        // (Name kept from when they did.)  Every rung takes a delta.
         // Witness rung: the looped triangle's core is the single loop atom,
         // whose join tree takes deltas like any other.
         let db = Database::from_facts("E(a, b). E(b, a).").unwrap();
@@ -405,8 +400,8 @@ mod tests {
         forced.load_facts("E(c, d).").unwrap();
         assert_eq!(view.len(), 2);
         let m = forced.metrics();
-        assert_eq!(m.view_refreshes_full, 2, "initial + maintenance recompute");
-        assert_eq!(m.view_refreshes_incremental, 0);
+        assert_eq!(m.view_refreshes_full, 1, "the initial materialization");
+        assert_eq!(m.view_refreshes_incremental, 1, "the seeded searches");
     }
 
     #[test]

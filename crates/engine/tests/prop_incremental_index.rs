@@ -53,9 +53,9 @@ fn check_sequence(inserts: usize, seed: u64) -> Result<(), TestCaseError> {
         prop_assert_eq!(incremental.distinct_keys(), rebuilt.distinct_keys());
         let rel = db.relation(predicate).unwrap();
         prop_assert_eq!(incremental.rows_covered(), rel.len());
-        for tuple in rel.iter() {
-            let key: Vec<Term> = positions.iter().map(|p| tuple[*p]).collect();
-            prop_assert_eq!(incremental.rows(&key), rebuilt.rows(&key));
+        for row in 0..rel.len() {
+            let key: Vec<u32> = positions.iter().map(|p| rel.column(*p)[row]).collect();
+            prop_assert_eq!(incremental.rows_codes(&key), rebuilt.rows_codes(&key));
         }
     }
     Ok(())

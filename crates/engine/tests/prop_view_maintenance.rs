@@ -2,9 +2,10 @@
 //! sequence, an incrementally maintained view must always equal a
 //! from-scratch evaluation of its query — for auto-refresh and lazy views,
 //! Boolean and non-Boolean heads, and every strategy rung the generated
-//! queries reach.  A second property pins the witness rung's policy: a view
-//! whose plan is an acyclic witness takes deltas through the witness's join
-//! tree, and stays equal to a recompute.
+//! queries reach.  Two more properties pin the policy of the other rungs: a
+//! view whose plan is an acyclic witness takes deltas through the witness's
+//! join tree, a genuinely cyclic view takes them through the searches
+//! seeded at the delta rows, and both stay equal to a recompute.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -23,13 +24,14 @@ fn view_queries() -> Vec<ConjunctiveQuery> {
         sac_gen::path_query(2),           // Boolean, direct rung
         sac_gen::star_query(3),           // Boolean, shared hub
         sac_gen::looped_triangle_query(), // witness rung, Boolean
-        sac_gen::clique_query(3),         // indexed rung (full refresh)
+        sac_gen::clique_query(3),         // indexed rung, Boolean
         ConjunctiveQuery::new(
             vec![intern("x0"), intern("x2")],
             sac_gen::path_query(2).body,
         )
         .unwrap(), // non-Boolean, direct rung
         ConjunctiveQuery::new(vec![intern("c")], sac_gen::star_query(2).body).unwrap(),
+        ConjunctiveQuery::new(vec![intern("x0")], sac_gen::cycle_query(4).body).unwrap(), // indexed rung
     ]
 }
 
@@ -115,8 +117,61 @@ fn check_witness_sequence(
     Ok(())
 }
 
+/// The constraint-free triangle and 4-cycle with heads — their own cores,
+/// so on the search rung with no knob forced — maintained lazily under
+/// batches that stay below the fraction gate: every batch must be answered
+/// from its delta.
+fn check_cyclic_sequence(
+    base_edges: usize,
+    batches: usize,
+    batch_edges: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let (base, stream) =
+        sac_gen::streaming_graph_workload(9, base_edges, batches, batch_edges, seed);
+    let db = Database::from_instance(base.clone());
+    let options = ViewOptions {
+        auto_refresh: false,
+    };
+    let views: Vec<_> = [(["x0", "x1"], 3), (["x0", "x2"], 4)]
+        .into_iter()
+        .map(|(head, n)| {
+            let head = head.iter().map(|v| intern(v)).collect();
+            let query = ConjunctiveQuery::new(head, sac_gen::cycle_query(n).body).unwrap();
+            db.materialize_with(query, options).unwrap()
+        })
+        .collect();
+    let mut reference = base;
+    for batch in stream.iter().filter(|batch| !batch.is_empty()) {
+        for atom in batch {
+            db.insert(atom.clone()).unwrap();
+            reference.insert(atom.clone()).unwrap();
+        }
+        for view in &views {
+            prop_assert_eq!(view.strategy(), Strategy::IndexedSearch);
+            prop_assert_eq!(view.refresh().mode, RefreshMode::Incremental);
+            prop_assert_eq!(view.snapshot(), db.run(view.query()));
+            prop_assert_eq!(
+                view.snapshot().into_tuples(),
+                evaluate(view.query(), &reference)
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cyclic_views_search_from_deltas_and_equal_the_recompute(
+        base_edges in 8usize..40,
+        batches in 1usize..5,
+        batch_edges in 1usize..5,
+        seed in 0u64..10_000,
+    ) {
+        check_cyclic_sequence(base_edges, batches, batch_edges, seed)?;
+    }
 
     #[test]
     fn witness_rung_views_push_deltas_and_equal_the_recompute(

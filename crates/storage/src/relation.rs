@@ -251,7 +251,7 @@ impl Relation {
     /// in `bound` must hold.  Drives the scan off the sparsest bound
     /// sidecar and verifies the remaining positions against the columns;
     /// with no bindings, every row matches.  Row ids come back ascending.
-    pub fn select_rows(&self, bound: &[(usize, u32)]) -> Vec<u32> {
+    fn select_rows(&self, bound: &[(usize, u32)]) -> Vec<u32> {
         if bound.is_empty() {
             return (0..self.rows).collect();
         }
