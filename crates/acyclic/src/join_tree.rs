@@ -97,14 +97,9 @@ impl JoinTree {
                 }
             }
         }
-        for nodes in term_nodes.values() {
-            if !is_connected_within(&adj, nodes, |n| {
-                self.atoms[n].terms().iter().any(|t| connectable(*t))
-            }) {
-                return false;
-            }
-        }
-        true
+        term_nodes
+            .values()
+            .all(|nodes| is_connected_within(&adj, nodes))
     }
 }
 
@@ -117,11 +112,7 @@ pub fn connectable(term: Term) -> bool {
 /// `nodes` themselves (the usual join-tree requirement: the path may only use
 /// nodes that also contain the term — equivalently, connectivity within the
 /// induced subgraph).
-fn is_connected_within(
-    adj: &[BTreeSet<usize>],
-    nodes: &[usize],
-    _node_filter: impl Fn(usize) -> bool,
-) -> bool {
+fn is_connected_within(adj: &[BTreeSet<usize>], nodes: &[usize]) -> bool {
     if nodes.len() <= 1 {
         return true;
     }

@@ -147,7 +147,7 @@ mod tests {
         let inst = path_instance(5);
         let frozen = FrozenQuery::freeze(&q);
         let _ = frozen;
-        let hom = sac_query::find_homomorphism(&q.body, &inst).unwrap();
+        let hom = sac_query::all_homomorphisms(&q.body, &inst).remove(0);
         let w = compact_acyclic_witness(&q, &inst, &hom).unwrap();
         assert!(is_acyclic_query(&w));
         assert!(contained_in(&w, &q));
@@ -164,7 +164,7 @@ mod tests {
         )
         .unwrap();
         let inst = path_instance(6);
-        let hom = sac_query::find_homomorphism(&q.body, &inst).unwrap();
+        let hom = sac_query::all_homomorphisms(&q.body, &inst).remove(0);
         let expected_head = hom.apply(Term::variable("x"));
         let w = compact_acyclic_witness(&q, &inst, &hom).unwrap();
         let answers = evaluate(&w, &inst);
@@ -179,7 +179,7 @@ mod tests {
         inst.insert(atom!("E", null 1, null 2)).unwrap();
         inst.insert(atom!("E", null 2, null 0)).unwrap();
         let q = ConjunctiveQuery::boolean(vec![atom!("E", var "x", var "y")]).unwrap();
-        let hom = sac_query::find_homomorphism(&q.body, &inst).unwrap();
+        let hom = sac_query::all_homomorphisms(&q.body, &inst).remove(0);
         assert!(compact_acyclic_witness(&q, &inst, &hom).is_none());
     }
 
@@ -207,7 +207,7 @@ mod tests {
             .unwrap();
         let q = ConjunctiveQuery::boolean(vec![atom!("Start", var "s"), atom!("End", var "e")])
             .unwrap();
-        let hom = sac_query::find_homomorphism(&q.body, &inst).unwrap();
+        let hom = sac_query::all_homomorphisms(&q.body, &inst).remove(0);
         let w = compact_acyclic_witness(&q, &inst, &hom).unwrap();
         assert!(is_acyclic_query(&w));
         assert!(contained_in(&w, &q));
@@ -224,7 +224,7 @@ mod tests {
         let mut inst = Instance::new();
         inst.insert(atom!("R", null 0, cst "a")).unwrap();
         let q = ConjunctiveQuery::boolean(vec![atom!("R", var "x", cst "a")]).unwrap();
-        let hom = sac_query::find_homomorphism(&q.body, &inst).unwrap();
+        let hom = sac_query::all_homomorphisms(&q.body, &inst).remove(0);
         let w = compact_acyclic_witness(&q, &inst, &hom).unwrap();
         assert!(w.body.iter().any(|a| a.args.contains(&Term::constant("a"))));
         assert!(contained_in(&w, &q));

@@ -15,10 +15,9 @@
 
 use sac_common::{Error, Result, Substitution, Term};
 use sac_deps::Egd;
-use sac_query::{ConjunctiveQuery, FrozenQuery, HomomorphismSearch};
-use sac_storage::Instance;
+use sac_query::{ConjunctiveQuery, FrozenQuery, Homomorphisms};
+use sac_storage::{dict, Instance};
 use std::collections::BTreeMap;
-use std::ops::ControlFlow;
 
 /// The result of a successful egd chase.
 #[derive(Debug, Clone)]
@@ -109,16 +108,17 @@ fn find_violation(instance: &Instance, egds: &[Egd]) -> Option<(Term, Term)> {
         if egd.is_trivial() {
             continue;
         }
+        let body = Homomorphisms::new(&egd.body, instance, &[]);
+        let slot = |v| body.slot(v).expect("equated variables occur in the body");
+        let (left, right) = (slot(egd.left), slot(egd.right));
         let mut found = None;
-        HomomorphismSearch::new(&egd.body, instance).for_each(|h| {
-            let left = h.apply(Term::Variable(egd.left));
-            let right = h.apply(Term::Variable(egd.right));
-            if left != right {
-                found = Some((left, right));
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
+        body.search(instance, &[], |h| {
+            // Codes are a bijection with terms: distinct codes, distinct terms.
+            let violated = h[left] != h[right];
+            if violated {
+                found = Some((dict::decode(h[left]), dict::decode(h[right])));
             }
+            violated
         });
         if found.is_some() {
             return found;

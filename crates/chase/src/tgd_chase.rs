@@ -1,11 +1,10 @@
 //! The restricted (standard) chase for tgds.
 
 use crate::budget::ChaseBudget;
-use sac_common::{FreshSource, Substitution, Term};
+use sac_common::{FreshSource, Substitution};
 use sac_deps::Tgd;
-use sac_query::{ConjunctiveQuery, FrozenQuery, HomomorphismSearch};
+use sac_query::{ConjunctiveQuery, FrozenQuery, Homomorphisms};
 use sac_storage::Instance;
-use std::ops::ControlFlow;
 
 /// The result of a tgd chase run.
 #[derive(Debug, Clone)]
@@ -30,6 +29,17 @@ pub fn tgd_chase(instance: &Instance, tgds: &[Tgd], budget: ChaseBudget) -> TgdC
     let mut current = instance.clone();
     let mut fresh = FreshSource::starting_after_null(current.max_null_label().unwrap_or(0));
     let mut steps = 0usize;
+    // Each tgd's trigger search, compiled once per run: its body, and its
+    // head with every body variable pre-bound, so that a trigger's binding
+    // array is where the head search starts.
+    let mut searches: Vec<(Homomorphisms, Homomorphisms)> = tgds
+        .iter()
+        .map(|tgd| {
+            let body = Homomorphisms::new(&tgd.body, &current, &[]);
+            let head = Homomorphisms::new(&tgd.head, &current, body.variables());
+            (body, head)
+        })
+        .collect();
 
     loop {
         if budget.exceeded(steps, current.len()) {
@@ -39,7 +49,7 @@ pub fn tgd_chase(instance: &Instance, tgds: &[Tgd], budget: ChaseBudget) -> TgdC
                 steps,
             };
         }
-        match find_applicable_trigger(&current, tgds) {
+        match first_active_trigger(&searches, &current) {
             None => {
                 return TgdChaseResult {
                     instance: current,
@@ -49,6 +59,10 @@ pub fn tgd_chase(instance: &Instance, tgds: &[Tgd], budget: ChaseBudget) -> TgdC
             }
             Some((tgd_idx, trigger)) => {
                 apply_trigger(&mut current, &tgds[tgd_idx], &trigger, &mut fresh);
+                for (body, head) in &mut searches {
+                    body.note_growth(&current);
+                    head.note_growth(&current);
+                }
                 steps += 1;
             }
         }
@@ -70,39 +84,22 @@ pub fn tgd_chase_query(
 }
 
 /// Finds an *active* trigger: a tgd and a homomorphism of its body into the
-/// instance that cannot be extended to satisfy the head.
-fn find_applicable_trigger(instance: &Instance, tgds: &[Tgd]) -> Option<(usize, Substitution)> {
-    for (i, tgd) in tgds.iter().enumerate() {
-        let mut found: Option<Substitution> = None;
-        HomomorphismSearch::new(&tgd.body, instance).for_each(|h| {
-            if head_satisfied(instance, tgd, h) {
-                ControlFlow::Continue(())
-            } else {
-                found = Some(h.clone());
-                ControlFlow::Break(())
+/// instance whose frontier extends to no homomorphism of the head.
+fn first_active_trigger(
+    searches: &[(Homomorphisms, Homomorphisms)],
+    instance: &Instance,
+) -> Option<(usize, Substitution)> {
+    searches.iter().enumerate().find_map(|(i, (body, head))| {
+        let mut trigger = None;
+        body.search(instance, &[], |h| {
+            let active = !head.search(instance, h, |_| true);
+            if active {
+                trigger = Some((i, body.substitution(h)));
             }
+            active
         });
-        if let Some(h) = found {
-            return Some((i, h));
-        }
-    }
-    None
-}
-
-/// Whether the head of `tgd` is already satisfied for the trigger `h` (i.e.
-/// `h` restricted to the frontier extends to a homomorphism of the head).
-fn head_satisfied(instance: &Instance, tgd: &Tgd, h: &Substitution) -> bool {
-    // Restrict h to the frontier variables; existential variables must remain
-    // free for the head search.
-    let frontier = tgd.frontier_variables();
-    let restricted = Substitution::from_pairs(
-        frontier
-            .iter()
-            .filter_map(|v| h.get_var(*v).map(|t| (Term::Variable(*v), t))),
-    );
-    HomomorphismSearch::new(&tgd.head, instance)
-        .with_initial(restricted)
-        .exists()
+        trigger
+    })
 }
 
 /// Fires `tgd` on `trigger`, adding the head atoms with fresh nulls for the
@@ -131,7 +128,7 @@ fn apply_trigger(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_common::{atom, intern};
+    use sac_common::{atom, intern, Term};
     use sac_query::evaluate_boolean;
 
     fn collector_tgd() -> Tgd {

@@ -10,13 +10,15 @@
 //! For egds the chase always terminates, so the answer is exact; a failing
 //! chase means the left query is unsatisfiable on every instance satisfying
 //! the egds, and containment holds vacuously.
+//!
+//! Both are Lemma 1's test as [`sac_query::contained_on_chase`] runs it,
+//! with the chase of the constraint class plugged in.
 
-use sac_chase::{egd_chase_query, tgd_chase_query, ChaseBudget};
-use sac_common::Term;
+use sac_chase::{egd_chase, tgd_chase, ChaseBudget};
 use sac_deps::{Egd, Tgd};
-use sac_query::evaluate::contains_answer;
-use sac_query::ConjunctiveQuery;
+use sac_query::{contained_on_chase, ConjunctiveQuery};
 use sac_rewrite::{contained_via_rewriting, RewriteBudget};
+use std::slice;
 
 /// The outcome of a containment test under tgds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,16 +57,18 @@ pub fn contained_under_tgds(
     tgds: &[Tgd],
     budget: ChaseBudget,
 ) -> ContainmentAnswer {
-    if q.head.len() != q_prime.head.len() {
-        return ContainmentAnswer::Fails;
-    }
-    let (result, frozen) = tgd_chase_query(q, tgds, budget);
-    if contains_answer(q_prime, &result.instance, &frozen.head) {
+    let mut truncated = false;
+    let hit = contained_on_chase(q, slice::from_ref(q_prime), |frozen| {
+        let result = tgd_chase(&frozen.instance, tgds, budget);
+        truncated = !result.terminated;
+        Some((result.instance, frozen.head))
+    });
+    if hit {
         // A chase prefix is homomorphically embeddable into the full chase,
         // so a hit on the prefix certifies containment.
         return ContainmentAnswer::Holds;
     }
-    if result.terminated {
+    if !truncated {
         return ContainmentAnswer::Fails;
     }
     // Chase truncated: try the rewriting-based route, exact for
@@ -101,16 +105,12 @@ pub fn contained_under_egds(
     q_prime: &ConjunctiveQuery,
     egds: &[Egd],
 ) -> bool {
-    if q.head.len() != q_prime.head.len() {
-        return false;
-    }
-    match egd_chase_query(q, egds) {
-        Err(_) => true, // q is unsatisfiable w.r.t. Σ: contained vacuously.
-        Ok((result, frozen)) => {
-            let head: Vec<Term> = result.resolve_tuple(&frozen.head);
-            contains_answer(q_prime, &result.instance, &head)
-        }
-    }
+    contained_on_chase(q, slice::from_ref(q_prime), |frozen| {
+        // A failing chase: q is unsatisfiable w.r.t. Σ, contained vacuously.
+        let result = egd_chase(&frozen.instance, egds).ok()?;
+        let head = result.resolve_tuple(&frozen.head);
+        Some((result.instance, head))
+    })
 }
 
 /// Decides `q ≡Σ q'` for a set of egds.

@@ -29,13 +29,14 @@
 //!   chased core being acyclic is the common case).
 
 use crate::containment::{contained_under_egds, contained_under_tgds};
-use sac_acyclic::{compact_acyclic_witness, is_acyclic_instance, is_acyclic_query};
+use sac_acyclic::{
+    compact_acyclic_witness, is_acyclic_atoms, is_acyclic_instance, is_acyclic_query,
+};
 use sac_chase::{egd_chase_query, tgd_chase_query, ChaseBudget};
 use sac_common::{Atom, Symbol, Term};
 use sac_deps::{Egd, Tgd};
-use sac_query::{core_of, ConjunctiveQuery, HomomorphismSearch};
+use sac_query::{core_of, ConjunctiveQuery, Homomorphisms};
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 
 /// Configuration for the witness search.
 #[derive(Debug, Clone, Copy)]
@@ -127,28 +128,19 @@ pub fn semantic_acyclicity_under_tgds(
     if is_acyclic_instance(&chase.instance) {
         let mut found: Option<ConjunctiveQuery> = None;
         let mut tried = 0usize;
-        HomomorphismSearch::new(&query.body, &chase.instance).for_each(|h| {
-            // Only homomorphisms that send the head to the canonical tuple
-            // produce witnesses with the right answer behaviour.
-            let head_ok = query
-                .head
-                .iter()
-                .zip(frozen.head.iter())
-                .all(|(v, c)| h.apply(Term::Variable(*v)) == *c);
-            if head_ok {
-                if let Some(candidate) = compact_acyclic_witness(query, &chase.instance, h) {
-                    tried += 1;
-                    if verify(&candidate) {
-                        found = Some(candidate);
-                        return ControlFlow::Break(());
-                    }
+        // Only homomorphisms that send the head to the canonical tuple
+        // produce witnesses with the right answer behaviour.
+        let homs = Homomorphisms::new(&query.body, &chase.instance, &query.head);
+        homs.search_terms(&chase.instance, &frozen.head, |h| {
+            let h = homs.substitution(h);
+            if let Some(candidate) = compact_acyclic_witness(query, &chase.instance, &h) {
+                tried += 1;
+                if verify(&candidate) {
+                    found = Some(candidate);
+                    return true;
                 }
             }
-            if tried >= config.max_candidates {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
+            tried >= config.max_candidates
         });
         if let Some(w) = found {
             return SemAcResult::Witness(w);
@@ -319,7 +311,7 @@ fn subquery_witness_search(
             }
             let atoms: Vec<Atom> = indices.iter().map(|i| expansion[*i].clone()).collect();
             let vars: BTreeSet<Symbol> = atoms.iter().flat_map(|a| a.variables()).collect();
-            if head_vars.iter().all(|v| vars.contains(v)) && is_acyclic_query_atoms(&atoms) {
+            if head_vars.iter().all(|v| vars.contains(v)) && is_acyclic_atoms(&atoms) {
                 let candidate = ConjunctiveQuery::new_unchecked(query.head.clone(), atoms);
                 if verify(&candidate) {
                     return SubquerySearch::Found(candidate);
@@ -332,10 +324,6 @@ fn subquery_witness_search(
         }
     }
     SubquerySearch::Exhausted
-}
-
-fn is_acyclic_query_atoms(atoms: &[Atom]) -> bool {
-    sac_acyclic::is_acyclic_atoms(atoms)
 }
 
 /// Advances `indices` to the next `k`-combination of `{0, …, n-1}`; returns

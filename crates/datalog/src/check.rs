@@ -25,7 +25,7 @@
 use crate::certificate::{Certificate, Premise};
 use crate::program::{DatalogProgram, Rule};
 use sac_common::{Atom, Substitution, Symbol};
-use sac_query::HomomorphismSearch;
+use sac_query::all_homomorphisms;
 use sac_storage::Instance;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -307,7 +307,7 @@ fn check_closed(
         let _ = closed.insert(fact.clone());
     }
     for (rule_index, rule) in checked {
-        for substitution in HomomorphismSearch::new(&rule.body, &closed).all() {
+        for substitution in all_homomorphisms(&rule.body, &closed) {
             let blocked = rule
                 .negated
                 .iter()

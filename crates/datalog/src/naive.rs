@@ -10,7 +10,7 @@
 use crate::certificate::{Certificate, DerivationStep, Premise};
 use crate::program::DatalogProgram;
 use sac_common::{Atom, Result};
-use sac_query::HomomorphismSearch;
+use sac_query::all_homomorphisms;
 use sac_storage::Instance;
 use std::collections::BTreeMap;
 
@@ -34,7 +34,7 @@ pub fn naive_fixpoint(
             let mut candidates: Vec<(usize, Atom, Vec<Atom>, Vec<Atom>)> = Vec::new();
             for &rule_index in stratum {
                 let rule = &program.rules()[rule_index];
-                for substitution in HomomorphismSearch::new(&rule.body, &work).all() {
+                for substitution in all_homomorphisms(&rule.body, &work) {
                     let negated: Vec<Atom> = rule
                         .negated
                         .iter()

@@ -21,14 +21,14 @@
 //!    intermediate tables stay output-bounded instead of exploding into a
 //!    cross-product walk over the reduced tree.
 //!
-//! The fallback path is a backtracking search over the planner's fixed atom
-//! order, compiled the same way: every variable is a slot of one `[u32]`
-//! binding array that the steps overwrite in place, a step's candidates come
-//! from the sidecar or snapshot index on exactly its bound columns, keyed by
-//! the codes the array already holds, each candidate row passes the same
-//! [`CodeShape::admit_row`] as a Yannakakis match set, a Boolean head stops
-//! at the first homomorphism, and the answers leave through the same
-//! head projection and decoder.
+//! The fallback path is the workspace's one homomorphism search
+//! ([`sac_query::homomorphism`]) over the planner's fixed atom order: every
+//! variable is a slot of one `[u32]` binding array that the steps overwrite
+//! in place, a step's candidates come from the sidecar or snapshot index on
+//! exactly its bound columns, keyed by the codes the array already holds,
+//! each candidate row passes the same [`CodeShape::admits`] as a
+//! Yannakakis match set, a Boolean head stops at the first homomorphism,
+//! and the answers leave through the same head projection and decoder.
 //!
 //! ## Compile time, run time
 //!
@@ -64,12 +64,11 @@
 //! or mis-sized relation returns before it probes, so a probe never finds
 //! its slot empty.
 
-use crate::index::{IndexCache, JoinIndex};
-use crate::plan::{
-    EdgeSpec, ExecPlan, IndexedPlan, JoinSpec, KeyPart, NodeShape, Plan, SearchStep, YannakakisPlan,
-};
-use sac_common::{Atom, FxHashMap, FxHashSet, Symbol, Term};
-use sac_storage::{dict, Instance, Relation};
+use crate::index::IndexCache;
+use crate::plan::{EdgeSpec, ExecPlan, IndexedPlan, JoinSpec, Plan, YannakakisPlan};
+use sac_common::{FxHashMap, FxHashSet, Symbol, Term};
+use sac_query::homomorphism::{relation_of, search, CodeShape, SearchStep};
+use sac_storage::{dict, Instance, JoinIndex};
 use sac_telemetry::{Phase, Probe};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -266,62 +265,6 @@ impl Table {
     }
 }
 
-/// A [`NodeShape`] with its constant key pushed through the dictionary: the
-/// executor's decode-free admission test over columnar rows.
-struct CodeShape<'a> {
-    shape: &'a NodeShape,
-    /// The codes of `shape.const_key`, aligned.
-    const_codes: Vec<u32>,
-}
-
-impl<'a> CodeShape<'a> {
-    /// `None` when some rigid term of the atom was never encoded — then no
-    /// stored tuple can match and the atom's match set is empty without
-    /// touching the relation (the dictionary's `None` is a process-wide
-    /// absence guarantee).
-    fn of(shape: &'a NodeShape) -> Option<CodeShape<'a>> {
-        let const_codes = shape.const_key.iter().map(|t| dict::lookup(*t));
-        Some(CodeShape {
-            shape,
-            const_codes: const_codes.collect::<Option<Vec<u32>>>()?,
-        })
-    }
-
-    /// The match-set projection of row `row` of `cols` (its codes at the
-    /// distinct variables' first occurrences) when the row passes the
-    /// shape's repeated-variable and constant filters, `None` otherwise.
-    /// The one definition of "this relation row matches this atom", shared
-    /// by the full scan and incremental (delta) paths so they can never
-    /// disagree.
-    #[inline]
-    fn admit_row(&self, cols: &[&[u32]], row: usize) -> Option<Vec<u32>> {
-        let shape = self.shape;
-        let consistent = shape
-            .eq_checks
-            .iter()
-            .all(|(a, b)| cols[*a][row] == cols[*b][row]);
-        let constants = shape
-            .const_positions
-            .iter()
-            .zip(&self.const_codes)
-            .all(|(p, k)| cols[*p][row] == *k);
-        (consistent && constants).then(|| shape.var_first.iter().map(|p| cols[*p][row]).collect())
-    }
-}
-
-/// The column slices of `rel`, gathered once per sweep so the row loop is
-/// pure slice indexing.
-fn columns_of(rel: &Relation) -> Vec<&[u32]> {
-    (0..rel.arity()).map(|p| rel.column(p)).collect()
-}
-
-/// The relation `atom` reads, when it exists with the atom's arity
-/// (otherwise nothing can match the atom).
-fn relation_of<'d>(atom: &Atom, db: &'d Instance) -> Option<&'d Relation> {
-    let relation = db.relation(atom.predicate);
-    relation.filter(|rel| rel.arity() == atom.arity())
-}
-
 /// Computes a node's match set: the projection onto its distinct variables of
 /// the relation tuples matching the atom's constants and repeated variables.
 /// Constant positions are served by the relation's sidecar index (one
@@ -337,7 +280,7 @@ fn node_matches(plan: &YannakakisPlan, node: usize, db: &Instance, ctx: &ExecCon
         return table; // a rigid term the dictionary never saw: no match
     };
     let const_codes = &code_shape.const_codes;
-    let cols = columns_of(rel);
+    let cols = rel.columns();
     if shape.const_positions.is_empty() {
         table.tuples.reserve(rel.len());
     }
@@ -529,7 +472,7 @@ fn restrict_via_edge(
     let Some(code_shape) = CodeShape::of(&plan.shapes[to]) else {
         return table;
     };
-    let cols = columns_of(rel);
+    let cols = rel.columns();
     let keys: FxHashSet<Vec<u32>> = frontier
         .tuples
         .iter()
@@ -606,7 +549,7 @@ pub(crate) fn execute_delta(
         // The dirty node's table: its match set over the delta rows only.
         let mut delta_table = Table::default();
         if let Some(code_shape) = CodeShape::of(&yp.shapes[dirty]) {
-            let cols = columns_of(rel);
+            let cols = rel.columns();
             for row in from_row..rel.len() {
                 if let Some(projected) = code_shape.admit_row(&cols, row) {
                     delta_table.tuples.insert(projected);
@@ -668,21 +611,10 @@ pub(crate) fn execute_delta(
     out
 }
 
-/// A [`SearchStep`] with what one run adds to it: the relation's column
-/// slices and the dictionary codes of the atom's constants.
-struct BoundStep<'a> {
-    step: &'a SearchStep,
-    rel: &'a Relation,
-    cols: Vec<&'a [u32]>,
-    shape: CodeShape<'a>,
-}
-
 /// Runs the compiled search `steps` of `plan`, its first step confined to
 /// rows at or above `from_row`: `visit` sees the binding array of every
 /// homomorphism — of the first one only when the head is empty, which a
-/// single homomorphism decides.  Nothing is visited when some atom can
-/// match nothing at all: its relation is missing or of another arity, or
-/// the dictionary never saw one of its constants.
+/// single homomorphism decides.
 fn for_each_match(
     plan: &IndexedPlan,
     steps: &[SearchStep],
@@ -691,74 +623,21 @@ fn for_each_match(
     ctx: &ExecContext,
     mut visit: impl FnMut(&[u32]),
 ) {
-    let bound = steps.iter().map(|step| {
-        let rel = relation_of(&plan.query.body[step.atom], db)?;
-        let (cols, shape) = (columns_of(rel), CodeShape::of(&step.shape)?);
-        Some(BoundStep {
-            step,
-            rel,
-            cols,
-            shape,
-        })
-    });
-    if let Some(bound) = bound.collect::<Option<Vec<BoundStep<'_>>>>() {
-        let boolean = plan.head_slots.is_empty();
-        let mut visit = |bindings: &[u32]| {
-            visit(bindings);
+    let boolean = plan.head_slots.is_empty();
+    let bindings = &mut vec![0; plan.slots];
+    let index = |slot| ctx.index(slot);
+    search(
+        &plan.query.body,
+        steps,
+        db,
+        index,
+        from_row,
+        bindings,
+        |found| {
+            visit(found);
             boolean
-        };
-        search(&bound, from_row, ctx, &mut vec![0; plan.slots], &mut visit);
-    }
-}
-
-/// One level of the backtracking search: extends `bindings` by every row of
-/// the first of `steps` that agrees with them, and recurses into the rest,
-/// until `visit` returns `true` for some homomorphism (which is then also
-/// what the search returns).  Candidates come from the index on exactly the
-/// step's bound columns, so they agree with the bindings by construction;
-/// slots are overwritten in place — a step only writes slots no earlier
-/// step reads, so nothing needs undoing on the way back.
-fn search<F: FnMut(&[u32]) -> bool>(
-    steps: &[BoundStep<'_>],
-    from_row: usize,
-    ctx: &ExecContext,
-    bindings: &mut [u32],
-    visit: &mut F,
-) -> bool {
-    let Some((bound, rest)) = steps.split_first() else {
-        return visit(bindings);
-    };
-    let step = bound.step;
-    let code = |part: &KeyPart| match part {
-        KeyPart::Const(i) => bound.shape.const_codes[*i],
-        KeyPart::Slot(slot) => bindings[*slot],
-    };
-    // One bound column is the relation's sidecar index, several the step's
-    // snapshot index; both list row ids in ascending order.
-    let rows = match (step.index, step.key.first()) {
-        (Some(slot), _) => {
-            let key: Vec<u32> = step.key.iter().map(|(_, part)| code(part)).collect();
-            Some(ctx.index(slot).rows_codes(&key))
-        }
-        (None, Some((pos, part))) => Some(bound.rel.rows_with_code(*pos, code(part))),
-        (None, None) => None,
-    };
-    let mut extend = |row: usize| {
-        let Some(codes) = bound.shape.admit_row(&bound.cols, row) else {
-            return false;
-        };
-        for (column, slot) in &step.binds {
-            bindings[*slot] = codes[*column];
-        }
-        search(rest, 0, ctx, bindings, visit)
-    };
-    match rows {
-        Some(rows) => {
-            let skipped = rows.partition_point(|row| (*row as usize) < from_row);
-            rows[skipped..].iter().any(|row| extend(*row as usize))
-        }
-        None => (from_row..bound.rel.len()).any(extend),
-    }
+        },
+    );
 }
 
 /// Runs each of `searches` — a step list and the row its first step starts
@@ -787,7 +666,7 @@ mod tests {
     use super::*;
     use crate::database::EngineConfig;
     use crate::plan::plan_query;
-    use sac_common::{atom, intern};
+    use sac_common::{atom, intern, Atom};
     use sac_query::{evaluate, ConjunctiveQuery};
 
     fn run(q: &ConjunctiveQuery, db: &Instance) -> BTreeSet<Vec<Term>> {

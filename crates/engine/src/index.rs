@@ -3,9 +3,8 @@
 //! `sac-storage` maintains single-column positional indexes incrementally on
 //! every insert.  Multi-column (join-key) indexes are too numerous to build
 //! eagerly — which column sets matter depends on the queries — so the engine
-//! builds them **on demand** through [`sac_storage::Relation::project_index`]
-//! and caches them here, keyed by `(predicate, column set)`.  Join indexes
-//! are all the cache holds.
+//! builds [`JoinIndex`]es **on demand** and caches them here, keyed by
+//! `(predicate, column set)`.  Join indexes are all the cache holds.
 //!
 //! Staleness is tracked with the instance's mutation [`Instance::epoch`]:
 //! the cache remembers the epoch it was built against, and
@@ -27,71 +26,11 @@
 //! held), while later incremental updates copy-on-write (`Arc::make_mut`)
 //! and leave in-flight snapshots intact.
 
-use sac_common::{FxHashMap, Symbol};
-use sac_storage::{Instance, Relation};
+use sac_common::Symbol;
+use sac_storage::{IndexKey, Instance, JoinIndex};
 use sac_telemetry::{bus, Event};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// A hash index over the projection of one relation onto a set of columns:
-/// key tuple → row ids sharing it.
-///
-/// Keys are rows of dictionary **codes** (see [`sac_storage::dict`]), so the
-/// executor probes with the codes it already carries — no term
-/// materialization per lookup.
-#[derive(Debug, Clone)]
-pub struct JoinIndex {
-    positions: Vec<usize>,
-    map: FxHashMap<Vec<u32>, Vec<u32>>,
-    /// How many rows of the backing relation the index covers (relations are
-    /// append-only, so `rows_covered..rel.len()` is exactly the new tail).
-    rows_covered: usize,
-}
-
-impl JoinIndex {
-    fn build(rel: &Relation, positions: &[usize]) -> JoinIndex {
-        JoinIndex {
-            positions: positions.to_vec(),
-            map: rel.project_index(positions),
-            rows_covered: rel.len(),
-        }
-    }
-
-    /// Appends the rows the backing relation gained since the index was
-    /// built or last extended.  Row ids are pushed in ascending order, so the
-    /// result is identical to a from-scratch [`Relation::project_index`].
-    fn extend_from(&mut self, rel: &Relation) {
-        for row in self.rows_covered..rel.len() {
-            let key: Vec<u32> = self.positions.iter().map(|p| rel.column(*p)[row]).collect();
-            self.map.entry(key).or_default().push(row as u32);
-        }
-        self.rows_covered = rel.len();
-    }
-
-    /// The indexed column positions, in key order.
-    pub fn positions(&self) -> &[usize] {
-        &self.positions
-    }
-
-    /// Row ids whose projection onto the indexed columns equals the code
-    /// tuple `key` — the decode-free probe the executor uses.
-    pub fn rows_codes(&self, key: &[u32]) -> &[u32] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// How many rows of the backing relation the index covers.
-    pub fn rows_covered(&self) -> usize {
-        self.rows_covered
-    }
-}
-
-/// What identifies a cached index: the relation and the key columns.
-pub(crate) type IndexKey = (Symbol, Vec<usize>);
 
 /// An epoch-validated cache of [`JoinIndex`]es for one instance.
 #[derive(Debug, Default)]

@@ -150,10 +150,11 @@ pub use database::{Database, EngineConfig, EngineMetrics, PreparedQuery, QuerySo
 pub use datalog::{DatalogOptions, DatalogRun, DatalogSource, DatalogStats, PreparedDatalog};
 pub use durability::{CheckpointReport, DurabilityOptions, RecoveryReport, SyncMode};
 pub use error::{SacError, SacResult};
-pub use index::{IndexCache, JoinIndex};
+pub use index::IndexCache;
 pub use plan::{Explain, Plan, Strategy};
 pub use result::{ResultSet, Row};
 pub use sac_datalog::{Certificate, CheckError, DatalogProgram, DerivationStep, Premise};
+pub use sac_storage::JoinIndex;
 pub use sac_telemetry::{
     fmt_ns, Event, EventSink, HistogramSnapshot, JsonLinesSink, NodeRows, Phase, PhaseTimes,
     QueryTrace, RingSink,

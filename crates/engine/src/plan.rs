@@ -14,11 +14,12 @@
 //!    is Proposition 24's fixed-parameter tractable evaluation, with the
 //!    (query-only) witness search amortized by the engine's plan cache.
 //! 3. **[`Strategy::IndexedSearch`]** — no acyclic reformulation: fall back
-//!    to backtracking homomorphism search, with the atom order fixed at plan
-//!    time from per-column distinct counts (most selective first) and each
-//!    step's candidate lookups served by cached multi-column hash indexes.
-//!    The same ordering with each body atom forced first gives the searches
-//!    a delta execution runs from that atom's appended rows.
+//!    to the workspace's one homomorphism search (`sac_query::homomorphism`),
+//!    compiled here with the atom order fixed at plan time from per-column
+//!    distinct counts (most selective first) and each step's candidate
+//!    lookups served by cached multi-column hash indexes.  The same ordering
+//!    with each body atom forced first gives the searches a delta execution
+//!    runs from that atom's appended rows.
 //!
 //! Every plan carries an [`Explain`] describing which rung was taken and why.
 //!
@@ -34,21 +35,22 @@
 //! (`JoinSpec`), the head projection, the table of nodes that share a
 //! match set; per search step the binding slots its variables are compared
 //! with or written to and the probe key as constants and slots
-//! (`SearchStep`); and one `index_keys` list that nodes, edges and search
+//! (`SearchStep`, compiled by `sac_query::homomorphism::search_steps`); and
+//! one `index_keys` list that nodes, edges and search
 //! steps refer to by slot.  The executor resolves no name and hashes no key
 //! description at run time; `IndexCache::snapshot` hands it a vector aligned
 //! with the key list.
 
 use crate::database::EngineConfig;
-use crate::index::IndexKey;
 use sac_acyclic::{join_tree_of_atoms, JoinTree};
-use sac_common::{Atom, Symbol, Term};
+use sac_common::Symbol;
 use sac_core::{
     is_semantically_acyclic_no_constraints, semantic_acyclicity_under_tgds, SemAcResult,
 };
 use sac_deps::Tgd;
+use sac_query::homomorphism::{index_slot, search_steps, NodeShape, SearchStep};
 use sac_query::ConjunctiveQuery;
-use sac_storage::Instance;
+use sac_storage::{IndexKey, Instance};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -80,55 +82,6 @@ impl Strategy {
 impl fmt::Display for Strategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// The shape of one atom, precomputed for the executor: distinct variables,
-/// where they first occur, which positions must agree (repeated variables)
-/// and which are pinned to constants.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeShape {
-    /// Distinct variables in first-occurrence order.
-    pub vars: Vec<Symbol>,
-    /// Position of the first occurrence of each variable (aligned with `vars`).
-    pub var_first: Vec<usize>,
-    /// `(later, first)` position pairs that must hold equal terms.
-    pub eq_checks: Vec<(usize, usize)>,
-    /// Positions holding a rigid (non-variable) term, ascending.
-    pub const_positions: Vec<usize>,
-    /// The rigid terms at `const_positions`, aligned.
-    pub const_key: Vec<Term>,
-}
-
-impl NodeShape {
-    pub(crate) fn of_atom(atom: &Atom) -> NodeShape {
-        let mut vars = Vec::new();
-        let mut var_first = Vec::new();
-        let mut eq_checks = Vec::new();
-        let mut const_positions = Vec::new();
-        let mut const_key = Vec::new();
-        for (pos, term) in atom.args.iter().enumerate() {
-            match term {
-                Term::Variable(v) => match vars.iter().position(|u| u == v) {
-                    Some(i) => eq_checks.push((pos, var_first[i])),
-                    None => {
-                        vars.push(*v);
-                        var_first.push(pos);
-                    }
-                },
-                rigid => {
-                    const_positions.push(pos);
-                    const_key.push(*rigid);
-                }
-            }
-        }
-        NodeShape {
-            vars,
-            var_first,
-            eq_checks,
-            const_positions,
-            const_key,
-        }
     }
 }
 
@@ -197,35 +150,6 @@ pub(crate) struct YannakakisPlan {
     pub root_joins: Vec<JoinSpec>,
     /// The head's columns in the final joined table (repeats preserved).
     pub head_cols: Vec<usize>,
-}
-
-/// One column of a search step's probe key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KeyPart {
-    /// The code of the step's `i`-th constant (`shape.const_key[i]`).
-    Const(usize),
-    /// The code an earlier step left in this binding slot.
-    Slot(usize),
-}
-
-/// One step of the compiled search: match one body atom against its
-/// relation, under the bindings of the steps before it.
-#[derive(Debug, Clone)]
-pub(crate) struct SearchStep {
-    /// The body atom matched (its index in the query).
-    pub atom: usize,
-    pub shape: NodeShape,
-    /// `(column, slot)` per distinct variable of the atom no earlier step
-    /// bound (`column` counts in `shape.vars`): where this step writes its
-    /// code.  The others are columns of the probe key.
-    pub binds: Vec<(usize, usize)>,
-    /// The probe key of the step's candidate lookup: the argument positions
-    /// known when the step runs — constants, and variables of earlier
-    /// steps — ascending, each with where its code comes from.
-    pub key: Vec<(usize, KeyPart)>,
-    /// The index slot serving a key of several columns; one column is the
-    /// relation's own sidecar index, none a sweep.
-    pub index: Option<usize>,
 }
 
 /// A compiled fallback plan: backtracking search over a fixed atom order,
@@ -416,18 +340,6 @@ fn shared_cols(a: &[Symbol], b: &[Symbol]) -> (Vec<usize>, Vec<usize>) {
         .unzip()
 }
 
-/// A new slot in `keys` for a probe of `predicate` on `positions`.  `None`
-/// for keys of fewer than two columns, which the storage layer's sidecar
-/// indexes serve with no cache entry.  Every probing site gets a slot of its
-/// own: sites with equal keys share the cached index, not the slot, so the
-/// number of keys is the number of index-served probe sites a trace reports.
-fn index_slot(keys: &mut Vec<IndexKey>, predicate: Symbol, positions: &[usize]) -> Option<usize> {
-    (positions.len() > 1).then(|| {
-        keys.push((predicate, positions.to_vec()));
-        keys.len() - 1
-    })
-}
-
 /// Compiles the hash join of a table laid out as `left` with one laid out
 /// as `right`, and rewrites `left` to the output layout: `keep` when given
 /// (the projection is fused into the emit), otherwise `left` followed by
@@ -603,90 +515,6 @@ fn preorder(tree: &JoinTree, children: &[Vec<usize>]) -> Vec<usize> {
     order
 }
 
-/// Orders and compiles one search of the fallback strategy.  The order is
-/// greedy and stats-driven: repeatedly pick the unplanned atom with the
-/// smallest estimated candidate count given the variables bound so far
-/// (relation cardinality divided by the distinct count of every bound
-/// column), tie-breaking towards more bound positions; `first` forces the
-/// first pick.  Each pick becomes a step over the binding array laid out
-/// as `layout`, its probe key — when it has several columns — a new slot in
-/// `keys`.  Returns the steps and the estimated cost of the search.
-fn search_steps(
-    query: &ConjunctiveQuery,
-    db: &Instance,
-    mut first: Option<usize>,
-    layout: &[Symbol],
-    keys: &mut Vec<IndexKey>,
-) -> (Vec<SearchStep>, f64) {
-    let mut remaining: Vec<usize> = (0..query.body.len()).collect();
-    let mut bound_vars: BTreeSet<Symbol> = BTreeSet::new();
-    let mut steps = Vec::new();
-    let mut estimated_cost = 0.0f64;
-    let mut frontier = 1.0f64;
-
-    while !remaining.is_empty() {
-        let mut best: Option<(usize, Vec<usize>, f64, usize)> = None;
-        for (slot, &atom_idx) in remaining.iter().enumerate() {
-            if first.is_some_and(|forced| forced != atom_idx) {
-                continue;
-            }
-            let atom = &query.body[atom_idx];
-            let known = |t: &Term| t.as_variable().is_none_or(|v| bound_vars.contains(&v));
-            let bp: Vec<usize> = (0..atom.arity())
-                .filter(|pos| known(&atom.args[*pos]))
-                .collect();
-            let est = match db.relation(atom.predicate) {
-                Some(rel) if rel.arity() == atom.arity() => {
-                    let mut e = rel.len() as f64;
-                    for &pos in &bp {
-                        let d = rel.distinct_at(pos);
-                        if d > 0 {
-                            e /= d as f64;
-                        }
-                    }
-                    e
-                }
-                // Missing relation (or arity clash): zero candidates — the
-                // best possible atom to run first.
-                _ => 0.0,
-            };
-            let better = match &best {
-                None => true,
-                Some((_, best_bp, best_est, _)) => {
-                    est < *best_est || (est == *best_est && bp.len() > best_bp.len())
-                }
-            };
-            if better {
-                best = Some((slot, bp, est, atom_idx));
-            }
-        }
-        let (slot, key_positions, est, atom_idx) = best.expect("remaining is non-empty");
-        first = None;
-        remaining.swap_remove(slot);
-        frontier *= est;
-        estimated_cost += frontier;
-
-        let atom = &query.body[atom_idx];
-        let shape = NodeShape::of_atom(atom);
-        let unbound = |(_, v): &(usize, &Symbol)| !bound_vars.contains(*v);
-        let vars = shape.vars.iter().enumerate().filter(unbound);
-        let binds = vars.map(|(column, v)| (column, column_of(layout, v)));
-        let part = |pos: &usize| match &atom.args[*pos] {
-            Term::Variable(v) => KeyPart::Slot(column_of(layout, v)),
-            _ => KeyPart::Const(shape.const_positions.partition_point(|p| p < pos)),
-        };
-        steps.push(SearchStep {
-            index: index_slot(keys, atom.predicate, &key_positions),
-            atom: atom_idx,
-            binds: binds.collect(),
-            key: key_positions.iter().map(|pos| (*pos, part(pos))).collect(),
-            shape,
-        });
-        bound_vars.extend(atom.variables_iter());
-    }
-    (steps, estimated_cost)
-}
-
 /// Compiles the fallback plan: the stats-ordered search of a full execution
 /// and, for the delta path, one search seeded at each body atom.
 fn indexed_plan(
@@ -699,9 +527,10 @@ fn indexed_plan(
     // Index slots: the keys of the full order first (all a full execution
     // needs), then those of the seeded orders only the delta path runs.
     let mut index_keys = Vec::new();
-    let (steps, estimated_cost) = search_steps(query, db, None, &layout, &mut index_keys);
+    let body = &query.body;
+    let (steps, estimated_cost) = search_steps(body, db, None, &layout, 0, &mut index_keys);
     let full_run_keys = index_keys.len();
-    let mut seeded = |seed| search_steps(query, db, Some(seed), &layout, &mut index_keys).0;
+    let mut seeded = |seed| search_steps(body, db, Some(seed), &layout, 0, &mut index_keys).0;
     let seeded = (0..query.body.len()).map(&mut seeded).collect();
     let explain = Explain {
         strategy: Strategy::IndexedSearch,
@@ -730,7 +559,8 @@ fn indexed_plan(
 mod tests {
     use super::*;
     use crate::database::EngineConfig;
-    use sac_common::{atom, intern};
+    use sac_common::{atom, intern, Atom, Term};
+    use sac_query::homomorphism::KeyPart;
 
     fn config() -> EngineConfig {
         EngineConfig::default()

@@ -1,27 +1,62 @@
-//! Classical (constraint-free) CQ containment and equivalence.
+//! CQ containment, written once.
 //!
 //! By the Chandra–Merlin theorem, `q ⊆ q'` holds iff there is a homomorphism
 //! from `q'` to `q` mapping the head of `q'` onto the head of `q` — or,
 //! equivalently, iff the frozen head tuple `c(x̄)` of `q` belongs to
-//! `q'(D_q)` where `D_q` is the canonical database of `q`.  This module
-//! implements the canonical-database formulation, which is the one Lemma 1
-//! generalizes to containment *under constraints* (implemented in
-//! `sac-core`, on top of the chase).
+//! `q'(D_q)` where `D_q` is the canonical database of `q`.  Lemma 1
+//! generalizes the canonical-database formulation to containment *under
+//! constraints*: chase `D_q` first.  [`contained_on_chase`] is that test,
+//! parameterised by the chase; classical containment here, containment
+//! under tgds and egds (`sac-core`) and the rewriting-based test
+//! (`sac-rewrite`) all run it, on the compiled homomorphism search.
 
 use crate::cq::ConjunctiveQuery;
-use crate::evaluate::contains_answer;
 use crate::freeze::FrozenQuery;
+use crate::homomorphism::Homomorphisms;
+use sac_common::Term;
+use sac_storage::Instance;
+
+/// Whether `tuple` is an answer of `query` on `instance`: some homomorphism
+/// of the body sends the head onto it.
+pub fn contains_answer(query: &ConjunctiveQuery, instance: &Instance, tuple: &[Term]) -> bool {
+    tuple.len() == query.head.len()
+        && Homomorphisms::new(&query.body, instance, &query.head).exists(instance, tuple)
+}
+
+/// Lemma 1's test: `q` is contained in the union of `rights` — classically,
+/// or under the constraints `chase` applies — iff the frozen head tuple of
+/// `q` is an answer of some query of `rights` on the canonical database of
+/// `q`, chased.
+///
+/// Heads of different arities are never contained, and `chase` is not
+/// called for them.  Otherwise `chase` turns the frozen `q` into the
+/// instance to test and returns it with where the frozen head tuple went
+/// (an egd chase identifies terms) — or `None` when `q` has no model at all
+/// (a failing egd chase), which makes the containment vacuous.
+pub fn contained_on_chase(
+    q: &ConjunctiveQuery,
+    rights: &[ConjunctiveQuery],
+    chase: impl FnOnce(FrozenQuery) -> Option<(Instance, Vec<Term>)>,
+) -> bool {
+    if rights.iter().any(|right| right.head.len() != q.head.len()) {
+        return false;
+    }
+    let Some((instance, head)) = chase(FrozenQuery::freeze(q)) else {
+        return true;
+    };
+    rights
+        .iter()
+        .any(|right| contains_answer(right, &instance, &head))
+}
 
 /// Returns `true` iff `q ⊆ q'` over all instances (no constraints).
 ///
 /// Queries with different head arities are never comparable and the function
 /// returns `false` for them.
 pub fn contained_in(q: &ConjunctiveQuery, q_prime: &ConjunctiveQuery) -> bool {
-    if q.head.len() != q_prime.head.len() {
-        return false;
-    }
-    let frozen = FrozenQuery::freeze(q);
-    contains_answer(q_prime, &frozen.instance, &frozen.head)
+    contained_on_chase(q, std::slice::from_ref(q_prime), |frozen| {
+        Some((frozen.instance, frozen.head))
+    })
 }
 
 /// Returns `true` iff `q ≡ q'` over all instances (no constraints).
@@ -106,6 +141,48 @@ mod tests {
         )
         .unwrap();
         assert!(equivalent(&q1, &q2));
+    }
+
+    #[test]
+    fn contains_answer_checks_specific_tuples() {
+        let db = Instance::from_atoms(vec![
+            atom!("Interest", cst "alice", cst "jazz"),
+            atom!("Interest", cst "bob", cst "rock"),
+            atom!("Class", cst "kind_of_blue", cst "jazz"),
+            atom!("Class", cst "nevermind", cst "rock"),
+            atom!("Owns", cst "alice", cst "kind_of_blue"),
+        ])
+        .unwrap();
+        let q = ConjunctiveQuery::new(
+            vec![intern("x"), intern("y")],
+            vec![
+                atom!("Interest", var "x", var "z"),
+                atom!("Class", var "y", var "z"),
+                atom!("Owns", var "x", var "y"),
+            ],
+        )
+        .unwrap();
+        let (alice, bob) = (Term::constant("alice"), Term::constant("bob"));
+        assert!(contains_answer(
+            &q,
+            &db,
+            &[alice, Term::constant("kind_of_blue")]
+        ));
+        assert!(!contains_answer(
+            &q,
+            &db,
+            &[bob, Term::constant("nevermind")]
+        ));
+        // Wrong arity.
+        assert!(!contains_answer(&q, &db, &[alice]));
+        // A repeated head variable cannot take two values.
+        let diagonal = ConjunctiveQuery::new(
+            vec![intern("x"), intern("x")],
+            vec![atom!("Owns", var "x", var "y")],
+        )
+        .unwrap();
+        assert!(contains_answer(&diagonal, &db, &[alice, alice]));
+        assert!(!contains_answer(&diagonal, &db, &[alice, bob]));
     }
 
     #[test]

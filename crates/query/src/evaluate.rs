@@ -1,19 +1,88 @@
-//! Naive CQ evaluation by homomorphism enumeration.
+//! The definition-level oracle: CQ evaluation by plain homomorphism
+//! enumeration.
 //!
 //! `evaluate(q, I)` computes `q(I)` exactly as defined in Section 2: the set
 //! of tuples `h(x̄)` over the target's domain, for `h` ranging over the
-//! homomorphisms from `q` to `I`.  This is the general-purpose (NP-hard in
-//! combined complexity) evaluator; the linear-time evaluator for *acyclic*
-//! CQs is the engine's executor (`sac-engine`, `exec`: Yannakakis), and the
-//! PTIME evaluator for semantically acyclic CQs under guarded tgds lives in
-//! `sac-core` (cover-game based, Theorem 25).
+//! homomorphisms from `q` to `I`.  The enumerator behind it is deliberately
+//! naive and shares no code with the compiled search every production path
+//! runs: the body in a fixed connected-first order, candidates from the
+//! term-level [`sac_storage::Relation::select`], one [`Substitution`] per
+//! match.  The engine and the compiled search are judged by it, and it is
+//! all that UCQ evaluation and the Datalog reference (`sac-datalog`'s naive
+//! fixpoint and certificate checker) run.  The linear-time evaluator for
+//! *acyclic* CQs is the engine's executor, and the PTIME evaluator for
+//! semantically acyclic CQs under guarded tgds is `sac-core`'s cover game
+//! (Theorem 25).
 
 use crate::cq::ConjunctiveQuery;
-use crate::homomorphism::HomomorphismSearch;
-use sac_common::Term;
+use sac_common::{Atom, Substitution, Symbol, Term};
 use sac_storage::Instance;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
+
+/// Invokes `visit` on every homomorphism from `pattern` into `instance`
+/// until it returns [`ControlFlow::Break`], which is then returned.
+pub fn for_each_homomorphism(
+    pattern: &[Atom],
+    instance: &Instance,
+    mut visit: impl FnMut(&Substitution) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let order = connected_first(pattern);
+    extend(&order, instance, &Substitution::new(), &mut visit)
+}
+
+/// Collects every homomorphism from `pattern` into `instance`.
+pub fn all_homomorphisms(pattern: &[Atom], instance: &Instance) -> Vec<Substitution> {
+    let mut out = Vec::new();
+    let _ = for_each_homomorphism(pattern, instance, |h| {
+        out.push(h.clone());
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// The body in the order it is matched: atom 0 first, then repeatedly the
+/// first remaining atom sharing a variable with those placed, or the first
+/// remaining one when none does.
+fn connected_first(pattern: &[Atom]) -> Vec<&Atom> {
+    let mut remaining: Vec<&Atom> = pattern.iter().collect();
+    let mut order: Vec<&Atom> = Vec::with_capacity(remaining.len());
+    while !remaining.is_empty() {
+        let placed = |v: Symbol| order.iter().any(|a| a.mentions_variable(v));
+        let joined = remaining
+            .iter()
+            .position(|a| a.variables_iter().any(placed));
+        order.push(remaining.remove(joined.unwrap_or(0)));
+    }
+    order
+}
+
+/// Extends `h` by every match of the first of `atoms`, recursing into the
+/// rest: the bound positions select the candidate tuples, and each one is
+/// matched into a copy of `h`.
+fn extend(
+    atoms: &[&Atom],
+    instance: &Instance,
+    h: &Substitution,
+    visit: &mut impl FnMut(&Substitution) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let Some((atom, rest)) = atoms.split_first() else {
+        return visit(h);
+    };
+    let relation = instance.relation(atom.predicate);
+    let Some(relation) = relation.filter(|r| r.arity() == atom.arity()) else {
+        return ControlFlow::Continue(());
+    };
+    let images = atom.args.iter().map(|t| h.apply(*t)).enumerate();
+    let bound: Vec<(usize, Term)> = images.filter(|(_, t)| !t.is_variable()).collect();
+    for tuple in relation.select(&bound) {
+        let mut next = h.clone();
+        if next.match_atom(atom, &Atom::new(atom.predicate, tuple)) {
+            extend(rest, instance, &next, visit)?;
+        }
+    }
+    ControlFlow::Continue(())
+}
 
 /// Evaluates `query` over `instance`, returning the set of answer tuples.
 ///
@@ -21,7 +90,7 @@ use std::ops::ControlFlow;
 /// query holds, or `{}` when it does not — mirroring the standard convention.
 pub fn evaluate(query: &ConjunctiveQuery, instance: &Instance) -> BTreeSet<Vec<Term>> {
     let mut answers = BTreeSet::new();
-    HomomorphismSearch::new(&query.body, instance).for_each(|h| {
+    let _ = for_each_homomorphism(&query.body, instance, |h| {
         let tuple: Vec<Term> = query
             .head
             .iter()
@@ -36,29 +105,13 @@ pub fn evaluate(query: &ConjunctiveQuery, instance: &Instance) -> BTreeSet<Vec<T
 /// Evaluates a Boolean query (or the Boolean shadow of a non-Boolean one):
 /// returns `true` iff at least one homomorphism exists.
 pub fn evaluate_boolean(query: &ConjunctiveQuery, instance: &Instance) -> bool {
-    HomomorphismSearch::new(&query.body, instance).exists()
-}
-
-/// Checks whether a specific tuple belongs to `query(instance)`.
-pub fn contains_answer(query: &ConjunctiveQuery, instance: &Instance, tuple: &[Term]) -> bool {
-    if tuple.len() != query.head.len() {
-        return false;
-    }
-    let mut initial = sac_common::Substitution::new();
-    for (v, t) in query.head.iter().zip(tuple.iter()) {
-        if !initial.bind_var(*v, *t) {
-            return false;
-        }
-    }
-    HomomorphismSearch::new(&query.body, instance)
-        .with_initial(initial)
-        .exists()
+    for_each_homomorphism(&query.body, instance, |_| ControlFlow::Break(())).is_break()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_common::{atom, intern, Atom};
+    use sac_common::{atom, intern};
 
     fn db() -> Instance {
         Instance::from_atoms(vec![
@@ -108,23 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn contains_answer_checks_specific_tuples() {
-        let q = example1_query();
-        assert!(contains_answer(
-            &q,
-            &db(),
-            &[Term::constant("alice"), Term::constant("kind_of_blue")]
-        ));
-        assert!(!contains_answer(
-            &q,
-            &db(),
-            &[Term::constant("bob"), Term::constant("nevermind")]
-        ));
-        // Wrong arity.
-        assert!(!contains_answer(&q, &db(), &[Term::constant("alice")]));
-    }
-
-    #[test]
     fn repeated_head_variables_produce_repeated_columns() {
         let q = ConjunctiveQuery::new(
             vec![intern("x"), intern("x")],
@@ -158,5 +194,16 @@ mod tests {
         let q =
             ConjunctiveQuery::new(vec![intern("x")], vec![atom!("R", var "x", var "y")]).unwrap();
         assert_eq!(evaluate(&q, &inst).len(), 1);
+    }
+
+    #[test]
+    fn connected_first_orders_joined_atoms_before_disconnected_ones() {
+        let pattern = vec![
+            atom!("A", var "x", var "y"),
+            atom!("B", var "u"),
+            atom!("C", var "y", var "z"),
+        ];
+        let order: Vec<&Atom> = connected_first(&pattern);
+        assert_eq!(order, vec![&pattern[0], &pattern[2], &pattern[1]]);
     }
 }

@@ -10,7 +10,7 @@
 //! query's free variables.
 
 use crate::cq::ConjunctiveQuery;
-use sac_common::{Atom, Substitution, Symbol, Term};
+use sac_common::{Substitution, Symbol, Term};
 use sac_storage::Instance;
 use std::collections::BTreeMap;
 
@@ -69,11 +69,6 @@ impl FrozenQuery {
         self.var_map
             .iter()
             .find_map(|(v, t)| (*t == term).then_some(*v))
-    }
-
-    /// The frozen body as a vector of atoms (convenience).
-    pub fn atoms(&self) -> Vec<Atom> {
-        self.instance.to_atoms()
     }
 }
 

@@ -7,12 +7,18 @@
 //!   connecting operator and by Proposition 5),
 //! * **freezing** a query into its canonical database (the `c(x)` construction
 //!   used throughout the paper, Lemma 1 in particular),
-//! * a backtracking **homomorphism engine** with greedy join ordering, the
-//!   workhorse behind evaluation, containment and the chase,
+//! * the one **homomorphism search** ([`homomorphism`]): a pattern compiled
+//!   to binding slots and run over dictionary codes, the workhorse behind
+//!   containment, the core, the chase, the deciders and the engine's search
+//!   rung,
 //! * classical (constraint-free) **containment**, **equivalence** and **core**
 //!   computation — the baseline against which semantic acyclicity under
 //!   constraints is compared (a CQ is semantically acyclic in the absence of
-//!   constraints iff its core is acyclic).
+//!   constraints iff its core is acyclic), with Lemma 1's test written once
+//!   for every constraint class ([`containment::contained_on_chase`]),
+//! * the definition-level **oracle** ([`mod@evaluate`]): plain homomorphism
+//!   enumeration over decoded rows, sharing no code with the search it
+//!   judges.
 //!
 //! Queries parse from the workspace's Datalog-style text and evaluate
 //! against any [`sac_storage::Instance`]:
@@ -41,11 +47,11 @@ pub mod homomorphism;
 pub mod minimize;
 pub mod ucq;
 
-pub use containment::{contained_in, equivalent};
+pub use containment::{contained_in, contained_on_chase, equivalent};
 pub use cq::ConjunctiveQuery;
-pub use evaluate::{evaluate, evaluate_boolean};
+pub use evaluate::{all_homomorphisms, evaluate, evaluate_boolean};
 pub use freeze::FrozenQuery;
 pub use gaifman::GaifmanGraph;
-pub use homomorphism::{all_homomorphisms, find_homomorphism, HomomorphismSearch};
+pub use homomorphism::Homomorphisms;
 pub use minimize::core_of;
 pub use ucq::UnionOfConjunctiveQueries;

@@ -14,8 +14,9 @@
 //! search, which is the unavoidable cost (core computation is NP-hard).
 
 use crate::cq::ConjunctiveQuery;
-use crate::homomorphism::HomomorphismSearch;
-use sac_common::{Atom, Substitution, Term};
+use crate::freeze::FrozenQuery;
+use crate::homomorphism::Homomorphisms;
+use sac_common::{Atom, Substitution, Symbol, Term};
 use sac_storage::Instance;
 use std::collections::BTreeSet;
 
@@ -44,58 +45,42 @@ pub fn is_core(query: &ConjunctiveQuery) -> bool {
 /// image avoids at least one atom of `body`; returns the image if found.
 ///
 /// The target side is *frozen* (variables replaced by labelled nulls) so that
-/// the homomorphism engine never confuses pattern variables with the query's
-/// own variables appearing as target values.
-fn fold_step(head: &[sac_common::Symbol], body: &[Atom]) -> Option<Vec<Atom>> {
-    // Freeze every variable of the body to a dedicated null.
-    let variables: BTreeSet<sac_common::Symbol> = body.iter().flat_map(|a| a.variables()).collect();
-    let var_to_null: std::collections::BTreeMap<sac_common::Symbol, Term> = variables
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (*v, Term::Null(i as u64)))
-        .collect();
-    let null_to_var: std::collections::BTreeMap<u64, sac_common::Symbol> = var_to_null
-        .iter()
-        .map(|(v, t)| (t.as_null().expect("frozen term is a null"), *v))
-        .collect();
-    let freeze_atom = |a: &Atom| {
-        a.map_args(|t| match t {
-            Term::Variable(v) => var_to_null[&v],
-            other => other,
-        })
-    };
-    let unfreeze_atom = |a: &Atom| {
-        a.map_args(|t| match t {
-            Term::Null(n) => Term::Variable(null_to_var[&n]),
-            other => other,
-        })
-    };
-    // Free variables must be fixed pointwise (mapped to their own frozen
-    // image).
-    let fixed = Substitution::from_pairs(head.iter().map(|v| (Term::Variable(*v), var_to_null[v])));
-
+/// the homomorphism search never confuses pattern variables with the query's
+/// own variables appearing as target values; free variables are fixed
+/// pointwise, to their own frozen image.
+fn fold_step(head: &[Symbol], body: &[Atom]) -> Option<Vec<Atom>> {
+    let frozen = FrozenQuery::freeze(&ConjunctiveQuery::new_unchecked(
+        head.to_vec(),
+        body.to_vec(),
+    ));
+    let freeze = frozen.as_substitution();
+    let thaw =
+        Substitution::from_pairs(frozen.var_map.iter().map(|(v, t)| (*t, Term::Variable(*v))));
     for dropped in body {
-        // Look for an endomorphism avoiding `dropped`, i.e. into body \ {dropped}.
-        let reduced_frozen: Vec<Atom> = body
+        // The only atom of its relation has nothing to fold onto.
+        if !body
             .iter()
-            .filter(|a| *a != dropped)
-            .map(freeze_atom)
-            .collect();
-        if reduced_frozen.len() == body.len() {
-            continue; // duplicates already removed by dedup
+            .any(|a| a != dropped && a.predicate == dropped.predicate)
+        {
+            continue;
         }
-        let reduced_instance = Instance::from_atoms(reduced_frozen.iter().cloned())
-            .expect("query body has consistent arities");
-        let found = HomomorphismSearch::new(body, &reduced_instance)
-            .with_initial(fixed.clone())
-            .find_first();
-        if let Some(h) = found {
+        // Look for an endomorphism avoiding `dropped`, i.e. into body \ {dropped}.
+        let dropped = freeze.apply_atom(dropped);
+        let reduced = frozen.instance.atoms().filter(|a| *a != dropped);
+        let reduced = Instance::from_atoms(reduced).expect("query body has consistent arities");
+        let homs = Homomorphisms::new(body, &reduced, head);
+        let mut image: Option<BTreeSet<Atom>> = None;
+        homs.search_terms(&reduced, &frozen.head, |h| {
             // The image of the body under h, mapped back to query variables.
-            let image: BTreeSet<Atom> = body
-                .iter()
-                .map(|a| unfreeze_atom(&h.apply_atom(a)))
-                .collect();
-            debug_assert!(image.len() < body.len());
+            let h = homs.substitution(h);
+            image = Some(
+                body.iter()
+                    .map(|a| thaw.apply_atom(&h.apply_atom(a)))
+                    .collect(),
+            );
+            true
+        });
+        if let Some(image) = image {
             return Some(image.into_iter().collect());
         }
     }

@@ -3,35 +3,32 @@
 //! For UCQ-rewritable classes (non-recursive, sticky) this gives an exact
 //! containment test without running the chase: `q' ⊆Σ q` iff the canonical
 //! head tuple of `q'` is an answer of the rewriting of `q` on the canonical
-//! database of `q'` (Definition 2).
+//! database of `q'` (Definition 2) — Lemma 1's test with no chase, against
+//! the union ([`sac_query::contained_on_chase`]).
 
 use crate::budget::RewriteBudget;
 use crate::xrewrite::rewrite;
 use sac_deps::Tgd;
-use sac_query::evaluate::contains_answer;
-use sac_query::{ConjunctiveQuery, FrozenQuery};
+use sac_query::{contained_on_chase, ConjunctiveQuery};
 
 /// Decides `q_left ⊆Σ q_right` via the UCQ rewriting of `q_right`.
 ///
 /// Returns `None` when the rewriting did not reach a fixpoint within the
 /// budget (the set is then presumably not UCQ rewritable and the caller
-/// should use a chase-based test instead).
+/// should use a chase-based test instead), and otherwise whether the
+/// containment holds — never, for heads of different arities.
 pub fn contained_via_rewriting(
     q_left: &ConjunctiveQuery,
     q_right: &ConjunctiveQuery,
     tgds: &[Tgd],
     budget: RewriteBudget,
 ) -> Option<bool> {
-    if q_left.head.len() != q_right.head.len() {
-        return Some(false);
-    }
     let rewriting = rewrite(q_right, tgds, budget);
-    if !rewriting.complete {
-        return None;
-    }
-    let frozen = FrozenQuery::freeze(q_left);
-    let hit = |disjunct| contains_answer(disjunct, &frozen.instance, &frozen.head);
-    Some(rewriting.ucq.disjuncts.iter().any(hit))
+    rewriting.complete.then(|| {
+        contained_on_chase(q_left, &rewriting.ucq.disjuncts, |frozen| {
+            Some((frozen.instance, frozen.head))
+        })
+    })
 }
 
 #[cfg(test)]

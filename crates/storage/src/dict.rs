@@ -70,6 +70,16 @@ pub fn lookup(term: Term) -> Option<u32> {
         .copied()
 }
 
+/// The codes of `terms`, or `None` when some term was never encoded — then
+/// no stored row holds them all.
+pub fn lookup_row(terms: &[Term]) -> Option<Vec<u32>> {
+    if terms.is_empty() {
+        return Some(Vec::new());
+    }
+    let guard = global().read().expect("term dictionary poisoned");
+    terms.iter().map(|t| guard.codes.get(t).copied()).collect()
+}
+
 /// Decodes one code back to its term.
 ///
 /// # Panics

@@ -35,5 +35,5 @@ pub mod relation;
 pub mod stats;
 
 pub use instance::{DeltaCursor, Instance, RelationDelta};
-pub use relation::Relation;
+pub use relation::{IndexKey, JoinIndex, Relation};
 pub use stats::{InstanceStats, RelationStats};

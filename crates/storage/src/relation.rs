@@ -11,16 +11,15 @@
 //! * `sidecars[pos]` — code → row ids whose `pos`-th column holds it, the
 //!   incrementally maintained single-column index (and, as a byproduct, an
 //!   exact per-column distinct count for [`Relation::stats`]);
-//! * nothing else: multi-column join indexes are built on demand by
-//!   [`Relation::project_index`] and cached by `sac-engine`.
+//! * nothing else: multi-column [`JoinIndex`]es are built on demand from
+//!   [`Relation::project_index`], and cached by `sac-engine`.
 //!
 //! The [`Term`]-level API (`insert` / `contains` / `iter` / `row` /
-//! `select`) is a thin veneer — encode on append, decode on read — so the
-//! storage swap is invisible to the chase, the naive evaluator and the
-//! test oracles, while the engine's hot path reads the raw columns
-//! ([`Relation::column`], [`Relation::rows_with_code`],
-//! [`Relation::project_index`]) and compares codes without ever touching a
-//! `Term`.
+//! `select`) is a thin veneer — encode on append, decode on read — for the
+//! definition-level oracle and for callers that hold terms, while every
+//! homomorphism search (`sac_query::homomorphism`) reads the raw columns
+//! ([`Relation::column`], [`Relation::rows_with_code`], [`JoinIndex`]) and
+//! compares codes without ever touching a `Term`.
 
 use crate::dict;
 use crate::stats::RelationStats;
@@ -152,17 +151,7 @@ impl Relation {
     /// O(1) membership test (decode-free: a term the dictionary has never
     /// seen cannot be stored anywhere).
     pub fn contains(&self, tuple: &[Term]) -> bool {
-        if tuple.len() != self.arity {
-            return false;
-        }
-        let mut codes = Vec::with_capacity(self.arity);
-        for term in tuple {
-            match dict::lookup(*term) {
-                Some(code) => codes.push(code),
-                None => return false,
-            }
-        }
-        self.contains_codes(&codes)
+        dict::lookup_row(tuple).is_some_and(|codes| self.contains_codes(&codes))
     }
 
     /// O(1) membership test on an already-encoded row.
@@ -183,10 +172,7 @@ impl Relation {
         if tuple.len() != self.arity {
             return None;
         }
-        let mut codes = Vec::with_capacity(self.arity);
-        for term in tuple {
-            codes.push(dict::lookup(*term)?);
-        }
+        let codes = dict::lookup_row(tuple)?;
         self.seen.get(&hash_codes(&codes)).and_then(|candidates| {
             candidates
                 .iter()
@@ -203,6 +189,12 @@ impl Relation {
     /// Panics if `pos` is out of range for the relation's arity.
     pub fn column(&self, pos: usize) -> &[u32] {
         &self.columns[pos]
+    }
+
+    /// Every code column, in position order — gathered once per sweep so a
+    /// row loop is pure slice indexing.
+    pub fn columns(&self) -> Vec<&[u32]> {
+        self.columns.iter().map(Vec::as_slice).collect()
     }
 
     /// Iterates over all tuples in insertion order, decoding each row.
@@ -278,14 +270,12 @@ impl Relation {
         &'a self,
         bound: &[(usize, Term)],
     ) -> Box<dyn Iterator<Item = Vec<Term>> + 'a> {
-        let mut bound_codes = Vec::with_capacity(bound.len());
-        for (pos, term) in bound {
-            match dict::lookup(*term) {
-                Some(code) => bound_codes.push((*pos, code)),
-                None => return Box::new(std::iter::empty()),
-            }
-        }
-        let rows = self.select_rows(&bound_codes);
+        let terms: Vec<Term> = bound.iter().map(|(_, term)| *term).collect();
+        let Some(codes) = dict::lookup_row(&terms) else {
+            return Box::new(std::iter::empty());
+        };
+        let bound: Vec<(usize, u32)> = bound.iter().map(|(pos, _)| *pos).zip(codes).collect();
+        let rows = self.select_rows(&bound);
         Box::new(rows.into_iter().map(|row| self.decode_row(row as usize)))
     }
 
@@ -364,6 +354,68 @@ impl Relation {
             })
             .sum();
         columns + seen + sidecars
+    }
+}
+
+/// What identifies a multi-column index: the relation and the key columns.
+pub type IndexKey = (Symbol, Vec<usize>);
+
+/// A hash index over the projection of one relation onto a set of columns:
+/// key tuple → row ids sharing it, ascending.
+///
+/// Keys are rows of dictionary **codes**, so a search probes with the codes
+/// it already carries — no term materialization per lookup.  The engine
+/// caches these per instance; a one-off search over a small instance builds
+/// the few it needs.
+#[derive(Debug, Clone)]
+pub struct JoinIndex {
+    positions: Vec<usize>,
+    map: FxHashMap<Vec<u32>, Vec<u32>>,
+    /// How many rows of the backing relation the index covers (relations are
+    /// append-only, so `rows_covered..rel.len()` is exactly the new tail).
+    rows_covered: usize,
+}
+
+impl JoinIndex {
+    /// Indexes `rel` on `positions` (see [`Relation::project_index`]).
+    pub fn build(rel: &Relation, positions: &[usize]) -> JoinIndex {
+        JoinIndex {
+            positions: positions.to_vec(),
+            map: rel.project_index(positions),
+            rows_covered: rel.len(),
+        }
+    }
+
+    /// Appends the rows the backing relation gained since the index was
+    /// built or last extended.  Row ids are pushed in ascending order, so the
+    /// result is identical to a from-scratch [`Relation::project_index`].
+    pub fn extend_from(&mut self, rel: &Relation) {
+        for row in self.rows_covered..rel.len() {
+            let key: Vec<u32> = self.positions.iter().map(|p| rel.column(*p)[row]).collect();
+            self.map.entry(key).or_default().push(row as u32);
+        }
+        self.rows_covered = rel.len();
+    }
+
+    /// The indexed column positions, in key order.
+    pub fn positions(&self) -> &[usize] {
+        &self.positions
+    }
+
+    /// Row ids whose projection onto the indexed columns equals the code
+    /// tuple `key`.
+    pub fn rows_codes(&self, key: &[u32]) -> &[u32] {
+        self.map.get(key).map_or(NO_ROWS, |v| v.as_slice())
+    }
+
+    /// Number of distinct keys.
+    pub fn distinct_keys(&self) -> usize {
+        self.map.len()
+    }
+
+    /// How many rows of the backing relation the index covers.
+    pub fn rows_covered(&self) -> usize {
+        self.rows_covered
     }
 }
 

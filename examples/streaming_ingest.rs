@@ -3,13 +3,15 @@
 //!
 //! A base graph is loaded, three standing queries are registered with
 //! `Database::materialize` — one per strategy rung — and a stream of edge
-//! batches is ingested.  After every batch the auto-refresh view is already
-//! fresh (maintenance ran under the same write guard as the append), the
-//! lazy view is refreshed explicitly, and the refresh reports show which
-//! path ran: the acyclic view is maintained **incrementally** (delta push
-//! through its join tree, work proportional to the batch), and so is the
-//! witness-rung view, through its witness's.  A from-scratch `query()` after every
-//! batch double-checks that maintenance never drifted.
+//! batches is ingested.  After every batch the auto-refresh views are
+//! already fresh (maintenance ran under the same write guard as the
+//! append), the lazy view is refreshed explicitly, and the refresh reports
+//! show which path ran.  Every rung is maintained **incrementally**: the
+//! acyclic view by a delta push through its join tree (work proportional to
+//! the batch), the witness-rung view through its witness's, and the cyclic
+//! view with no acyclic witness by searching from each appended edge.  A
+//! from-scratch `query()` at the end double-checks that maintenance never
+//! drifted.
 //!
 //! Run with `cargo run --release --example streaming_ingest`.
 
@@ -43,11 +45,12 @@ fn main() {
     let looped = db
         .materialize(sac::gen::looped_triangle_query())
         .expect("valid standing query");
-    // Auto-refresh acyclic view: every insert keeps it current.
-    let hubs = db
-        .materialize("q(C) :- E(C, L0), E(C, L1), E(C, L2).")
+    // Cyclic, with no acyclic witness (indexed search), auto-refresh: every
+    // insert searches for the triangles through the appended edge.
+    let triangles = db
+        .materialize("q(X) :- E(X, Y), E(Y, Z), E(Z, X).")
         .expect("valid standing query");
-    for view in [&reachable, &looped, &hubs] {
+    for view in [&reachable, &looped, &triangles] {
         println!(
             "view {} → {} ({} rows materialized)",
             view.query(),
@@ -58,7 +61,7 @@ fn main() {
 
     println!(
         "\n{:>6} {:>9} {:>7} {:>36} {:>12} {:>10}",
-        "batch", "db rows", "hubs", "lazy 2-path refresh", "refresh µs", "fresh?"
+        "batch", "db rows", "on a △", "lazy 2-path refresh", "refresh µs", "fresh?"
     );
     let mut maintenance_micros = 0.0f64;
     for (i, batch) in stream.iter().enumerate() {
@@ -75,7 +78,7 @@ fn main() {
             "{:>6} {:>9} {:>7} {:>36} {:>12.0} {:>10}",
             i + 1,
             db.len(),
-            hubs.len(),
+            triangles.len(),
             report.to_string(),
             micros,
             !stale_before && reachable.is_fresh(),
@@ -83,7 +86,7 @@ fn main() {
     }
 
     // The differential gate: maintained views equal a from-scratch run.
-    for view in [&reachable, &looped, &hubs] {
+    for view in [&reachable, &looped, &triangles] {
         let recomputed = db.run(view.query());
         assert_eq!(
             view.snapshot(),

@@ -108,7 +108,7 @@ fn lemma_9_compaction() {
     }
     atoms.push(sac_atom("End", &[30]));
     let instance = Instance::from_atoms(atoms).unwrap();
-    let hom = sac::query::find_homomorphism(&q.body, &instance).unwrap();
+    let hom = sac::query::all_homomorphisms(&q.body, &instance).remove(0);
     let witness = compact_acyclic_witness(&q, &instance, &hom).unwrap();
     assert!(is_acyclic_query(&witness));
     assert!(witness.size() <= 3 * q.size());
