@@ -6,8 +6,8 @@
 //! Living in `sac-common` lets the crates that own the semantic types
 //! implement [`std::str::FromStr`] by delegation — `sac-query` for
 //! `ConjunctiveQuery`, `sac-deps` for `Tgd`/`Egd`, `sac-storage` for
-//! `Instance` — while `sac-parser` assembles whole programs from the same
-//! raw statements.  (Those impls cannot live in `sac-parser`: the orphan
+//! `Instance` — while `sac::parser` assembles whole programs from the same
+//! raw statements.  (Those impls cannot live in `sac::parser`: the orphan
 //! rule requires them in the type's own crate, and the parser sits *above*
 //! those crates in the dependency DAG.)
 //!
@@ -374,7 +374,7 @@ pub fn parse_statements(input: &str) -> Result<Vec<RawStatement>> {
 }
 
 /// [`parse_statements`], with each statement's starting byte offset — so
-/// callers doing their own semantic validation (e.g. `sac-parser`) can
+/// callers doing their own semantic validation (e.g. `sac::parser`) can
 /// report positioned errors for statements that parse but do not validate.
 pub fn parse_statements_located(input: &str) -> Result<Vec<(RawStatement, usize)>> {
     RawParser::new(input)?.statements()

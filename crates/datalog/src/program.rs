@@ -287,7 +287,7 @@ impl FromStr for DatalogProgram {
                     return Err(Error::Malformed(format!(
                         "Datalog programs contain only rules; found a {} \
                          (facts belong to the database — see \
-                         `sac_parser::parse_datalog_program` for mixed input)",
+                         `sac::parser::parse_datalog_program` for mixed input)",
                         other.kind()
                     )));
                 }

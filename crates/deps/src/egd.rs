@@ -81,7 +81,7 @@ impl Egd {
 }
 
 /// Builds an egd from a raw `body -> T = U.` statement (the semantic step
-/// shared by [`std::str::FromStr`] and `sac-parser`): both equated terms
+/// shared by [`std::str::FromStr`] and `sac::parser`): both equated terms
 /// must be variables.
 impl TryFrom<sac_common::RawStatement> for Egd {
     type Error = Error;
@@ -106,7 +106,7 @@ impl TryFrom<sac_common::RawStatement> for Egd {
 
 /// Parses the textual form `atom, …, atom -> X = Y.` (see
 /// [`sac_common::syntax`]), so `"R(X, Y), R(X, Z) -> Y = Z.".parse::<Egd>()`
-/// works anywhere without going through `sac-parser`.
+/// works anywhere without going through `sac::parser`.
 impl std::str::FromStr for Egd {
     type Err = Error;
 

@@ -157,7 +157,7 @@ impl Tgd {
 }
 
 /// Builds a tgd from a raw `body -> head.` statement (the semantic step
-/// shared by [`std::str::FromStr`] and `sac-parser`).
+/// shared by [`std::str::FromStr`] and `sac::parser`).
 impl TryFrom<sac_common::RawStatement> for Tgd {
     type Error = Error;
 
@@ -174,7 +174,7 @@ impl TryFrom<sac_common::RawStatement> for Tgd {
 
 /// Parses the textual form `atom, …, atom -> atom, …, atom.` (see
 /// [`sac_common::syntax`]), so `"R(X) -> S(X).".parse::<Tgd>()` works
-/// anywhere without going through `sac-parser`.
+/// anywhere without going through `sac::parser`.
 impl std::str::FromStr for Tgd {
     type Err = Error;
 

@@ -2,75 +2,82 @@
 //!
 //! A `Database` is `Send + Sync` and serves every request through `&self`,
 //! so one instance behind an `Arc` — or plain borrows into scoped threads —
-//! can absorb traffic from many threads at once:
+//! can absorb traffic from many threads at once.  This module holds the
+//! façade: construction, the CQ and Datalog endpoints, the plan cache,
+//! metrics and [`PreparedQuery`].  View maintenance is an `impl Database`
+//! in [`crate::view`], and the durable endpoints (`open`, `checkpoint`, the
+//! WAL hook) are one in [`crate::durability`].
 //!
-//! * the **instance** sits behind an `RwLock`: queries share a read guard
-//!   for their whole execution, inserts take the write guard;
-//! * the **plan cache** sits behind its own `RwLock`: hits are shared reads,
-//!   planning happens outside any lock and the compiled [`Plan`] is
-//!   published with a brief write;
-//! * the **index cache** sits behind a `Mutex`, but is only locked for the
-//!   short moment a run snapshots (and lazily builds) exactly the indexes
-//!   its plan needs — execution itself works off the immutable
-//!   [`Arc`]-backed snapshot with no lock held;
+//! ## Locking
+//!
+//! Four primitives, plus one `Mutex` per materialized view:
+//!
+//! * the **state** guard, an `RwLock` over the instance, the constraint set
+//!   Σ, the view registry and the recovered-view pins.  A witness plan is
+//!   only valid over facts that satisfy the Σ it was found under, so the
+//!   facts and Σ are one piece of state, read under one guard: runs share a
+//!   read guard for their whole execution, planning reads the instance and
+//!   Σ under one, and appends, constraint changes and view registrations
+//!   take the write guard;
+//! * the **plan cache** sits behind its own `RwLock`: hits are shared reads
+//!   that never wait on an append, and a compiled [`Plan`] is published
+//!   with a brief write;
+//! * the **index cache** sits behind a `Mutex`, locked only for the short
+//!   moment a run snapshots (and lazily builds) exactly the indexes its
+//!   plan needs — execution itself works off the immutable [`Arc`]-backed
+//!   snapshot with no lock held;
+//! * the **durability** state (WAL writer, sequence numbers) sits behind a
+//!   `Mutex` in [`crate::durability`]: a checkpoint runs under the state
+//!   *read* guard, so it serializes against appends and other checkpoints
+//!   there;
 //! * **metrics** are atomics.
 //!
-//! Epoch tracking is preserved exactly: inserts advance the instance epoch
-//! under the write guard and incrementally extend the touched predicate's
-//! cached indexes before the guard is released (copy-on-write against
-//! in-flight snapshots), so a snapshot taken under any read guard is always
-//! consistent with the data it runs against.
+//! Lock order (outer to inner): `state` → per-view state → `indexes` →
+//! durability, and separately `state` → `plans`; the plan cache is never
+//! held while acquiring another lock.  What the one guard guarantees:
 //!
-//! Lock order (outer to inner): `tgds` → `instance` → `views` registry →
-//! per-view state → `indexes`, and `tgds` → `plans`; the plan cache is
-//! never held while acquiring another lock.  Planning publishes into the
-//! cache while still holding the tgds read guard, so [`Database::set_tgds`]
-//! (write guard held across its cache clear) can never observe — or be
-//! overtaken by — a plan compiled under constraints it just replaced.
-//! Materialized-view maintenance runs under the same write guard as the
-//! data change (see [`crate::view`]), so freshness is atomic with
-//! visibility.
+//! * planning publishes into the cache while still holding the state read
+//!   guard, and [`Database::set_tgds`] holds the write guard across the
+//!   swap and the cache clear, so it can never observe — or be overtaken
+//!   by — a plan compiled under constraints it just replaced;
+//! * view maintenance runs under the write guard of the append that changed
+//!   the data, and a registration materializes and registers under one
+//!   write guard, so freshness is atomic with visibility and no view is
+//!   stale at birth (see [`crate::view`]);
+//! * a Datalog run takes its snapshot and Σ from one read;
+//! * appends advance the instance epoch and extend the touched predicate's
+//!   cached indexes before the write guard is released (copy-on-write
+//!   against in-flight snapshots), so a snapshot taken under any read guard
+//!   is consistent with the data it runs against.
 //!
 //! **Fan-out** sits outside that order entirely: [`Database::run_batch`]
 //! spawns its helpers with no engine lock held, and each fanned-out query
-//! is an ordinary run that takes the instance read guard itself.  Nothing
+//! is an ordinary run that takes the state read guard itself.  Nothing
 //! persists between batches — the helpers are scoped to the call
 //! (`fan_out` in `pool.rs`) — and a single run, a prepared execution, a
 //! view refresh and a Datalog evaluation never spawn anything.
 
 use crate::datalog::{self, DatalogOptions, DatalogRun, DatalogSource, PreparedDatalog};
-use crate::durability::{
-    self, CheckpointReport, DurabilityCore, DurabilityOptions, DurableState, RecoveryReport,
-};
+use crate::durability::{DurabilityCore, RecoveryReport};
 use crate::error::{SacError, SacResult};
 use crate::exec;
 use crate::index::IndexCache;
 use crate::plan::{plan_query, Explain, Plan, Strategy};
 use crate::pool::fan_out;
 use crate::result::ResultSet;
-use crate::view::{MaterializedView, RefreshMode, ViewCore, ViewOptions, ViewRefresh};
+use crate::view::{MaterializedView, ViewCore};
 use sac_common::{Atom, Symbol};
 use sac_core::SemAcConfig;
 use sac_datalog::Certificate;
 use sac_deps::Tgd;
 use sac_query::ConjunctiveQuery;
-use sac_storage::{Instance, InstanceStats};
+use sac_storage::{DeltaCursor, Instance, InstanceStats};
 use sac_telemetry::{bus, Event, Histogram, HistogramSnapshot, Phase, Probe, QueryTrace};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::time::Instant;
-
-/// Incremental view maintenance stops paying off when the delta stops being
-/// small: past this fraction of the total rows of the relations a view
-/// reads, a refresh recomputes from scratch instead of pushing the delta
-/// (the recompute also resets the delta-proportional bound for the next
-/// refresh).  A constant, not an option: Δ/|D| says nothing about the join
-/// fan-out that decides which path is cheaper (EXPERIMENTS.md, `hub-3rays`),
-/// so no other value answers the question better.
-const MAX_INCREMENTAL_FRACTION: f64 = 0.5;
 
 /// Planner knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -237,25 +244,25 @@ impl fmt::Display for EngineMetrics {
 
 /// Lock-free counters backing [`Database::metrics`].
 #[derive(Debug, Default)]
-struct MetricCounters {
-    queries_run: AtomicUsize,
-    plans_built: AtomicUsize,
-    plan_cache_hits: AtomicUsize,
-    runs_yannakakis_direct: AtomicUsize,
-    runs_yannakakis_witness: AtomicUsize,
-    runs_indexed_search: AtomicUsize,
-    morsels_dispatched: AtomicUsize,
-    views_registered: AtomicUsize,
-    view_refreshes_incremental: AtomicUsize,
-    view_refreshes_full: AtomicUsize,
-    view_delta_rows: AtomicUsize,
-    datalog_runs: AtomicUsize,
-    datalog_iterations: AtomicUsize,
-    datalog_facts_derived: AtomicUsize,
-    wal_appends: AtomicUsize,
-    wal_bytes: AtomicUsize,
-    snapshots_written: AtomicUsize,
-    recovery_replayed_batches: AtomicUsize,
+pub(crate) struct MetricCounters {
+    pub(crate) queries_run: AtomicUsize,
+    pub(crate) plans_built: AtomicUsize,
+    pub(crate) plan_cache_hits: AtomicUsize,
+    pub(crate) runs_yannakakis_direct: AtomicUsize,
+    pub(crate) runs_yannakakis_witness: AtomicUsize,
+    pub(crate) runs_indexed_search: AtomicUsize,
+    pub(crate) morsels_dispatched: AtomicUsize,
+    pub(crate) views_registered: AtomicUsize,
+    pub(crate) view_refreshes_incremental: AtomicUsize,
+    pub(crate) view_refreshes_full: AtomicUsize,
+    pub(crate) view_delta_rows: AtomicUsize,
+    pub(crate) datalog_runs: AtomicUsize,
+    pub(crate) datalog_iterations: AtomicUsize,
+    pub(crate) datalog_facts_derived: AtomicUsize,
+    pub(crate) wal_appends: AtomicUsize,
+    pub(crate) wal_bytes: AtomicUsize,
+    pub(crate) snapshots_written: AtomicUsize,
+    pub(crate) recovery_replayed_batches: AtomicUsize,
 }
 
 impl MetricCounters {
@@ -327,11 +334,11 @@ impl MetricCounters {
 /// [`sac_telemetry::Histogram`]): recorded unconditionally — a record is
 /// three relaxed atomic adds — and snapshotted into [`EngineMetrics`].
 #[derive(Debug, Default)]
-struct LatencyRecorders {
-    run: Histogram,
-    prepare: Histogram,
-    view_refresh: Histogram,
-    datalog: Histogram,
+pub(crate) struct LatencyRecorders {
+    pub(crate) run: Histogram,
+    pub(crate) prepare: Histogram,
+    pub(crate) view_refresh: Histogram,
+    pub(crate) datalog: Histogram,
 }
 
 /// Everything a traced run carries from its entry point into
@@ -405,28 +412,36 @@ impl QuerySource for String {
 /// ```
 #[derive(Debug)]
 pub struct Database {
-    instance: RwLock<Instance>,
-    tgds: RwLock<Vec<Tgd>>,
+    /// The one state guard; see the [module docs](self) for the lock order.
+    pub(crate) state: RwLock<State>,
     config: EngineConfig,
     /// Threads a [`Database::run_batch`] may use (1 = serial); see
     /// [`Database::with_parallelism`].
     parallelism: usize,
     plans: RwLock<HashMap<PlanKey, Arc<Plan>>>,
     indexes: Mutex<IndexCache>,
+    /// The persistence engine; `None` on non-durable databases.
+    pub(crate) durability: Option<DurabilityCore>,
+    /// What recovery found, for databases created by [`Database::open`].
+    pub(crate) recovery: Option<RecoveryReport>,
+    pub(crate) metrics: MetricCounters,
+    pub(crate) latency: LatencyRecorders,
+}
+
+/// What the state guard protects: the facts, the constraint set the planner
+/// reformulates under, and the views maintained over both.
+#[derive(Debug, Default)]
+pub(crate) struct State {
+    pub(crate) instance: Instance,
+    pub(crate) tgds: Vec<Tgd>,
     /// Registered materialized views, held weakly: dropping every
     /// [`MaterializedView`] handle unregisters its view (dead entries are
-    /// pruned on the next registration or growth).
-    views: RwLock<Vec<Weak<ViewCore>>>,
+    /// pruned on the next append).
+    pub(crate) views: Vec<Weak<ViewCore>>,
     /// Strong pins for views recovered from disk: the weak registry alone
     /// would unregister them the moment the recovery-time handle dropped.
     /// [`Database::durable_views`] hands out fresh handles over these.
-    pinned_views: Mutex<Vec<Arc<ViewCore>>>,
-    /// The persistence engine; `None` on non-durable databases.
-    durability: Option<DurabilityCore>,
-    /// What recovery found, for databases created by [`Database::open`].
-    recovery: Option<RecoveryReport>,
-    metrics: MetricCounters,
-    latency: LatencyRecorders,
+    pub(crate) recovered_views: Vec<Arc<ViewCore>>,
 }
 
 impl Default for Database {
@@ -445,14 +460,14 @@ impl Database {
     pub fn from_instance(instance: Instance) -> Database {
         let indexes = Mutex::new(IndexCache::new(&instance));
         Database {
-            instance: RwLock::new(instance),
-            tgds: RwLock::new(Vec::new()),
+            state: RwLock::new(State {
+                instance,
+                ..State::default()
+            }),
             config: EngineConfig::default(),
             parallelism: 1,
             plans: RwLock::new(HashMap::new()),
             indexes,
-            views: RwLock::new(Vec::new()),
-            pinned_views: Mutex::new(Vec::new()),
             durability: None,
             recovery: None,
             metrics: MetricCounters::default(),
@@ -468,19 +483,26 @@ impl Database {
 
     /// Sets the constraint set the planner may reformulate under
     /// (builder-style).  See the type-level docs for the satisfaction
-    /// contract.
+    /// contract, and [`Database::set_tgds`] for what a durable database
+    /// does with the change.
+    ///
+    /// # Panics
+    ///
+    /// On a durable database, if the checkpoint that persists the new
+    /// constraint set fails ([`SacError::Persistence`]): the builder cannot
+    /// return the error, and dropping it would lose the change on the next
+    /// restart.  Call [`Database::set_tgds`] to handle it instead.
     pub fn with_tgds(self, tgds: Vec<Tgd>) -> Database {
-        self.set_tgds(tgds);
+        if let Err(e) = self.set_tgds(tgds) {
+            panic!("with_tgds could not persist the constraint set: {e}");
+        }
         self
     }
 
     /// Overrides the planner configuration (builder-style).
     pub fn with_config(mut self, config: EngineConfig) -> Database {
         self.config = config;
-        self.plans
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.plans = RwLock::default();
         self
     }
 
@@ -508,69 +530,70 @@ impl Database {
     /// witnesses were found under the old constraints).  Prepared queries
     /// keep the plan they were compiled with — re-prepare after changing
     /// constraints.
-    pub fn set_tgds(&self, tgds: Vec<Tgd>) {
-        // The tgds write guard is held across the clear, pairing with
-        // `plan_arc` (which publishes under the tgds read guard): no plan
-        // compiled under the old constraints can slip into the cache after
-        // this clear.
-        {
-            let mut guard = self.write_tgds();
-            *guard = tgds.clone();
-            self.write_plans().clear();
-        }
+    ///
+    /// On a durable database the change is checkpointed before this
+    /// returns, like a view registration: constraints live in snapshots,
+    /// not the fact WAL.  The error is that checkpoint's; the new set is in
+    /// force either way.
+    pub fn set_tgds(&self, tgds: Vec<Tgd>) -> SacResult<()> {
+        // The write guard is held across the swap, the clear and the
+        // checkpoint, pairing with `plan_arc_cached` (which publishes under
+        // the read guard): no plan compiled under the old constraints can
+        // slip into the cache after this clear.
+        let mut state = self.write_state();
+        state.tgds = tgds;
+        self.write_plans().clear();
         if let Some(core) = &self.durability {
-            // Checkpoints read this cached structural copy instead of the
-            // tgds lock (which sits *before* the instance guard in the lock
-            // order; see `crate::durability`).
-            *core.lock_tgds_repr() = tgds.iter().map(durability::tgd_repr).collect();
+            self.checkpoint_locked(core, &state, &mut core.lock_state())?;
         }
+        Ok(())
     }
 
     /// The constraints the planner reformulates under.
     pub fn tgds(&self) -> Vec<Tgd> {
-        self.read_tgds().clone()
+        self.read_state().tgds.clone()
     }
 
     /// Runs `f` over the current instance under the read lock.  Keep `f`
     /// short: inserts wait while it runs.
     pub fn read<R>(&self, f: impl FnOnce(&Instance) -> R) -> R {
-        f(&self.read_instance())
+        f(&self.read_state().instance)
     }
 
     /// A point-in-time copy of the stored instance.
     pub fn snapshot(&self) -> Instance {
-        self.read_instance().clone()
+        self.read_state().instance.clone()
     }
 
     /// Total number of stored atoms.
     pub fn len(&self) -> usize {
-        self.read_instance().len()
+        self.read_state().instance.len()
     }
 
     /// Whether no atoms are stored.
     pub fn is_empty(&self) -> bool {
-        self.read_instance().is_empty()
+        self.read_state().instance.is_empty()
     }
 
     /// Estimated heap footprint of the stored instance, dictionary
     /// included (see [`Instance::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.read_instance().heap_bytes()
+        self.read_state().instance.heap_bytes()
     }
 
     /// Whether `atom` is stored.
     pub fn contains(&self, atom: &Atom) -> bool {
-        self.read_instance().contains(atom)
+        self.read_state().instance.contains(atom)
     }
 
     /// The instance's mutation epoch (see [`Instance::epoch`]).
     pub fn epoch(&self) -> u64 {
-        self.read_instance().epoch()
+        self.read_state().instance.epoch()
     }
 
     /// Summary statistics of the stored instance.
     pub fn stats(&self) -> InstanceStats {
-        self.read_instance().stats()
+        self.read_state().instance.stats()
     }
 
     /// Inserts an atom.  Returns whether it was new; a genuinely new atom
@@ -582,21 +605,15 @@ impl Database {
     /// matter, not a correctness one.
     ///
     /// On a durable database ([`Database::open`]) a new atom is appended to
-    /// the write-ahead log before the instance write guard is released, so
+    /// the write-ahead log before the state write guard is released, so
     /// durability is atomic with visibility; see [`crate::durability`].
     pub fn insert(&self, atom: Atom) -> SacResult<bool> {
-        let mut instance = self.write_instance();
-        let cursor = self.durability.as_ref().map(|_| instance.delta_cursor());
-        let added = instance.insert(atom)?;
-        if added {
-            self.publish_growth(&instance, cursor.as_ref())?;
-        }
-        Ok(added)
+        Ok(self.append([atom])? == 1)
     }
 
     /// Bulk-inserts every atom of `other`; returns how many were new.
     ///
-    /// The whole batch is applied under one instance write guard, so
+    /// The whole batch is applied under one state write guard, so
     /// concurrent queries observe either the pre-load or the post-load
     /// state, never a half-loaded prefix, and the incremental cache
     /// maintenance happens once for the whole batch instead of once per
@@ -608,42 +625,43 @@ impl Database {
     /// appended under the same write guard — so one fsync (and one replay
     /// step) covers the entire load.
     pub fn extend_from(&self, other: &Instance) -> SacResult<usize> {
-        let mut instance = self.write_instance();
-        let cursor = self.durability.as_ref().map(|_| instance.delta_cursor());
+        self.append(other.atoms())
+    }
+
+    /// The one append path behind [`Database::insert`] and
+    /// [`Database::extend_from`]: every atom under one state write guard.
+    fn append(&self, atoms: impl IntoIterator<Item = Atom>) -> SacResult<usize> {
+        let mut state = self.write_state();
+        let cursor = self.is_durable().then(|| state.instance.delta_cursor());
         let mut added = 0;
-        for atom in other.atoms() {
-            match instance.insert(atom) {
-                Ok(true) => added += 1,
-                Ok(false) => {}
+        let mut failed = None;
+        for atom in atoms {
+            match state.instance.insert(atom) {
+                Ok(new) => added += usize::from(new),
                 Err(e) => {
-                    // Partial batch: catch the caches up AND persist the
-                    // applied prefix — it is visible, so it must survive a
-                    // crash like any other visible state.
-                    self.publish_growth(&instance, cursor.as_ref())?;
-                    return Err(e.into());
+                    failed = Some(e);
+                    break;
                 }
             }
         }
+        // A partial batch is visible, so it is caught up and persisted like
+        // any other visible state before the error is returned.
         if added > 0 {
-            self.publish_growth(&instance, cursor.as_ref())?;
+            self.publish_growth(&mut state, cursor.as_ref())?;
         }
-        Ok(added)
+        failed.map_or(Ok(added), |e| Err(e.into()))
     }
 
-    /// What every append owes its readers, under the instance write guard
-    /// so no concurrent run can snapshot between the data change and the
+    /// What every append owes its readers, under the state write guard so
+    /// no concurrent run can snapshot between the data change and the
     /// maintenance: cached indexes extended, auto-refresh views caught up,
     /// and — on a durable database, where `cursor` is the pre-mutation
     /// cursor — the growth appended to the WAL.
-    fn publish_growth(
-        &self,
-        instance: &Instance,
-        cursor: Option<&sac_storage::DeltaCursor>,
-    ) -> SacResult<()> {
-        self.lock_indexes().note_growth(instance);
-        self.refresh_auto_views(instance);
+    fn publish_growth(&self, state: &mut State, cursor: Option<&DeltaCursor>) -> SacResult<()> {
+        self.lock_indexes().note_growth(&state.instance);
+        self.refresh_auto_views(state);
         match cursor {
-            Some(cursor) => self.persist_growth(instance, cursor),
+            Some(cursor) => self.persist_growth(state, cursor),
             None => Ok(()),
         }
     }
@@ -674,17 +692,15 @@ impl Database {
         // racing on the same cold query both plan; the first publication
         // wins and both count as builds (honest accounting).
         //
-        // The tgds read guard is held across the publication below: this
+        // The state read guard is held across the publication below: this
         // orders every publication of a plan compiled under the old
         // constraints strictly before `set_tgds` can swap them and clear the
         // cache — a stale witness plan can never be re-published after the
         // invalidation.
-        let tgds = self.read_tgds();
+        let state = self.read_state();
+        let State { instance, tgds, .. } = &*state;
         let planning_started = Instant::now();
-        let plan = {
-            let instance = self.read_instance();
-            Arc::new(plan_query(query, &tgds, &instance, &self.config))
-        };
+        let plan = Arc::new(plan_query(query, tgds, instance, &self.config));
         let planning_elapsed = planning_started.elapsed();
         self.latency.prepare.record(planning_elapsed);
         bus::emit(|| Event::PlanBuilt {
@@ -698,7 +714,7 @@ impl Database {
                 .entry(key)
                 .or_insert_with(|| Arc::clone(&plan)),
         );
-        drop(tgds);
+        drop(state);
         (published, false)
     }
 
@@ -843,8 +859,13 @@ impl Database {
         options: DatalogOptions,
     ) -> SacResult<DatalogRun> {
         let started = Instant::now();
-        let work = self.snapshot();
-        let run = datalog::evaluate(program, work, &self.tgds(), &self.config, options)?;
+        // The snapshot and Σ come from one read: the rules are planned
+        // under exactly the constraints the snapshot was taken with.
+        let (work, tgds) = {
+            let state = self.read_state();
+            (state.instance.clone(), state.tgds.clone())
+        };
+        let run = datalog::evaluate(program, work, &tgds, &self.config, options)?;
         let elapsed = started.elapsed();
         self.latency.datalog.record(elapsed);
         self.metrics.datalog_runs.fetch_add(1, Ordering::Relaxed);
@@ -876,15 +897,16 @@ impl Database {
     ) -> (ResultSet, Option<QueryTrace>) {
         self.metrics.record_run(plan.strategy());
         let run_started = Instant::now();
-        let instance = self.read_instance();
+        let state = self.read_state();
+        let instance = &state.instance;
         // Short locked section: build/fetch exactly the plan's indexes…
         let (mut ctx, cache_misses) = {
             let mut cache = self.lock_indexes();
             let built_before = cache.built();
-            let ctx = exec::ExecContext::snapshot(plan, false, &instance, &mut cache);
+            let ctx = exec::ExecContext::snapshot(plan, false, instance, &mut cache);
             (ctx, cache.built() - built_before)
         };
-        // …then execute lock-free (the instance read guard is still held, so
+        // …then execute lock-free (the state read guard is still held, so
         // the snapshots stay consistent with the data for the whole run).
         let (plan_cache_hit, query_text) = match trace {
             Some(TraceStart {
@@ -898,7 +920,7 @@ impl Database {
             }
             None => (false, String::new()),
         };
-        let tuples = exec::execute_with(plan, &instance, &ctx);
+        let tuples = exec::execute_with(plan, instance, &ctx);
         let result = ResultSet::from_tuples(Arc::clone(plan.columns()), tuples);
         let elapsed = run_started.elapsed();
         self.latency.run.record(elapsed);
@@ -927,295 +949,6 @@ impl Database {
             }
         });
         (result, trace)
-    }
-
-    /// Registers `source` as a [`MaterializedView`] with default
-    /// [`ViewOptions`]: the answer set is computed now, stored, and then
-    /// **maintained** under every append — incrementally on every rung
-    /// (delta push through the cached join tree on the Yannakakis rungs,
-    /// searches seeded at the delta rows on [`Strategy::IndexedSearch`]).
-    /// See [`crate::view`] for the maintenance model.
-    ///
-    /// Cost shape to be aware of: with the default `auto_refresh`, every
-    /// mutation call refreshes the view under the instance write guard, and
-    /// a batch past half the rows the view reads recomputes it.  For
-    /// per-fact `insert` loops prefer batched appends
-    /// ([`Database::load_facts`] / [`Database::extend_from`] refresh once
-    /// per batch) or [`Database::materialize_with`] with
-    /// `auto_refresh: false` and one explicit refresh per batch.
-    pub fn materialize<Q: QuerySource>(&self, source: Q) -> SacResult<MaterializedView<'_>> {
-        self.materialize_with(source, ViewOptions::default())
-    }
-
-    /// [`Database::materialize`] with explicit maintenance options — e.g.
-    /// `auto_refresh: false` for batch ingestion, where one explicit
-    /// [`MaterializedView::refresh`] per append batch replaces per-insert
-    /// maintenance.
-    pub fn materialize_with<Q: QuerySource>(
-        &self,
-        source: Q,
-        options: ViewOptions,
-    ) -> SacResult<MaterializedView<'_>> {
-        let core = self.register_view(source.into_query()?, options);
-        if self.durability.is_some() {
-            // View definitions live in snapshots, not the fact WAL; a
-            // checkpoint here makes the registration itself durable.
-            self.checkpoint()?;
-        }
-        Ok(MaterializedView::new(self, core))
-    }
-
-    /// Plans, materializes and registers a view — everything about a
-    /// registration except making it durable, which recovery does once for
-    /// all the views it brings back.
-    fn register_view(&self, query: ConjunctiveQuery, options: ViewOptions) -> Arc<ViewCore> {
-        let plan = self.plan_arc(&query);
-        let core = Arc::new(ViewCore::new(query, plan, options));
-        {
-            // Initial materialization AND registration under one instance
-            // read guard: an append between the two would run its
-            // auto-refresh pass without seeing the view, leaving an
-            // auto_refresh view silently stale at birth.
-            let instance = self.read_instance();
-            self.refresh_core(&core, &instance);
-            let mut views = self.write_views();
-            views.retain(|weak| weak.strong_count() > 0);
-            views.push(Arc::downgrade(&core));
-        }
-        self.metrics
-            .views_registered
-            .fetch_add(1, Ordering::Relaxed);
-        bus::emit(|| Event::ViewRegistered {
-            query: core.query.to_string(),
-            strategy: core.plan.strategy().as_str().to_owned(),
-        });
-        core
-    }
-
-    /// [`MaterializedView::refresh`]: catch one view up with the current
-    /// data.
-    pub(crate) fn view_refresh(&self, core: &ViewCore) -> ViewRefresh {
-        let instance = self.read_instance();
-        self.refresh_core(core, &instance)
-    }
-
-    /// [`MaterializedView::refresh_traced`]: the refresh report plus a
-    /// [`QueryTrace`] over the maintenance work (phases of the delta push
-    /// or recompute, refresh mode, delta rows).
-    pub(crate) fn view_refresh_traced(&self, core: &ViewCore) -> (ViewRefresh, QueryTrace) {
-        let instance = self.read_instance();
-        let (refresh, trace) = self.refresh_core_traced(core, &instance, Some(Probe::start()));
-        (
-            refresh,
-            trace.expect("traced refreshes always produce a trace"),
-        )
-    }
-
-    /// [`MaterializedView::is_fresh`]: whether no relation the view reads
-    /// has grown past the view's cursor.
-    pub(crate) fn view_is_fresh(&self, core: &ViewCore) -> bool {
-        let instance = self.read_instance();
-        let state = core.lock_state();
-        let Some(cursor) = &state.cursor else {
-            return false;
-        };
-        if cursor.epoch() == instance.epoch() {
-            return true;
-        }
-        instance
-            .delta_since(cursor)
-            .iter()
-            .all(|delta| !core.relevant.contains(&delta.predicate))
-    }
-
-    /// Catches every live auto-refresh view up with `instance`.  Called by
-    /// the mutation paths under the instance write guard, so a reader that
-    /// can observe the new facts can also observe the refreshed views.
-    fn refresh_auto_views(&self, instance: &Instance) {
-        // Read lock only on the hot path; the registry is rewritten (to
-        // prune) only when a dead weak was actually observed.
-        let (cores, saw_dead) = {
-            let views = self.read_views();
-            if views.is_empty() {
-                return; // the common no-views case: one read lock, no scan
-            }
-            let mut cores: Vec<Arc<ViewCore>> = Vec::with_capacity(views.len());
-            let mut saw_dead = false;
-            for weak in views.iter() {
-                match weak.upgrade() {
-                    Some(core) => cores.push(core),
-                    None => saw_dead = true,
-                }
-            }
-            (cores, saw_dead)
-        };
-        if saw_dead {
-            self.write_views().retain(|weak| weak.strong_count() > 0);
-        }
-        for core in cores {
-            if core.options.auto_refresh {
-                self.refresh_core(&core, instance);
-            }
-        }
-    }
-
-    /// The maintenance workhorse: brings `core` up to date with `instance`
-    /// (which the caller holds a guard over) and records what that took.
-    ///
-    /// Refresh decision, in order: not grown (or grown only off the view's
-    /// schema) → nothing; an already-true Boolean view → nothing (CQs are
-    /// monotone, true stays true); a delta within
-    /// [`MAX_INCREMENTAL_FRACTION`] → evaluate the delta only, on whichever
-    /// rung the plan is; otherwise → recompute.
-    fn refresh_core(&self, core: &ViewCore, instance: &Instance) -> ViewRefresh {
-        self.refresh_core_traced(core, instance, None).0
-    }
-
-    /// [`Database::refresh_core`] with an optional probe: refreshes that do
-    /// work (delta push or recompute) are timed into the view-refresh
-    /// histogram and announced on the event bus; with a probe attached the
-    /// maintenance run additionally yields a [`QueryTrace`] carrying the
-    /// refresh mode and delta rows.
-    fn refresh_core_traced(
-        &self,
-        core: &ViewCore,
-        instance: &Instance,
-        probe: Option<Probe>,
-    ) -> (ViewRefresh, Option<QueryTrace>) {
-        // Assembles the trace for the no-work shortcuts below: no phases
-        // beyond whatever the probe accumulated, current answer count.
-        let fresh_trace = |probe: Option<Probe>, refresh: &ViewRefresh, answers: usize| {
-            probe.map(|p| {
-                let (phases, node_rows, total_ns) = p.finish();
-                self.view_query_trace(core, refresh, phases, node_rows, total_ns, answers)
-            })
-        };
-        let mut state = core.lock_state();
-        if let Some(cursor) = &state.cursor {
-            if cursor.epoch() == instance.epoch() {
-                let answers = state.answers.len();
-                drop(state);
-                let trace = fresh_trace(probe, &ViewRefresh::FRESH, answers);
-                return (ViewRefresh::FRESH, trace);
-            }
-        }
-        let initialized = state.cursor.is_some();
-        let mut watermarks: HashMap<Symbol, usize> = HashMap::new();
-        let mut delta_rows = 0usize;
-        if let Some(cursor) = &state.cursor {
-            for delta in instance.delta_since(cursor) {
-                if core.relevant.contains(&delta.predicate) {
-                    delta_rows += delta.len();
-                    watermarks.insert(delta.predicate, delta.from_row);
-                }
-            }
-        }
-        if initialized && watermarks.is_empty() {
-            // Growth only on predicates the view never reads.
-            state.cursor = Some(instance.delta_cursor());
-            let answers = state.answers.len();
-            drop(state);
-            let trace = fresh_trace(probe, &ViewRefresh::FRESH, answers);
-            return (ViewRefresh::FRESH, trace);
-        }
-        if initialized && core.plan.columns().is_empty() && !state.answers.is_empty() {
-            // A satisfied Boolean view can never become unsatisfied under
-            // appends: skip the evaluation entirely.
-            state.cursor = Some(instance.delta_cursor());
-            let refresh = ViewRefresh {
-                mode: RefreshMode::Fresh,
-                delta_rows,
-                rows_added: 0,
-            };
-            let answers = state.answers.len();
-            drop(state);
-            let trace = fresh_trace(probe, &refresh, answers);
-            return (refresh, trace);
-        }
-
-        let refresh_started = Instant::now();
-        let relevant_rows: usize = core
-            .relevant
-            .iter()
-            .filter_map(|p| instance.relation(*p))
-            .map(|rel| rel.len())
-            .sum();
-        let small =
-            initialized && (delta_rows as f64) <= MAX_INCREMENTAL_FRACTION * relevant_rows as f64;
-        let before = state.answers.len();
-        let mut ctx =
-            exec::ExecContext::snapshot(&core.plan, small, instance, &mut self.lock_indexes());
-        if let Some(mut p) = probe {
-            p.mark(Phase::Snapshot);
-            ctx = ctx.with_probe(p);
-        }
-        let mode = if small {
-            let delta = exec::execute_delta(&core.plan, instance, &watermarks, &ctx);
-            Arc::make_mut(&mut state.answers).extend(delta);
-            self.metrics
-                .view_refreshes_incremental
-                .fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .view_delta_rows
-                .fetch_add(delta_rows, Ordering::Relaxed);
-            RefreshMode::Incremental
-        } else {
-            state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
-            self.metrics
-                .view_refreshes_full
-                .fetch_add(1, Ordering::Relaxed);
-            RefreshMode::Full
-        };
-        state.cursor = Some(instance.delta_cursor());
-        let refresh = ViewRefresh {
-            mode,
-            delta_rows,
-            // Appends are monotone so this never truncates; saturate anyway
-            // rather than panic if an oracle recompute ever shrinks.
-            rows_added: state.answers.len().saturating_sub(before),
-        };
-        let answers = state.answers.len();
-        drop(state);
-        let elapsed = refresh_started.elapsed();
-        self.latency.view_refresh.record(elapsed);
-        bus::emit(|| Event::ViewRefreshed {
-            mode: refresh.mode.to_string(),
-            delta_rows: refresh.delta_rows,
-            rows_added: refresh.rows_added,
-            micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        });
-        let trace = ctx.take_probe().map(|probe| {
-            let (phases, node_rows, total_ns) = probe.finish();
-            self.view_query_trace(core, &refresh, phases, node_rows, total_ns, answers)
-        });
-        (refresh, trace)
-    }
-
-    /// Assembles the [`QueryTrace`] for one view maintenance pass.
-    fn view_query_trace(
-        &self,
-        core: &ViewCore,
-        refresh: &ViewRefresh,
-        phases: sac_telemetry::PhaseTimes,
-        node_rows: Vec<sac_telemetry::NodeRows>,
-        total_ns: u64,
-        answers: usize,
-    ) -> QueryTrace {
-        QueryTrace {
-            query: core.query.to_string(),
-            strategy: core.plan.strategy().as_str().to_owned(),
-            // The view's plan was pinned at materialization: by definition
-            // every maintenance pass reuses it.
-            plan_cache_hit: true,
-            index_cache_hits: 0,
-            index_cache_misses: 0,
-            phases,
-            total_ns,
-            node_rows,
-            answers,
-            refresh_mode: Some(refresh.mode.to_string()),
-            delta_rows: Some(refresh.delta_rows),
-        }
     }
 
     /// Session counters (plan-cache hit rate, per-strategy runs, …) since
@@ -1247,8 +980,8 @@ impl Database {
     /// shift.  Metrics are untouched (see [`Database::reset_metrics`]).
     pub fn clear_caches(&self) {
         self.write_plans().clear();
-        let instance = self.read_instance();
-        self.lock_indexes().invalidate_all(&instance);
+        let state = self.read_state();
+        self.lock_indexes().invalidate_all(&state.instance);
     }
 
     /// Number of plans currently cached.
@@ -1256,285 +989,28 @@ impl Database {
         self.read_plans().len()
     }
 
-    // ------------------------------------------------------------------
-    // Durable persistence (see `crate::durability` for the model).
-    // ------------------------------------------------------------------
-
-    /// Opens (or creates) a durable database in directory `path` with
-    /// default [`DurabilityOptions`]: every append fsynced, automatic
-    /// snapshots.
-    ///
-    /// Recovery loads the newest snapshot — a newest file that does not
-    /// verify is a [`SacError::Persistence`] naming it, never a silent
-    /// fallback to an older one — replays the WAL tail
-    /// (truncating a torn final record), re-registers and refreshes every
-    /// persisted materialized view, warms the plan cache from the persisted
-    /// query fingerprints, and checkpoints the rebuilt state so this
-    /// process's dictionary codes become the on-disk baseline.  The
-    /// constraint set is restored before any plan is warmed.
-    pub fn open(path: impl AsRef<Path>) -> SacResult<Database> {
-        Database::open_with(path, DurabilityOptions::default())
-    }
-
-    /// [`Database::open`] with explicit durability options.
-    pub fn open_with(path: impl AsRef<Path>, options: DurabilityOptions) -> SacResult<Database> {
-        let started = Instant::now();
-        let dir = path.as_ref().to_path_buf();
-        let disk = durability::load_disk_state(&dir, options)?;
-        let mut report = disk.report;
-
-        let mut db = Database::from_instance(disk.instance);
-        let tgds = disk
-            .tgds
-            .iter()
-            .map(durability::tgd_from_repr)
-            .collect::<SacResult<Vec<_>>>()?;
-        db.durability = Some(DurabilityCore {
-            dir,
-            options,
-            state: Mutex::new(DurableState {
-                wal: disk.wal,
-                next_seq: disk.last_seq + 1,
-                // 0 until the checkpoint below re-baselines: the persisted
-                // dictionary codes belong to the dead process, not this one.
-                dict_mark: 0,
-                since_snapshot: 0,
-            }),
-            tgds_repr: Mutex::new(disk.tgds.clone()),
-        });
-        db.set_tgds(tgds);
-        db.metrics
-            .recovery_replayed_batches
-            .fetch_add(report.replayed_batches, Ordering::Relaxed);
-
-        // Re-register the persisted views (initial refresh included) and
-        // pin them: the weak registry alone would unregister them as soon
-        // as this loop drops its reference.  Nothing is written until every
-        // view is back — a snapshot taken in between would list a prefix of
-        // the view set and reset the WAL behind it.
-        for view in &disk.views {
-            let query = durability::query_from_repr(&view.query)?;
-            let options = ViewOptions {
-                auto_refresh: view.auto_refresh,
-            };
-            let core = db.register_view(query, options);
-            db.pinned_views
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(core);
-            report.views += 1;
-        }
-
-        // Warm the plan cache from the persisted fingerprints.  A repr the
-        // current validation rejects (e.g. written by a newer build) is
-        // skipped, not fatal: the cache is an optimization.
-        for repr in &disk.plans {
-            if let Ok(query) = durability::query_from_repr(repr) {
-                db.plan_arc(&query);
-                report.plans += 1;
-            }
-        }
-
-        // Checkpoint the rebuilt state: the WAL is compacted away and the
-        // dictionary watermark re-baselines to this process's codes.
-        db.checkpoint()?;
-
-        report.micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        bus::emit(|| Event::RecoveryCompleted {
-            replayed_batches: report.replayed_batches,
-            replayed_rows: report.replayed_rows,
-            views: report.views,
-            plans: report.plans,
-            micros: report.micros,
-        });
-        db.recovery = Some(report);
-        Ok(db)
-    }
-
-    /// Whether this database persists its mutations (created by
-    /// [`Database::open`]).
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// What recovery found and did, for databases created by
-    /// [`Database::open`]; `None` on non-durable databases.
-    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
-        self.recovery.as_ref()
-    }
-
-    /// Fresh handles over the materialized views recovered from disk, in
-    /// their persisted registration order.  Empty on non-durable databases
-    /// and on durable ones that had no views.
-    pub fn durable_views(&self) -> Vec<MaterializedView<'_>> {
-        self.pinned_views
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|core| MaterializedView::new(self, Arc::clone(core)))
-            .collect()
-    }
-
-    /// Writes a compacted snapshot covering every append so far and
-    /// truncates the WAL it covers.  Errors on a non-durable database.
-    pub fn checkpoint(&self) -> SacResult<CheckpointReport> {
-        let core = self
-            .durability
-            .as_ref()
-            .ok_or_else(|| SacError::Persistence {
-                message: "checkpoint on a non-durable database (use Database::open)".to_owned(),
-            })?;
-        // Same lock order as the append path: instance guard, then the
-        // durability state.  A read guard suffices — appends (which hold
-        // the write guard) serialize against us on the state mutex.
-        let instance = self.read_instance();
-        let mut state = core.lock_state();
-        self.checkpoint_locked(core, &instance, &mut state)
-    }
-
-    /// Forces every WAL byte written so far to disk, regardless of the
-    /// sync mode — the graceful-shutdown companion of
-    /// [`SyncMode::Never`](sac_wal::SyncMode::Never).  No-op answer on a
-    /// non-durable database.
-    pub fn sync_wal(&self) -> SacResult<()> {
-        if let Some(core) = &self.durability {
-            core.lock_state().wal.sync()?;
-        }
-        Ok(())
-    }
-
-    /// The append-path durability hook: called by [`Database::insert`] /
-    /// [`Database::extend_from`] **under the instance write guard** with
-    /// the pre-mutation cursor; appends one WAL record covering exactly
-    /// the growth, then checkpoints if the auto-snapshot threshold is hit.
-    fn persist_growth(
-        &self,
-        instance: &Instance,
-        cursor: &sac_storage::DeltaCursor,
-    ) -> SacResult<()> {
-        let core = self
-            .durability
-            .as_ref()
-            .expect("persist_growth on a non-durable database");
-        let mut state = core.lock_state();
-        let seq = state.next_seq;
-        let Some((batch, dict_len)) =
-            durability::delta_batch(instance, cursor, seq, state.dict_mark)
-        else {
-            return Ok(());
-        };
-        let bytes = state.wal.append(&batch)?;
-        state.next_seq += 1;
-        state.dict_mark = dict_len;
-        state.since_snapshot += 1;
-        self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.metrics.wal_bytes.fetch_add(
-            usize::try_from(bytes).unwrap_or(usize::MAX),
-            Ordering::Relaxed,
-        );
-        bus::emit(|| Event::WalAppended {
-            seq,
-            bytes,
-            rows: batch.rows(),
-        });
-        if core.options.snapshot_every > 0 && state.since_snapshot >= core.options.snapshot_every {
-            self.checkpoint_locked(core, instance, &mut state)?;
-        }
-        Ok(())
-    }
-
-    /// The checkpoint workhorse; the caller holds an instance guard (read
-    /// or write) and the durability state lock.
-    fn checkpoint_locked(
-        &self,
-        core: &DurabilityCore,
-        instance: &Instance,
-        state: &mut DurableState,
-    ) -> SacResult<CheckpointReport> {
-        let started = Instant::now();
-        let tgds = core.lock_tgds_repr().clone();
-        // Live views (upgradable weaks), in registration order.  `views`
-        // comes after `instance` in the lock order, so this is safe from
-        // both checkpoint entry points.
-        let views: Vec<_> = self
-            .read_views()
-            .iter()
-            .filter_map(|weak| weak.upgrade())
-            .map(|view| durability::view_repr(&view.query, view.options))
-            .collect();
-        // The plan cache is last and released before any I/O.
-        let plans: Vec<_> = self
-            .read_plans()
-            .keys()
-            .map(|(head, body)| durability::query_repr(None, head, body))
-            .collect();
-        let last_seq = state.next_seq.saturating_sub(1);
-        let (snapshot, dict_len) = durability::snapshot_of(instance, last_seq, tgds, views, plans);
-        let atoms = snapshot.atoms();
-        let (path, bytes) = durability::persist_snapshot(&core.dir, &snapshot)?;
-        // The snapshot is the baseline from here on, whether or not the
-        // reset below succeeds: recovery skips the records it covers, so
-        // the next record's dictionary delta must start where it ends.
-        state.dict_mark = dict_len;
-        state.wal.reset()?;
-        state.since_snapshot = 0;
-        self.metrics
-            .snapshots_written
-            .fetch_add(1, Ordering::Relaxed);
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        bus::emit(|| Event::SnapshotWritten {
-            seq: last_seq,
-            bytes,
-            atoms,
-            micros,
-        });
-        Ok(CheckpointReport {
-            seq: last_seq,
-            path,
-            bytes,
-            atoms,
-            micros,
-        })
-    }
-
     // Lock plumbing.  Poisoning is not propagated: a panicking query thread
     // leaves the structures it held in a consistent state (pure reads, or
     // completed cache updates), so later callers simply continue.
 
-    fn read_instance(&self) -> std::sync::RwLockReadGuard<'_, Instance> {
-        self.instance.read().unwrap_or_else(|e| e.into_inner())
+    pub(crate) fn read_state(&self) -> RwLockReadGuard<'_, State> {
+        self.state.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_instance(&self) -> std::sync::RwLockWriteGuard<'_, Instance> {
-        self.instance.write().unwrap_or_else(|e| e.into_inner())
+    pub(crate) fn write_state(&self) -> RwLockWriteGuard<'_, State> {
+        self.state.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn read_tgds(&self) -> std::sync::RwLockReadGuard<'_, Vec<Tgd>> {
-        self.tgds.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write_tgds(&self) -> std::sync::RwLockWriteGuard<'_, Vec<Tgd>> {
-        self.tgds.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn read_plans(&self) -> std::sync::RwLockReadGuard<'_, HashMap<PlanKey, Arc<Plan>>> {
+    pub(crate) fn read_plans(&self) -> RwLockReadGuard<'_, HashMap<PlanKey, Arc<Plan>>> {
         self.plans.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_plans(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<PlanKey, Arc<Plan>>> {
+    fn write_plans(&self) -> RwLockWriteGuard<'_, HashMap<PlanKey, Arc<Plan>>> {
         self.plans.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_indexes(&self) -> std::sync::MutexGuard<'_, IndexCache> {
+    pub(crate) fn lock_indexes(&self) -> std::sync::MutexGuard<'_, IndexCache> {
         self.indexes.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn read_views(&self) -> std::sync::RwLockReadGuard<'_, Vec<Weak<ViewCore>>> {
-        self.views.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write_views(&self) -> std::sync::RwLockWriteGuard<'_, Vec<Weak<ViewCore>>> {
-        self.views.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -1812,7 +1288,7 @@ mod tests {
         let q = sac_gen::example1_triangle();
         let db = Database::from_instance(sac_gen::music_database(5, 10, 2));
         assert_eq!(db.explain(&q).strategy, Strategy::IndexedSearch);
-        db.set_tgds(vec![sac_gen::collector_tgd()]);
+        db.set_tgds(vec![sac_gen::collector_tgd()]).unwrap();
         assert_eq!(db.explain(&q).strategy, Strategy::YannakakisWitness);
     }
 
@@ -2151,7 +1627,7 @@ mod tests {
         let dir = durability_dir("views");
         let expected = {
             let db = Database::open(&dir).unwrap();
-            db.set_tgds(vec![sac_gen::collector_tgd()]);
+            db.set_tgds(vec![sac_gen::collector_tgd()]).unwrap();
             let view = db.materialize("q(X, Z) :- E(X, Y), E(Y, Z).").unwrap();
             db.load_facts("E(a, b). E(b, c). E(c, d).").unwrap();
             view.snapshot().into_tuples()
@@ -2189,7 +1665,7 @@ mod tests {
         let on_disk = sac_wal::latest_snapshot(&dir).unwrap().unwrap();
         let recovered = views
             .iter()
-            .map(|v| durability::view_repr(v.query(), v.options()));
+            .map(|v| crate::durability::view_repr(v.query(), v.options()));
         assert_eq!(on_disk.views, recovered.collect::<Vec<_>>());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,6 +1,7 @@
-//! Durable persistence for [`Database`](crate::Database): the glue between the engine's
-//! append path and the `sac-wal` crate's log, snapshot and recovery
-//! primitives.
+//! Durable persistence for [`Database`]: the durable endpoints (`open`,
+//! `checkpoint`, `sync_wal`, the append path's WAL hook) as an
+//! `impl Database`, and the glue between them and the `sac-wal` crate's
+//! log, snapshot and recovery primitives.
 //!
 //! ## Model
 //!
@@ -11,21 +12,21 @@
 //! <dir>/snapshot-<seq>.sacsnap        compacted checkpoints (newest wins)
 //! ```
 //!
-//! Every mutation that adds facts ([`Database::insert`](crate::Database::insert) /
-//! [`Database::extend_from`](crate::Database::extend_from) / [`Database::load_facts`](crate::Database::load_facts)) appends one
+//! Every mutation that adds facts ([`Database::insert`] /
+//! [`Database::extend_from`] / [`Database::load_facts`]) appends one
 //! [`FactBatch`] — the batch's rows as dictionary codes plus the dictionary
 //! delta needed to decode them in another process — **while still holding
-//! the instance write guard**, so durability is atomic with visibility: a
+//! the state write guard**, so durability is atomic with visibility: a
 //! concurrent reader that can observe the new facts can only do so after
 //! they are on the log (and, under [`SyncMode::Always`], fsynced).
 //!
-//! A **checkpoint** ([`Database::checkpoint`](crate::Database::checkpoint), or automatically every
+//! A **checkpoint** ([`Database::checkpoint`], or automatically every
 //! [`DurabilityOptions::snapshot_every`] appends) dumps the full columnar
 //! state — relations, dictionary prefix, constraint set, registered view
 //! definitions, and the plan cache's query fingerprints — into an
 //! atomically-renamed snapshot file, then truncates the WAL it covers.
 //!
-//! **Recovery** ([`Database::open`](crate::Database::open)) is the reverse: load the newest
+//! **Recovery** ([`Database::open`]) is the reverse: load the newest
 //! snapshot (failing closed if it does not verify — the reset WAL cannot
 //! make up for an older one), replay the WAL tail (truncating a torn final
 //! record per the [`sac_wal::log`] repair rule), re-register and refresh the persisted
@@ -35,26 +36,31 @@
 //!
 //! ## Locking
 //!
-//! The durability state sits in its own [`Mutex`], acquired strictly after
-//! the instance guard (lock order: `tgds` → `instance` → `views` →
-//! per-view state → `indexes`, with `durability` last).  Checkpoints need
-//! the tgd set, but the plan path acquires `tgds` *before* `instance`, so
-//! reading the live tgds under the instance guard would invert the order;
-//! instead the core caches its own structural copy, updated by
-//! [`Database::set_tgds`](crate::Database::set_tgds).
+//! The durability state (WAL writer, sequence numbers, dictionary mark)
+//! sits in its own [`Mutex`], last in the lock order (see
+//! [`crate::database`]).  Appends reach it under the state write guard,
+//! checkpoints under a read guard: either way the instance, the constraint
+//! set and the views a snapshot dumps come from the one guard the caller
+//! holds, and the mutex serializes the log against concurrent checkpoints.
+//! A constraint change ([`Database::set_tgds`]) checkpoints under its own
+//! write guard, so it is durable when the call returns.
 
+use crate::database::{Database, State};
 use crate::error::{SacError, SacResult};
-use crate::view::ViewOptions;
+use crate::view::{MaterializedView, ViewOptions};
 use sac_common::Symbol;
 use sac_deps::Tgd;
 use sac_query::ConjunctiveQuery;
 use sac_storage::{dict, DeltaCursor, Instance};
+use sac_telemetry::{bus, Event};
 use sac_wal::{
     latest_snapshot, prune_snapshots, write_snapshot, AtomRepr, FactBatch, QueryRepr,
     RelationBatch, Snapshot, TermRepr, TgdRepr, ViewRepr, WalError, WalWriter,
 };
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, Weak};
+use std::time::Instant;
 
 pub use sac_wal::{DurabilityOptions, SyncMode};
 
@@ -73,8 +79,8 @@ impl From<WalError> for SacError {
     }
 }
 
-/// What [`Database::open`](crate::Database::open) found and did (see
-/// [`Database::recovery_report`](crate::Database::recovery_report)).
+/// What [`Database::open`] found and did (see
+/// [`Database::recovery_report`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The WAL sequence number of the snapshot recovery started from
@@ -96,7 +102,7 @@ pub struct RecoveryReport {
     pub micros: u64,
 }
 
-/// What one checkpoint wrote (see [`Database::checkpoint`](crate::Database::checkpoint)).
+/// What one checkpoint wrote (see [`Database::checkpoint`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointReport {
     /// The last WAL sequence number the snapshot covers.
@@ -115,15 +121,15 @@ pub struct CheckpointReport {
 #[derive(Debug)]
 pub(crate) struct DurableState {
     /// The open, append-positioned log.
-    pub(crate) wal: WalWriter,
+    wal: WalWriter,
     /// Sequence number the next appended batch gets.
-    pub(crate) next_seq: u64,
+    next_seq: u64,
     /// How many codes of the process-wide dictionary are already covered
     /// by persisted state (snapshot dump or appended deltas); the next
     /// batch ships `terms_range(dict_mark, len)`.
-    pub(crate) dict_mark: u32,
+    dict_mark: u32,
     /// Appends since the last checkpoint, for the auto-snapshot policy.
-    pub(crate) since_snapshot: usize,
+    since_snapshot: usize,
 }
 
 /// The per-database durability engine: directory, options, and the
@@ -131,34 +137,21 @@ pub(crate) struct DurableState {
 /// entire persistence layer costs one `Option` check there.
 #[derive(Debug)]
 pub(crate) struct DurabilityCore {
-    pub(crate) dir: PathBuf,
-    pub(crate) options: DurabilityOptions,
-    pub(crate) state: Mutex<DurableState>,
-    /// Structural copy of the constraint set, maintained by
-    /// [`Database::set_tgds`](crate::Database::set_tgds) so checkpoints never read the `tgds` lock
-    /// while holding the instance guard (see the module docs on ordering).
-    pub(crate) tgds_repr: Mutex<Vec<TgdRepr>>,
+    dir: PathBuf,
+    options: DurabilityOptions,
+    state: Mutex<DurableState>,
 }
 
 impl DurabilityCore {
     pub(crate) fn lock_state(&self) -> std::sync::MutexGuard<'_, DurableState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    pub(crate) fn lock_tgds_repr(&self) -> std::sync::MutexGuard<'_, Vec<TgdRepr>> {
-        self.tgds_repr.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The WAL path inside `dir`.
-    pub(crate) fn wal_path(dir: &Path) -> PathBuf {
-        dir.join(WAL_FILE)
-    }
 }
 
 /// Builds the [`FactBatch`] describing everything `instance` gained since
 /// `cursor`, shipping the dictionary delta `dict_mark..len` alongside.
 /// Returns `None` when nothing grew (idempotent re-inserts).
-pub(crate) fn delta_batch(
+fn delta_batch(
     instance: &Instance,
     cursor: &DeltaCursor,
     seq: u64,
@@ -208,8 +201,8 @@ pub(crate) fn delta_batch(
     ))
 }
 
-/// Structural representation of a tgd (for the checkpoint's cached copy).
-pub(crate) fn tgd_repr(tgd: &Tgd) -> TgdRepr {
+/// Structural representation of a tgd, as snapshots persist it.
+fn tgd_repr(tgd: &Tgd) -> TgdRepr {
     TgdRepr {
         body: tgd.body.iter().map(AtomRepr::of).collect(),
         head: tgd.head.iter().map(AtomRepr::of).collect(),
@@ -219,11 +212,7 @@ pub(crate) fn tgd_repr(tgd: &Tgd) -> TgdRepr {
 /// Structural representation of a query (view definitions and plan-cache
 /// fingerprints persist this instead of display text, which does not
 /// round-trip through the parser).
-pub(crate) fn query_repr(
-    name: Option<&String>,
-    head: &[Symbol],
-    body: &[sac_common::Atom],
-) -> QueryRepr {
+fn query_repr(name: Option<&String>, head: &[Symbol], body: &[sac_common::Atom]) -> QueryRepr {
     QueryRepr {
         name: name.cloned(),
         head: head.iter().map(|s| s.as_str()).collect(),
@@ -232,7 +221,7 @@ pub(crate) fn query_repr(
 }
 
 /// Rebuilds a live query from its persisted representation.
-pub(crate) fn query_from_repr(repr: &QueryRepr) -> SacResult<ConjunctiveQuery> {
+fn query_from_repr(repr: &QueryRepr) -> SacResult<ConjunctiveQuery> {
     let head = repr.head.iter().map(|v| sac_common::intern(v)).collect();
     let body = repr.body.iter().map(AtomRepr::to_atom).collect();
     let mut query = ConjunctiveQuery::new(head, body)?;
@@ -241,7 +230,7 @@ pub(crate) fn query_from_repr(repr: &QueryRepr) -> SacResult<ConjunctiveQuery> {
 }
 
 /// Rebuilds a live tgd from its persisted representation.
-pub(crate) fn tgd_from_repr(repr: &TgdRepr) -> SacResult<Tgd> {
+fn tgd_from_repr(repr: &TgdRepr) -> SacResult<Tgd> {
     Ok(Tgd::new(
         repr.body.iter().map(AtomRepr::to_atom).collect(),
         repr.head.iter().map(AtomRepr::to_atom).collect(),
@@ -249,9 +238,9 @@ pub(crate) fn tgd_from_repr(repr: &TgdRepr) -> SacResult<Tgd> {
 }
 
 /// Dumps the full instance (plus dictionary prefix) into snapshot form.
-/// `views`, `plans` and `tgds` are supplied by the caller, which owns the
-/// respective locks.
-pub(crate) fn snapshot_of(
+/// `views`, `plans` and `tgds` are supplied by the caller, which holds the
+/// guards they are read under.
+fn snapshot_of(
     instance: &Instance,
     last_seq: u64,
     tgds: Vec<TgdRepr>,
@@ -306,20 +295,20 @@ pub(crate) fn view_repr(query: &ConjunctiveQuery, options: ViewOptions) -> ViewR
 
 /// What scanning the on-disk state produced, before any engine object is
 /// built: the rebuilt instance plus everything needed to finish recovery.
-pub(crate) struct DiskState {
-    pub(crate) instance: Instance,
-    pub(crate) wal: WalWriter,
-    pub(crate) last_seq: u64,
-    pub(crate) report: RecoveryReport,
-    pub(crate) tgds: Vec<TgdRepr>,
-    pub(crate) views: Vec<ViewRepr>,
-    pub(crate) plans: Vec<QueryRepr>,
+struct DiskState {
+    instance: Instance,
+    wal: WalWriter,
+    last_seq: u64,
+    report: RecoveryReport,
+    tgds: Vec<TgdRepr>,
+    views: Vec<ViewRepr>,
+    plans: Vec<QueryRepr>,
 }
 
 /// Loads the newest snapshot and replays the (repaired) WAL tail
 /// into a fresh [`Instance`], translating persisted codes through the
 /// writing process's dictionary images.
-pub(crate) fn load_disk_state(dir: &Path, options: DurabilityOptions) -> SacResult<DiskState> {
+fn load_disk_state(dir: &Path, options: DurabilityOptions) -> SacResult<DiskState> {
     std::fs::create_dir_all(dir).map_err(|e| SacError::Persistence {
         message: format!("create durability directory {}: {e}", dir.display()),
     })?;
@@ -345,7 +334,7 @@ pub(crate) fn load_disk_state(dir: &Path, options: DurabilityOptions) -> SacResu
     };
     let snapshot_seq = report.snapshot_seq;
 
-    let (wal, outcome) = WalWriter::open(&DurabilityCore::wal_path(dir), options.sync_mode)?;
+    let (wal, outcome) = WalWriter::open(&dir.join(WAL_FILE), options.sync_mode)?;
     report.truncated_bytes = outcome.truncated_bytes;
     let mut last_seq = snapshot_seq;
     for batch in &outcome.batches {
@@ -426,10 +415,244 @@ fn insert_code_rows(
 
 /// Writes `snapshot` into `dir` and prunes old generations; returns the
 /// file written and its size.
-pub(crate) fn persist_snapshot(dir: &Path, snapshot: &Snapshot) -> SacResult<(PathBuf, u64)> {
+fn persist_snapshot(dir: &Path, snapshot: &Snapshot) -> SacResult<(PathBuf, u64)> {
     let written = write_snapshot(dir, snapshot)?;
     prune_snapshots(dir, SNAPSHOTS_KEPT);
     Ok(written)
+}
+
+impl Database {
+    /// Opens (or creates) a durable database in directory `path` with
+    /// default [`DurabilityOptions`]: every append fsynced, automatic
+    /// snapshots.
+    ///
+    /// Recovery loads the newest snapshot — a newest file that does not
+    /// verify is a [`SacError::Persistence`] naming it, never a silent
+    /// fallback to an older one — replays the WAL tail
+    /// (truncating a torn final record), re-registers and refreshes every
+    /// persisted materialized view, warms the plan cache from the persisted
+    /// query fingerprints, and checkpoints the rebuilt state so this
+    /// process's dictionary codes become the on-disk baseline.  The
+    /// constraint set is restored before any plan is warmed.
+    pub fn open(path: impl AsRef<Path>) -> SacResult<Database> {
+        Database::open_with(path, DurabilityOptions::default())
+    }
+
+    /// [`Database::open`] with explicit durability options.
+    pub fn open_with(path: impl AsRef<Path>, options: DurabilityOptions) -> SacResult<Database> {
+        let started = Instant::now();
+        let dir = path.as_ref().to_path_buf();
+        let disk = load_disk_state(&dir, options)?;
+        let mut report = disk.report;
+
+        let mut db = Database::from_instance(disk.instance);
+        // The persisted constraint set goes straight into the state, before
+        // the durability core exists: restoring it is not a change to
+        // persist, and the one checkpoint below covers it.
+        db.state_mut().tgds = disk
+            .tgds
+            .iter()
+            .map(tgd_from_repr)
+            .collect::<SacResult<Vec<_>>>()?;
+        db.durability = Some(DurabilityCore {
+            dir,
+            options,
+            state: Mutex::new(DurableState {
+                wal: disk.wal,
+                next_seq: disk.last_seq + 1,
+                // 0 until the checkpoint below re-baselines: the persisted
+                // dictionary codes belong to the dead process, not this one.
+                dict_mark: 0,
+                since_snapshot: 0,
+            }),
+        });
+        db.metrics
+            .recovery_replayed_batches
+            .fetch_add(report.replayed_batches, Ordering::Relaxed);
+
+        // Re-register the persisted views (initial refresh included) and
+        // pin them: the weak registry alone would unregister them as soon
+        // as this loop drops its reference.  Nothing is written until every
+        // view is back — a snapshot taken in between would list a prefix of
+        // the view set and reset the WAL behind it.
+        for view in &disk.views {
+            let query = query_from_repr(&view.query)?;
+            let options = ViewOptions {
+                auto_refresh: view.auto_refresh,
+            };
+            let core = db.register_view(query, options);
+            db.state_mut().recovered_views.push(core);
+            report.views += 1;
+        }
+
+        // Warm the plan cache from the persisted fingerprints.  A repr the
+        // current validation rejects (e.g. written by a newer build) is
+        // skipped, not fatal: the cache is an optimization.
+        for repr in &disk.plans {
+            if let Ok(query) = query_from_repr(repr) {
+                db.plan_arc(&query);
+                report.plans += 1;
+            }
+        }
+
+        // Checkpoint the rebuilt state: the WAL is compacted away and the
+        // dictionary watermark re-baselines to this process's codes.
+        db.checkpoint()?;
+
+        report.micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        bus::emit(|| Event::RecoveryCompleted {
+            replayed_batches: report.replayed_batches,
+            replayed_rows: report.replayed_rows,
+            views: report.views,
+            plans: report.plans,
+            micros: report.micros,
+        });
+        db.recovery = Some(report);
+        Ok(db)
+    }
+
+    /// The state of a database no other thread can see yet.
+    fn state_mut(&mut self) -> &mut State {
+        self.state.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Whether this database persists its mutations (created by
+    /// [`Database::open`]).
+    pub fn is_durable(&self) -> bool {
+        self.durability.is_some()
+    }
+
+    /// What recovery found and did, for databases created by
+    /// [`Database::open`]; `None` on non-durable databases.
+    pub fn recovery_report(&self) -> Option<&RecoveryReport> {
+        self.recovery.as_ref()
+    }
+
+    /// Fresh handles over the materialized views recovered from disk, in
+    /// their persisted registration order.  Empty on non-durable databases
+    /// and on durable ones that had no views.
+    pub fn durable_views(&self) -> Vec<MaterializedView<'_>> {
+        self.read_state()
+            .recovered_views
+            .iter()
+            .map(|core| MaterializedView::new(self, Arc::clone(core)))
+            .collect()
+    }
+
+    /// Writes a compacted snapshot covering every append so far and
+    /// truncates the WAL it covers.  Errors on a non-durable database.
+    pub fn checkpoint(&self) -> SacResult<CheckpointReport> {
+        let core = self
+            .durability
+            .as_ref()
+            .ok_or_else(|| SacError::Persistence {
+                message: "checkpoint on a non-durable database (use Database::open)".to_owned(),
+            })?;
+        // Same lock order as the append path: state guard, then the
+        // durability state.  A read guard suffices: appends wait for it,
+        // and concurrent checkpoints serialize on the durability mutex.
+        let state = self.read_state();
+        self.checkpoint_locked(core, &state, &mut core.lock_state())
+    }
+
+    /// Forces every WAL byte written so far to disk, regardless of the
+    /// sync mode — the graceful-shutdown companion of
+    /// [`SyncMode::Never`].  No-op answer on a non-durable database.
+    pub fn sync_wal(&self) -> SacResult<()> {
+        if let Some(core) = &self.durability {
+            core.lock_state().wal.sync()?;
+        }
+        Ok(())
+    }
+
+    /// The append-path durability hook: called by the append path **under
+    /// the state write guard** with the pre-mutation cursor; appends one
+    /// WAL record covering exactly the growth, then checkpoints if the
+    /// auto-snapshot threshold is hit.
+    pub(crate) fn persist_growth(&self, state: &State, cursor: &DeltaCursor) -> SacResult<()> {
+        let core = self
+            .durability
+            .as_ref()
+            .expect("persist_growth on a non-durable database");
+        let mut durable = core.lock_state();
+        let seq = durable.next_seq;
+        let Some((batch, dict_len)) = delta_batch(&state.instance, cursor, seq, durable.dict_mark)
+        else {
+            return Ok(());
+        };
+        let bytes = durable.wal.append(&batch)?;
+        durable.next_seq += 1;
+        durable.dict_mark = dict_len;
+        durable.since_snapshot += 1;
+        self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
+        self.metrics.wal_bytes.fetch_add(
+            usize::try_from(bytes).unwrap_or(usize::MAX),
+            Ordering::Relaxed,
+        );
+        bus::emit(|| Event::WalAppended {
+            seq,
+            bytes,
+            rows: batch.rows(),
+        });
+        if core.options.snapshot_every > 0 && durable.since_snapshot >= core.options.snapshot_every
+        {
+            self.checkpoint_locked(core, state, &mut durable)?;
+        }
+        Ok(())
+    }
+
+    /// The checkpoint workhorse; the caller holds a state guard (read or
+    /// write) and the durability state lock.  The instance, the constraint
+    /// set and the live views all come from that one guard.
+    pub(crate) fn checkpoint_locked(
+        &self,
+        core: &DurabilityCore,
+        state: &State,
+        durable: &mut DurableState,
+    ) -> SacResult<CheckpointReport> {
+        let started = Instant::now();
+        let tgds = state.tgds.iter().map(tgd_repr).collect();
+        // Live views (upgradable weaks), in registration order.
+        let views = state
+            .views
+            .iter()
+            .filter_map(Weak::upgrade)
+            .map(|view| view_repr(&view.query, view.options))
+            .collect();
+        // The plan cache is last and released before any I/O.
+        let plans = self
+            .read_plans()
+            .keys()
+            .map(|(head, body)| query_repr(None, head, body))
+            .collect();
+        let last_seq = durable.next_seq.saturating_sub(1);
+        let (snapshot, dict_len) = snapshot_of(&state.instance, last_seq, tgds, views, plans);
+        let atoms = snapshot.atoms();
+        let (path, bytes) = persist_snapshot(&core.dir, &snapshot)?;
+        // The snapshot is the baseline from here on, whether or not the
+        // reset below succeeds: recovery skips the records it covers, so
+        // the next record's dictionary delta must start where it ends.
+        durable.dict_mark = dict_len;
+        durable.wal.reset()?;
+        durable.since_snapshot = 0;
+        self.metrics
+            .snapshots_written
+            .fetch_add(1, Ordering::Relaxed);
+        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        bus::emit(|| Event::SnapshotWritten {
+            seq: last_seq,
+            bytes,
+            atoms,
+            micros,
+        });
+        Ok(CheckpointReport {
+            seq: last_seq,
+            path,
+            bytes,
+            atoms,
+            micros,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -506,6 +729,20 @@ mod tests {
         batch.dict_start = 1;
         apply_dict_delta(&mut translate, &batch).unwrap();
         assert_eq!(translate.len(), 3);
+    }
+
+    #[test]
+    fn durable_constraint_changes_survive_a_restart() {
+        let dir = std::env::temp_dir().join(format!("sac_durable_tgds_{}", std::process::id()));
+        {
+            let db = Database::open(&dir).unwrap();
+            db.set_tgds(vec![sac_gen::collector_tgd()]).unwrap();
+            db.load_facts("Interest(ann, jazz).").unwrap();
+        }
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.tgds(), vec![sac_gen::collector_tgd()]);
+        assert_eq!(db.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

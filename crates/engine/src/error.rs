@@ -1,7 +1,7 @@
 //! The unified service-level error type.
 //!
 //! Every layer a [`crate::Database`] call can pass through — the parser
-//! (`sac-parser` / the `FromStr` impls), the storage layer (arity checks),
+//! (`sac::parser` / the `FromStr` impls), the storage layer (arity checks),
 //! the chase (failure and budget exhaustion) and the engine itself — reports
 //! failures as [`sac_common::Error`] values with layer-specific variants.
 //! [`SacError`] folds them into one service-facing enum (hand-rolled

@@ -33,6 +33,12 @@
 //! returns `false`) until [`MaterializedView::refresh`] is called — the
 //! batch-ingestion shape, one incremental refresh per append batch.
 //!
+//! The maintenance side is an `impl Database` here: registration, the
+//! append path's auto-refresh pass and explicit refreshes.  Each runs under
+//! the database's state guard — the append's write guard, a registration's
+//! own write guard, a read guard for an explicit refresh — and then the
+//! view's own state mutex (lock order in [`crate::database`]).
+//!
 //! ```
 //! use sac_engine::{Database, RefreshMode};
 //!
@@ -50,22 +56,36 @@
 //! assert_eq!(view.refresh().mode, RefreshMode::Fresh);
 //! ```
 
-use crate::database::Database;
+use crate::database::{Database, QuerySource, State};
+use crate::error::SacResult;
+use crate::exec;
 use crate::plan::{Explain, Plan, Strategy};
 use crate::result::ResultSet;
 use sac_common::{Symbol, Term};
 use sac_query::ConjunctiveQuery;
-use sac_storage::DeltaCursor;
-use std::collections::BTreeSet;
+use sac_storage::{DeltaCursor, Instance};
+use sac_telemetry::{bus, Event, NodeRows, Phase, PhaseTimes, Probe, QueryTrace};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Instant;
+
+/// Incremental view maintenance stops paying off when the delta stops being
+/// small: past this fraction of the total rows of the relations a view
+/// reads, a refresh recomputes from scratch instead of pushing the delta
+/// (the recompute also resets the delta-proportional bound for the next
+/// refresh).  A constant, not an option: Δ/|D| says nothing about the join
+/// fan-out that decides which path is cheaper (EXPERIMENTS.md, `hub-3rays`),
+/// so no other value answers the question better.
+const MAX_INCREMENTAL_FRACTION: f64 = 0.5;
 
 /// Per-view maintenance knobs, fixed at [`crate::Database::materialize_with`]
 /// time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewOptions {
     /// Refresh the view as part of every append (`insert` / `extend_from` /
-    /// `load_facts`), under the same instance write guard — the view is
+    /// `load_facts`), under the same state write guard — the view is
     /// never observably stale.  Off, appends leave the view stale until
     /// [`MaterializedView::refresh`] runs; snapshots serve the last
     /// materialized state.  Default: on.
@@ -288,6 +308,289 @@ impl<'db> MaterializedView<'db> {
     /// The view's maintenance options.
     pub fn options(&self) -> ViewOptions {
         self.core.options
+    }
+}
+
+impl Database {
+    /// Registers `source` as a [`MaterializedView`] with default
+    /// [`ViewOptions`]: the answer set is computed now, stored, and then
+    /// **maintained** under every append — incrementally on every rung
+    /// (delta push through the cached join tree on the Yannakakis rungs,
+    /// searches seeded at the delta rows on [`Strategy::IndexedSearch`]).
+    /// See the [module docs](self) for the maintenance model.
+    ///
+    /// Cost shape to be aware of: with the default `auto_refresh`, every
+    /// mutation call refreshes the view under the state write guard, and a
+    /// batch past half the rows the view reads recomputes it.  For per-fact
+    /// `insert` loops prefer batched appends ([`Database::load_facts`] /
+    /// [`Database::extend_from`] refresh once per batch) or
+    /// [`Database::materialize_with`] with `auto_refresh: false` and one
+    /// explicit refresh per batch.
+    pub fn materialize<Q: QuerySource>(&self, source: Q) -> SacResult<MaterializedView<'_>> {
+        self.materialize_with(source, ViewOptions::default())
+    }
+
+    /// [`Database::materialize`] with explicit maintenance options — e.g.
+    /// `auto_refresh: false` for batch ingestion, where one explicit
+    /// [`MaterializedView::refresh`] per append batch replaces per-insert
+    /// maintenance.
+    pub fn materialize_with<Q: QuerySource>(
+        &self,
+        source: Q,
+        options: ViewOptions,
+    ) -> SacResult<MaterializedView<'_>> {
+        let core = self.register_view(source.into_query()?, options);
+        if self.is_durable() {
+            // View definitions live in snapshots, not the fact WAL; a
+            // checkpoint here makes the registration itself durable.
+            self.checkpoint()?;
+        }
+        Ok(MaterializedView::new(self, core))
+    }
+
+    /// Plans, materializes and registers a view — everything about a
+    /// registration except making it durable, which recovery does once for
+    /// all the views it brings back.
+    pub(crate) fn register_view(
+        &self,
+        query: ConjunctiveQuery,
+        options: ViewOptions,
+    ) -> Arc<ViewCore> {
+        let plan = self.plan_arc(&query);
+        let core = Arc::new(ViewCore::new(query, plan, options));
+        {
+            // Initial materialization AND registration under one write
+            // guard: an append between the two would run its auto-refresh
+            // pass without seeing the view, leaving an auto_refresh view
+            // silently stale at birth.
+            let mut state = self.write_state();
+            self.refresh_core(&core, &state.instance);
+            state.views.retain(|weak| weak.strong_count() > 0);
+            state.views.push(Arc::downgrade(&core));
+        }
+        self.metrics
+            .views_registered
+            .fetch_add(1, Ordering::Relaxed);
+        bus::emit(|| Event::ViewRegistered {
+            query: core.query.to_string(),
+            strategy: core.plan.strategy().as_str().to_owned(),
+        });
+        core
+    }
+
+    /// [`MaterializedView::refresh`]: catch one view up with the current
+    /// data.
+    pub(crate) fn view_refresh(&self, core: &ViewCore) -> ViewRefresh {
+        self.refresh_core(core, &self.read_state().instance)
+    }
+
+    /// [`MaterializedView::refresh_traced`]: the refresh report plus a
+    /// [`QueryTrace`] over the maintenance work (phases of the delta push
+    /// or recompute, refresh mode, delta rows).
+    pub(crate) fn view_refresh_traced(&self, core: &ViewCore) -> (ViewRefresh, QueryTrace) {
+        let state = self.read_state();
+        let (refresh, trace) =
+            self.refresh_core_traced(core, &state.instance, Some(Probe::start()));
+        (
+            refresh,
+            trace.expect("traced refreshes always produce a trace"),
+        )
+    }
+
+    /// [`MaterializedView::is_fresh`]: whether no relation the view reads
+    /// has grown past the view's cursor.
+    pub(crate) fn view_is_fresh(&self, core: &ViewCore) -> bool {
+        let state = self.read_state();
+        let view = core.lock_state();
+        let Some(cursor) = &view.cursor else {
+            return false;
+        };
+        if cursor.epoch() == state.instance.epoch() {
+            return true;
+        }
+        state
+            .instance
+            .delta_since(cursor)
+            .iter()
+            .all(|delta| !core.relevant.contains(&delta.predicate))
+    }
+
+    /// Catches every live auto-refresh view up with the instance and drops
+    /// the registrations whose last handle is gone.  Called by the append
+    /// path under the state write guard, so a reader that can observe the
+    /// new facts can also observe the refreshed views.
+    pub(crate) fn refresh_auto_views(&self, state: &mut State) {
+        let State {
+            instance, views, ..
+        } = state;
+        views.retain(|weak| {
+            let Some(core) = weak.upgrade() else {
+                return false;
+            };
+            if core.options.auto_refresh {
+                self.refresh_core(&core, instance);
+            }
+            true
+        });
+    }
+
+    /// The maintenance workhorse: brings `core` up to date with `instance`
+    /// (which the caller holds a guard over) and records what that took.
+    ///
+    /// Refresh decision, in order: not grown (or grown only off the view's
+    /// schema) → nothing; an already-true Boolean view → nothing (CQs are
+    /// monotone, true stays true); a delta within
+    /// [`MAX_INCREMENTAL_FRACTION`] → evaluate the delta only, on whichever
+    /// rung the plan is; otherwise → recompute.
+    fn refresh_core(&self, core: &ViewCore, instance: &Instance) -> ViewRefresh {
+        self.refresh_core_traced(core, instance, None).0
+    }
+
+    /// [`Database::refresh_core`] with an optional probe: refreshes that do
+    /// work (delta push or recompute) are timed into the view-refresh
+    /// histogram and announced on the event bus; with a probe attached the
+    /// maintenance run additionally yields a [`QueryTrace`] carrying the
+    /// refresh mode and delta rows.
+    fn refresh_core_traced(
+        &self,
+        core: &ViewCore,
+        instance: &Instance,
+        probe: Option<Probe>,
+    ) -> (ViewRefresh, Option<QueryTrace>) {
+        // Assembles the trace for the no-work shortcuts below: no phases
+        // beyond whatever the probe accumulated, current answer count.
+        let fresh_trace = |probe: Option<Probe>, refresh: &ViewRefresh, answers: usize| {
+            probe.map(|p| {
+                let (phases, node_rows, total_ns) = p.finish();
+                self.view_query_trace(core, refresh, phases, node_rows, total_ns, answers)
+            })
+        };
+        let mut state = core.lock_state();
+        if let Some(cursor) = &state.cursor {
+            if cursor.epoch() == instance.epoch() {
+                let answers = state.answers.len();
+                drop(state);
+                let trace = fresh_trace(probe, &ViewRefresh::FRESH, answers);
+                return (ViewRefresh::FRESH, trace);
+            }
+        }
+        let initialized = state.cursor.is_some();
+        let mut watermarks: HashMap<Symbol, usize> = HashMap::new();
+        let mut delta_rows = 0usize;
+        if let Some(cursor) = &state.cursor {
+            for delta in instance.delta_since(cursor) {
+                if core.relevant.contains(&delta.predicate) {
+                    delta_rows += delta.len();
+                    watermarks.insert(delta.predicate, delta.from_row);
+                }
+            }
+        }
+        if initialized && watermarks.is_empty() {
+            // Growth only on predicates the view never reads.
+            state.cursor = Some(instance.delta_cursor());
+            let answers = state.answers.len();
+            drop(state);
+            let trace = fresh_trace(probe, &ViewRefresh::FRESH, answers);
+            return (ViewRefresh::FRESH, trace);
+        }
+        if initialized && core.plan.columns().is_empty() && !state.answers.is_empty() {
+            // A satisfied Boolean view can never become unsatisfied under
+            // appends: skip the evaluation entirely.
+            state.cursor = Some(instance.delta_cursor());
+            let refresh = ViewRefresh {
+                mode: RefreshMode::Fresh,
+                delta_rows,
+                rows_added: 0,
+            };
+            let answers = state.answers.len();
+            drop(state);
+            let trace = fresh_trace(probe, &refresh, answers);
+            return (refresh, trace);
+        }
+
+        let refresh_started = Instant::now();
+        let relevant_rows: usize = core
+            .relevant
+            .iter()
+            .filter_map(|p| instance.relation(*p))
+            .map(|rel| rel.len())
+            .sum();
+        let small =
+            initialized && (delta_rows as f64) <= MAX_INCREMENTAL_FRACTION * relevant_rows as f64;
+        let before = state.answers.len();
+        let mut ctx =
+            exec::ExecContext::snapshot(&core.plan, small, instance, &mut self.lock_indexes());
+        if let Some(mut p) = probe {
+            p.mark(Phase::Snapshot);
+            ctx = ctx.with_probe(p);
+        }
+        let mode = if small {
+            let delta = exec::execute_delta(&core.plan, instance, &watermarks, &ctx);
+            Arc::make_mut(&mut state.answers).extend(delta);
+            self.metrics
+                .view_refreshes_incremental
+                .fetch_add(1, Ordering::Relaxed);
+            self.metrics
+                .view_delta_rows
+                .fetch_add(delta_rows, Ordering::Relaxed);
+            RefreshMode::Incremental
+        } else {
+            state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
+            self.metrics
+                .view_refreshes_full
+                .fetch_add(1, Ordering::Relaxed);
+            RefreshMode::Full
+        };
+        state.cursor = Some(instance.delta_cursor());
+        let refresh = ViewRefresh {
+            mode,
+            delta_rows,
+            // Appends are monotone so this never truncates; saturate anyway
+            // rather than panic if an oracle recompute ever shrinks.
+            rows_added: state.answers.len().saturating_sub(before),
+        };
+        let answers = state.answers.len();
+        drop(state);
+        let elapsed = refresh_started.elapsed();
+        self.latency.view_refresh.record(elapsed);
+        bus::emit(|| Event::ViewRefreshed {
+            mode: refresh.mode.to_string(),
+            delta_rows: refresh.delta_rows,
+            rows_added: refresh.rows_added,
+            micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+        });
+        let trace = ctx.take_probe().map(|probe| {
+            let (phases, node_rows, total_ns) = probe.finish();
+            self.view_query_trace(core, &refresh, phases, node_rows, total_ns, answers)
+        });
+        (refresh, trace)
+    }
+
+    /// Assembles the [`QueryTrace`] for one view maintenance pass.
+    fn view_query_trace(
+        &self,
+        core: &ViewCore,
+        refresh: &ViewRefresh,
+        phases: PhaseTimes,
+        node_rows: Vec<NodeRows>,
+        total_ns: u64,
+        answers: usize,
+    ) -> QueryTrace {
+        QueryTrace {
+            query: core.query.to_string(),
+            strategy: core.plan.strategy().as_str().to_owned(),
+            // The view's plan was pinned at materialization: by definition
+            // every maintenance pass reuses it.
+            plan_cache_hit: true,
+            index_cache_hits: 0,
+            index_cache_misses: 0,
+            phases,
+            total_ns,
+            node_rows,
+            answers,
+            refresh_mode: Some(refresh.mode.to_string()),
+            delta_rows: Some(refresh.delta_rows),
+        }
     }
 }
 

@@ -237,7 +237,7 @@ impl ConjunctiveQuery {
 }
 
 /// Builds a query from a raw `head :- body.` statement (the semantic step
-/// shared by [`std::str::FromStr`] and `sac-parser`): head arguments must
+/// shared by [`std::str::FromStr`] and `sac::parser`): head arguments must
 /// all be variables, and the head predicate becomes the display name.
 impl TryFrom<sac_common::RawStatement> for ConjunctiveQuery {
     type Error = Error;
@@ -279,7 +279,7 @@ impl TryFrom<sac_common::RawStatement> for ConjunctiveQuery {
 
 /// Parses the textual form `name(X, …) :- atom, …, atom.` (see
 /// [`sac_common::syntax`]), so `"q(X) :- R(X, Y).".parse::<ConjunctiveQuery>()`
-/// works anywhere without going through `sac-parser`.
+/// works anywhere without going through `sac::parser`.
 impl std::str::FromStr for ConjunctiveQuery {
     type Err = Error;
 

@@ -126,12 +126,14 @@ pub use sac_datalog as datalog;
 pub use sac_deps as deps;
 pub use sac_engine as engine;
 pub use sac_gen as gen;
-pub use sac_parser as parser;
 pub use sac_query as query;
 pub use sac_rewrite as rewrite;
 pub use sac_storage as storage;
 pub use sac_telemetry as telemetry;
 pub use sac_wal as wal;
+
+mod parse;
+pub mod parser;
 
 // The service façade, promoted to the crate root: `sac::Database` is the
 // front door for evaluation workloads.
@@ -169,6 +171,9 @@ pub mod prelude {
     };
     // The engine's `Strategy` is re-exported as `PlanStrategy`: the bare name
     // collides with `proptest::Strategy` under double glob imports.
+    pub use crate::parser::{
+        parse_database, parse_datalog_program, parse_egd, parse_program, parse_query, parse_tgd,
+    };
     pub use sac_engine::Strategy as PlanStrategy;
     pub use sac_engine::{
         Certificate, CheckError, CheckpointReport, Database, DatalogOptions, DatalogProgram,
@@ -176,9 +181,6 @@ pub mod prelude {
         EngineMetrics, Explain, IndexCache, JoinIndex, MaterializedView, Plan, Premise,
         PreparedDatalog, PreparedQuery, QuerySource, RecoveryReport, RefreshMode, ResultSet, Row,
         SacError, SacResult, SyncMode, ViewOptions, ViewRefresh,
-    };
-    pub use sac_parser::{
-        parse_database, parse_datalog_program, parse_egd, parse_program, parse_query, parse_tgd,
     };
     pub use sac_query::{
         contained_in, core_of, equivalent, evaluate, evaluate_boolean, ConjunctiveQuery,

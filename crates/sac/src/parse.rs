@@ -78,7 +78,7 @@ pub fn parse_program(input: &str) -> Result<Program> {
 /// validated here so the caller never holds an unevaluable program.
 ///
 /// ```
-/// use sac_parser::parse_datalog_program;
+/// use sac::parser::parse_datalog_program;
 /// let (program, base) = parse_datalog_program(
 ///     "E(a, b). E(b, c).
 ///      T(X, Y) :- E(X, Y).

@@ -1,7 +1,5 @@
-//! # sac-parser
-//!
 //! A small Datalog-style text syntax for queries, dependencies and databases,
-//! used by the examples and the experiment binaries.
+//! used by the examples and the benchmark.
 //!
 //! Conventions (Prolog/Datalog style):
 //! * identifiers starting with an **uppercase** letter or `_` are variables,
@@ -20,10 +18,10 @@
 //! The tokenizer and raw statement grammar live in [`sac_common::syntax`],
 //! which also powers the `FromStr` impls on [`ConjunctiveQuery`],
 //! [`Tgd`], [`Egd`] and [`Instance`] — single statements parse with plain
-//! `str::parse`, while this crate assembles whole programs:
+//! `str::parse`, while this module assembles whole programs:
 //!
 //! ```
-//! use sac_query::ConjunctiveQuery;
+//! use sac::query::ConjunctiveQuery;
 //! let q: ConjunctiveQuery = "q(X) :- R(X, Y).".parse().unwrap();
 //! assert_eq!(q.size(), 1);
 //! ```
@@ -34,7 +32,7 @@
 //! [`Instance`]: sac_storage::Instance
 //!
 //! ```
-//! use sac_parser::{parse_query, parse_tgd, parse_database};
+//! use sac::parser::{parse_query, parse_tgd, parse_database};
 //! let q = parse_query("q(X, Y) :- Interest(X, Z), Class(Y, Z), Owns(X, Y).").unwrap();
 //! assert_eq!(q.size(), 3);
 //! let tgd = parse_tgd("Interest(X, Z), Class(Y, Z) -> Owns(X, Y).").unwrap();
@@ -43,9 +41,7 @@
 //! assert_eq!(db.len(), 2);
 //! ```
 
-mod parse;
-
-pub use parse::{
+pub use crate::parse::{
     parse_database, parse_datalog_program, parse_egd, parse_program, parse_query, parse_tgd,
     Program,
 };

@@ -328,7 +328,7 @@ impl fmt::Display for Instance {
 
 /// Parses a database: a list of ground facts `Pred(c, …, c).` (see
 /// [`sac_common::syntax`]), so `"E(a, b). E(b, c).".parse::<Instance>()`
-/// works anywhere without going through `sac-parser`.
+/// works anywhere without going through `sac::parser`.
 impl std::str::FromStr for Instance {
     type Err = Error;
 
