@@ -13,7 +13,7 @@
 //! cumulative renaming is reported so callers can track where the frozen head
 //! tuple went.
 
-use sac_common::{Error, Result, Substitution, Term};
+use sac_common::{Error, Result, Term};
 use sac_deps::Egd;
 use sac_query::{ConjunctiveQuery, FrozenQuery, Homomorphisms};
 use sac_storage::{dict, Instance};
@@ -49,11 +49,6 @@ impl EgdChaseResult {
     /// Resolves every term of a tuple.
     pub fn resolve_tuple(&self, tuple: &[Term]) -> Vec<Term> {
         tuple.iter().map(|t| self.resolve(*t)).collect()
-    }
-
-    /// The raw renaming map (original term → immediate replacement).
-    pub fn renaming(&self) -> &BTreeMap<Term, Term> {
-        &self.renaming
     }
 }
 
@@ -146,11 +141,6 @@ fn orient(a: Term, b: Term) -> Result<(Term, Term)> {
             }
         }
     }
-}
-
-/// Convenience: returns the substitution form of the cumulative renaming.
-pub fn renaming_substitution(result: &EgdChaseResult) -> Substitution {
-    Substitution::from_pairs(result.renaming().keys().map(|k| (*k, result.resolve(*k))))
 }
 
 #[cfg(test)]
@@ -270,17 +260,5 @@ mod tests {
         assert_eq!(result.resolve(Term::Null(1)), result.resolve(Term::Null(2)));
         // The two atoms differ in position 2, so both survive.
         assert_eq!(result.instance.len(), 2);
-    }
-
-    #[test]
-    fn renaming_substitution_matches_resolution() {
-        let db = Instance::from_atoms(vec![
-            atom!("R", cst "a", null 1),
-            atom!("R", cst "a", null 2),
-        ])
-        .unwrap();
-        let result = egd_chase(&db, &[key_r()]).unwrap();
-        let subst = renaming_substitution(&result);
-        assert_eq!(subst.apply(Term::Null(2)), Term::Null(1));
     }
 }

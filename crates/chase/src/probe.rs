@@ -17,8 +17,7 @@ use crate::egd_chase::egd_chase_query;
 use crate::tgd_chase::tgd_chase_query;
 use sac_acyclic::is_acyclic_instance;
 use sac_deps::{Egd, Tgd};
-use sac_query::{ConjunctiveQuery, GaifmanGraph};
-use sac_storage::Instance;
+use sac_query::{ConjunctiveQuery, FrozenQuery};
 
 /// The outcome of an acyclicity-preservation probe.
 #[derive(Debug, Clone)]
@@ -37,28 +36,18 @@ pub struct AcyclicityProbe {
 }
 
 impl AcyclicityProbe {
-    fn of_instance(input_acyclic: bool, terminated: bool, instance: &Instance) -> AcyclicityProbe {
-        // For cyclicity measurements the nulls of the instance play the role
-        // of variables; build the Gaifman graph over a variable view.
-        let atoms: Vec<_> = instance
-            .to_atoms()
-            .into_iter()
-            .map(|a| {
-                a.map_args(|t| match t {
-                    sac_common::Term::Null(n) => {
-                        sac_common::Term::Variable(sac_common::intern(&format!("n{n}")))
-                    }
-                    other => other,
-                })
-            })
-            .collect();
-        let graph = GaifmanGraph::of_atoms(atoms.iter());
+    fn of_chase(input_acyclic: bool, terminated: bool, chased: &FrozenQuery) -> AcyclicityProbe {
+        // For cyclicity measurements the nulls of the chase play the role of
+        // variables: measure the chase read back as a query.
+        let thawed = chased
+            .thaw()
+            .expect("the probes leave the frozen head where freezing put it");
         AcyclicityProbe {
             input_acyclic,
-            output_acyclic: is_acyclic_instance(instance),
+            output_acyclic: is_acyclic_instance(&chased.instance),
             chase_terminated: terminated,
-            output_atoms: instance.len(),
-            clique_lower_bound: graph.greedy_clique_lower_bound(),
+            output_atoms: chased.instance.len(),
+            clique_lower_bound: thawed.gaifman_graph().greedy_clique_lower_bound(),
         }
     }
 
@@ -75,8 +64,9 @@ pub fn chase_preserves_acyclicity(
     budget: ChaseBudget,
 ) -> AcyclicityProbe {
     let input_acyclic = sac_acyclic::is_acyclic_query(query);
-    let (result, _frozen) = tgd_chase_query(query, tgds, budget);
-    AcyclicityProbe::of_instance(input_acyclic, result.terminated, &result.instance)
+    let (result, mut chased) = tgd_chase_query(query, tgds, budget);
+    chased.instance = result.instance;
+    AcyclicityProbe::of_chase(input_acyclic, result.terminated, &chased)
 }
 
 /// Probes whether chasing `query` under `egds` preserves acyclicity.  A
@@ -85,8 +75,9 @@ pub fn chase_preserves_acyclicity(
 pub fn egd_chase_preserves_acyclicity(query: &ConjunctiveQuery, egds: &[Egd]) -> AcyclicityProbe {
     let input_acyclic = sac_acyclic::is_acyclic_query(query);
     match egd_chase_query(query, egds) {
-        Ok((result, _frozen)) => {
-            AcyclicityProbe::of_instance(input_acyclic, true, &result.instance)
+        Ok((result, mut chased)) => {
+            chased.instance = result.instance;
+            AcyclicityProbe::of_chase(input_acyclic, true, &chased)
         }
         Err(_) => AcyclicityProbe {
             input_acyclic,

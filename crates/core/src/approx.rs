@@ -16,14 +16,15 @@
 //! * acyclic sub-structures of collapses.
 //!
 //! Maximality is determined by pairwise `⊆Σ` tests among the verified
-//! candidates.
+//! candidates, each chased once ([`ChasedQuery`]) when it is verified and
+//! asked about the others from that one chase.
 
-use crate::containment::{contained_under_tgds, ContainmentAnswer};
+use crate::containment::{chase_under_tgds, tgd_containment};
 use sac_acyclic::is_acyclic_query;
 use sac_chase::ChaseBudget;
 use sac_common::{Atom, Symbol, Term};
 use sac_deps::Tgd;
-use sac_query::{core_of, ConjunctiveQuery};
+use sac_query::{core_of, ChasedQuery, ConjunctiveQuery};
 use std::collections::BTreeSet;
 
 /// The result of an approximation computation.
@@ -92,36 +93,40 @@ pub fn acyclic_approximations(
 
     let candidates_considered = candidates.len();
 
-    // Verify Σ-containment in q and deduplicate.
-    let mut verified: Vec<ConjunctiveQuery> = Vec::new();
+    // Verify Σ-containment in q and deduplicate, keeping each verified
+    // candidate's chase for the comparisons below.
+    let mut verified: Vec<ChasedQuery> = Vec::new();
     for c in candidates {
-        if contained_under_tgds(&c, query, tgds, budget).holds()
-            && !verified.iter().any(|v| same_query(v, &c))
-        {
-            verified.push(c);
+        if verified.iter().any(|v| same_query(&v.query, &c)) {
+            continue;
+        }
+        let chased = chase_under_tgds(&c, tgds, budget);
+        if tgd_containment(&chased, query, tgds).holds() {
+            verified.push(chased);
         }
     }
 
     // Keep the ⊆Σ-maximal ones.
-    let mut maximal: Vec<ConjunctiveQuery> = Vec::new();
-    for (i, c) in verified.iter().enumerate() {
-        let dominated = verified.iter().enumerate().any(|(j, other)| {
-            if i == j {
-                return false;
-            }
-            let c_in_other = contained_under_tgds(c, other, tgds, budget);
-            let other_in_c = contained_under_tgds(other, c, tgds, budget);
-            c_in_other == ContainmentAnswer::Holds
-                && (other_in_c != ContainmentAnswer::Holds || j < i)
-        });
-        if !dominated {
-            maximal.push(c.clone());
-        }
-    }
-
-    let exact = maximal
+    let holds =
+        |left: &ChasedQuery, right: &ChasedQuery| tgd_containment(left, &right.query, tgds).holds();
+    let maximal: Vec<ConjunctiveQuery> = verified
         .iter()
-        .any(|c| contained_under_tgds(query, c, tgds, budget).holds());
+        .enumerate()
+        .filter(|(i, c)| {
+            !verified
+                .iter()
+                .enumerate()
+                .any(|(j, other)| j != *i && holds(c, other) && (j < *i || !holds(other, c)))
+        })
+        .map(|(_, c)| c.query.clone())
+        .collect();
+
+    let exact = !maximal.is_empty() && {
+        let chased = chase_under_tgds(query, tgds, budget);
+        maximal
+            .iter()
+            .any(|c| tgd_containment(&chased, c, tgds).holds())
+    };
 
     ApproximationReport {
         maximal,
@@ -158,6 +163,7 @@ fn same_query(a: &ConjunctiveQuery, b: &ConjunctiveQuery) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::containment::contained_under_tgds;
     use sac_common::atom;
     use sac_query::evaluate_boolean;
     use sac_storage::Instance;

@@ -1,7 +1,12 @@
 //! Containment and equivalence under constraints (Lemma 1).
 //!
-//! For tgds the chase may be infinite, so the answer is three-valued:
-//! a chase prefix suffices to certify containment (the frozen head tuple is
+//! Lemma 1's left side is a value, [`ChasedQuery`]: `q`'s canonical
+//! database chased once — under tgds or under egds — and then asked about
+//! any number of right-hand queries.  The deciders keep these values; the
+//! per-pair functions below build one and ask it once.
+//!
+//! For tgds the chase may be infinite, so the answer is three-valued: a
+//! chase prefix suffices to certify containment (the frozen head tuple is
 //! already an answer of `q'` on the prefix), a *terminated* chase certifies
 //! non-containment, and otherwise we fall back to the UCQ rewriting (exact
 //! for non-recursive and sticky sets) before giving up with
@@ -10,14 +15,11 @@
 //! For egds the chase always terminates, so the answer is exact; a failing
 //! chase means the left query is unsatisfiable on every instance satisfying
 //! the egds, and containment holds vacuously.
-//!
-//! Both are Lemma 1's test as [`sac_query::contained_on_chase`] runs it,
-//! with the chase of the constraint class plugged in.
 
-use sac_chase::{egd_chase, tgd_chase, ChaseBudget};
+use crate::xrewrite::{rewrite, RewriteBudget};
+use sac_chase::{egd_chase_query, tgd_chase_query, ChaseBudget};
 use sac_deps::{Egd, Tgd};
-use sac_query::{contained_on_chase, ConjunctiveQuery};
-use sac_rewrite::{contained_via_rewriting, RewriteBudget};
+use sac_query::{ChasedQuery, ConjunctiveQuery};
 use std::slice;
 
 /// The outcome of a containment test under tgds.
@@ -44,6 +46,62 @@ impl ContainmentAnswer {
     }
 }
 
+/// `query`'s canonical database chased under `tgds` within `budget`.
+pub(crate) fn chase_under_tgds(
+    query: &ConjunctiveQuery,
+    tgds: &[Tgd],
+    budget: ChaseBudget,
+) -> ChasedQuery {
+    let (result, mut chased) = tgd_chase_query(query, tgds, budget);
+    chased.instance = result.instance;
+    ChasedQuery {
+        query: query.clone(),
+        chased: Some(chased),
+        truncated: !result.terminated,
+    }
+}
+
+/// `query`'s canonical database chased under `egds`, its frozen head
+/// resolved through the identifications; no model when the chase fails.
+pub(crate) fn chase_under_egds(query: &ConjunctiveQuery, egds: &[Egd]) -> ChasedQuery {
+    let chased = egd_chase_query(query, egds)
+        .ok()
+        .map(|(result, mut chased)| {
+            chased.head = result.resolve_tuple(&chased.head);
+            chased.instance = result.instance;
+            chased
+        });
+    ChasedQuery {
+        query: query.clone(),
+        chased,
+        truncated: false,
+    }
+}
+
+/// Decides `left.query ⊆Σ right` for the tgds `left` was chased under.
+///
+/// A hit on the chase — a prefix included, since a prefix maps into the
+/// full chase — gives `Holds`, a miss on a terminated chase `Fails`; on a
+/// truncated chase the UCQ rewriting of `right` decides, when it completes
+/// within the default rewriting budget.
+pub(crate) fn tgd_containment(
+    left: &ChasedQuery,
+    right: &ConjunctiveQuery,
+    tgds: &[Tgd],
+) -> ContainmentAnswer {
+    if left.contains(slice::from_ref(right)) {
+        return ContainmentAnswer::Holds;
+    }
+    if !left.truncated {
+        return ContainmentAnswer::Fails;
+    }
+    match contained_via_rewriting(&left.query, right, tgds, RewriteBudget::small()) {
+        Some(true) => ContainmentAnswer::Holds,
+        Some(false) => ContainmentAnswer::Fails,
+        None => ContainmentAnswer::Inconclusive,
+    }
+}
+
 /// Decides `q ⊆Σ q'` for a set of tgds.
 ///
 /// Exact whenever the chase of `q` under `Σ` terminates within `budget`
@@ -57,27 +115,7 @@ pub fn contained_under_tgds(
     tgds: &[Tgd],
     budget: ChaseBudget,
 ) -> ContainmentAnswer {
-    let mut truncated = false;
-    let hit = contained_on_chase(q, slice::from_ref(q_prime), |frozen| {
-        let result = tgd_chase(&frozen.instance, tgds, budget);
-        truncated = !result.terminated;
-        Some((result.instance, frozen.head))
-    });
-    if hit {
-        // A chase prefix is homomorphically embeddable into the full chase,
-        // so a hit on the prefix certifies containment.
-        return ContainmentAnswer::Holds;
-    }
-    if !truncated {
-        return ContainmentAnswer::Fails;
-    }
-    // Chase truncated: try the rewriting-based route, exact for
-    // UCQ-rewritable sets.
-    match contained_via_rewriting(q, q_prime, tgds, RewriteBudget::small()) {
-        Some(true) => ContainmentAnswer::Holds,
-        Some(false) => ContainmentAnswer::Fails,
-        None => ContainmentAnswer::Inconclusive,
-    }
+    tgd_containment(&chase_under_tgds(q, tgds, budget), q_prime, tgds)
 }
 
 /// Decides `q ≡Σ q'` for a set of tgds.
@@ -105,12 +143,7 @@ pub fn contained_under_egds(
     q_prime: &ConjunctiveQuery,
     egds: &[Egd],
 ) -> bool {
-    contained_on_chase(q, slice::from_ref(q_prime), |frozen| {
-        // A failing chase: q is unsatisfiable w.r.t. Σ, contained vacuously.
-        let result = egd_chase(&frozen.instance, egds).ok()?;
-        let head = result.resolve_tuple(&frozen.head);
-        Some((result.instance, head))
-    })
+    chase_under_egds(q, egds).contains(slice::from_ref(q_prime))
 }
 
 /// Decides `q ≡Σ q'` for a set of egds.
@@ -120,6 +153,28 @@ pub fn equivalent_under_egds(
     egds: &[Egd],
 ) -> bool {
     contained_under_egds(q, q_prime, egds) && contained_under_egds(q_prime, q, egds)
+}
+
+/// Decides `q_left ⊆Σ q_right` via the UCQ rewriting of `q_right`: for
+/// UCQ-rewritable classes (non-recursive, sticky) `q_left ⊆Σ q_right` iff
+/// the canonical head tuple of `q_left` is an answer of the rewriting on the
+/// canonical database of `q_left` (Definition 2) — Lemma 1's test with no
+/// chase, against the union.
+///
+/// Returns `None` when the rewriting did not reach a fixpoint within the
+/// budget (the set is then presumably not UCQ rewritable and the caller
+/// should use a chase-based test instead), and otherwise whether the
+/// containment holds — never, for heads of different arities.
+pub fn contained_via_rewriting(
+    q_left: &ConjunctiveQuery,
+    q_right: &ConjunctiveQuery,
+    tgds: &[Tgd],
+    budget: RewriteBudget,
+) -> Option<bool> {
+    let rewriting = rewrite(q_right, tgds, budget);
+    rewriting
+        .complete
+        .then(|| ChasedQuery::unconstrained(q_left).contains(&rewriting.ucq.disjuncts))
 }
 
 #[cfg(test)]
@@ -308,6 +363,109 @@ mod tests {
         assert_eq!(
             equivalent_under_tgds(&q, &other, &tgds, ChaseBudget::small()),
             ContainmentAnswer::Fails
+        );
+    }
+
+    fn employee_tgds() -> Vec<Tgd> {
+        vec![
+            Tgd::new(
+                vec![atom!("Employee", var "x", var "d")],
+                vec![atom!("Dept", var "d")],
+            )
+            .unwrap(),
+            Tgd::new(
+                vec![atom!("Dept", var "d")],
+                vec![atom!("Manages", var "m", var "d")],
+            )
+            .unwrap(),
+        ]
+    }
+
+    #[test]
+    fn containment_through_two_tgd_steps() {
+        let q_left = ConjunctiveQuery::boolean(vec![atom!("Employee", var "e", var "d")]).unwrap();
+        let q_right = ConjunctiveQuery::boolean(vec![atom!("Manages", var "m", var "d")]).unwrap();
+        assert_eq!(
+            contained_via_rewriting(&q_left, &q_right, &employee_tgds(), RewriteBudget::small()),
+            Some(true)
+        );
+        // The converse fails.
+        assert_eq!(
+            contained_via_rewriting(&q_right, &q_left, &employee_tgds(), RewriteBudget::small()),
+            Some(false)
+        );
+    }
+
+    #[test]
+    fn containment_without_constraints_reduces_to_classical() {
+        let q_left = ConjunctiveQuery::boolean(vec![
+            atom!("E", var "x", var "y"),
+            atom!("E", var "y", var "z"),
+        ])
+        .unwrap();
+        let q_right = ConjunctiveQuery::boolean(vec![atom!("E", var "x", var "y")]).unwrap();
+        assert_eq!(
+            contained_via_rewriting(&q_left, &q_right, &[], RewriteBudget::small()),
+            Some(true)
+        );
+        assert_eq!(
+            contained_via_rewriting(&q_right, &q_left, &[], RewriteBudget::small()),
+            Some(false)
+        );
+    }
+
+    #[test]
+    fn non_boolean_heads_are_compared_positionally() {
+        let q_left =
+            ConjunctiveQuery::new(vec![intern("d")], vec![atom!("Employee", var "e", var "d")])
+                .unwrap();
+        let q_right =
+            ConjunctiveQuery::new(vec![intern("d")], vec![atom!("Manages", var "m", var "d")])
+                .unwrap();
+        assert_eq!(
+            contained_via_rewriting(&q_left, &q_right, &employee_tgds(), RewriteBudget::small()),
+            Some(true)
+        );
+        // Swapped answer variable breaks containment.
+        let q_right_swapped =
+            ConjunctiveQuery::new(vec![intern("m")], vec![atom!("Manages", var "m", var "d")])
+                .unwrap();
+        assert_eq!(
+            contained_via_rewriting(
+                &q_left,
+                &q_right_swapped,
+                &employee_tgds(),
+                RewriteBudget::small()
+            ),
+            Some(false)
+        );
+    }
+
+    #[test]
+    fn arity_mismatch_is_not_contained() {
+        let q_left =
+            ConjunctiveQuery::new(vec![intern("d")], vec![atom!("Dept", var "d")]).unwrap();
+        let q_right = ConjunctiveQuery::boolean(vec![atom!("Dept", var "d")]).unwrap();
+        assert_eq!(
+            contained_via_rewriting(&q_left, &q_right, &employee_tgds(), RewriteBudget::small()),
+            Some(false)
+        );
+    }
+
+    #[test]
+    fn incomplete_rewriting_returns_none() {
+        let recursive = vec![Tgd::new(
+            vec![atom!("P", var "x", var "y"), atom!("S", var "x")],
+            vec![atom!("S", var "y")],
+        )
+        .unwrap()];
+        let q_left =
+            ConjunctiveQuery::boolean(vec![atom!("S", cst "a"), atom!("P", cst "a", cst "b")])
+                .unwrap();
+        let q_right = ConjunctiveQuery::boolean(vec![atom!("S", cst "b")]).unwrap();
+        assert_eq!(
+            contained_via_rewriting(&q_left, &q_right, &recursive, RewriteBudget::new(8, 8, 50)),
+            None
         );
     }
 }

@@ -5,7 +5,11 @@
 //!
 //! * [`containment`] — CQ containment and equivalence under tgds and egds via
 //!   the chase (Lemma 1) and via UCQ rewriting (Section 5), with explicit
-//!   three-valued answers when a chase budget is exhausted.
+//!   three-valued answers when a chase budget is exhausted.  A query's
+//!   chased canonical database is a value the deciders build once per
+//!   decision and ask about every candidate.
+//! * [`rewrite`] — UCQ rewriting under tgds (Section 5, XRewrite-style), the
+//!   containment fallback for non-recursive and sticky sets.
 //! * [`semac`] — the semantic-acyclicity deciders: the constraint-free
 //!   baseline (core acyclicity), and the witness search for constraint
 //!   classes with decidable semantic acyclicity (guarded / linear / inclusion
@@ -26,8 +30,11 @@ pub mod approx;
 pub mod containment;
 pub mod eval;
 pub mod pcp;
+pub mod rewrite;
 pub mod semac;
 pub mod ucq_semac;
+mod unify;
+mod xrewrite;
 
 pub use approx::{acyclic_approximations, ApproximationReport};
 pub use containment::{

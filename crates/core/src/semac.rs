@@ -8,8 +8,8 @@
 //!   1. the core of the input query,
 //!   2. acyclic sub-conjunctions of the *chase expansion* of the query
 //!      (the query's atoms plus the atoms derived by chasing its canonical
-//!      database, with nulls read back as variables), which automatically
-//!      satisfy `q ⊆Σ q'`, and
+//!      database, read back with [`sac_query::FrozenQuery::thaw`]), which
+//!      automatically satisfy `q ⊆Σ q'`, and
 //!   3. acyclic Lemma 9 compactions of homomorphisms of the query into its
 //!      (acyclic) chase when the chase is acyclic —
 //!
@@ -26,17 +26,25 @@
 //!   with the egds (always terminating), then run the same witness search on
 //!   the chased query — for keys over unary/binary schemas this follows the
 //!   paper's Proposition 22 route (the chase preserves acyclicity, so the
-//!   chased core being acyclic is the common case).
+//!   chased core being acyclic is the common case).  A chase that
+//!   identifies a head variable with a constant leaves no chased query to
+//!   search, and the decider answers `NoWitness` without a search.
+//!
+//! Each decision chases the input query once ([`ChasedQuery`]).  That one
+//! chase seeds the expansion and Route 3 and answers the `q ⊆Σ candidate`
+//! half of every verification; only the `candidate ⊆Σ q` half chases, once
+//! per candidate.
 
-use crate::containment::{contained_under_egds, contained_under_tgds};
+use crate::containment::{chase_under_egds, chase_under_tgds, tgd_containment};
 use sac_acyclic::{
     compact_acyclic_witness, is_acyclic_atoms, is_acyclic_instance, is_acyclic_query,
 };
-use sac_chase::{egd_chase_query, tgd_chase_query, ChaseBudget};
-use sac_common::{Atom, Symbol, Term};
+use sac_chase::ChaseBudget;
+use sac_common::{Atom, Symbol};
 use sac_deps::{Egd, Tgd};
-use sac_query::{core_of, ConjunctiveQuery, Homomorphisms};
+use sac_query::{core_of, ChasedQuery, ConjunctiveQuery, Homomorphisms};
 use std::collections::BTreeSet;
+use std::slice;
 
 /// Configuration for the witness search.
 #[derive(Debug, Clone, Copy)]
@@ -90,6 +98,11 @@ impl SemAcResult {
     }
 }
 
+/// A search a budget cut short, or one with nothing to search.
+const CUT_SHORT: SemAcResult = SemAcResult::NoWitness {
+    exhausted_candidates: false,
+};
+
 /// The constraint-free baseline: a CQ is semantically acyclic iff its core is
 /// acyclic.  Returns the acyclic core as a witness when it is.
 pub fn is_semantically_acyclic_no_constraints(
@@ -109,33 +122,34 @@ pub fn semantic_acyclicity_under_tgds(
     if let Some(core) = is_semantically_acyclic_no_constraints(query) {
         return SemAcResult::Witness(core);
     }
+    let left = chase_under_tgds(query, tgds, config.chase_budget);
+    witness_from_chase(&left, tgds, config)
+}
 
-    let verify = |candidate: &ConjunctiveQuery| -> bool {
-        // q ⊆Σ candidate and candidate ⊆Σ q.
-        contained_under_tgds(query, candidate, tgds, config.chase_budget).holds()
-            && contained_under_tgds(candidate, query, tgds, config.chase_budget).holds()
-    };
-
-    // Chase the query and read the derived atoms back as query atoms.  Nulls
-    // that came from freezing the query's own variables are read back as
-    // those variables so that candidates keep the original head.
-    let (chase, frozen) = tgd_chase_query(query, tgds, config.chase_budget);
-    let expansion = unfreeze_with(&frozen, &chase.instance);
+/// The tgd decider past its fast path, on `left`, the query's kept chase.
+pub(crate) fn witness_from_chase(
+    left: &ChasedQuery,
+    tgds: &[Tgd],
+    config: SemAcConfig,
+) -> SemAcResult {
+    let sigma = Sigma::Tgds(tgds, config.chase_budget);
+    let query = &left.query;
+    let chased = left.chased.as_ref().expect("a tgd chase has a model");
 
     // Route 3: if the chase is acyclic (e.g. guarded sets, Proposition 12),
     // Lemma 9 compactions of homomorphisms of q into the chase are natural
     // witness candidates.
-    if is_acyclic_instance(&chase.instance) {
+    if is_acyclic_instance(&chased.instance) {
         let mut found: Option<ConjunctiveQuery> = None;
         let mut tried = 0usize;
         // Only homomorphisms that send the head to the canonical tuple
         // produce witnesses with the right answer behaviour.
-        let homs = Homomorphisms::new(&query.body, &chase.instance, &query.head);
-        homs.search_terms(&chase.instance, &frozen.head, |h| {
+        let homs = Homomorphisms::new(&query.body, &chased.instance, &query.head);
+        homs.search_terms(&chased.instance, &chased.head, |h| {
             let h = homs.substitution(h);
-            if let Some(candidate) = compact_acyclic_witness(query, &chase.instance, &h) {
+            if let Some(candidate) = compact_acyclic_witness(query, &chased.instance, &h) {
                 tried += 1;
-                if verify(&candidate) {
+                if sigma.verify(left, &candidate) {
                     found = Some(candidate);
                     return true;
                 }
@@ -147,21 +161,14 @@ pub fn semantic_acyclicity_under_tgds(
         }
     }
 
-    // Route 2: acyclic sub-conjunctions of the chase expansion.  Such a
-    // candidate automatically satisfies q ⊆Σ candidate (dropping atoms of an
+    // Route 2: acyclic sub-conjunctions of the chase expansion, the chase
+    // read back with the query's own variables.  Such a candidate
+    // automatically satisfies q ⊆Σ candidate (dropping atoms of an
     // Σ-equivalent expansion only loses constraints), so only candidate ⊆Σ q
     // needs verifying — but we verify both directions for robustness when the
     // chase was truncated.
-    let search = subquery_witness_search(query, &expansion, config, &verify);
-    match search {
-        SubquerySearch::Found(w) => SemAcResult::Witness(w),
-        SubquerySearch::Exhausted => SemAcResult::NoWitness {
-            exhausted_candidates: chase.terminated,
-        },
-        SubquerySearch::Truncated => SemAcResult::NoWitness {
-            exhausted_candidates: false,
-        },
-    }
+    let expansion = chased.thaw().expect("a tgd chase keeps the frozen head");
+    subquery_witness_search(left, &expansion, sigma, config)
 }
 
 /// Decides semantic acyclicity of `query` under a set of egds.
@@ -177,128 +184,90 @@ pub fn semantic_acyclicity_under_egds(
         return SemAcResult::Witness(core);
     }
 
-    // Chase the query with the egds; the result (read back as a query) is
-    // Σ-equivalent to the input.
-    let chased_query = match egd_chase_query(query, egds) {
-        Err(_) => {
-            // Unsatisfiable under Σ: equivalent to any unsatisfiable acyclic
-            // query; report the (acyclic) single-atom restriction of q as a
-            // degenerate witness if it exists, otherwise no witness.
-            let single = ConjunctiveQuery::new_unchecked(
-                query.head.clone(),
-                query.body.first().cloned().into_iter().collect(),
-            );
-            if is_acyclic_query(&single) && contained_under_egds(&single, query, egds) {
-                return SemAcResult::Witness(single);
-            }
-            return SemAcResult::NoWitness {
-                exhausted_candidates: false,
-            };
+    let sigma = Sigma::Egds(egds);
+    let left = chase_under_egds(query, egds);
+    let Some(chased) = &left.chased else {
+        // Unsatisfiable under Σ: equivalent to any unsatisfiable acyclic
+        // query; report the (acyclic) single-atom restriction of q as a
+        // degenerate witness if it exists, otherwise no witness.
+        let single = ConjunctiveQuery::new_unchecked(
+            query.head.clone(),
+            query.body.first().cloned().into_iter().collect(),
+        );
+        if is_acyclic_query(&single) && sigma.contains(&sigma.chase(&single), query) {
+            return SemAcResult::Witness(single);
         }
-        Ok((result, frozen)) => {
-            let atoms = unfreeze_instance_atoms(&result.instance);
-            let head: Vec<Symbol> = frozen
-                .head
-                .iter()
-                .map(|t| null_variable(result.resolve(*t)))
-                .collect();
-            ConjunctiveQuery::new_unchecked(head, atoms)
-        }
+        return CUT_SHORT;
     };
 
-    // The chased query is Σ-equivalent to the input; its core being acyclic
-    // settles the question for acyclicity-preserving classes (K2, unary FDs).
+    // The chase read back as a query is Σ-equivalent to the input — unless
+    // it sent a head variable to a constant, which no query head can say.
+    let Some(chased_query) = chased.thaw() else {
+        return CUT_SHORT;
+    };
+
+    // Its core being acyclic settles the question for acyclicity-preserving
+    // classes (K2, unary FDs).
     let core = core_of(&chased_query);
     if is_acyclic_query(&core) {
         return SemAcResult::Witness(core);
     }
+    subquery_witness_search(&left, &chased_query, sigma, config)
+}
 
-    let verify = |candidate: &ConjunctiveQuery| -> bool {
-        contained_under_egds(query, candidate, egds) && contained_under_egds(candidate, query, egds)
-    };
-    let expansion = chased_query.body.clone();
-    match subquery_witness_search(&chased_query, &expansion, config, &verify) {
-        SubquerySearch::Found(w) => SemAcResult::Witness(w),
-        SubquerySearch::Exhausted => SemAcResult::NoWitness {
-            exhausted_candidates: true,
-        },
-        SubquerySearch::Truncated => SemAcResult::NoWitness {
-            exhausted_candidates: false,
-        },
+/// The constraints a decision runs under: how it chases a query, and how a
+/// kept chase answers a containment.
+#[derive(Clone, Copy)]
+enum Sigma<'a> {
+    Tgds(&'a [Tgd], ChaseBudget),
+    Egds(&'a [Egd]),
+}
+
+impl Sigma<'_> {
+    fn chase(self, query: &ConjunctiveQuery) -> ChasedQuery {
+        match self {
+            Sigma::Tgds(tgds, budget) => chase_under_tgds(query, tgds, budget),
+            Sigma::Egds(egds) => chase_under_egds(query, egds),
+        }
+    }
+
+    /// Whether `left.query ⊆Σ right` is certain.
+    fn contains(self, left: &ChasedQuery, right: &ConjunctiveQuery) -> bool {
+        match self {
+            Sigma::Tgds(tgds, _) => tgd_containment(left, right, tgds).holds(),
+            Sigma::Egds(_) => left.contains(slice::from_ref(right)),
+        }
+    }
+
+    /// Whether `candidate ≡Σ left.query`: the query's side from its kept
+    /// chase, the candidate's from a chase of its own.
+    fn verify(self, left: &ChasedQuery, candidate: &ConjunctiveQuery) -> bool {
+        self.contains(left, candidate) && self.contains(&self.chase(candidate), &left.query)
     }
 }
 
-/// Reads the atoms of an instance back as query atoms, mapping the frozen
-/// nulls of the original query back to the original variables and every other
-/// null (chase-invented) to a fresh variable.
-fn unfreeze_with(frozen: &sac_query::FrozenQuery, instance: &sac_storage::Instance) -> Vec<Atom> {
-    use std::collections::BTreeMap;
-    let reverse: BTreeMap<Term, Symbol> = frozen.var_map.iter().map(|(v, t)| (*t, *v)).collect();
-    instance
-        .to_atoms()
-        .into_iter()
-        .map(|a| {
-            a.map_args(|t| match t {
-                Term::Null(n) => match reverse.get(&Term::Null(n)) {
-                    Some(v) => Term::Variable(*v),
-                    None => Term::Variable(sac_common::intern(&format!("v#{n}"))),
-                },
-                other => other,
-            })
-        })
-        .collect()
-}
-
-/// Reads the atoms of an instance back as query atoms (nulls → variables).
-fn unfreeze_instance_atoms(instance: &sac_storage::Instance) -> Vec<Atom> {
-    instance
-        .to_atoms()
-        .into_iter()
-        .map(|a| {
-            a.map_args(|t| match t {
-                Term::Null(n) => Term::Variable(sac_common::intern(&format!("v#{n}"))),
-                other => other,
-            })
-        })
-        .collect()
-}
-
-/// The variable a resolved frozen term reads back as.
-fn null_variable(term: Term) -> Symbol {
-    match term {
-        Term::Null(n) => sac_common::intern(&format!("v#{n}")),
-        Term::Variable(v) => v,
-        Term::Constant(c) => sac_common::intern(&format!("c#{}", c.as_str())),
-    }
-}
-
-enum SubquerySearch {
-    Found(ConjunctiveQuery),
-    Exhausted,
-    Truncated,
-}
-
-/// Enumerates acyclic sub-conjunctions of `expansion` (smallest first) that
-/// cover the head variables of `query`, verifying each with `verify`.
+/// Enumerates acyclic sub-conjunctions of `expansion`'s body (smallest
+/// first) that cover its head variables, verifying each against `left`.
 fn subquery_witness_search(
-    query: &ConjunctiveQuery,
-    expansion: &[Atom],
+    left: &ChasedQuery,
+    expansion: &ConjunctiveQuery,
+    sigma: Sigma,
     config: SemAcConfig,
-    verify: &dyn Fn(&ConjunctiveQuery) -> bool,
-) -> SubquerySearch {
-    let expansion: Vec<Atom> = {
+) -> SemAcResult {
+    let atoms: Vec<Atom> = {
         let mut seen = BTreeSet::new();
         expansion
+            .body
             .iter()
-            .filter(|a| seen.insert((*a).clone()))
+            .filter(|a| seen.insert(*a))
             .cloned()
             .collect()
     };
-    if expansion.len() > config.max_expansion_atoms {
-        return SubquerySearch::Truncated;
+    if atoms.len() > config.max_expansion_atoms {
+        return CUT_SHORT;
     }
-    let head_vars: BTreeSet<Symbol> = query.free_variables();
-    let n = expansion.len();
+    let head_vars: BTreeSet<Symbol> = expansion.free_variables();
+    let n = atoms.len();
     let mut tried = 0usize;
     // Enumerate subsets in order of increasing size so that the returned
     // witness is small.
@@ -307,14 +276,14 @@ fn subquery_witness_search(
         loop {
             tried += 1;
             if tried > config.max_candidates {
-                return SubquerySearch::Truncated;
+                return CUT_SHORT;
             }
-            let atoms: Vec<Atom> = indices.iter().map(|i| expansion[*i].clone()).collect();
-            let vars: BTreeSet<Symbol> = atoms.iter().flat_map(|a| a.variables()).collect();
-            if head_vars.iter().all(|v| vars.contains(v)) && is_acyclic_atoms(&atoms) {
-                let candidate = ConjunctiveQuery::new_unchecked(query.head.clone(), atoms);
-                if verify(&candidate) {
-                    return SubquerySearch::Found(candidate);
+            let subset: Vec<Atom> = indices.iter().map(|i| atoms[*i].clone()).collect();
+            let vars: BTreeSet<Symbol> = subset.iter().flat_map(|a| a.variables()).collect();
+            if head_vars.iter().all(|v| vars.contains(v)) && is_acyclic_atoms(&subset) {
+                let candidate = ConjunctiveQuery::new_unchecked(expansion.head.clone(), subset);
+                if sigma.verify(left, &candidate) {
+                    return SemAcResult::Witness(candidate);
                 }
             }
             // Next combination.
@@ -323,7 +292,9 @@ fn subquery_witness_search(
             }
         }
     }
-    SubquerySearch::Exhausted
+    SemAcResult::NoWitness {
+        exhausted_candidates: !left.truncated,
+    }
 }
 
 /// Advances `indices` to the next `k`-combination of `{0, …, n-1}`; returns
@@ -347,7 +318,7 @@ fn next_combination(indices: &mut [usize], n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::containment::equivalent_under_tgds;
+    use crate::containment::{contained_under_egds, equivalent_under_tgds};
     use sac_common::{atom, intern};
     use sac_deps::FunctionalDependency;
 

@@ -6,9 +6,10 @@
 //! witness of bounded size, or (ii) is redundant in `Q` (Σ-contained in
 //! another disjunct).
 
-use crate::containment::contained_under_tgds;
-use crate::semac::{semantic_acyclicity_under_tgds, SemAcConfig, SemAcResult};
-use sac_chase::ChaseBudget;
+use crate::containment::{chase_under_tgds, tgd_containment};
+use crate::semac::{
+    is_semantically_acyclic_no_constraints, witness_from_chase, SemAcConfig, SemAcResult,
+};
 use sac_deps::Tgd;
 use sac_query::{ConjunctiveQuery, UnionOfConjunctiveQueries};
 
@@ -62,23 +63,28 @@ pub fn ucq_semantic_acyclicity_under_tgds(
     ucq: &UnionOfConjunctiveQueries,
     tgds: &[Tgd],
     config: SemAcConfig,
-    budget: ChaseBudget,
 ) -> UcqSemAcResult {
     let mut statuses = Vec::with_capacity(ucq.len());
     for (i, q) in ucq.disjuncts.iter().enumerate() {
+        // One chase of the disjunct serves both checks.
+        let chased = chase_under_tgds(q, tgds, config.chase_budget);
         // (ii) redundancy: q ⊆Σ q_j for some other disjunct.
         let redundant_with = ucq.disjuncts.iter().enumerate().find_map(|(j, other)| {
-            (i != j && contained_under_tgds(q, other, tgds, budget).holds()).then_some(j)
+            (i != j && tgd_containment(&chased, other, tgds).holds()).then_some(j)
         });
         if let Some(j) = redundant_with {
             statuses.push(DisjunctStatus::RedundantWith(j));
             continue;
         }
         // (i) an acyclic witness for the disjunct itself.
-        match semantic_acyclicity_under_tgds(q, tgds, config) {
-            SemAcResult::Witness(w) => statuses.push(DisjunctStatus::Witness(w)),
-            SemAcResult::NoWitness { .. } => statuses.push(DisjunctStatus::Blocking),
-        }
+        let result = is_semantically_acyclic_no_constraints(q).map_or_else(
+            || witness_from_chase(&chased, tgds, config),
+            SemAcResult::Witness,
+        );
+        statuses.push(match result {
+            SemAcResult::Witness(w) => DisjunctStatus::Witness(w),
+            SemAcResult::NoWitness { .. } => DisjunctStatus::Blocking,
+        });
     }
     UcqSemAcResult { statuses }
 }
@@ -90,10 +96,6 @@ mod tests {
 
     fn config() -> SemAcConfig {
         SemAcConfig::default()
-    }
-
-    fn budget() -> ChaseBudget {
-        ChaseBudget::small()
     }
 
     fn triangle() -> ConjunctiveQuery {
@@ -116,7 +118,7 @@ mod tests {
             ConjunctiveQuery::boolean(vec![atom!("V", var "x")]).unwrap(),
         ])
         .unwrap();
-        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config(), budget());
+        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config());
         assert!(result.is_acyclic());
         assert!(result.witness_union().is_some());
     }
@@ -127,7 +129,7 @@ mod tests {
         // and the UCQ is semantically acyclic even though the triangle alone
         // is not.
         let ucq = UnionOfConjunctiveQueries::new(vec![triangle(), single_edge()]).unwrap();
-        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config(), budget());
+        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config());
         assert!(result.is_acyclic());
         assert!(matches!(
             result.statuses[0],
@@ -140,7 +142,7 @@ mod tests {
     #[test]
     fn lone_cyclic_disjunct_blocks() {
         let ucq = UnionOfConjunctiveQueries::single(triangle());
-        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config(), budget());
+        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config());
         assert!(!result.is_acyclic());
         assert!(result.witness_union().is_none());
     }
@@ -163,14 +165,14 @@ mod tests {
         ])
         .unwrap();
         let ucq = UnionOfConjunctiveQueries::single(triangle);
-        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &tgds, config(), budget());
+        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &tgds, config());
         assert!(result.is_acyclic());
     }
 
     #[test]
     fn statuses_follow_input_order() {
         let ucq = UnionOfConjunctiveQueries::new(vec![single_edge(), triangle()]).unwrap();
-        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config(), budget());
+        let result = ucq_semantic_acyclicity_under_tgds(&ucq, &[], config());
         assert_eq!(result.statuses.len(), 2);
         assert!(matches!(result.statuses[0], DisjunctStatus::Witness(_)));
         assert!(matches!(

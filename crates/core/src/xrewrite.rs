@@ -20,12 +20,65 @@
 //! inverse of a chase step; together with the fixpoint they yield the perfect
 //! rewriting for non-recursive and sticky sets (Propositions 17 and 19).
 
-use crate::budget::RewriteBudget;
 use crate::unify::Unifier;
-use sac_common::{intern, Atom, FreshSource, Symbol, Term};
+use sac_common::{Atom, FreshSource, Symbol, Term};
 use sac_deps::Tgd;
 use sac_query::{ConjunctiveQuery, UnionOfConjunctiveQueries};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Limits on a UCQ rewriting computation.
+///
+/// For UCQ-rewritable classes (non-recursive, sticky) the rewriting reaches a
+/// fixpoint well within reasonable budgets; the limits exist so that feeding
+/// a non-UCQ-rewritable set (e.g. a recursive guarded set) never diverges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RewriteBudget {
+    /// Maximum number of disjuncts kept in the rewriting.
+    pub max_disjuncts: usize,
+    /// Maximum number of atoms allowed in a generated disjunct.
+    pub max_atoms_per_disjunct: usize,
+    /// Maximum number of rewriting steps (disjunct × tgd × atom applications).
+    pub max_steps: usize,
+}
+
+impl RewriteBudget {
+    /// Budget for unit tests and interactive inputs.
+    pub fn small() -> RewriteBudget {
+        RewriteBudget {
+            max_disjuncts: 2_000,
+            max_atoms_per_disjunct: 64,
+            max_steps: 50_000,
+        }
+    }
+
+    /// Budget for the benchmark workloads (Example 3 sweeps in particular).
+    pub fn large() -> RewriteBudget {
+        RewriteBudget {
+            max_disjuncts: 50_000,
+            max_atoms_per_disjunct: 1_024,
+            max_steps: 2_000_000,
+        }
+    }
+
+    /// Custom budget.
+    pub fn new(
+        max_disjuncts: usize,
+        max_atoms_per_disjunct: usize,
+        max_steps: usize,
+    ) -> RewriteBudget {
+        RewriteBudget {
+            max_disjuncts,
+            max_atoms_per_disjunct,
+            max_steps,
+        }
+    }
+}
+
+impl Default for RewriteBudget {
+    fn default() -> RewriteBudget {
+        RewriteBudget::small()
+    }
+}
 
 /// The result of a rewriting computation.
 #[derive(Debug, Clone)]
@@ -262,19 +315,20 @@ fn canonical_form(query: &ConjunctiveQuery) -> String {
 }
 
 /// Interns a fresh-looking variable name for tests.
-#[allow(dead_code)]
-fn v(name: &str) -> Symbol {
-    intern(name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_common::atom;
+    use sac_common::{atom, intern};
     use sac_query::{contained_in, evaluate_boolean, FrozenQuery};
 
     fn budget() -> RewriteBudget {
         RewriteBudget::small()
+    }
+
+    #[test]
+    fn rewrite_budget_presets_are_ordered() {
+        assert!(RewriteBudget::small().max_disjuncts < RewriteBudget::large().max_disjuncts);
+        assert_eq!(RewriteBudget::default(), RewriteBudget::small());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! equivalently, iff the frozen head tuple `c(x̄)` of `q` belongs to
 //! `q'(D_q)` where `D_q` is the canonical database of `q`.  Lemma 1
 //! generalizes the canonical-database formulation to containment *under
-//! constraints*: chase `D_q` first.  [`contained_on_chase`] is that test,
-//! parameterised by the chase; classical containment here, containment
-//! under tgds and egds (`sac-core`) and the rewriting-based test
-//! (`sac-rewrite`) all run it, on the compiled homomorphism search.
+//! constraints*: chase `D_q` first.  [`ChasedQuery`] is that left side as a
+//! value — built once per query, then asked about any number of right-hand
+//! queries with [`ChasedQuery::contains`].  Classical containment here, the
+//! chases under tgds and egds and the rewriting-based test (`sac-core`) all
+//! build one, and all run the compiled homomorphism search.
 
 use crate::cq::ConjunctiveQuery;
 use crate::freeze::FrozenQuery;
@@ -23,30 +24,53 @@ pub fn contains_answer(query: &ConjunctiveQuery, instance: &Instance, tuple: &[T
         && Homomorphisms::new(&query.body, instance, &query.head).exists(instance, tuple)
 }
 
-/// Lemma 1's test: `q` is contained in the union of `rights` — classically,
-/// or under the constraints `chase` applies — iff the frozen head tuple of
-/// `q` is an answer of some query of `rights` on the canonical database of
-/// `q`, chased.
-///
-/// Heads of different arities are never contained, and `chase` is not
-/// called for them.  Otherwise `chase` turns the frozen `q` into the
-/// instance to test and returns it with where the frozen head tuple went
-/// (an egd chase identifies terms) — or `None` when `q` has no model at all
-/// (a failing egd chase), which makes the containment vacuous.
-pub fn contained_on_chase(
-    q: &ConjunctiveQuery,
-    rights: &[ConjunctiveQuery],
-    chase: impl FnOnce(FrozenQuery) -> Option<(Instance, Vec<Term>)>,
-) -> bool {
-    if rights.iter().any(|right| right.head.len() != q.head.len()) {
-        return false;
+/// Lemma 1's left side: the canonical database of `query`, chased once.
+#[derive(Debug, Clone)]
+pub struct ChasedQuery {
+    /// The query whose canonical database this is.
+    pub query: ConjunctiveQuery,
+    /// The canonical database after the chase: the chased instance, where
+    /// the frozen head tuple went, and the freezing map that reads both back
+    /// ([`FrozenQuery::thaw`]).  `None` when the chase failed: `query` has
+    /// no model, and every containment of it holds vacuously.
+    pub chased: Option<FrozenQuery>,
+    /// Whether the chase stopped at its budget short of a fixpoint; the
+    /// instance is then a prefix of the chase.
+    pub truncated: bool,
+}
+
+impl ChasedQuery {
+    /// The canonical database of `query` under no constraints, where the
+    /// chase changes nothing.
+    pub fn unconstrained(query: &ConjunctiveQuery) -> ChasedQuery {
+        ChasedQuery {
+            query: query.clone(),
+            chased: Some(FrozenQuery::freeze(query)),
+            truncated: false,
+        }
     }
-    let Some((instance, head)) = chase(FrozenQuery::freeze(q)) else {
-        return true;
-    };
-    rights
-        .iter()
-        .any(|right| contains_answer(right, &instance, &head))
+
+    /// Lemma 1's test: `query` is contained in the union of `rights` iff
+    /// the chased frozen head tuple is an answer of some query of `rights`
+    /// on the chased canonical database.  Heads of different arities are
+    /// never contained.
+    ///
+    /// On a truncated chase a `true` is still certain (the prefix maps into
+    /// the full chase), a `false` is not.
+    pub fn contains(&self, rights: &[ConjunctiveQuery]) -> bool {
+        if rights
+            .iter()
+            .any(|right| right.head.len() != self.query.head.len())
+        {
+            return false;
+        }
+        let Some(chased) = &self.chased else {
+            return true;
+        };
+        rights
+            .iter()
+            .any(|right| contains_answer(right, &chased.instance, &chased.head))
+    }
 }
 
 /// Returns `true` iff `q ⊆ q'` over all instances (no constraints).
@@ -54,9 +78,7 @@ pub fn contained_on_chase(
 /// Queries with different head arities are never comparable and the function
 /// returns `false` for them.
 pub fn contained_in(q: &ConjunctiveQuery, q_prime: &ConjunctiveQuery) -> bool {
-    contained_on_chase(q, std::slice::from_ref(q_prime), |frozen| {
-        Some((frozen.instance, frozen.head))
-    })
+    ChasedQuery::unconstrained(q).contains(std::slice::from_ref(q_prime))
 }
 
 /// Returns `true` iff `q ≡ q'` over all instances (no constraints).

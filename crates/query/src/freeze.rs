@@ -1,4 +1,5 @@
-//! Freezing a query into its canonical database.
+//! Freezing a query into its canonical database, and reading a chased one
+//! back.
 //!
 //! Throughout the paper (Lemma 1 and onwards) a CQ `q` is turned into a
 //! database by replacing each variable `x` with a fresh constant `c(x)`.
@@ -7,14 +8,18 @@
 //! queries may map onto them.  We therefore freeze variables into *labelled
 //! nulls*, which have exactly this behaviour in the rest of the toolkit, and
 //! keep the bijection `x ↦ c(x)` so that answers can be related back to the
-//! query's free variables.
+//! query's free variables.  [`FrozenQuery::thaw`] is the way back: it reads
+//! the canonical database — chased or not — as a query again.
 
 use crate::cq::ConjunctiveQuery;
-use sac_common::{Substitution, Symbol, Term};
+use sac_common::{intern, Substitution, Symbol, Term};
 use sac_storage::Instance;
 use std::collections::BTreeMap;
 
 /// The canonical database of a query together with the freezing bijection.
+///
+/// A chase may replace `instance` by its result and `head` by where the
+/// chase sent the frozen head tuple; `var_map` stays the freezing map.
 #[derive(Debug, Clone)]
 pub struct FrozenQuery {
     /// The canonical database `D_q`.
@@ -26,15 +31,12 @@ pub struct FrozenQuery {
 }
 
 impl FrozenQuery {
-    /// Freezes `query`, assigning null labels starting from `first_label`.
-    ///
-    /// Callers that will later chase the frozen instance should pass a label
-    /// base that leaves room for the chase's own fresh nulls (the chase uses
-    /// [`Instance::max_null_label`] to stay clear, so `0` is always safe).
-    pub fn freeze_with_base(query: &ConjunctiveQuery, first_label: u64) -> FrozenQuery {
+    /// Freezes `query`, assigning null labels from 0.  A chase stays clear
+    /// of them with [`Instance::max_null_label`].
+    pub fn freeze(query: &ConjunctiveQuery) -> FrozenQuery {
         let mut var_map: BTreeMap<Symbol, Term> = BTreeMap::new();
-        for (next, v) in (first_label..).zip(query.body_variables()) {
-            var_map.insert(v, Term::Null(next));
+        for (label, v) in (0..).zip(query.body_variables()) {
+            var_map.insert(v, Term::Null(label));
         }
         let mut instance = Instance::new();
         for atom in &query.body {
@@ -54,28 +56,37 @@ impl FrozenQuery {
         }
     }
 
-    /// Freezes `query` with null labels starting at 0.
-    pub fn freeze(query: &ConjunctiveQuery) -> FrozenQuery {
-        FrozenQuery::freeze_with_base(query, 0)
+    /// Reads the canonical database back as a query: a frozen null becomes
+    /// the variable it froze, a null the chase invented becomes `v#<label>`,
+    /// and constants stay.
+    ///
+    /// Returns `None` when a head term is a constant — an egd chase
+    /// identified a head variable with one — since no query over variables
+    /// has that head.
+    pub fn thaw(&self) -> Option<ConjunctiveQuery> {
+        let frozen: BTreeMap<Term, Symbol> = self.var_map.iter().map(|(v, t)| (*t, *v)).collect();
+        let thaw = |t: Term| match (t, frozen.get(&t)) {
+            (_, Some(v)) => Term::Variable(*v),
+            (Term::Null(label), None) => Term::Variable(intern(&format!("v#{label}"))),
+            (other, None) => other,
+        };
+        let head = self.head.iter().map(|t| thaw(*t).as_variable());
+        let head = head.collect::<Option<Vec<Symbol>>>()?;
+        let body = self.instance.atoms().map(|a| a.map_args(thaw)).collect();
+        Some(ConjunctiveQuery::new_unchecked(head, body))
     }
 
     /// The substitution sending each query variable to its frozen term.
     pub fn as_substitution(&self) -> Substitution {
         Substitution::from_pairs(self.var_map.iter().map(|(v, t)| (Term::Variable(*v), *t)))
     }
-
-    /// Maps a frozen term back to the variable it came from, if any.
-    pub fn unfreeze_term(&self, term: Term) -> Option<Symbol> {
-        self.var_map
-            .iter()
-            .find_map(|(v, t)| (*t == term).then_some(*v))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sac_common::{atom, intern};
+    use sac_common::atom;
+    use std::collections::BTreeSet;
 
     fn query() -> ConjunctiveQuery {
         ConjunctiveQuery::new(
@@ -106,18 +117,28 @@ mod tests {
     }
 
     #[test]
-    fn label_base_is_respected() {
-        let f = FrozenQuery::freeze_with_base(&query(), 100);
-        assert!(f.var_map.values().all(|t| t.as_null().unwrap() >= 100));
+    fn unfreeze_round_trips() {
+        let q = query();
+        let thawed = FrozenQuery::freeze(&q).thaw().unwrap();
+        assert_eq!(thawed.head, q.head);
+        assert_eq!(
+            thawed.body.iter().collect::<BTreeSet<_>>(),
+            q.body.iter().collect::<BTreeSet<_>>()
+        );
     }
 
     #[test]
-    fn unfreeze_round_trips() {
-        let f = FrozenQuery::freeze(&query());
-        for (v, t) in &f.var_map {
-            assert_eq!(f.unfreeze_term(*t), Some(*v));
-        }
-        assert_eq!(f.unfreeze_term(Term::constant("a")), None);
+    fn thaw_names_invented_nulls_and_refuses_constant_heads() {
+        let mut f = FrozenQuery::freeze(&query());
+        let x = f.var_map[&intern("x")];
+        f.instance.insert(atom!("T", null 7)).unwrap();
+        let thawed = f.thaw().unwrap();
+        assert!(thawed.body.contains(&atom!("T", var "v#7")));
+        // A chase that sent the head to a constant leaves no query head.
+        f.head = vec![Term::constant("a")];
+        assert!(f.thaw().is_none());
+        f.head = vec![x];
+        assert!(f.thaw().is_some());
     }
 
     #[test]

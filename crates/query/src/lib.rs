@@ -15,7 +15,8 @@
 //!   computation — the baseline against which semantic acyclicity under
 //!   constraints is compared (a CQ is semantically acyclic in the absence of
 //!   constraints iff its core is acyclic), with Lemma 1's test written once
-//!   for every constraint class ([`containment::contained_on_chase`]),
+//!   for every constraint class ([`containment::ChasedQuery`]: a query's
+//!   canonical database, chased once and asked about any right-hand side),
 //! * the definition-level **oracle** ([`mod@evaluate`]): plain homomorphism
 //!   enumeration over decoded rows, sharing no code with the search it
 //!   judges.
@@ -47,7 +48,7 @@ pub mod homomorphism;
 pub mod minimize;
 pub mod ucq;
 
-pub use containment::{contained_in, contained_on_chase, equivalent};
+pub use containment::{contained_in, equivalent, ChasedQuery};
 pub use cq::ConjunctiveQuery;
 pub use evaluate::{all_homomorphisms, evaluate, evaluate_boolean};
 pub use freeze::FrozenQuery;

@@ -122,12 +122,12 @@ pub use sac_acyclic as acyclic;
 pub use sac_chase as chase;
 pub use sac_common as common;
 pub use sac_core as core;
+pub use sac_core::rewrite;
 pub use sac_datalog as datalog;
 pub use sac_deps as deps;
 pub use sac_engine as engine;
 pub use sac_gen as gen;
 pub use sac_query as query;
-pub use sac_rewrite as rewrite;
 pub use sac_storage as storage;
 pub use sac_telemetry as telemetry;
 pub use sac_wal as wal;
@@ -174,6 +174,7 @@ pub mod prelude {
     pub use crate::parser::{
         parse_database, parse_datalog_program, parse_egd, parse_program, parse_query, parse_tgd,
     };
+    pub use sac_core::rewrite::{contained_via_rewriting, rewrite, RewriteBudget};
     pub use sac_engine::Strategy as PlanStrategy;
     pub use sac_engine::{
         Certificate, CheckError, CheckpointReport, Database, DatalogOptions, DatalogProgram,
@@ -186,7 +187,6 @@ pub mod prelude {
         contained_in, core_of, equivalent, evaluate, evaluate_boolean, ConjunctiveQuery,
         FrozenQuery, UnionOfConjunctiveQueries,
     };
-    pub use sac_rewrite::{contained_via_rewriting, rewrite, RewriteBudget};
     pub use sac_storage::{DeltaCursor, Instance, InstanceStats, RelationDelta, RelationStats};
     pub use sac_telemetry::{
         fmt_ns, Event, EventSink, HistogramSnapshot, JsonLinesSink, Phase, PhaseTimes, QueryTrace,
