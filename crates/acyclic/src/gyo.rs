@@ -95,11 +95,6 @@ pub fn is_acyclic_instance(instance: &Instance) -> bool {
     is_acyclic_atoms(&instance.to_atoms())
 }
 
-/// Computes a join tree of an instance, if it is acyclic.
-pub fn join_tree_of_instance(instance: &Instance) -> Option<JoinTree> {
-    join_tree_of_atoms(&instance.to_atoms())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,7 +244,6 @@ mod tests {
         ])
         .unwrap();
         assert!(!is_acyclic_instance(&inst));
-        assert!(join_tree_of_instance(&inst).is_none());
     }
 
     #[test]

@@ -70,15 +70,6 @@ impl Atom {
         self.args.iter().any(|t| t.as_variable() == Some(var))
     }
 
-    /// Returns the positions (0-based) at which `term` occurs.
-    pub fn positions_of(&self, term: Term) -> Vec<usize> {
-        self.args
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| (*t == term).then_some(i))
-            .collect()
-    }
-
     /// Applies `f` to every argument, producing a new atom over the same
     /// predicate.
     pub fn map_args(&self, mut f: impl FnMut(Term) -> Term) -> Atom {
@@ -155,9 +146,6 @@ mod tests {
         let a = sample();
         assert!(a.mentions_variable(intern("x")));
         assert!(!a.mentions_variable(intern("y")));
-        assert_eq!(a.positions_of(Term::variable("x")), vec![0, 2]);
-        assert_eq!(a.positions_of(Term::constant("a")), vec![1]);
-        assert!(a.positions_of(Term::constant("zzz")).is_empty());
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl FreshSource {
         self.next_var += 1;
         intern(&format!("{prefix}#{v}"))
     }
-
-    /// The label the next fresh null would receive (useful for tests).
-    pub fn peek_null(&self) -> u64 {
-        self.next_null
-    }
 }
 
 #[cfg(test)]
@@ -81,14 +76,5 @@ mod tests {
         let b = f.fresh_var("z");
         assert_ne!(a, b);
         assert!(a.as_str().starts_with("z#"));
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut f = FreshSource::new();
-        assert_eq!(f.peek_null(), 0);
-        assert_eq!(f.peek_null(), 0);
-        f.fresh_null();
-        assert_eq!(f.peek_null(), 1);
     }
 }

@@ -68,19 +68,6 @@ impl Schema {
         self.predicates.values().copied().max().unwrap_or(0)
     }
 
-    /// Validates that `atom` uses a declared predicate with the right arity.
-    pub fn validate_atom(&self, atom: &Atom) -> Result<()> {
-        match self.arity_of(atom.predicate) {
-            None => Err(Error::UnknownPredicate(atom.predicate.as_str())),
-            Some(arity) if arity != atom.arity() => Err(Error::ArityMismatch {
-                predicate: atom.predicate.as_str(),
-                expected: arity,
-                found: atom.arity(),
-            }),
-            Some(_) => Ok(()),
-        }
-    }
-
     /// Builds the schema induced by a collection of atoms.  If the same
     /// predicate occurs with two different arities, an error is returned.
     pub fn induced_by<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> Result<Schema> {
@@ -147,17 +134,6 @@ mod tests {
         assert_eq!(s.arity_of(intern("T")), None);
         assert_eq!(s.len(), 2);
         assert_eq!(s.max_arity(), 3);
-    }
-
-    #[test]
-    fn validate_atom_checks_arity() {
-        let s = Schema::from_pairs([("R", 2)]);
-        let good = Atom::from_parts("R", vec![Term::variable("x"), Term::variable("y")]);
-        let bad_arity = Atom::from_parts("R", vec![Term::variable("x")]);
-        let unknown = Atom::from_parts("Q", vec![Term::variable("x")]);
-        assert!(s.validate_atom(&good).is_ok());
-        assert!(s.validate_atom(&bad_arity).is_err());
-        assert!(s.validate_atom(&unknown).is_err());
     }
 
     #[test]

@@ -210,16 +210,6 @@ impl DatalogProgram {
         &self.idb
     }
 
-    /// The extensional predicates: body predicates never derived by a rule.
-    pub fn edb_predicates(&self) -> BTreeSet<Symbol> {
-        self.rules
-            .iter()
-            .flat_map(|rule| rule.body.iter().chain(rule.negated.iter()))
-            .map(|atom| atom.predicate)
-            .filter(|predicate| !self.idb.contains(predicate))
-            .collect()
-    }
-
     /// Whether the program uses no negation.
     pub fn is_positive(&self) -> bool {
         self.rules.iter().all(Rule::is_positive)
@@ -313,7 +303,6 @@ mod tests {
         assert_eq!(p.strata(), &[vec![0, 1]]);
         assert!(p.is_positive());
         assert_eq!(p.idb_predicates().len(), 1);
-        assert_eq!(p.edb_predicates().len(), 1);
     }
 
     #[test]

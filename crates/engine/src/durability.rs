@@ -52,7 +52,6 @@ use sac_common::Symbol;
 use sac_deps::Tgd;
 use sac_query::ConjunctiveQuery;
 use sac_storage::{dict, DeltaCursor, Instance};
-use sac_telemetry::{bus, Event};
 use sac_wal::{
     latest_snapshot, prune_snapshots, write_snapshot, AtomRepr, FactBatch, QueryRepr,
     RelationBatch, Snapshot, TermRepr, TgdRepr, ViewRepr, WalError, WalWriter,
@@ -500,13 +499,6 @@ impl Database {
         db.checkpoint()?;
 
         report.micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        bus::emit(|| Event::RecoveryCompleted {
-            replayed_batches: report.replayed_batches,
-            replayed_rows: report.replayed_rows,
-            views: report.views,
-            plans: report.plans,
-            micros: report.micros,
-        });
         db.recovery = Some(report);
         Ok(db)
     }
@@ -589,11 +581,6 @@ impl Database {
             usize::try_from(bytes).unwrap_or(usize::MAX),
             Ordering::Relaxed,
         );
-        bus::emit(|| Event::WalAppended {
-            seq,
-            bytes,
-            rows: batch.rows(),
-        });
         if core.options.snapshot_every > 0 && durable.since_snapshot >= core.options.snapshot_every
         {
             self.checkpoint_locked(core, state, &mut durable)?;
@@ -639,12 +626,6 @@ impl Database {
             .snapshots_written
             .fetch_add(1, Ordering::Relaxed);
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        bus::emit(|| Event::SnapshotWritten {
-            seq: last_seq,
-            bytes,
-            atoms,
-            micros,
-        });
         Ok(CheckpointReport {
             seq: last_seq,
             path,

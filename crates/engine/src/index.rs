@@ -28,7 +28,6 @@
 
 use sac_common::Symbol;
 use sac_storage::{IndexKey, Instance, JoinIndex};
-use sac_telemetry::{bus, Event};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -134,10 +133,6 @@ impl IndexCache {
             .entry((predicate, positions.to_vec()))
             .or_insert_with(|| {
                 *built += 1;
-                bus::emit(|| Event::IndexBuilt {
-                    predicate: predicate.to_string(),
-                    positions: positions.to_vec(),
-                });
                 Arc::new(JoinIndex::build(rel, positions))
             });
         Some(index)

@@ -121,15 +121,13 @@
 //!   the answers — rung chosen, plan- and index-cache outcomes, per-phase
 //!   wall times that sum to the recorded total by construction, and
 //!   per-node rows in/out.
-//! - [`EngineMetrics`] carries lock-free log-bucketed latency histograms
-//!   ([`HistogramSnapshot`]: p50/p90/p99) for runs, plan compilations and
-//!   view refreshes, recorded on **every** operation at the cost of a few
-//!   relaxed atomic adds.
-//! - An optional process-wide [`EventSink`] ([`telemetry::bus`]) receives
-//!   structured [`Event`]s (plans built, runs completed, indexes built,
-//!   parallel regions, view registrations and refreshes).  With
-//!   no sink installed the emit sites are a single relaxed atomic load and
-//!   the event is never constructed.
+//! - [`EngineMetrics`] carries the session's counters and lock-free
+//!   log-bucketed latency histograms ([`HistogramSnapshot`]: p50/p90/p99)
+//!   for runs, plan compilations, view refreshes and Datalog evaluations,
+//!   recorded on **every** operation at the cost of a few relaxed atomic
+//!   adds.
+//! - Durable databases report what recovery and each checkpoint did in a
+//!   [`RecoveryReport`] and a [`CheckpointReport`].
 
 pub mod database;
 pub mod datalog;
@@ -137,26 +135,25 @@ pub mod durability;
 mod error;
 mod exec;
 pub mod index;
+mod metrics;
 pub mod plan;
 mod pool;
 mod result;
 pub mod view;
 
-/// The engine's observability layer (the `sac-telemetry` crate): traces,
-/// histograms, and the process-wide event bus.
+/// The engine's observability layer (the `sac-telemetry` crate): traces
+/// and histograms.
 pub use sac_telemetry as telemetry;
 
-pub use database::{Database, EngineConfig, EngineMetrics, PreparedQuery, QuerySource};
+pub use database::{Database, EngineConfig, PreparedQuery, QuerySource};
 pub use datalog::{DatalogOptions, DatalogRun, DatalogSource, DatalogStats, PreparedDatalog};
 pub use durability::{CheckpointReport, DurabilityOptions, RecoveryReport, SyncMode};
 pub use error::{SacError, SacResult};
 pub use index::IndexCache;
+pub use metrics::EngineMetrics;
 pub use plan::{Explain, Plan, Strategy};
 pub use result::{ResultSet, Row};
 pub use sac_datalog::{Certificate, CheckError, DatalogProgram, DerivationStep, Premise};
 pub use sac_storage::JoinIndex;
-pub use sac_telemetry::{
-    fmt_ns, Event, EventSink, HistogramSnapshot, JsonLinesSink, NodeRows, Phase, PhaseTimes,
-    QueryTrace, RingSink,
-};
+pub use sac_telemetry::{fmt_ns, HistogramSnapshot, NodeRows, Phase, PhaseTimes, QueryTrace};
 pub use view::{MaterializedView, RefreshMode, ViewOptions, ViewRefresh};

@@ -68,8 +68,8 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// The strategy's stable display name, as used in traces, telemetry
-    /// events and bench JSON.
+    /// The strategy's stable display name, as used in traces and bench
+    /// JSON.
     pub fn as_str(self) -> &'static str {
         match self {
             Strategy::YannakakisDirect => "yannakakis-direct",

@@ -13,7 +13,6 @@
 //! EXPERIMENTS.md), which a batch of millisecond queries repays and which
 //! is why nothing finer-grained is fanned out.
 
-use sac_telemetry::{bus, Event};
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -37,10 +36,6 @@ where
     if helpers == 0 {
         return items.iter().map(f).collect();
     }
-    bus::emit(|| Event::ParallelRegion {
-        tasks: items.len(),
-        threads: helpers,
-    });
     // Relaxed: the cursor only hands out distinct indices; the results are
     // published to the caller by `join`.
     let cursor = AtomicUsize::new(0);
@@ -76,8 +71,81 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Arc;
+    use std::sync::{Arc, Condvar, Mutex};
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    /// Holds each item that passes it until `width` distinct threads have
+    /// arrived, then gives one thread more a `grace` period to show up.
+    /// A held item keeps its thread from claiming another, so the gate
+    /// opens only once `width` threads are there, and a surplus thread is
+    /// sure to claim an item of its own while the others wait.  Both waits
+    /// time out, so a missing thread fails the count instead of hanging.
+    struct Gate {
+        width: usize,
+        grace: Duration,
+        /// The threads seen so far, and whether the grace period is over.
+        seen: Mutex<(HashSet<ThreadId>, bool)>,
+        arrived: Condvar,
+    }
+
+    impl Gate {
+        fn pass(&self) {
+            let mut guard = self.seen.lock().unwrap();
+            guard.0.insert(thread::current().id());
+            self.arrived.notify_all();
+            let (guard, _) = self
+                .arrived
+                .wait_timeout_while(guard, Duration::from_secs(10), |(seen, _)| {
+                    seen.len() < self.width
+                })
+                .unwrap();
+            let (mut guard, waited) = self
+                .arrived
+                .wait_timeout_while(guard, self.grace, |(seen, over)| {
+                    !*over && seen.len() <= self.width
+                })
+                .unwrap();
+            if waited.timed_out() {
+                guard.1 = true;
+                self.arrived.notify_all();
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_on_exactly_min_width_items_threads() {
+        let caller = thread::current().id();
+        for (width, n) in [(1, 5), (2, 5), (4, 7), (3, 3), (4, 2), (8, 3), (2, 1)] {
+            let expected = usize::min(width, n);
+            let gate = Gate {
+                width: expected,
+                // A surplus thread can only show when items outnumber the
+                // expected threads.
+                grace: if n > expected {
+                    Duration::from_millis(200)
+                } else {
+                    Duration::ZERO
+                },
+                seen: Mutex::new((HashSet::new(), false)),
+                arrived: Condvar::new(),
+            };
+            let items: Vec<usize> = (0..n).collect();
+            // The first `expected + 1` items pass the gate: one per
+            // expected thread, and one a surplus thread would claim.
+            let ran_on = fan_out(width, &items, |&i| {
+                if i <= expected {
+                    gate.pass();
+                }
+                thread::current().id()
+            });
+            let threads: HashSet<ThreadId> = ran_on.into_iter().collect();
+            assert_eq!(threads.len(), expected, "fan_out({width}, {n} items)");
+            assert!(threads.contains(&caller), "the caller works too");
+        }
+    }
 
     #[test]
     fn results_come_back_in_item_order() {

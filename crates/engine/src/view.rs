@@ -64,7 +64,7 @@ use crate::result::ResultSet;
 use sac_common::{Symbol, Term};
 use sac_query::ConjunctiveQuery;
 use sac_storage::{DeltaCursor, Instance};
-use sac_telemetry::{bus, Event, NodeRows, Phase, PhaseTimes, Probe, QueryTrace};
+use sac_telemetry::{NodeRows, Phase, PhaseTimes, Probe, QueryTrace};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -371,10 +371,6 @@ impl Database {
         self.metrics
             .views_registered
             .fetch_add(1, Ordering::Relaxed);
-        bus::emit(|| Event::ViewRegistered {
-            query: core.query.to_string(),
-            strategy: core.plan.strategy().as_str().to_owned(),
-        });
         core
     }
 
@@ -448,9 +444,8 @@ impl Database {
 
     /// [`Database::refresh_core`] with an optional probe: refreshes that do
     /// work (delta push or recompute) are timed into the view-refresh
-    /// histogram and announced on the event bus; with a probe attached the
-    /// maintenance run additionally yields a [`QueryTrace`] carrying the
-    /// refresh mode and delta rows.
+    /// histogram; with a probe attached the maintenance run additionally
+    /// yields a [`QueryTrace`] carrying the refresh mode and delta rows.
     fn refresh_core_traced(
         &self,
         core: &ViewCore,
@@ -551,14 +546,7 @@ impl Database {
         };
         let answers = state.answers.len();
         drop(state);
-        let elapsed = refresh_started.elapsed();
-        self.latency.view_refresh.record(elapsed);
-        bus::emit(|| Event::ViewRefreshed {
-            mode: refresh.mode.to_string(),
-            delta_rows: refresh.delta_rows,
-            rows_added: refresh.rows_added,
-            micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        });
+        self.latency.view_refresh.record(refresh_started.elapsed());
         let trace = ctx.take_probe().map(|probe| {
             let (phases, node_rows, total_ns) = probe.finish();
             self.view_query_trace(core, &refresh, phases, node_rows, total_ns, answers)

@@ -138,60 +138,6 @@ impl ConjunctiveQuery {
         self.gaifman_graph().is_connected()
     }
 
-    /// Splits the query into its maximally connected subqueries
-    /// (Proposition 5 / Lemma 26 in the paper).  Atoms without variables each
-    /// form their own component.  Head variables are retained in the component
-    /// in which they occur.
-    pub fn connected_components(&self) -> Vec<ConjunctiveQuery> {
-        let graph = self.gaifman_graph();
-        let var_components = graph.components();
-        let mut used = vec![false; self.body.len()];
-        let mut out = Vec::new();
-        for component in &var_components {
-            let mut atoms = Vec::new();
-            for (i, atom) in self.body.iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                if atom.variables().iter().any(|v| component.contains(v)) {
-                    atoms.push(atom.clone());
-                    used[i] = true;
-                }
-            }
-            if atoms.is_empty() {
-                continue;
-            }
-            let head: Vec<Symbol> = self
-                .head
-                .iter()
-                .copied()
-                .filter(|v| component.contains(v))
-                .collect();
-            out.push(ConjunctiveQuery::new_unchecked(head, atoms));
-        }
-        // Variable-free atoms form singleton components.
-        for (i, atom) in self.body.iter().enumerate() {
-            if !used[i] {
-                out.push(ConjunctiveQuery::new_unchecked(
-                    Vec::new(),
-                    vec![atom.clone()],
-                ));
-            }
-        }
-        out
-    }
-
-    /// The conjunction `q ∧ q'` of two Boolean queries (used by
-    /// Proposition 5).  The caller is responsible for ensuring the two
-    /// queries do not share variables if disjointness is intended.
-    pub fn conjoin(&self, other: &ConjunctiveQuery) -> ConjunctiveQuery {
-        let mut head = self.head.clone();
-        head.extend(other.head.iter().copied());
-        let mut body = self.body.clone();
-        body.extend(other.body.iter().cloned());
-        ConjunctiveQuery::new_unchecked(head, body)
-    }
-
     /// Renames every variable with the supplied function, head and body alike.
     pub fn rename_variables(&self, mut f: impl FnMut(Symbol) -> Symbol) -> ConjunctiveQuery {
         let head = self.head.iter().map(|v| f(*v)).collect();
@@ -383,7 +329,6 @@ mod tests {
     fn connectivity_of_example1() {
         let q = example1_query();
         assert!(q.is_connected());
-        assert_eq!(q.connected_components().len(), 1);
     }
 
     #[test]
@@ -394,25 +339,6 @@ mod tests {
         ])
         .unwrap();
         assert!(!q.is_connected());
-        let comps = q.connected_components();
-        assert_eq!(comps.len(), 2);
-        assert!(comps.iter().all(|c| c.size() == 1));
-    }
-
-    #[test]
-    fn variable_free_atoms_are_their_own_components() {
-        let q = ConjunctiveQuery::boolean(vec![atom!("R", cst "a", cst "b"), atom!("S", var "x")])
-            .unwrap();
-        assert_eq!(q.connected_components().len(), 2);
-    }
-
-    #[test]
-    fn conjoin_concatenates() {
-        let q1 = ConjunctiveQuery::boolean(vec![atom!("R", var "x", var "y")]).unwrap();
-        let q2 = ConjunctiveQuery::boolean(vec![atom!("S", var "u")]).unwrap();
-        let q = q1.conjoin(&q2);
-        assert_eq!(q.size(), 2);
-        assert!(q.is_boolean());
     }
 
     #[test]

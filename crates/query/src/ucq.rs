@@ -44,11 +44,6 @@ impl UnionOfConjunctiveQueries {
         }
     }
 
-    /// The common head arity.
-    pub fn head_arity(&self) -> usize {
-        self.disjuncts[0].head.len()
-    }
-
     /// Number of disjuncts.
     pub fn len(&self) -> usize {
         self.disjuncts.len()
@@ -226,6 +221,6 @@ mod tests {
     fn single_wraps_one_disjunct() {
         let ucq = UnionOfConjunctiveQueries::single(edge_query());
         assert_eq!(ucq.len(), 1);
-        assert_eq!(ucq.head_arity(), 1);
+        assert_eq!(ucq.disjuncts[0].head.len(), 1);
     }
 }

@@ -188,8 +188,5 @@ pub mod prelude {
         FrozenQuery, UnionOfConjunctiveQueries,
     };
     pub use sac_storage::{DeltaCursor, Instance, InstanceStats, RelationDelta, RelationStats};
-    pub use sac_telemetry::{
-        fmt_ns, Event, EventSink, HistogramSnapshot, JsonLinesSink, Phase, PhaseTimes, QueryTrace,
-        RingSink,
-    };
+    pub use sac_telemetry::{fmt_ns, HistogramSnapshot, Phase, PhaseTimes, QueryTrace};
 }

@@ -25,33 +25,6 @@ pub struct RelationStats {
     pub distinct_per_column: Vec<usize>,
 }
 
-impl RelationStats {
-    /// Estimated number of rows matched by binding column `pos` to one value
-    /// (the relation's cardinality divided by the column's distinct count).
-    /// Returns the full cardinality when the column has no distinct values
-    /// recorded (empty relation or out-of-range position).
-    pub fn estimated_rows_per_value(&self, pos: usize) -> f64 {
-        match self.distinct_per_column.get(pos) {
-            Some(&d) if d > 0 => self.tuples as f64 / d as f64,
-            _ => self.tuples as f64,
-        }
-    }
-
-    /// Estimated cardinality after binding every column in `positions` to a
-    /// point value, assuming independent columns (the textbook estimate).
-    pub fn estimated_rows_with_bound(&self, positions: &[usize]) -> f64 {
-        let mut est = self.tuples as f64;
-        for &pos in positions {
-            if let Some(&d) = self.distinct_per_column.get(pos) {
-                if d > 0 {
-                    est /= d as f64;
-                }
-            }
-        }
-        est
-    }
-}
-
 impl fmt::Display for RelationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -165,15 +138,5 @@ mod tests {
         assert_eq!(s.largest_relation().unwrap().predicate, intern("Big"));
         s.relations.clear();
         assert!(s.largest_relation().is_none());
-    }
-
-    #[test]
-    fn selectivity_estimates() {
-        let r = sample().relations[0].clone();
-        assert_eq!(r.estimated_rows_per_value(0), 2.0);
-        assert_eq!(r.estimated_rows_per_value(1), 5.0);
-        // Out of range falls back to the full cardinality.
-        assert_eq!(r.estimated_rows_per_value(9), 10.0);
-        assert_eq!(r.estimated_rows_with_bound(&[0, 1]), 1.0);
     }
 }

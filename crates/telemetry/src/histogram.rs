@@ -176,11 +176,6 @@ impl HistogramSnapshot {
         self.count == 0
     }
 
-    /// Mean observed duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-
     /// The value at quantile `q` in `[0, 1]`, in nanoseconds: the
     /// representative (midpoint) value of the bucket holding the
     /// observation with rank `ceil(q * count)`, clamped to the observed
@@ -328,6 +323,7 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count, 8_000);
         assert_eq!(h.count(), 8_000);
+        assert_eq!(snap.total_ns, (0..8_000).sum::<u64>());
         assert_eq!(snap.max_ns, 7_999);
     }
 
@@ -343,15 +339,5 @@ mod tests {
         assert_eq!(fmt_ns(1_500), "1.5µs");
         assert_eq!(fmt_ns(2_500_000), "2.5ms");
         assert_eq!(fmt_ns(3_000_000_000), "3.00s");
-    }
-
-    #[test]
-    fn mean_tracks_the_total() {
-        let h = Histogram::new();
-        h.record_ns(1_000);
-        h.record_ns(3_000);
-        let snap = h.snapshot();
-        assert_eq!(snap.total_ns, 4_000);
-        assert_eq!(snap.mean_ns(), 2_000);
     }
 }

@@ -1,18 +1,15 @@
 //! `sac-telemetry` — observability primitives for the execution engine.
 //!
-//! Three std-only building blocks, deliberately free of engine types so
-//! any layer can depend on them:
+//! Two std-only building blocks, deliberately free of engine types so any
+//! layer can depend on them:
 //!
 //! * **[`Histogram`]** — lock-free log-bucketed latency histograms
 //!   (atomic buckets, `p50`/`p90`/`p99` via [`HistogramSnapshot`]) for
-//!   run / prepare / view-refresh latencies.
+//!   run / prepare / view-refresh / Datalog latencies.
 //! * **[`Probe`] / [`QueryTrace`]** — per-run phase timers with a
 //!   contiguous boundary-mark discipline (phase times always sum to the
 //!   traced span) plus per-join-tree-node row counts, surfaced by the
 //!   engine as `run_traced`.
-//! * **[`Event`] / [`EventSink`] / [`bus`]** — a pluggable event stream
-//!   the engine emits into ([`RingSink`] in memory, [`JsonLinesSink`]
-//!   for benches); one relaxed atomic load when no sink is installed.
 //!
 //! ```
 //! use sac_telemetry::{Phase, Probe};
@@ -26,10 +23,8 @@
 //! assert_eq!(phases.total_ns(), total_ns);
 //! ```
 
-mod events;
 mod histogram;
 mod trace;
 
-pub use events::{bus, Event, EventSink, JsonLinesSink, RingSink};
 pub use histogram::{fmt_ns, Histogram, HistogramSnapshot};
 pub use trace::{NodeRows, Phase, PhaseTimes, Probe, QueryTrace};

@@ -111,11 +111,6 @@ impl PhaseTimes {
             .map(|p| (p, self.get(p)))
             .filter(|&(_, ns)| ns > 0)
     }
-
-    /// The phase holding the most time, if any time was recorded at all.
-    pub fn dominant(&self) -> Option<(Phase, u64)> {
-        self.nonzero().max_by_key(|&(_, ns)| ns)
-    }
 }
 
 impl fmt::Display for PhaseTimes {
@@ -369,19 +364,6 @@ mod tests {
             ]
         );
         assert_eq!(Phase::SemijoinUp.to_string(), "semijoin_up");
-    }
-
-    #[test]
-    fn dominant_picks_the_heaviest_phase() {
-        let mut times = PhaseTimes::default();
-        assert_eq!(times.dominant(), None);
-        times.add(Phase::MatchSets, 10);
-        times.add(Phase::JoinBack, 30);
-        times.add(Phase::Decode, 20);
-        assert_eq!(times.dominant(), Some((Phase::JoinBack, 30)));
-        assert_eq!(times.total_ns(), 60);
-        let text = times.to_string();
-        assert!(text.contains("join_back"), "{text}");
     }
 
     #[test]
