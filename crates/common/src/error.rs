@@ -8,8 +8,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Errors produced by the semantic-acyclicity toolkit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// An atom used a predicate not declared in the schema.
-    UnknownPredicate(String),
     /// An atom used a predicate with the wrong number of arguments.
     ArityMismatch {
         /// Predicate name.
@@ -37,8 +35,6 @@ pub enum Error {
         /// 1-based column (in characters) of the error position.
         column: usize,
     },
-    /// A procedure was invoked on a dependency class it does not support.
-    UnsupportedClass(String),
 }
 
 impl Error {
@@ -78,7 +74,6 @@ pub fn position_of(input: &str, offset: usize) -> (usize, usize) {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::UnknownPredicate(p) => write!(f, "unknown predicate `{p}`"),
             Error::ArityMismatch {
                 predicate,
                 expected,
@@ -98,7 +93,6 @@ impl fmt::Display for Error {
             } => {
                 write!(f, "parse error at line {line}, column {column}: {message}")
             }
-            Error::UnsupportedClass(msg) => write!(f, "unsupported dependency class: {msg}"),
         }
     }
 }

@@ -20,7 +20,8 @@
 //! negated predicates the replayed model is the perfect model and absence
 //! from it is real absence — a certificate that simply omits the
 //! derivation of `T(a, b)` can no longer support `not T(a, b)`.  Programs
-//! without negation skip the closedness pass entirely.
+//! without negation build no model at all: step soundness is the whole
+//! check, and [`verify_answer`] looks the answer up among the steps.
 
 use crate::certificate::{Certificate, Premise};
 use crate::program::{DatalogProgram, Rule};
@@ -167,21 +168,18 @@ impl fmt::Display for CheckError {
 
 impl std::error::Error for CheckError {}
 
-/// Replays `certificate` against `program` and `base`, returning the set of
-/// derived facts on success.
+/// Replays `certificate` against `program` and `base`.
 ///
 /// The replay is fail-closed: any dangling premise, unification failure,
 /// head mismatch, out-of-order reference, violated negated literal or
 /// omitted consequence under a negated predicate aborts with the first
 /// [`CheckError`] encountered.
-pub fn replay(
+pub fn check_certificate(
     program: &DatalogProgram,
     base: &Instance,
     certificate: &Certificate,
-) -> Result<BTreeSet<Atom>, CheckError> {
+) -> Result<(), CheckError> {
     let rules = program.rules();
-    let mut derived: Vec<Atom> = Vec::with_capacity(certificate.len());
-
     for (index, step) in certificate.steps.iter().enumerate() {
         let rule = rules.get(step.rule).ok_or(CheckError::UnknownRule {
             step: index,
@@ -200,6 +198,7 @@ pub fn replay(
         let mut substitution = Substitution::new();
         for (position, (premise, pattern)) in step.premises.iter().zip(rule.body.iter()).enumerate()
         {
+            let base_fact;
             let fact = match premise {
                 Premise::Base { predicate, row } => {
                     let missing = CheckError::MissingBaseFact {
@@ -208,7 +207,8 @@ pub fn replay(
                     };
                     let relation = base.relation(*predicate).ok_or(missing.clone())?;
                     let args = relation.row(*row).ok_or(missing)?;
-                    Atom::new(*predicate, args)
+                    base_fact = Atom::new(*predicate, args);
+                    &base_fact
                 }
                 Premise::Derived(reference) => {
                     if *reference >= index {
@@ -217,10 +217,10 @@ pub fn replay(
                             reference: *reference,
                         });
                     }
-                    derived[*reference].clone()
+                    &certificate.steps[*reference].fact
                 }
             };
-            if !substitution.match_atom(pattern, &fact) {
+            if !substitution.match_atom(pattern, fact) {
                 return Err(CheckError::PremiseMismatch {
                     step: index,
                     position,
@@ -238,10 +238,15 @@ pub fn replay(
                 return Err(CheckError::NegatedMismatch { step: index });
             }
         }
-        derived.push(step.fact.clone());
     }
 
-    let model: BTreeSet<Atom> = derived.iter().cloned().collect();
+    // A positive program is done: every step is sound, no step records a
+    // negated literal (the count check above held), and nothing is under
+    // negation to be closed.
+    if rules.iter().all(|rule| rule.negated.is_empty()) {
+        return Ok(());
+    }
+    let model: BTreeSet<&Atom> = certificate.facts().collect();
     for (index, step) in certificate.steps.iter().enumerate() {
         for literal in &step.negated {
             if base.contains(literal) || model.contains(literal) {
@@ -252,8 +257,7 @@ pub fn replay(
             }
         }
     }
-    check_closed(program, base, &model)?;
-    Ok(model)
+    check_closed(program, base, &model)
 }
 
 /// The predicates negation depends on: every predicate that occurs under
@@ -285,7 +289,7 @@ fn predicates_under_negation(program: &DatalogProgram) -> BTreeSet<Symbol> {
 fn check_closed(
     program: &DatalogProgram,
     base: &Instance,
-    model: &BTreeSet<Atom>,
+    model: &BTreeSet<&Atom>,
 ) -> Result<(), CheckError> {
     let needed = predicates_under_negation(program);
     let checked: Vec<(usize, &Rule)> = program
@@ -304,7 +308,7 @@ fn check_closed(
     for fact in model.iter().filter(|f| needed.contains(&f.predicate)) {
         // A fact the base schema cannot hold (arity clash) stays out; if a
         // checked rule derives it, the pass below reports it as missing.
-        let _ = closed.insert(fact.clone());
+        let _ = closed.insert((*fact).clone());
     }
     for (rule_index, rule) in checked {
         for substitution in all_homomorphisms(&rule.body, &closed) {
@@ -324,15 +328,6 @@ fn check_closed(
     Ok(())
 }
 
-/// Checks a certificate, discarding the replayed model.
-pub fn check_certificate(
-    program: &DatalogProgram,
-    base: &Instance,
-    certificate: &Certificate,
-) -> Result<(), CheckError> {
-    replay(program, base, certificate).map(|_| ())
-}
-
 /// Checks that `certificate` is valid *and* supports the ground `answer`:
 /// the answer must be a base fact or one of the replayed derivations.
 pub fn verify_answer(
@@ -341,8 +336,8 @@ pub fn verify_answer(
     certificate: &Certificate,
     answer: &Atom,
 ) -> Result<(), CheckError> {
-    let model = replay(program, base, certificate)?;
-    if base.contains(answer) || model.contains(answer) {
+    check_certificate(program, base, certificate)?;
+    if base.contains(answer) || certificate.facts().any(|fact| fact == answer) {
         Ok(())
     } else {
         Err(CheckError::AnswerNotDerived {
@@ -375,8 +370,9 @@ mod tests {
     fn honest_certificates_replay_green() {
         let (program, base) = reachability();
         let (fixpoint, certificate) = naive_fixpoint(&program, &base).unwrap();
-        let model = replay(&program, &base, &certificate).unwrap();
-        assert_eq!(model.len() + 2, fixpoint.len());
+        check_certificate(&program, &base, &certificate).unwrap();
+        let derived: BTreeSet<&Atom> = certificate.facts().collect();
+        assert_eq!(derived.len() + 2, fixpoint.len());
         for fact in certificate.facts() {
             verify_answer(&program, &base, &certificate, fact).unwrap();
         }

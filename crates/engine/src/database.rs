@@ -486,15 +486,16 @@ impl Database {
         Ok(self.run(&query))
     }
 
-    /// The Boolean reading of [`Database::query`].
+    /// The Boolean reading of [`Database::query`] (see
+    /// [`Database::run_boolean`]).
     pub fn query_boolean<Q: QuerySource>(&self, source: Q) -> SacResult<bool> {
-        Ok(self.query(source)?.is_true())
+        Ok(self.run_boolean(&source.into_query()?))
     }
 
     /// Evaluates an already-validated query.
     pub fn run(&self, query: &ConjunctiveQuery) -> ResultSet {
         let plan = self.plan_arc(query);
-        self.run_plan_core(&plan, None).0
+        self.run_plan_core(&plan, None, false).0
     }
 
     /// [`Database::run`] with a [`QueryTrace`] alongside the results: the
@@ -512,14 +513,17 @@ impl Database {
             plan_cache_hit,
             query: query.to_string(),
         };
-        let (result, trace) = self.run_plan_core(&plan, Some(start));
+        let (result, trace) = self.run_plan_core(&plan, Some(start), false);
         (result, trace.expect("traced runs always produce a trace"))
     }
 
     /// Evaluates a Boolean query (or the Boolean shadow of a non-Boolean
-    /// one): whether the answer set is non-empty.
+    /// one): whether the answer set is non-empty, without building it —
+    /// the Yannakakis rungs stop after the upward semijoin sweep, the
+    /// search rung at the first homomorphism.
     pub fn run_boolean(&self, query: &ConjunctiveQuery) -> bool {
-        self.run(query).is_true()
+        let plan = self.plan_arc(query);
+        self.run_plan_core(&plan, None, true).0.is_true()
     }
 
     /// Evaluates a batch of queries, amortizing planning and index building
@@ -539,7 +543,7 @@ impl Database {
             .morsels_dispatched
             .fetch_add(plans.len(), Ordering::Relaxed);
         fan_out(self.parallelism, &plans, |plan| {
-            self.run_plan_core(plan, None).0
+            self.run_plan_core(plan, None, false).0
         })
     }
 
@@ -623,11 +627,13 @@ impl Database {
     /// The single execution funnel.  Every run records its wall time into
     /// the run-latency histogram; with `trace` set, the attached probe
     /// additionally collects phase boundaries, cache outcomes and per-node
-    /// rows into a [`QueryTrace`].
+    /// rows into a [`QueryTrace`].  With `boolean` the run computes only the
+    /// Boolean reading ([`exec::execute_with`]), as a column-less result.
     fn run_plan_core(
         &self,
         plan: &Plan,
         trace: Option<TraceStart>,
+        boolean: bool,
     ) -> (ResultSet, Option<QueryTrace>) {
         self.metrics.record_run(plan.strategy());
         let run_started = Instant::now();
@@ -654,12 +660,18 @@ impl Database {
             }
             None => (false, String::new()),
         };
-        let tuples = exec::execute_with(plan, instance, &ctx);
-        let result = ResultSet::from_tuples(Arc::clone(plan.columns()), tuples);
+        let answers = Arc::new(exec::execute_with(plan, instance, &ctx, boolean));
+        // The Boolean reading's one row is the empty row: no columns.
+        let columns = if boolean {
+            Arc::from([])
+        } else {
+            Arc::clone(plan.columns())
+        };
+        let result = ResultSet::new(columns, answers);
         self.latency.run.record(run_started.elapsed());
         let trace = ctx.take_probe().map(|mut probe| {
-            // Charge result materialization to the decode phase, keeping the
-            // boundary chain contiguous through to the final total.
+            // Charge the result set's assembly to the decode phase, keeping
+            // the boundary chain contiguous through to the final total.
             probe.mark(Phase::Decode);
             let (phases, node_rows, total_ns) = probe.finish();
             QueryTrace {
@@ -737,12 +749,14 @@ pub struct PreparedQuery<'db> {
 impl PreparedQuery<'_> {
     /// Executes the prepared plan against the current data.
     pub fn execute(&self) -> ResultSet {
-        self.database.run_plan_core(&self.plan, None).0
+        self.database.run_plan_core(&self.plan, None, false).0
     }
 
-    /// The Boolean reading of [`PreparedQuery::execute`].
+    /// The Boolean reading of [`PreparedQuery::execute`], without building
+    /// the answers (see [`Database::run_boolean`]).
     pub fn execute_boolean(&self) -> bool {
-        self.execute().is_true()
+        let (answers, _) = self.database.run_plan_core(&self.plan, None, true);
+        answers.is_true()
     }
 
     /// [`PreparedQuery::execute`] with a [`QueryTrace`] alongside the
@@ -757,7 +771,7 @@ impl PreparedQuery<'_> {
             plan_cache_hit: true,
             query: self.query.to_string(),
         };
-        let (result, trace) = self.database.run_plan_core(&self.plan, Some(start));
+        let (result, trace) = self.database.run_plan_core(&self.plan, Some(start), false);
         (result, trace.expect("traced runs always produce a trace"))
     }
 

@@ -305,7 +305,7 @@ pub(crate) fn evaluate(
             for cr in &rules {
                 let ctx = exec::ExecContext::snapshot(&cr.plan, !full_pass, &work, &mut cache);
                 let rows = if full_pass {
-                    exec::execute_with(&cr.plan, &work, &ctx)
+                    exec::execute_with(&cr.plan, &work, &ctx, false)
                 } else {
                     exec::execute_delta(&cr.plan, &work, &watermarks, &ctx)
                 };
@@ -317,13 +317,15 @@ pub(crate) fn evaluate(
                 outputs.push(rows);
             }
 
-            // Apply phase: rule order, then the body query's sorted answer
-            // order — the derivation log never depends on how the rows
-            // were computed.
+            // Apply phase: rule order, then the term order of the body
+            // query's answers — the derivation log never depends on how
+            // the rows were computed, nor on the order of their codes.
             let before_apply = work.delta_cursor();
             let mut changed = false;
-            for (cr, rows) in rules.iter().zip(&outputs) {
-                for row in rows {
+            for (cr, answers) in rules.iter().zip(&outputs) {
+                let mut rows = answers.decode();
+                rows.sort_unstable();
+                for row in &rows {
                     let negated: Vec<Atom> = cr
                         .rule
                         .negated

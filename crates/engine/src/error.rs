@@ -28,11 +28,6 @@ pub enum SacError {
         /// Byte offset into the input.
         offset: usize,
     },
-    /// An atom used a predicate not declared in the schema.
-    UnknownPredicate {
-        /// The offending predicate name.
-        predicate: String,
-    },
     /// A predicate was used with two different arities.
     ArityMismatch {
         /// The offending predicate name.
@@ -58,11 +53,6 @@ pub enum SacError {
         /// Which budget, and where.
         message: String,
     },
-    /// A procedure was invoked on a dependency class it does not support.
-    Unsupported {
-        /// The unsupported feature or class.
-        message: String,
-    },
     /// The durability layer failed: a WAL or snapshot I/O error, or
     /// corruption in the on-disk state that the torn-tail repair rule
     /// cannot absorb (see [`crate::durability`]).
@@ -81,9 +71,6 @@ impl fmt::Display for SacError {
                 column,
                 ..
             } => write!(f, "parse error at line {line}, column {column}: {message}"),
-            SacError::UnknownPredicate { predicate } => {
-                write!(f, "unknown predicate `{predicate}`")
-            }
             SacError::ArityMismatch {
                 predicate,
                 expected,
@@ -95,7 +82,6 @@ impl fmt::Display for SacError {
             SacError::InvalidInput { message } => write!(f, "invalid input: {message}"),
             SacError::ChaseFailure { message } => write!(f, "chase failure: {message}"),
             SacError::BudgetExhausted { message } => write!(f, "budget exhausted: {message}"),
-            SacError::Unsupported { message } => write!(f, "unsupported: {message}"),
             SacError::Persistence { message } => write!(f, "persistence failure: {message}"),
         }
     }
@@ -117,9 +103,6 @@ impl From<sac_common::Error> for SacError {
                 column,
                 offset,
             },
-            sac_common::Error::UnknownPredicate(predicate) => {
-                SacError::UnknownPredicate { predicate }
-            }
             sac_common::Error::ArityMismatch {
                 predicate,
                 expected,
@@ -132,7 +115,6 @@ impl From<sac_common::Error> for SacError {
             sac_common::Error::Malformed(message) => SacError::InvalidInput { message },
             sac_common::Error::ChaseFailure(message) => SacError::ChaseFailure { message },
             sac_common::Error::BudgetExhausted(message) => SacError::BudgetExhausted { message },
-            sac_common::Error::UnsupportedClass(message) => SacError::Unsupported { message },
         }
     }
 }
@@ -149,10 +131,6 @@ mod tests {
                 "line 2",
             ),
             (
-                sac_common::Error::UnknownPredicate("R".into()),
-                "unknown predicate",
-            ),
-            (
                 sac_common::Error::ArityMismatch {
                     predicate: "R".into(),
                     expected: 2,
@@ -165,10 +143,6 @@ mod tests {
             (
                 sac_common::Error::BudgetExhausted("b".into()),
                 "budget exhausted",
-            ),
-            (
-                sac_common::Error::UnsupportedClass("u".into()),
-                "unsupported",
             ),
         ];
         for (source, needle) in cases {

@@ -2,9 +2,13 @@
 //!
 //! The Yannakakis path is the full three-phase algorithm, with every phase a
 //! hash operation rather than a scan — and every hash operation works on
-//! packed rows of dictionary **codes** (`u32`, see [`sac_storage::dict`]),
-//! read straight off the columnar relation buffers; terms are materialized
-//! exactly once, when the final answer set is decoded:
+//! rows of dictionary **codes** (`u32`, see [`sac_storage::dict`]), read
+//! straight off the columnar relation buffers into flat row-major tables
+//! ([`Table`]: one `Vec<u32>` and a width, hash keys of up to two columns
+//! packed into a `u64`).  No execution builds a term: every one ends in
+//! the answers as one sorted, deduplicated code-row buffer
+//! ([`CodeRows`]), which [`crate::ResultSet`], views and Datalog take as
+//! it is, and a term is decoded only when a caller reads one:
 //!
 //! 1. **match sets** — each join-tree node's atom is matched against its
 //!    relation by sweeping the relevant column slices (code comparisons for
@@ -13,13 +17,14 @@
 //!    index instead of scanning;
 //! 2. **semijoin reduction** — an upward (leaf-to-root) sweep removes
 //!    dangling tuples, then for non-Boolean queries a downward sweep makes
-//!    every node consistent with its parent; both are hash semijoins over
-//!    code rows;
+//!    every node consistent with its parent; both are hash semijoins that
+//!    filter the code rows in place;
 //! 3. **join-back-up** — non-Boolean answers are produced by hash-joining
 //!    each subtree bottom-up, projecting eagerly onto the node's carry set
 //!    (its subtree's head variables plus the join key with the parent), so
 //!    intermediate tables stay output-bounded instead of exploding into a
-//!    cross-product walk over the reduced tree.
+//!    cross-product walk over the reduced tree.  The root's rows, projected
+//!    onto the head, are sorted and deduplicated into the answer.
 //!
 //! The fallback path is the workspace's one homomorphism search
 //! ([`sac_query::homomorphism`]) over the planner's fixed atom order: every
@@ -28,14 +33,19 @@
 //! exactly its bound columns, keyed by the codes the array already holds,
 //! each candidate row passes the same [`CodeShape::admits`] as a
 //! Yannakakis match set, a Boolean head stops at the first homomorphism,
-//! and the answers leave through the same head projection and decoder.
+//! and the head rows are gathered into a flat table and finished into the
+//! same sorted answer.
+//!
+//! A Boolean reading ([`execute_with`]'s `boolean`) stops early on every
+//! rung: after the upward sweep on a join tree, at the first homomorphism
+//! in the search.
 //!
 //! ## Compile time, run time
 //!
 //! The executor interprets; it decides nothing that depends only on the
 //! query.  [`crate::plan`] has already turned every variable name into a
 //! column position and every index key into a slot: a [`Table`] here is a
-//! bare set of code rows with no schema of its own, a semijoin or join is
+//! bare buffer of code rows with no schema of its own, a semijoin or join is
 //! handed its key and emit columns ([`EdgeSpec`], [`JoinSpec`]), nodes with
 //! identical match sets are listed in the plan, a search step is told which
 //! slots it binds and probes with ([`SearchStep`]), and an index is
@@ -66,12 +76,13 @@
 
 use crate::index::IndexCache;
 use crate::plan::{EdgeSpec, ExecPlan, IndexedPlan, JoinSpec, Plan, YannakakisPlan};
-use sac_common::{FxHashMap, FxHashSet, Symbol, Term};
+use crate::result::{sort_dedup, CodeRows};
+use sac_common::{FxHashMap, FxHashSet, Symbol};
 use sac_query::homomorphism::{relation_of, search, CodeShape, SearchStep};
-use sac_storage::{dict, Instance, JoinIndex};
+use sac_storage::{Instance, JoinIndex};
 use sac_telemetry::{Phase, Probe};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Everything one plan execution works from: an immutable index snapshot
@@ -154,20 +165,50 @@ impl ExecContext {
 }
 
 /// Executes `plan` over `db` against a full-execution [`ExecContext::snapshot`].
-pub(crate) fn execute_with(plan: &Plan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
-    match &plan.exec {
-        ExecPlan::Yannakakis(yp) => run_yannakakis(yp, db, ctx),
-        ExecPlan::Indexed(ip) => run_indexed(ip, [(ip.steps.as_slice(), 0)], db, ctx),
-    }
+///
+/// With `boolean` set only the Boolean reading is computed — the empty row
+/// when a homomorphism exists, nothing otherwise: the Yannakakis rungs stop
+/// after the upward semijoin sweep, the search rung at the first
+/// homomorphism, and nothing is joined back.
+pub(crate) fn execute_with(
+    plan: &Plan,
+    db: &Instance,
+    ctx: &ExecContext,
+    boolean: bool,
+) -> CodeRows {
+    let answers = match &plan.exec {
+        ExecPlan::Yannakakis(yp) => run_yannakakis(yp, db, ctx, boolean),
+        ExecPlan::Indexed(ip) => {
+            let head = if boolean { &[][..] } else { &ip.head_slots };
+            run_indexed(ip, head, [(ip.steps.as_slice(), 0)], db, ctx)
+        }
+    };
+    finish(answers, ctx)
 }
 
-/// An intermediate relation over query variables: a bare set of packed
-/// dictionary-code rows.  Which column holds which variable is the plan's
-/// knowledge, not the table's; nothing in the Yannakakis phases ever
-/// compares a [`Term`] or a variable name.
+/// Sorts and deduplicates the answer rows: the last step of every
+/// execution, charged to the decode phase.
+fn finish(answers: Table, ctx: &ExecContext) -> CodeRows {
+    let answers = CodeRows::from_unsorted(answers.width, answers.len, answers.codes);
+    ctx.mark(Phase::Decode);
+    answers
+}
+
+/// An intermediate relation over query variables: `len` rows of `width`
+/// dictionary codes, row-major in one buffer.  Which column holds which
+/// variable is the plan's knowledge, not the table's; nothing in the
+/// Yannakakis phases ever compares a [`sac_common::Term`] or a variable name.
+///
+/// A table is a set wherever a phase reads it: match sets are (a relation
+/// holds no repeated row, and a match set keeps every column a shape does
+/// not fix), semijoins only drop rows, and the projections and joins that
+/// can repeat a row are deduplicated ([`Table::dedup`]) before anything
+/// joins them.
 #[derive(Debug, Clone, Default)]
 struct Table {
-    tuples: FxHashSet<Vec<u32>>,
+    width: usize,
+    len: usize,
+    codes: Vec<u32>,
 }
 
 /// The projection of code row `t` onto `cols`.
@@ -176,92 +217,188 @@ fn gather(t: &[u32], cols: &[usize]) -> Vec<u32> {
     cols.iter().map(|c| t[*c]).collect()
 }
 
+/// The codes of `t` at `cols` packed into one integer — exact for keys of
+/// at most two columns, the only ones it is used on.
+#[inline]
+fn pack(t: &[u32], cols: &[usize]) -> u64 {
+    cols.iter().fold(0, |key, c| key << 32 | u64::from(t[*c]))
+}
+
+/// Rows past which an output that may repeat rows is deduplicated while it
+/// is still being emitted (then again each time it doubles), so repeats
+/// never hold more than about twice the distinct rows in memory.
+const COMPACT_ROWS: usize = 1 << 16;
+
 impl Table {
+    fn new(width: usize) -> Table {
+        Table {
+            width,
+            ..Table::default()
+        }
+    }
+
+    /// The one-row table of width zero: "some homomorphism exists".
+    fn unit() -> Table {
+        Table {
+            len: 1,
+            ..Table::default()
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[u32] {
+        &self.codes[i * self.width..(i + 1) * self.width]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Appends one row of `width` codes.
+    #[inline]
+    fn push(&mut self, row: impl IntoIterator<Item = u32>) {
+        self.codes.extend(row);
+        self.len += 1;
+    }
+
+    /// Appends every row of `other` (of the same width).
+    fn append(&mut self, mut other: Table) {
+        self.codes.append(&mut other.codes);
+        self.len += other.len;
+    }
+
+    /// Sorts the rows and drops repeats.
+    fn dedup(&mut self) {
+        self.len = sort_dedup(self.width, self.len, &mut self.codes);
+    }
+
+    /// Deduplicates once `*mark` rows are reached and moves the mark to
+    /// twice what is left (see [`COMPACT_ROWS`]).
+    #[inline]
+    fn compact_past(&mut self, mark: &mut usize) {
+        if self.len >= *mark {
+            self.dedup();
+            *mark = (*mark).max(2 * self.len);
+        }
+    }
+
+    /// Keeps the rows `keep` accepts, in place.
+    fn retain(&mut self, mut keep: impl FnMut(&[u32]) -> bool) {
+        let width = self.width;
+        let mut kept = 0;
+        for i in 0..self.len {
+            let at = i * width;
+            if keep(&self.codes[at..at + width]) {
+                self.codes.copy_within(at..at + width, kept * width);
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        self.codes.truncate(kept * width);
+    }
+
     /// Projects onto `cols`, deduplicating.
     fn project(&self, cols: &[usize]) -> Table {
-        Table {
-            tuples: self.tuples.iter().map(|t| gather(t, cols)).collect(),
+        let mut out = Table::new(cols.len());
+        for t in self.rows() {
+            out.push(cols.iter().map(|c| t[*c]));
         }
+        out.dedup();
+        out
     }
 
-    /// Hash semijoin: keeps only the tuples whose `cols` equal some tuple of
+    /// Hash semijoin: keeps only the rows whose `cols` equal some row of
     /// `other` on `other_cols` (aligned key columns).  With no key columns
-    /// this is "keep all iff `other` is non-empty".  Single-column join keys
-    /// (the common case on graph-shaped queries) probe a `u32` set with no
-    /// per-tuple allocation.
+    /// this is "keep all iff `other` is non-empty".  Keys of up to two
+    /// columns — all of them on graph-shaped queries — are packed into a
+    /// `u64`.
     fn semijoin(&mut self, cols: &[usize], other: &Table, other_cols: &[usize]) {
-        match (cols, other_cols) {
-            ([], _) => {
-                if other.tuples.is_empty() {
-                    self.tuples.clear();
-                }
-            }
-            ([mp], [op]) => {
-                let keys: FxHashSet<u32> = other.tuples.iter().map(|t| t[*op]).collect();
-                self.tuples.retain(|t| keys.contains(&t[*mp]));
-            }
-            _ => {
-                let keys: FxHashSet<Vec<u32>> =
-                    other.tuples.iter().map(|t| gather(t, other_cols)).collect();
-                self.tuples.retain(|t| keys.contains(&gather(t, cols)));
-            }
+        if cols.len() <= 2 {
+            let keys: FxHashSet<u64> = other.rows().map(|t| pack(t, other_cols)).collect();
+            self.retain(|t| keys.contains(&pack(t, cols)));
+        } else {
+            let keys: FxHashSet<Vec<u32>> = other.rows().map(|t| gather(t, other_cols)).collect();
+            self.retain(|t| keys.contains(&gather(t, cols)));
         }
     }
 
-    /// Hash join by `spec` (`self` is the left operand): output tuples are
+    /// Hash join by `spec` (`self` is the left operand): output rows are
     /// gathered directly onto the spec's emit columns, so an output-bounded
     /// join never materializes the wide intermediate only to project it
     /// away.  With no key columns this is the cross product.  The smaller
-    /// operand is indexed and the larger probes; single-column join keys
-    /// index a `u32` map with no per-key allocation.
+    /// operand is indexed and the larger probes.  The output may repeat
+    /// rows where the emit drops a column; it is compacted as it grows past
+    /// [`COMPACT_ROWS`], and the caller deduplicates it.
     fn join(&self, other: &Table, spec: &JoinSpec) -> Table {
-        let emit = |mine: &Vec<u32>, theirs: &Vec<u32>| -> Vec<u32> {
-            spec.emit
-                .iter()
-                .map(|&(from_other, p)| if from_other { theirs[p] } else { mine[p] })
-                .collect()
+        let mut out = Table::new(spec.emit.len());
+        let mut mark = COMPACT_ROWS.max(self.len + other.len);
+        let mut emit = |mine: &[u32], theirs: &[u32]| {
+            let at =
+                |&(from_other, p): &(bool, usize)| if from_other { theirs[p] } else { mine[p] };
+            out.push(spec.emit.iter().map(at));
+            out.compact_past(&mut mark);
         };
-        let mut tuples = FxHashSet::default();
-        let build_is_self = self.tuples.len() <= other.tuples.len();
-        let (build, probe, build_pos, probe_pos) = if build_is_self {
-            (&self.tuples, &other.tuples, &spec.left_key, &spec.right_key)
+        let (left, right) = (spec.left_key.as_slice(), spec.right_key.as_slice());
+        if self.len <= other.len {
+            hash_join(self, left, other, right, &mut emit);
         } else {
-            (&other.tuples, &self.tuples, &spec.right_key, &spec.left_key)
-        };
-        let pair = |b: &Vec<u32>, p: &Vec<u32>| {
-            if build_is_self {
-                emit(b, p)
-            } else {
-                emit(p, b)
-            }
-        };
-        if let ([bp], [pp]) = (build_pos.as_slice(), probe_pos.as_slice()) {
-            let (bp, pp) = (*bp, *pp);
-            let mut by_key: FxHashMap<u32, Vec<&Vec<u32>>> = FxHashMap::default();
-            for t in build {
-                by_key.entry(t[bp]).or_default().push(t);
-            }
-            for t in probe {
-                if let Some(matches) = by_key.get(&t[pp]) {
-                    for m in matches {
-                        tuples.insert(pair(m, t));
-                    }
-                }
-            }
-        } else {
-            let mut by_key: FxHashMap<Vec<u32>, Vec<&Vec<u32>>> = FxHashMap::default();
-            for t in build {
-                by_key.entry(gather(t, build_pos)).or_default().push(t);
-            }
-            for t in probe {
-                if let Some(matches) = by_key.get(&gather(t, probe_pos)) {
-                    for m in matches {
-                        tuples.insert(pair(m, t));
-                    }
-                }
-            }
+            hash_join(other, right, self, left, |b, p| emit(p, b));
         }
-        Table { tuples }
+        out
+    }
+}
+
+/// Calls `pair(b, p)` for every row `b` of `build` and `p` of `probe` that
+/// agree on their key columns (aligned).  `build` is indexed as chains of
+/// row numbers off one hash map, with no allocation per key of up to two
+/// columns.
+fn hash_join(
+    build: &Table,
+    build_key: &[usize],
+    probe: &Table,
+    probe_key: &[usize],
+    pair: impl FnMut(&[u32], &[u32]),
+) {
+    if build_key.len() <= 2 {
+        chained_join(
+            build,
+            probe,
+            |t| pack(t, build_key),
+            |t| pack(t, probe_key),
+            pair,
+        );
+    } else {
+        let (b, p) = (build_key, probe_key);
+        chained_join(build, probe, |t| gather(t, b), |t| gather(t, p), pair);
+    }
+}
+
+fn chained_join<K: std::hash::Hash + Eq>(
+    build: &Table,
+    probe: &Table,
+    build_key: impl Fn(&[u32]) -> K,
+    probe_key: impl Fn(&[u32]) -> K,
+    mut pair: impl FnMut(&[u32], &[u32]),
+) {
+    const END: usize = usize::MAX;
+    let mut first: FxHashMap<K, usize> = FxHashMap::default();
+    first.reserve(build.len);
+    let mut next = vec![END; build.len];
+    for (i, t) in build.rows().enumerate() {
+        if let Some(previous) = first.insert(build_key(t), i) {
+            next[i] = previous;
+        }
+    }
+    for t in probe.rows() {
+        let mut i = first.get(&probe_key(t)).copied().unwrap_or(END);
+        while i != END {
+            pair(build.row(i), t);
+            i = next[i];
+        }
     }
 }
 
@@ -271,24 +408,20 @@ impl Table {
 /// constant) or the node's snapshot index (several); without constants the
 /// column slices are swept.
 fn node_matches(plan: &YannakakisPlan, node: usize, db: &Instance, ctx: &ExecContext) -> Table {
-    let mut table = Table::default();
+    let shape = &plan.shapes[node];
+    let mut table = Table::new(shape.vars.len());
     let Some(rel) = relation_of(&plan.tree.atoms[node], db) else {
         return table;
     };
-    let shape = &plan.shapes[node];
     let Some(code_shape) = CodeShape::of(shape) else {
         return table; // a rigid term the dictionary never saw: no match
     };
     let const_codes = &code_shape.const_codes;
     let cols = rel.columns();
     if shape.const_positions.is_empty() {
-        table.tuples.reserve(rel.len());
+        table.codes.reserve(rel.len() * table.width);
     }
-    let mut admit = |row: usize| {
-        if let Some(projected) = code_shape.admit_row(&cols, row) {
-            table.tuples.insert(projected);
-        }
-    };
+    let mut admit = |row: usize| table.admit(&code_shape, &cols, row);
     if let Some(slot) = plan.probe_index[node] {
         for &row in ctx.index(slot).rows_codes(const_codes) {
             admit(row as usize);
@@ -305,9 +438,19 @@ fn node_matches(plan: &YannakakisPlan, node: usize, db: &Instance, ctx: &ExecCon
     table
 }
 
+impl Table {
+    /// Appends the match-set row of relation row `row`, if `shape` admits it.
+    #[inline]
+    fn admit(&mut self, shape: &CodeShape, cols: &[&[u32]], row: usize) {
+        if shape.admit_row(cols, row, &mut self.codes) {
+            self.len += 1;
+        }
+    }
+}
+
 /// Phase 1 of Yannakakis: one match-set [`Table`] per join-tree node.
 /// Structurally identical nodes (common in self-join queries) are scanned
-/// once and shared by tuple-set clone: the first node of each class
+/// once and shared by clone: the first node of each class
 /// ([`YannakakisPlan::match_leader`]) scans, later members copy.
 fn match_tables(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> Vec<Table> {
     let mut tables: Vec<Table> = Vec::with_capacity(plan.tree.len());
@@ -321,16 +464,16 @@ fn match_tables(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> Vec<
     tables
 }
 
-fn run_yannakakis(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> BTreeSet<Vec<Term>> {
+fn run_yannakakis(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext, boolean: bool) -> Table {
     if plan.tree.is_empty() {
         // The empty conjunction holds vacuously, with the empty answer tuple.
-        return BTreeSet::from([Vec::new()]);
+        return Table::unit();
     }
     // Phase 1: match sets…
     let tables = match_tables(plan, db, ctx);
     ctx.mark(Phase::MatchSets);
     // …then the semijoin sweeps and the join-back-up.
-    yannakakis_phases(plan, tables, ctx)
+    yannakakis_phases(plan, tables, ctx, boolean)
 }
 
 /// Reports every node's rows in/out to an attached probe: match-set sizes
@@ -338,7 +481,7 @@ fn run_yannakakis(plan: &YannakakisPlan, db: &Instance, ctx: &ExecContext) -> BT
 /// (including the display formatting) on untraced runs.
 fn note_node_rows(plan: &YannakakisPlan, rows_in: &[usize], tables: &[Table], ctx: &ExecContext) {
     for (i, atom) in plan.tree.atoms.iter().enumerate() {
-        ctx.note_node(atom.to_string(), rows_in[i], tables[i].tuples.len());
+        ctx.note_node(atom.to_string(), rows_in[i], tables[i].len);
     }
 }
 
@@ -354,18 +497,19 @@ fn semijoin_along(tables: &mut [Table], edge: &EdgeSpec, from: usize, to: usize)
 /// upward/downward semijoin sweeps and the output-bounded join-back-up.
 /// Shared between the full path ([`run_yannakakis`], whose tables are the
 /// complete match sets) and the incremental path ([`execute_delta`], whose
-/// tables are restricted to tuples joining a relation delta).  Answers are
-/// decoded from codes to terms at the very end.
+/// tables are restricted to tuples joining a relation delta).  Returns the
+/// answers as head rows, possibly repeated and in no order; `boolean` (or
+/// an empty head) stops after the upward sweep with the unit table.
 fn yannakakis_phases(
     plan: &YannakakisPlan,
     mut tables: Vec<Table>,
     ctx: &ExecContext,
-) -> BTreeSet<Vec<Term>> {
-    let mut answers = BTreeSet::new();
+    boolean: bool,
+) -> Table {
     // Match-set sizes entering the sweeps, for the trace's per-node rows.
     // Collected only under a probe so untraced runs pay one branch.
     let rows_in: Vec<usize> = if ctx.probing() {
-        tables.iter().map(|t| t.tuples.len()).collect()
+        tables.iter().map(|t| t.len).collect()
     } else {
         Vec::new()
     };
@@ -376,21 +520,21 @@ fn yannakakis_phases(
             let edge = plan.up[child].as_ref().expect("a child has an up edge");
             semijoin_along(&mut tables, edge, child, node);
         }
-        if tables[node].tuples.is_empty() {
+        if tables[node].is_empty() {
             ctx.mark(Phase::SemijoinUp);
             if ctx.probing() {
                 note_node_rows(plan, &rows_in, &tables, ctx);
             }
-            return answers; // no homomorphism covers this node
+            // No homomorphism covers this node.
+            return Table::new(if boolean { 0 } else { plan.head_cols.len() });
         }
     }
     ctx.mark(Phase::SemijoinUp);
-    if plan.query.head.is_empty() {
+    if boolean || plan.query.head.is_empty() {
         if ctx.probing() {
             note_node_rows(plan, &rows_in, &tables, ctx);
         }
-        answers.insert(Vec::new());
-        return answers;
+        return Table::unit();
     }
 
     // Phase 2b: downward sweep (parents into children, roots first).
@@ -408,15 +552,24 @@ fn yannakakis_phases(
     // join of its subtree, projected onto its carry set as it is joined —
     // fused into the last join's emit, so the wide intermediate is never
     // materialized.  Joins follow the tree structure and stay
-    // output-bounded.
+    // output-bounded, and every table entering one is a set: a join whose
+    // emit drops a column may repeat rows, so its output is deduplicated —
+    // but a root's last, which the root chain or the answer's own sort
+    // deduplicates.
     for &node in plan.order.iter().rev() {
         let mut t = std::mem::take(&mut tables[node]);
         if let Some(cols) = &plan.leaf_cols[node] {
             t = t.project(cols);
         }
-        for (&child, spec) in plan.children[node].iter().zip(&plan.joins[node]) {
+        let is_root = plan.tree.parent[node].is_none();
+        let mut joins = plan.children[node].iter().zip(&plan.joins[node]).peekable();
+        while let Some((&child, spec)) = joins.next() {
             let child_table = std::mem::take(&mut tables[child]);
+            let full_width = t.width + child_table.width - spec.left_key.len();
             t = t.join(&child_table, spec);
+            if spec.emit.len() < full_width && (joins.peek().is_some() || !is_root) {
+                t.dedup();
+            }
         }
         tables[node] = t;
     }
@@ -426,22 +579,18 @@ fn yannakakis_phases(
     let first = roots.next().expect("non-empty tree has a root");
     let mut acc = std::mem::take(&mut tables[first]);
     for (root, spec) in roots.zip(&plan.root_joins) {
+        acc.dedup();
+        tables[root].dedup();
         acc = acc.join(&tables[root], spec);
     }
     ctx.mark(Phase::JoinBack);
 
-    let answers = decode_answers(&acc, &plan.head_cols);
-    ctx.mark(Phase::Decode);
+    // The answers in head order (head variables may repeat).
+    let mut answers = Table::new(plan.head_cols.len());
+    for t in acc.rows() {
+        answers.push(plan.head_cols.iter().map(|c| t[*c]));
+    }
     answers
-}
-
-/// Materializes answers in head order (head variables may repeat): each code
-/// row projected onto `head_cols` and decoded under one dictionary guard —
-/// the only place an execution builds a [`Term`].
-fn decode_answers(table: &Table, head_cols: &[usize]) -> BTreeSet<Vec<Term>> {
-    let decoder = dict::decoder();
-    let decode = |t: &Vec<u32>| head_cols.iter().map(|p| decoder.decode(t[*p])).collect();
-    table.tuples.iter().map(decode).collect()
 }
 
 /// The tuples of `to`'s relation that join some tuple of the already
@@ -451,8 +600,9 @@ fn decode_answers(table: &Table, head_cols: &[usize]) -> BTreeSet<Vec<Term>> {
 /// Lookups go through the narrowest structure there is: the relation's
 /// sidecar index for one shared position, the edge's snapshot
 /// [`crate::JoinIndex`] for several — keyed by the codes the frontier
-/// already carries.  With no shared variables the restriction is vacuous
-/// and the full match set is returned.
+/// already carries, each distinct key once, so no row is admitted twice.
+/// With no shared variables the restriction is vacuous and the full match
+/// set is returned.
 fn restrict_via_edge(
     frontier: &Table,
     edge: &EdgeSpec,
@@ -461,7 +611,7 @@ fn restrict_via_edge(
     db: &Instance,
     ctx: &ExecContext,
 ) -> Table {
-    let mut table = Table::default();
+    let mut table = Table::new(plan.shapes[to].vars.len());
     let Some(rel) = relation_of(&plan.tree.atoms[to], db) else {
         return table;
     };
@@ -473,23 +623,19 @@ fn restrict_via_edge(
         return table;
     };
     let cols = rel.columns();
-    let keys: FxHashSet<Vec<u32>> = frontier
-        .tuples
-        .iter()
-        .map(|t| gather(t, &edge.from_cols))
-        .collect();
-    let mut add_rows = |rows: &[u32]| {
-        for &row in rows {
-            if let Some(projected) = code_shape.admit_row(&cols, row as usize) {
-                table.tuples.insert(projected);
-            }
-        }
-    };
-    for key in &keys {
-        add_rows(match edge.index {
+    let mut keys = Table::new(edge.from_cols.len());
+    for t in frontier.rows() {
+        keys.push(edge.from_cols.iter().map(|c| t[*c]));
+    }
+    keys.dedup();
+    for key in keys.rows() {
+        let rows = match edge.index {
             None => rel.rows_with_code(edge.to_positions[0], key[0]),
             Some(slot) => ctx.index(slot).rows_codes(key),
-        });
+        };
+        for &row in rows {
+            table.admit(&code_shape, &cols, row as usize);
+        }
     }
     table
 }
@@ -504,7 +650,8 @@ fn restrict_via_edge(
 /// delta row at some body atom, so it is enough to evaluate, for each
 /// occurrence of a grown relation, the query with that occurrence confined
 /// to the delta rows, and to unite the results — work proportional to the
-/// delta and its join fan-out, not to the database.
+/// delta and its join fan-out, not to the database.  The results are
+/// united by one sort of all their rows.
 ///
 /// **With a join tree**, the dirty node's match set is computed from the
 /// delta rows only (a tail sweep over the column buffers) and pushed
@@ -522,7 +669,7 @@ pub(crate) fn execute_delta(
     db: &Instance,
     watermarks: &HashMap<Symbol, usize>,
     ctx: &ExecContext,
-) -> BTreeSet<Vec<Term>> {
+) -> CodeRows {
     let yp = match &plan.exec {
         ExecPlan::Yannakakis(yp) => yp,
         ExecPlan::Indexed(ip) => {
@@ -531,13 +678,13 @@ pub(crate) fn execute_delta(
                 let from_row = watermarks.get(&atom.predicate)?;
                 Some((steps.as_slice(), *from_row))
             });
-            return run_indexed(ip, grown, db, ctx);
+            return finish(run_indexed(ip, &ip.head_slots, grown, db, ctx), ctx);
         }
     };
     let n = yp.tree.len();
     // (No node, no delta: the empty conjunction's vacuous answer was
     // materialized up front and never changes.)
-    let mut out = BTreeSet::new();
+    let mut out = Table::new(yp.head_cols.len());
     for dirty in 0..n {
         let Some(&from_row) = watermarks.get(&yp.tree.atoms[dirty].predicate) else {
             continue;
@@ -547,16 +694,14 @@ pub(crate) fn execute_delta(
             continue;
         };
         // The dirty node's table: its match set over the delta rows only.
-        let mut delta_table = Table::default();
+        let mut delta_table = Table::new(yp.shapes[dirty].vars.len());
         if let Some(code_shape) = CodeShape::of(&yp.shapes[dirty]) {
             let cols = rel.columns();
             for row in from_row..rel.len() {
-                if let Some(projected) = code_shape.admit_row(&cols, row) {
-                    delta_table.tuples.insert(projected);
-                }
+                delta_table.admit(&code_shape, &cols, row);
             }
         }
-        if delta_table.tuples.is_empty() {
+        if delta_table.is_empty() {
             continue; // every appended row was filtered out by the shape
         }
 
@@ -585,7 +730,7 @@ pub(crate) fn execute_delta(
                     db,
                     ctx,
                 );
-                if restricted.tuples.is_empty() {
+                if restricted.is_empty() {
                     // Nothing joins the delta along this edge: this dirty
                     // node contributes no answers.
                     contribution_possible = false;
@@ -606,24 +751,24 @@ pub(crate) fn execute_delta(
             .enumerate()
             .map(|(i, t)| t.unwrap_or_else(|| node_matches(yp, i, db, ctx)))
             .collect();
-        out.extend(yannakakis_phases(yp, tables, ctx));
+        out.append(yannakakis_phases(yp, tables, ctx, false));
     }
-    out
+    finish(out, ctx)
 }
 
 /// Runs the compiled search `steps` of `plan`, its first step confined to
 /// rows at or above `from_row`: `visit` sees the binding array of every
-/// homomorphism — of the first one only when the head is empty, which a
-/// single homomorphism decides.
+/// homomorphism — of the first one only when `stop_at_first`, which a
+/// Boolean reading needs no more than.
 fn for_each_match(
     plan: &IndexedPlan,
     steps: &[SearchStep],
     from_row: usize,
     db: &Instance,
     ctx: &ExecContext,
+    stop_at_first: bool,
     mut visit: impl FnMut(&[u32]),
 ) {
-    let boolean = plan.head_slots.is_empty();
     let bindings = &mut vec![0; plan.slots];
     let index = |slot| ctx.index(slot);
     search(
@@ -635,30 +780,39 @@ fn for_each_match(
         bindings,
         |found| {
             visit(found);
-            boolean
+            stop_at_first
         },
     );
 }
 
 /// Runs each of `searches` — a step list and the row its first step starts
-/// at — and decodes the union of the head rows they find.
+/// at — and gathers the rows of `head` (binding slots) they find; an empty
+/// `head` stops each search at its first homomorphism.
 fn run_indexed<'a>(
     plan: &IndexedPlan,
+    head: &[usize],
     searches: impl IntoIterator<Item = (&'a [SearchStep], usize)>,
     db: &Instance,
     ctx: &ExecContext,
-) -> BTreeSet<Vec<Term>> {
-    let mut found = Table::default();
+) -> Table {
+    let mut found = Table::new(head.len());
+    let mut mark = COMPACT_ROWS;
     for (steps, from_row) in searches {
-        for_each_match(plan, steps, from_row, db, ctx, |bindings| {
-            found.tuples.insert(gather(bindings, &plan.head_slots));
-        });
+        for_each_match(
+            plan,
+            steps,
+            from_row,
+            db,
+            ctx,
+            head.is_empty(),
+            |bindings| {
+                found.push(head.iter().map(|s| bindings[*s]));
+                found.compact_past(&mut mark);
+            },
+        );
     }
     ctx.mark(Phase::Search);
-    let head: Vec<usize> = (0..plan.head_slots.len()).collect();
-    let answers = decode_answers(&found, &head);
-    ctx.mark(Phase::Decode);
-    answers
+    found
 }
 
 #[cfg(test)]
@@ -666,17 +820,19 @@ mod tests {
     use super::*;
     use crate::database::EngineConfig;
     use crate::plan::plan_query;
-    use sac_common::{atom, intern, Atom};
+    use sac_common::{atom, intern, Atom, Term};
     use sac_query::{evaluate, ConjunctiveQuery};
+    use std::collections::BTreeSet;
+
+    fn terms(answers: &CodeRows) -> BTreeSet<Vec<Term>> {
+        answers.decode().into_iter().collect()
+    }
 
     fn run(q: &ConjunctiveQuery, db: &Instance) -> BTreeSet<Vec<Term>> {
         let plan = plan_query(q, &[], db, &EngineConfig::default());
         let mut cache = IndexCache::new(db);
-        execute_with(
-            &plan,
-            db,
-            &ExecContext::snapshot(&plan, false, db, &mut cache),
-        )
+        let ctx = ExecContext::snapshot(&plan, false, db, &mut cache);
+        terms(&execute_with(&plan, db, &ctx, false))
     }
 
     fn music_db() -> Instance {
@@ -828,7 +984,8 @@ mod tests {
                 }
             }
             let ctx = ExecContext::snapshot(&plan, false, &db, &mut cache);
-            assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db), "{q}");
+            let answers = execute_with(&plan, &db, &ctx, false);
+            assert_eq!(terms(&answers), evaluate(&q, &db), "{q}");
         }
     }
 
@@ -954,7 +1111,7 @@ mod tests {
         let plan = plan_query(q, &[], &grown, &EngineConfig::default());
         let mut cache = IndexCache::new(&grown);
         let ctx = ExecContext::snapshot(&plan, false, &grown, &mut cache);
-        let mut answers = execute_with(&plan, &grown, &ctx);
+        let answers = execute_with(&plan, &grown, &ctx, false);
         for atom in appends {
             grown.insert(atom.clone()).unwrap();
         }
@@ -965,9 +1122,9 @@ mod tests {
             .map(|d| (d.predicate, d.from_row))
             .collect();
         let ctx = ExecContext::snapshot(&plan, true, &grown, &mut cache);
-        answers.extend(execute_delta(&plan, &grown, &watermarks, &ctx));
+        let delta = execute_delta(&plan, &grown, &watermarks, &ctx);
         assert_eq!(
-            answers,
+            terms(&answers.union(&delta)),
             evaluate(q, &grown),
             "incremental maintenance diverged on {q} after {} appends",
             appends.len()
@@ -1107,9 +1264,11 @@ mod tests {
             };
             let ctx = ExecContext::snapshot(&plan, false, &db, &mut IndexCache::new(&db));
             let mut visits = 0;
-            for_each_match(ip, &ip.steps, 0, &db, &ctx, |_| visits += 1);
+            let stop_at_first = ip.head_slots.is_empty();
+            for_each_match(ip, &ip.steps, 0, &db, &ctx, stop_at_first, |_| visits += 1);
             assert_eq!(visits, expected_visits, "{q}");
-            assert_eq!(execute_with(&plan, &db, &ctx), evaluate(&q, &db));
+            let answers = execute_with(&plan, &db, &ctx, false);
+            assert_eq!(terms(&answers), evaluate(&q, &db));
         }
     }
 

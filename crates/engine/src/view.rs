@@ -60,8 +60,8 @@ use crate::database::{Database, QuerySource, State};
 use crate::error::SacResult;
 use crate::exec;
 use crate::plan::{Explain, Plan, Strategy};
-use crate::result::ResultSet;
-use sac_common::{Symbol, Term};
+use crate::result::{CodeRows, ResultSet};
+use sac_common::Symbol;
 use sac_query::ConjunctiveQuery;
 use sac_storage::{DeltaCursor, Instance};
 use sac_telemetry::{NodeRows, Phase, PhaseTimes, Probe, QueryTrace};
@@ -160,17 +160,16 @@ impl fmt::Display for ViewRefresh {
 }
 
 /// The maintained state of one view: where in the instance's growth the
-/// answers are current to, and the answers themselves.  The answer set is
-/// behind an [`Arc`] so [`MaterializedView::snapshot`] can take its
-/// reference under the state lock and do the O(answers) materialization
-/// outside it — readers never stall the append path's auto-refresh;
-/// refreshes copy-on-write (`Arc::make_mut`) only while a snapshot is
-/// being materialized concurrently.
+/// answers are current to, and the answers themselves, as the executor's
+/// sorted code rows.  They are behind an [`Arc`]: a
+/// [`MaterializedView::snapshot`] shares them (decoding, if its reader
+/// asks for terms, outside the state lock), and a refresh replaces them
+/// with a merge of the old rows and the delta's.
 #[derive(Debug)]
 pub(crate) struct ViewState {
     /// `None` until the initial materialization ran.
     pub(crate) cursor: Option<DeltaCursor>,
-    pub(crate) answers: Arc<BTreeSet<Vec<Term>>>,
+    pub(crate) answers: Arc<CodeRows>,
 }
 
 /// The shared core of a registered view: the compiled plan plus the
@@ -198,6 +197,7 @@ impl ViewCore {
             .iter()
             .map(|atom| atom.predicate)
             .collect();
+        let width = plan.columns().len();
         ViewCore {
             query: Arc::new(query),
             plan,
@@ -205,7 +205,7 @@ impl ViewCore {
             relevant,
             state: Mutex::new(ViewState {
                 cursor: None,
-                answers: Arc::new(BTreeSet::new()),
+                answers: Arc::new(CodeRows::from_unsorted(width, 0, Vec::new())),
             }),
         }
     }
@@ -241,10 +241,8 @@ impl<'db> MaterializedView<'db> {
     /// [`MaterializedView::refresh`] first if the view may be stale and
     /// staleness matters).
     pub fn snapshot(&self) -> ResultSet {
-        // Take the Arc under the lock; materialize the rows outside it, so
-        // a large snapshot never blocks concurrent maintenance.
         let answers = Arc::clone(&self.core.lock_state().answers);
-        ResultSet::from_tuples(Arc::clone(self.core.plan.columns()), (*answers).clone())
+        ResultSet::new(Arc::clone(self.core.plan.columns()), answers)
     }
 
     /// Brings the view up to date with the database and reports what that
@@ -521,7 +519,9 @@ impl Database {
         }
         let mode = if small {
             let delta = exec::execute_delta(&core.plan, instance, &watermarks, &ctx);
-            Arc::make_mut(&mut state.answers).extend(delta);
+            if !delta.is_empty() {
+                state.answers = Arc::new(state.answers.union(&delta));
+            }
             self.metrics
                 .view_refreshes_incremental
                 .fetch_add(1, Ordering::Relaxed);
@@ -530,7 +530,7 @@ impl Database {
                 .fetch_add(delta_rows, Ordering::Relaxed);
             RefreshMode::Incremental
         } else {
-            state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx));
+            state.answers = Arc::new(exec::execute_with(&core.plan, instance, &ctx, false));
             self.metrics
                 .view_refreshes_full
                 .fetch_add(1, Ordering::Relaxed);
@@ -586,7 +586,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::database::{Database, EngineConfig};
-    use sac_common::atom;
+    use sac_common::{atom, Term};
     use sac_query::evaluate;
 
     #[test]

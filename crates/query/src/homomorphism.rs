@@ -125,13 +125,16 @@ impl<'a> CodeShape<'a> {
                 .eq(self.const_codes.iter().copied())
     }
 
-    /// The codes row `row` of `cols` holds at the distinct variables' first
-    /// occurrences, when the shape [`CodeShape::admits`] it.
+    /// When the shape [`CodeShape::admits`] row `row` of `cols`, appends to
+    /// `out` the codes the row holds at the distinct variables' first
+    /// occurrences; returns whether it did.
     #[inline]
-    pub fn admit_row(&self, cols: &[&[u32]], row: usize) -> Option<Vec<u32>> {
-        let first = self.shape.var_first.iter();
-        self.admits(cols, row)
-            .then(|| first.map(|p| cols[*p][row]).collect())
+    pub fn admit_row(&self, cols: &[&[u32]], row: usize, out: &mut Vec<u32>) -> bool {
+        let admitted = self.admits(cols, row);
+        if admitted {
+            out.extend(self.shape.var_first.iter().map(|p| cols[*p][row]));
+        }
+        admitted
     }
 }
 

@@ -40,7 +40,9 @@ pub enum Phase {
     JoinBack,
     /// The indexed-search rung's backtracking enumeration.
     Search,
-    /// Dictionary decode plus result-set materialization.
+    /// Finishing the answer: the sort and deduplication of its code rows
+    /// and the result set around them.  Terms are decoded later, when a
+    /// caller reads them.
     Decode,
 }
 

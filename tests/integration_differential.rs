@@ -108,6 +108,17 @@ fn run_cell(
     seen.extend(queries.iter().map(|q| db.explain(q).strategy.to_string()));
     let fanned_out = if parallelism > 1 { queries.len() } else { 0 };
     assert_eq!(db.metrics().morsels_dispatched, fanned_out);
+    // The Boolean reading stops early on every rung and must agree.
+    for (query, result) in queries.iter().zip(&results) {
+        let prepared = db.prepare(query).expect("the query planned once already");
+        assert_eq!(
+            prepared.execute_boolean(),
+            !prepared.execute().is_empty(),
+            "{query}"
+        );
+        assert_eq!(prepared.execute_boolean(), !result.is_empty(), "{query}");
+        assert_eq!(db.run_boolean(query), !result.is_empty(), "{query}");
+    }
     results
 }
 
