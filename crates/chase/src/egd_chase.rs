@@ -13,7 +13,7 @@
 //! cumulative renaming is reported so callers can track where the frozen head
 //! tuple went.
 
-use sac_common::{Error, Result, Term};
+use sac_common::{SacError, SacResult, Term};
 use sac_deps::Egd;
 use sac_query::{ConjunctiveQuery, FrozenQuery, Homomorphisms};
 use sac_storage::{dict, Instance};
@@ -54,9 +54,9 @@ impl EgdChaseResult {
 
 /// Runs the egd chase to completion.
 ///
-/// Returns an error ([`Error::ChaseFailure`]) when the chase fails by
+/// Returns an error ([`SacError::ChaseFailure`]) when the chase fails by
 /// attempting to identify two distinct constants.
-pub fn egd_chase(instance: &Instance, egds: &[Egd]) -> Result<EgdChaseResult> {
+pub fn egd_chase(instance: &Instance, egds: &[Egd]) -> SacResult<EgdChaseResult> {
     let mut current = instance.clone();
     let mut renaming: BTreeMap<Term, Term> = BTreeMap::new();
     let mut steps = 0usize;
@@ -91,7 +91,7 @@ pub fn egd_chase(instance: &Instance, egds: &[Egd]) -> Result<EgdChaseResult> {
 pub fn egd_chase_query(
     query: &ConjunctiveQuery,
     egds: &[Egd],
-) -> Result<(EgdChaseResult, FrozenQuery)> {
+) -> SacResult<(EgdChaseResult, FrozenQuery)> {
     let frozen = FrozenQuery::freeze(query);
     let result = egd_chase(&frozen.instance, egds)?;
     Ok((result, frozen))
@@ -124,11 +124,11 @@ fn find_violation(instance: &Instance, egds: &[Egd]) -> Option<(Term, Term)> {
 
 /// Decides the direction of an identification: `(from, to)` meaning `from` is
 /// replaced everywhere by `to`.  Fails when both terms are constants.
-fn orient(a: Term, b: Term) -> Result<(Term, Term)> {
+fn orient(a: Term, b: Term) -> SacResult<(Term, Term)> {
     match (a.is_constant(), b.is_constant()) {
-        (true, true) => Err(Error::ChaseFailure(format!(
-            "attempted to identify distinct constants {a} and {b}"
-        ))),
+        (true, true) => Err(SacError::ChaseFailure {
+            message: format!("attempted to identify distinct constants {a} and {b}"),
+        }),
         (true, false) => Ok((b, a)),
         (false, true) => Ok((a, b)),
         (false, false) => {

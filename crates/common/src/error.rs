@@ -1,52 +1,81 @@
-//! Error type shared by the workspace crates.
+//! The one error type of the workspace.
+//!
+//! Every layer — the parser (`sac::parser` and the `FromStr` impls), the
+//! storage layer (arity checks), the chase (failure and budget exhaustion),
+//! the durability layer and the engine itself — reports failures as a
+//! [`SacError`], so callers of `sac::Database::query` handle exactly one
+//! error type with `?`.
 
 use std::fmt;
 
-/// Result alias using [`Error`].
-pub type Result<T> = std::result::Result<T, Error>;
+/// Result alias using [`SacError`].
+pub type SacResult<T> = std::result::Result<T, SacError>;
 
-/// Errors produced by the semantic-acyclicity toolkit.
+/// Anything that can go wrong, from parsing a query to serving it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Error {
-    /// An atom used a predicate with the wrong number of arguments.
-    ArityMismatch {
-        /// Predicate name.
-        predicate: String,
-        /// Declared arity.
-        expected: usize,
-        /// Arity found in the offending atom.
-        found: usize,
-    },
-    /// A dependency or query was structurally malformed.
-    Malformed(String),
-    /// The egd chase failed by attempting to identify two distinct constants.
-    ChaseFailure(String),
-    /// A resource budget (chase steps, candidate count, …) was exhausted
-    /// before the procedure could reach a definite answer.
-    BudgetExhausted(String),
-    /// Parsing error with a human-readable message and source position.
+pub enum SacError {
+    /// The query / program text did not parse.  Positions are 1-based.
     Parse {
         /// Explanation of what went wrong.
         message: String,
-        /// Byte offset into the input where the error was detected.
-        offset: usize,
-        /// 1-based line of the error position.
+        /// Line of the error.
         line: usize,
-        /// 1-based column (in characters) of the error position.
+        /// Column (in characters) of the error.
         column: usize,
+        /// Byte offset into the input.
+        offset: usize,
+    },
+    /// A predicate was used with two different arities.
+    ArityMismatch {
+        /// The offending predicate name.
+        predicate: String,
+        /// The arity the schema knows.
+        expected: usize,
+        /// The arity the offending atom used.
+        found: usize,
+    },
+    /// A query, dependency or fact was structurally invalid.
+    InvalidInput {
+        /// Explanation of the structural problem.
+        message: String,
+    },
+    /// The egd chase failed by equating two distinct constants.
+    ChaseFailure {
+        /// Explanation from the chase.
+        message: String,
+    },
+    /// A resource budget (chase steps, rewriting candidates, …) ran out
+    /// before a definite answer was reached.
+    BudgetExhausted {
+        /// Which budget, and where.
+        message: String,
+    },
+    /// The durability layer failed: a WAL or snapshot I/O error, or
+    /// corruption in the on-disk state that the torn-tail repair rule
+    /// cannot absorb.
+    Persistence {
+        /// What failed, with the underlying cause folded in.
+        message: String,
     },
 }
 
-impl Error {
-    /// Builds a [`Error::Parse`] at `offset` into `input`, deriving the
+impl SacError {
+    /// Builds a [`SacError::Parse`] at `offset` into `input`, deriving the
     /// 1-based line/column from the input text.
-    pub fn parse_at(message: impl Into<String>, input: &str, offset: usize) -> Error {
+    pub fn parse_at(message: impl Into<String>, input: &str, offset: usize) -> SacError {
         let (line, column) = position_of(input, offset);
-        Error::Parse {
+        SacError::Parse {
             message: message.into(),
-            offset,
             line,
             column,
+            offset,
+        }
+    }
+
+    /// A [`SacError::InvalidInput`] with `message`.
+    pub fn invalid(message: impl Into<String>) -> SacError {
+        SacError::InvalidInput {
+            message: message.into(),
         }
     }
 }
@@ -71,10 +100,16 @@ pub fn position_of(input: &str, offset: usize) -> (usize, usize) {
     (line, column)
 }
 
-impl fmt::Display for Error {
+impl fmt::Display for SacError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::ArityMismatch {
+            SacError::Parse {
+                message,
+                line,
+                column,
+                ..
+            } => write!(f, "parse error at line {line}, column {column}: {message}"),
+            SacError::ArityMismatch {
                 predicate,
                 expected,
                 found,
@@ -82,22 +117,15 @@ impl fmt::Display for Error {
                 f,
                 "arity mismatch for `{predicate}`: expected {expected}, found {found}"
             ),
-            Error::Malformed(msg) => write!(f, "malformed input: {msg}"),
-            Error::ChaseFailure(msg) => write!(f, "chase failure: {msg}"),
-            Error::BudgetExhausted(msg) => write!(f, "budget exhausted: {msg}"),
-            Error::Parse {
-                message,
-                line,
-                column,
-                ..
-            } => {
-                write!(f, "parse error at line {line}, column {column}: {message}")
-            }
+            SacError::InvalidInput { message } => write!(f, "invalid input: {message}"),
+            SacError::ChaseFailure { message } => write!(f, "chase failure: {message}"),
+            SacError::BudgetExhausted { message } => write!(f, "budget exhausted: {message}"),
+            SacError::Persistence { message } => write!(f, "persistence failure: {message}"),
         }
     }
 }
 
-impl std::error::Error for Error {}
+impl std::error::Error for SacError {}
 
 #[cfg(test)]
 mod tests {
@@ -105,7 +133,7 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = Error::ArityMismatch {
+        let e = SacError::ArityMismatch {
             predicate: "R".into(),
             expected: 2,
             found: 3,
@@ -115,10 +143,34 @@ mod tests {
         assert!(msg.contains('2'));
         assert!(msg.contains('3'));
 
-        let p = Error::parse_at("expected `)`", "q(X) :- R(X,\nS(", 13);
+        let p = SacError::parse_at("expected `)`", "q(X) :- R(X,\nS(", 13);
         let text = format!("{p}");
         assert!(text.contains("line 2"), "got {text}");
         assert!(text.contains("column 1"), "got {text}");
+
+        for (e, expected) in [
+            (SacError::invalid("m"), "invalid input: m"),
+            (
+                SacError::ChaseFailure {
+                    message: "m".into(),
+                },
+                "chase failure: m",
+            ),
+            (
+                SacError::BudgetExhausted {
+                    message: "m".into(),
+                },
+                "budget exhausted: m",
+            ),
+            (
+                SacError::Persistence {
+                    message: "m".into(),
+                },
+                "persistence failure: m",
+            ),
+        ] {
+            assert_eq!(e.to_string(), expected);
+        }
     }
 
     #[test]
@@ -132,8 +184,17 @@ mod tests {
     }
 
     #[test]
+    fn sac_error_is_a_std_error() {
+        fn check<E: std::error::Error + Send + Sync + 'static>(_: &E) {}
+        check(&SacError::invalid("x"));
+    }
+
+    #[test]
     fn error_implements_std_error() {
-        fn assert_error<E: std::error::Error>(_e: &E) {}
-        assert_error(&Error::Malformed("x".into()));
+        // Boxed as a trait object, the error keeps its message and has no
+        // further source: every variant is a leaf.
+        let boxed: Box<dyn std::error::Error> = Box::new(SacError::invalid("x"));
+        assert_eq!(boxed.to_string(), "invalid input: x");
+        assert!(boxed.source().is_none());
     }
 }

@@ -35,7 +35,7 @@ pub mod syntax;
 pub mod term;
 
 pub use atom::Atom;
-pub use error::{Error, Result};
+pub use error::{SacError, SacResult};
 pub use fresh::FreshSource;
 pub use fx::{fx_hash_one, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use schema::Schema;

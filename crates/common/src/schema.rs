@@ -1,7 +1,7 @@
 //! Relational schemas: finite maps from predicate symbols to arities.
 
 use crate::atom::Atom;
-use crate::error::{Error, Result};
+use crate::error::{SacError, SacResult};
 use crate::symbol::{intern, Symbol};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -70,14 +70,14 @@ impl Schema {
 
     /// Builds the schema induced by a collection of atoms.  If the same
     /// predicate occurs with two different arities, an error is returned.
-    pub fn induced_by<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> Result<Schema> {
+    pub fn induced_by<'a>(atoms: impl IntoIterator<Item = &'a Atom>) -> SacResult<Schema> {
         let mut s = Schema::new();
         for atom in atoms {
             match s.arity_of(atom.predicate) {
                 None => s.add_predicate(atom.predicate, atom.arity()),
                 Some(a) if a == atom.arity() => {}
                 Some(a) => {
-                    return Err(Error::ArityMismatch {
+                    return Err(SacError::ArityMismatch {
                         predicate: atom.predicate.as_str(),
                         expected: a,
                         found: atom.arity(),
@@ -89,13 +89,13 @@ impl Schema {
     }
 
     /// Merges another schema into this one, failing on conflicting arities.
-    pub fn merge(&mut self, other: &Schema) -> Result<()> {
+    pub fn merge(&mut self, other: &Schema) -> SacResult<()> {
         for (p, a) in other.iter() {
             match self.arity_of(p) {
                 None => self.add_predicate(p, a),
                 Some(existing) if existing == a => {}
                 Some(existing) => {
-                    return Err(Error::ArityMismatch {
+                    return Err(SacError::ArityMismatch {
                         predicate: p.as_str(),
                         expected: existing,
                         found: a,

@@ -31,11 +31,11 @@
 //! is immediately followed by another identifier (the atom's predicate), so
 //! `not(X)` still parses as a positive atom whose predicate is `not`.
 //!
-//! Errors are [`Error::Parse`] values carrying the byte offset plus the
+//! Errors are [`SacError::Parse`] values carrying the byte offset plus the
 //! 1-based line/column of the failure.
 
 use crate::atom::Atom;
-use crate::error::{Error, Result};
+use crate::error::{SacError, SacResult};
 use crate::symbol::intern;
 use crate::term::Term;
 
@@ -89,7 +89,7 @@ fn is_ident_char(c: char) -> bool {
 /// Tokenizes the input; `%`-to-end-of-line comments are skipped.  Iteration
 /// is by `char`, so multi-byte identifiers (e.g. accented names) lex as
 /// ordinary identifiers instead of slicing mid-character.
-fn tokenize(input: &str) -> Result<Vec<(Token, usize)>> {
+fn tokenize(input: &str) -> SacResult<Vec<(Token, usize)>> {
     let mut tokens = Vec::new();
     let mut chars = input.char_indices().peekable();
     while let Some((i, c)) = chars.next() {
@@ -111,14 +111,14 @@ fn tokenize(input: &str) -> Result<Vec<(Token, usize)>> {
                 if chars.next_if(|(_, c)| *c == '-').is_some() {
                     tokens.push((Token::ColonDash, i));
                 } else {
-                    return Err(Error::parse_at("expected `:-`", input, i));
+                    return Err(SacError::parse_at("expected `:-`", input, i));
                 }
             }
             '-' => {
                 if chars.next_if(|(_, c)| *c == '>').is_some() {
                     tokens.push((Token::Arrow, i));
                 } else {
-                    return Err(Error::parse_at("expected `->`", input, i));
+                    return Err(SacError::parse_at("expected `->`", input, i));
                 }
             }
             c if is_ident_start(c) => {
@@ -129,7 +129,7 @@ fn tokenize(input: &str) -> Result<Vec<(Token, usize)>> {
                 tokens.push((Token::Ident(input[i..end].to_owned()), i));
             }
             other => {
-                return Err(Error::parse_at(
+                return Err(SacError::parse_at(
                     format!("unexpected character `{other}`"),
                     input,
                     i,
@@ -198,7 +198,7 @@ struct RawParser<'a> {
 }
 
 impl<'a> RawParser<'a> {
-    fn new(input: &'a str) -> Result<RawParser<'a>> {
+    fn new(input: &'a str) -> SacResult<RawParser<'a>> {
         Ok(RawParser {
             input,
             tokens: tokenize(input)?,
@@ -218,11 +218,11 @@ impl<'a> RawParser<'a> {
             .unwrap_or(0)
     }
 
-    fn error(&self, message: &str) -> Error {
-        Error::parse_at(message, self.input, self.offset())
+    fn error(&self, message: &str) -> SacError {
+        SacError::parse_at(message, self.input, self.offset())
     }
 
-    fn eat(&mut self, expected: &Token) -> Result<()> {
+    fn eat(&mut self, expected: &Token) -> SacResult<()> {
         if self.peek() == Some(expected) {
             self.pos += 1;
             Ok(())
@@ -231,7 +231,7 @@ impl<'a> RawParser<'a> {
         }
     }
 
-    fn ident(&mut self) -> Result<String> {
+    fn ident(&mut self) -> SacResult<String> {
         match self.peek().cloned() {
             Some(Token::Ident(s)) => {
                 self.pos += 1;
@@ -251,7 +251,7 @@ impl<'a> RawParser<'a> {
     }
 
     /// Parses `Pred(arg, …, arg)`; the argument list may be empty.
-    fn atom(&mut self) -> Result<Atom> {
+    fn atom(&mut self) -> SacResult<Atom> {
         let predicate = self.ident()?;
         self.eat(&Token::LParen)?;
         let mut args = Vec::new();
@@ -270,7 +270,7 @@ impl<'a> RawParser<'a> {
         Ok(Atom::from_parts(&predicate, args))
     }
 
-    fn atom_list(&mut self) -> Result<Vec<Atom>> {
+    fn atom_list(&mut self) -> SacResult<Vec<Atom>> {
         let mut atoms = vec![self.atom()?];
         while self.peek() == Some(&Token::Comma) {
             self.pos += 1;
@@ -288,7 +288,7 @@ impl<'a> RawParser<'a> {
     }
 
     /// Parses a rule body: positive and negated literals in any order.
-    fn literal_list(&mut self) -> Result<(Vec<Atom>, Vec<Atom>)> {
+    fn literal_list(&mut self) -> SacResult<(Vec<Atom>, Vec<Atom>)> {
         let mut body = Vec::new();
         let mut negated = Vec::new();
         loop {
@@ -308,7 +308,7 @@ impl<'a> RawParser<'a> {
     }
 
     /// Parses one statement ending with `.`.
-    fn statement(&mut self) -> Result<RawStatement> {
+    fn statement(&mut self) -> SacResult<RawStatement> {
         let start = self.pos;
         let first_atom = self.atom()?;
         match self.peek() {
@@ -354,7 +354,7 @@ impl<'a> RawParser<'a> {
         }
     }
 
-    fn statements(&mut self) -> Result<Vec<(RawStatement, usize)>> {
+    fn statements(&mut self) -> SacResult<Vec<(RawStatement, usize)>> {
         let mut out = Vec::new();
         while self.peek().is_some() {
             let start = self.offset();
@@ -366,7 +366,7 @@ impl<'a> RawParser<'a> {
 
 /// Parses every statement of `input` (rules, dependencies and facts, in any
 /// order).
-pub fn parse_statements(input: &str) -> Result<Vec<RawStatement>> {
+pub fn parse_statements(input: &str) -> SacResult<Vec<RawStatement>> {
     Ok(parse_statements_located(input)?
         .into_iter()
         .map(|(statement, _)| statement)
@@ -376,19 +376,19 @@ pub fn parse_statements(input: &str) -> Result<Vec<RawStatement>> {
 /// [`parse_statements`], with each statement's starting byte offset — so
 /// callers doing their own semantic validation (e.g. `sac::parser`) can
 /// report positioned errors for statements that parse but do not validate.
-pub fn parse_statements_located(input: &str) -> Result<Vec<(RawStatement, usize)>> {
+pub fn parse_statements_located(input: &str) -> SacResult<Vec<(RawStatement, usize)>> {
     RawParser::new(input)?.statements()
 }
 
 /// Parses exactly one statement; trailing statements are an error.
-pub fn parse_statement(input: &str) -> Result<RawStatement> {
+pub fn parse_statement(input: &str) -> SacResult<RawStatement> {
     let mut parser = RawParser::new(input)?;
     if parser.peek().is_none() {
-        return Err(Error::parse_at("expected a statement", input, 0));
+        return Err(SacError::parse_at("expected a statement", input, 0));
     }
     let statement = parser.statement()?;
     if parser.peek().is_some() {
-        return Err(Error::parse_at(
+        return Err(SacError::parse_at(
             "expected a single statement",
             input,
             parser.offset(),
@@ -456,7 +456,7 @@ mod tests {
     #[test]
     fn errors_carry_line_and_column() {
         let err = parse_statements("R(a).\nS(b) & T(c).").unwrap_err();
-        let Error::Parse {
+        let SacError::Parse {
             offset,
             line,
             column,
@@ -483,7 +483,7 @@ mod tests {
         assert!(body[0].args[1].is_constant(), "ö is lowercase → constant");
         // …and stray non-identifier symbols still error instead of panicking.
         let err = parse_statement("q(X) :- R(X) ∧ S(X).").unwrap_err();
-        assert!(matches!(err, Error::Parse { .. }));
+        assert!(matches!(err, SacError::Parse { .. }));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! strongest executable evidence a library can give for a reduction used in
 //! an undecidability proof.
 
-use sac_common::{Atom, Error, Result, Term};
+use sac_common::{Atom, SacError, SacResult, Term};
 use sac_deps::Tgd;
 use sac_query::ConjunctiveQuery;
 
@@ -31,17 +31,17 @@ pub struct PcpInstance {
 
 impl PcpInstance {
     /// Creates an instance, validating the alphabet and the list lengths.
-    pub fn new(top: Vec<&str>, bottom: Vec<&str>) -> Result<PcpInstance> {
+    pub fn new(top: Vec<&str>, bottom: Vec<&str>) -> SacResult<PcpInstance> {
         let top: Vec<String> = top.into_iter().map(str::to_owned).collect();
         let bottom: Vec<String> = bottom.into_iter().map(str::to_owned).collect();
         if top.len() != bottom.len() || top.is_empty() {
-            return Err(Error::Malformed(
-                "PCP lists must be non-empty and equally long".into(),
+            return Err(SacError::invalid(
+                "PCP lists must be non-empty and equally long",
             ));
         }
         for w in top.iter().chain(bottom.iter()) {
             if w.is_empty() || !w.chars().all(|c| c == 'a' || c == 'b') {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "PCP words must be non-empty words over {{a,b}}, got `{w}`"
                 )));
             }
@@ -223,9 +223,12 @@ pub fn build_pcp_reduction(instance: &PcpInstance) -> (ConjunctiveQuery, Vec<Tgd
 /// `start → P# → (spell w_{i1}…w_{im}) → Pa → Pa → P* → end`.
 ///
 /// Returns an error if the sequence is not a valid index sequence.
-pub fn solution_path_query(instance: &PcpInstance, indices: &[usize]) -> Result<ConjunctiveQuery> {
+pub fn solution_path_query(
+    instance: &PcpInstance,
+    indices: &[usize],
+) -> SacResult<ConjunctiveQuery> {
     if indices.is_empty() || indices.iter().any(|i| *i >= instance.top.len()) {
-        return Err(Error::Malformed("invalid PCP index sequence".into()));
+        return Err(SacError::invalid("invalid PCP index sequence"));
     }
     let word: String = indices.iter().map(|i| instance.top[*i].as_str()).collect();
     let x = Term::variable("p_x");

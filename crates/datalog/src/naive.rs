@@ -9,7 +9,7 @@
 
 use crate::certificate::{Certificate, DerivationStep, Premise};
 use crate::program::DatalogProgram;
-use sac_common::{Atom, Result};
+use sac_common::{Atom, SacResult};
 use sac_query::all_homomorphisms;
 use sac_storage::Instance;
 use std::collections::BTreeMap;
@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 pub fn naive_fixpoint(
     program: &DatalogProgram,
     base: &Instance,
-) -> Result<(Instance, Certificate)> {
+) -> SacResult<(Instance, Certificate)> {
     let mut work = base.clone();
     let mut certificate = Certificate::default();
     let mut step_of: BTreeMap<Atom, usize> = BTreeMap::new();

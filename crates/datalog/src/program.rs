@@ -2,7 +2,7 @@
 
 use crate::stratify::stratify;
 use sac_common::syntax::{parse_statements, RawStatement};
-use sac_common::{Atom, Error, Result, Symbol};
+use sac_common::{Atom, SacError, SacResult, Symbol};
 use sac_deps::Tgd;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -26,7 +26,7 @@ pub struct Rule {
 
 impl Rule {
     /// Creates a rule with negated literals, validating safety.
-    pub fn new(head: Atom, body: Vec<Atom>, negated: Vec<Atom>) -> Result<Rule> {
+    pub fn new(head: Atom, body: Vec<Atom>, negated: Vec<Atom>) -> SacResult<Rule> {
         let rule = Rule {
             head,
             body,
@@ -37,20 +37,20 @@ impl Rule {
     }
 
     /// Creates a purely positive rule, validating safety.
-    pub fn positive(head: Atom, body: Vec<Atom>) -> Result<Rule> {
+    pub fn positive(head: Atom, body: Vec<Atom>) -> SacResult<Rule> {
         Rule::new(head, body, Vec::new())
     }
 
-    fn validate(&self) -> Result<()> {
+    fn validate(&self) -> SacResult<()> {
         if self.body.is_empty() {
-            return Err(Error::Malformed(format!(
+            return Err(SacError::invalid(format!(
                 "rule for {} needs at least one positive body atom",
                 self.head
             )));
         }
         for atom in self.atoms() {
             if atom.args.iter().any(|t| t.is_null()) {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "rule atom {atom} contains a labelled null; rules range over \
                      constants and variables only"
                 )));
@@ -63,7 +63,7 @@ impl Rule {
             .collect();
         for var in self.head.variables_iter() {
             if !positive.contains(&var) {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "unsafe rule: head variable {} of {} does not occur in a \
                      positive body atom",
                     sac_common::resolve(var),
@@ -74,7 +74,7 @@ impl Rule {
         for literal in &self.negated {
             for var in literal.variables_iter() {
                 if !positive.contains(&var) {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "unsafe rule: variable {} of negated literal {} does not \
                          occur in a positive body atom",
                         sac_common::resolve(var),
@@ -116,16 +116,16 @@ impl fmt::Display for Rule {
 }
 
 impl TryFrom<RawStatement> for Rule {
-    type Error = Error;
+    type Error = SacError;
 
-    fn try_from(statement: RawStatement) -> Result<Rule> {
+    fn try_from(statement: RawStatement) -> SacResult<Rule> {
         match statement {
             RawStatement::Rule {
                 head,
                 body,
                 negated,
             } => Rule::new(head, body, negated),
-            other => Err(Error::Malformed(format!(
+            other => Err(SacError::invalid(format!(
                 "expected a Datalog rule, found a {}",
                 other.kind()
             ))),
@@ -134,9 +134,9 @@ impl TryFrom<RawStatement> for Rule {
 }
 
 impl FromStr for Rule {
-    type Err = Error;
+    type Err = SacError;
 
-    fn from_str(input: &str) -> Result<Rule> {
+    fn from_str(input: &str) -> SacResult<Rule> {
         Rule::try_from(sac_common::syntax::parse_statement(input)?)
     }
 }
@@ -159,10 +159,10 @@ pub struct DatalogProgram {
 impl DatalogProgram {
     /// Builds a program from rules, validating safety, arity consistency and
     /// stratifiability.
-    pub fn new(rules: Vec<Rule>) -> Result<DatalogProgram> {
+    pub fn new(rules: Vec<Rule>) -> SacResult<DatalogProgram> {
         if rules.is_empty() {
-            return Err(Error::Malformed(
-                "a Datalog program needs at least one rule".into(),
+            return Err(SacError::invalid(
+                "a Datalog program needs at least one rule",
             ));
         }
         for rule in &rules {
@@ -172,7 +172,7 @@ impl DatalogProgram {
         for atom in rules.iter().flat_map(Rule::atoms) {
             match arities.get(&atom.predicate) {
                 Some(&seen) if seen != atom.arity() => {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "predicate {} used with arities {} and {}",
                         sac_common::resolve(atom.predicate),
                         seen,
@@ -219,11 +219,11 @@ impl DatalogProgram {
     ///
     /// Tgds with existential variables have no Datalog counterpart and are
     /// rejected.
-    pub fn from_tgds(tgds: &[Tgd]) -> Result<DatalogProgram> {
+    pub fn from_tgds(tgds: &[Tgd]) -> SacResult<DatalogProgram> {
         let mut rules = Vec::new();
         for tgd in tgds {
             if !tgd.is_full() {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "tgd {tgd} has existential head variables; only full tgds \
                      translate to Datalog rules"
                 )));
@@ -247,7 +247,7 @@ impl DatalogProgram {
             .rules
             .iter()
             .map(|rule| Tgd::new(rule.body.clone(), vec![rule.head.clone()]))
-            .collect::<Result<Vec<Tgd>>>()
+            .collect::<SacResult<Vec<Tgd>>>()
             .expect("safe positive rules are valid full tgds");
         Some(tgds)
     }
@@ -266,15 +266,15 @@ impl fmt::Display for DatalogProgram {
 }
 
 impl FromStr for DatalogProgram {
-    type Err = Error;
+    type Err = SacError;
 
-    fn from_str(input: &str) -> Result<DatalogProgram> {
+    fn from_str(input: &str) -> SacResult<DatalogProgram> {
         let mut rules = Vec::new();
         for statement in parse_statements(input)? {
             match statement {
                 rule @ RawStatement::Rule { .. } => rules.push(Rule::try_from(rule)?),
                 other => {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "Datalog programs contain only rules; found a {} \
                          (facts belong to the database — see \
                          `sac::parser::parse_datalog_program` for mixed input)",
@@ -292,7 +292,7 @@ mod tests {
     use super::*;
     use sac_common::Term;
 
-    fn program(input: &str) -> Result<DatalogProgram> {
+    fn program(input: &str) -> SacResult<DatalogProgram> {
         input.parse()
     }
 

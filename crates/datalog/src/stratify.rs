@@ -6,7 +6,7 @@
 //! such assignment and are rejected.
 
 use crate::program::Rule;
-use sac_common::{resolve, Error, Result, Symbol};
+use sac_common::{resolve, SacError, SacResult, Symbol};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Groups rule indices by stratum, lowest first.
@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// positive body predicates and `stratum(head) ≥ stratum(q) + 1` for negated
 /// ones (extensional predicates stay at stratum 0).  Any predicate pushed
 /// above the number of intensional predicates lies on a negation cycle.
-pub(crate) fn stratify(rules: &[Rule], idb: &BTreeSet<Symbol>) -> Result<Vec<Vec<usize>>> {
+pub(crate) fn stratify(rules: &[Rule], idb: &BTreeSet<Symbol>) -> SacResult<Vec<Vec<usize>>> {
     let mut stratum: BTreeMap<Symbol, usize> = idb.iter().map(|&p| (p, 0)).collect();
     let bound = idb.len();
     loop {
@@ -38,7 +38,7 @@ pub(crate) fn stratify(rules: &[Rule], idb: &BTreeSet<Symbol>) -> Result<Vec<Vec
                 .expect("head predicates are intensional by construction");
             if floor > *head {
                 if floor > bound {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "program is not stratifiable: negation cycles through \
                          predicate {}",
                         resolve(rule.head.predicate)

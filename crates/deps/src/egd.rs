@@ -1,6 +1,6 @@
 //! Equality-generating dependencies.
 
-use sac_common::{Atom, Error, Result, Schema, Symbol};
+use sac_common::{Atom, SacError, SacResult, Schema, Symbol};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -19,28 +19,28 @@ impl Egd {
     /// Creates an egd after validation: both equated variables must occur in
     /// the body, the body must be non-empty and null-free, arities must be
     /// consistent.
-    pub fn new(body: Vec<Atom>, left: Symbol, right: Symbol) -> Result<Egd> {
+    pub fn new(body: Vec<Atom>, left: Symbol, right: Symbol) -> SacResult<Egd> {
         let egd = Egd { body, left, right };
         egd.validate()?;
         Ok(egd)
     }
 
     /// Validates the structural requirements.
-    pub fn validate(&self) -> Result<()> {
+    pub fn validate(&self) -> SacResult<()> {
         if self.body.is_empty() {
-            return Err(Error::Malformed("egd with empty body".into()));
+            return Err(SacError::invalid("egd with empty body"));
         }
         for atom in &self.body {
             if atom.args.iter().any(|t| t.is_null()) {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "egd atom {atom} contains a labelled null"
                 )));
             }
         }
         let vars = self.body_variables();
         if !vars.contains(&self.left) || !vars.contains(&self.right) {
-            return Err(Error::Malformed(
-                "equated variables must occur in the egd body".into(),
+            return Err(SacError::invalid(
+                "equated variables must occur in the egd body",
             ));
         }
         Schema::induced_by(self.body.iter())?;
@@ -84,19 +84,19 @@ impl Egd {
 /// shared by [`std::str::FromStr`] and `sac::parser`): both equated terms
 /// must be variables.
 impl TryFrom<sac_common::RawStatement> for Egd {
-    type Error = Error;
+    type Error = SacError;
 
-    fn try_from(statement: sac_common::RawStatement) -> Result<Egd> {
+    fn try_from(statement: sac_common::RawStatement) -> SacResult<Egd> {
         match statement {
             sac_common::RawStatement::Egd { body, left, right } => {
                 let as_var = |t: sac_common::Term| {
                     t.as_variable().ok_or_else(|| {
-                        Error::Malformed(format!("egds equate variables, found `{t}`"))
+                        SacError::invalid(format!("egds equate variables, found `{t}`"))
                     })
                 };
                 Egd::new(body, as_var(left)?, as_var(right)?)
             }
-            other => Err(Error::Malformed(format!(
+            other => Err(SacError::invalid(format!(
                 "expected an egd, found a {}",
                 other.kind()
             ))),
@@ -108,9 +108,9 @@ impl TryFrom<sac_common::RawStatement> for Egd {
 /// [`sac_common::syntax`]), so `"R(X, Y), R(X, Z) -> Y = Z.".parse::<Egd>()`
 /// works anywhere without going through `sac::parser`.
 impl std::str::FromStr for Egd {
-    type Err = Error;
+    type Err = SacError;
 
-    fn from_str(s: &str) -> Result<Egd> {
+    fn from_str(s: &str) -> SacResult<Egd> {
         sac_common::syntax::parse_statement(s)?.try_into()
     }
 }

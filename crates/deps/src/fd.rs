@@ -8,7 +8,7 @@
 //! Theorem 23).
 
 use crate::egd::Egd;
-use sac_common::{intern, Error, Result, Symbol, Term};
+use sac_common::{intern, SacError, SacResult, Symbol, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -33,7 +33,7 @@ impl FunctionalDependency {
         arity: usize,
         lhs: impl IntoIterator<Item = usize>,
         rhs: impl IntoIterator<Item = usize>,
-    ) -> Result<FunctionalDependency> {
+    ) -> SacResult<FunctionalDependency> {
         let fd = FunctionalDependency {
             predicate,
             arity,
@@ -50,7 +50,7 @@ impl FunctionalDependency {
         arity: usize,
         lhs: impl IntoIterator<Item = usize>,
         rhs: impl IntoIterator<Item = usize>,
-    ) -> Result<FunctionalDependency> {
+    ) -> SacResult<FunctionalDependency> {
         FunctionalDependency::new(intern(predicate), arity, lhs, rhs)
     }
 
@@ -59,22 +59,22 @@ impl FunctionalDependency {
         predicate: &str,
         arity: usize,
         lhs: impl IntoIterator<Item = usize>,
-    ) -> Result<FunctionalDependency> {
+    ) -> SacResult<FunctionalDependency> {
         let lhs: BTreeSet<usize> = lhs.into_iter().collect();
         let rhs: BTreeSet<usize> = (1..=arity).filter(|i| !lhs.contains(i)).collect();
         FunctionalDependency::new(intern(predicate), arity, lhs, rhs)
     }
 
-    fn validate(&self) -> Result<()> {
+    fn validate(&self) -> SacResult<()> {
         if self.arity == 0 {
-            return Err(Error::Malformed("FD over a nullary predicate".into()));
+            return Err(SacError::invalid("FD over a nullary predicate"));
         }
         if self.lhs.is_empty() {
-            return Err(Error::Malformed("FD with an empty determinant".into()));
+            return Err(SacError::invalid("FD with an empty determinant"));
         }
         let in_range = |s: &BTreeSet<usize>| s.iter().all(|i| *i >= 1 && *i <= self.arity);
         if !in_range(&self.lhs) || !in_range(&self.rhs) {
-            return Err(Error::Malformed(format!(
+            return Err(SacError::invalid(format!(
                 "FD attribute positions out of range for arity {}",
                 self.arity
             )));

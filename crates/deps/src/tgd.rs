@@ -1,6 +1,6 @@
 //! Tuple-generating dependencies.
 
-use sac_common::{Atom, Error, Result, Schema, Symbol, Term};
+use sac_common::{Atom, SacError, SacResult, Schema, Symbol, Term};
 use sac_query::GaifmanGraph;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -26,7 +26,7 @@ pub struct Tgd {
 
 impl Tgd {
     /// Creates a tgd after validation.
-    pub fn new(body: Vec<Atom>, head: Vec<Atom>) -> Result<Tgd> {
+    pub fn new(body: Vec<Atom>, head: Vec<Atom>) -> SacResult<Tgd> {
         let tgd = Tgd { body, head };
         tgd.validate()?;
         Ok(tgd)
@@ -34,16 +34,16 @@ impl Tgd {
 
     /// Validates the structural requirements (non-empty body and head, no
     /// nulls, consistent arities across body and head).
-    pub fn validate(&self) -> Result<()> {
+    pub fn validate(&self) -> SacResult<()> {
         if self.body.is_empty() {
-            return Err(Error::Malformed("tgd with empty body".into()));
+            return Err(SacError::invalid("tgd with empty body"));
         }
         if self.head.is_empty() {
-            return Err(Error::Malformed("tgd with empty head".into()));
+            return Err(SacError::invalid("tgd with empty head"));
         }
         for atom in self.body.iter().chain(self.head.iter()) {
             if atom.args.iter().any(|t| t.is_null()) {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "tgd atom {atom} contains a labelled null"
                 )));
             }
@@ -159,12 +159,12 @@ impl Tgd {
 /// Builds a tgd from a raw `body -> head.` statement (the semantic step
 /// shared by [`std::str::FromStr`] and `sac::parser`).
 impl TryFrom<sac_common::RawStatement> for Tgd {
-    type Error = Error;
+    type Error = SacError;
 
-    fn try_from(statement: sac_common::RawStatement) -> Result<Tgd> {
+    fn try_from(statement: sac_common::RawStatement) -> SacResult<Tgd> {
         match statement {
             sac_common::RawStatement::Tgd { body, head } => Tgd::new(body, head),
-            other => Err(Error::Malformed(format!(
+            other => Err(SacError::invalid(format!(
                 "expected a tgd, found a {}",
                 other.kind()
             ))),
@@ -176,9 +176,9 @@ impl TryFrom<sac_common::RawStatement> for Tgd {
 /// [`sac_common::syntax`]), so `"R(X) -> S(X).".parse::<Tgd>()` works
 /// anywhere without going through `sac::parser`.
 impl std::str::FromStr for Tgd {
-    type Err = Error;
+    type Err = SacError;
 
-    fn from_str(s: &str) -> Result<Tgd> {
+    fn from_str(s: &str) -> SacResult<Tgd> {
         sac_common::syntax::parse_statement(s)?.try_into()
     }
 }

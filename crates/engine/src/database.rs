@@ -60,30 +60,26 @@
 
 use crate::datalog::{self, DatalogOptions, DatalogRun, DatalogSource, PreparedDatalog};
 use crate::durability::{DurabilityCore, RecoveryReport};
-use crate::error::{SacError, SacResult};
 use crate::exec;
 use crate::index::IndexCache;
 use crate::metrics::{EngineMetrics, LatencyRecorders, MetricCounters};
 use crate::plan::{plan_query, Explain, Plan, Strategy};
 use crate::pool::fan_out;
 use crate::result::ResultSet;
+use crate::telemetry::{Phase, Probe, QueryTrace};
 use crate::view::{MaterializedView, ViewCore};
-use sac_common::{Atom, Symbol};
-use sac_core::SemAcConfig;
+use sac_common::{Atom, SacError, SacResult, Symbol};
 use sac_deps::Tgd;
 use sac_query::ConjunctiveQuery;
 use sac_storage::{DeltaCursor, Instance, InstanceStats};
-use sac_telemetry::{Phase, Probe, QueryTrace};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::time::Instant;
 
-/// Planner knobs.
+/// The planner's one knob.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Configuration for the semantic-acyclicity witness search.
-    pub semac: SemAcConfig,
     /// Compile every query with [`Strategy::IndexedSearch`], skipping both
     /// Yannakakis rungs.  A differential-testing knob: the fallback is
     /// correct on every query, so a forced-fallback database is an
@@ -126,7 +122,7 @@ impl QuerySource for &ConjunctiveQuery {
 
 impl QuerySource for &str {
     fn into_query(self) -> SacResult<ConjunctiveQuery> {
-        self.parse::<ConjunctiveQuery>().map_err(SacError::from)
+        self.parse::<ConjunctiveQuery>()
     }
 }
 
@@ -399,7 +395,7 @@ impl Database {
         if added > 0 {
             self.publish_growth(&mut state, cursor.as_ref())?;
         }
-        failed.map_or(Ok(added), |e| Err(e.into()))
+        failed.map_or(Ok(added), Err)
     }
 
     /// What every append owes its readers, under the state write guard so
@@ -501,7 +497,7 @@ impl Database {
     /// [`Database::run`] with a [`QueryTrace`] alongside the results: the
     /// rung chosen, plan- and index-cache outcomes, per-phase wall times
     /// (which sum to the recorded total by construction — see
-    /// [`sac_telemetry::Probe`]) and per-join-tree-node rows in/out.
+    /// [`crate::telemetry::Probe`]) and per-join-tree-node rows in/out.
     /// Tracing adds a handful of `Instant` reads
     /// to this run only; untraced runs are unaffected.
     pub fn run_traced(&self, query: &ConjunctiveQuery) -> (ResultSet, QueryTrace) {

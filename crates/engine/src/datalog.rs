@@ -36,11 +36,10 @@
 //! EXPERIMENTS.md, "rule grain".
 
 use crate::database::{Database, EngineConfig};
-use crate::error::{SacError, SacResult};
 use crate::exec;
 use crate::index::IndexCache;
 use crate::plan::{plan_query, Plan, Strategy};
-use sac_common::{Atom, Error, FxHashMap, Result, Symbol, Term};
+use sac_common::{Atom, FxHashMap, SacError, SacResult, Symbol, Term};
 use sac_datalog::{Certificate, DatalogProgram, DerivationStep, Premise, Rule};
 use sac_deps::Tgd;
 use sac_query::ConjunctiveQuery;
@@ -132,7 +131,7 @@ impl DatalogSource for &DatalogProgram {
 
 impl DatalogSource for &str {
     fn into_program(self) -> SacResult<DatalogProgram> {
-        self.parse::<DatalogProgram>().map_err(SacError::from)
+        self.parse::<DatalogProgram>()
     }
 }
 
@@ -232,7 +231,7 @@ pub(crate) fn evaluate(
     tgds: &[Tgd],
     config: &EngineConfig,
     options: DatalogOptions,
-) -> Result<DatalogRun> {
+) -> SacResult<DatalogRun> {
     // Everything at or below this cursor is a base fact: certificate
     // premises below it use stable row ids, above it derivation steps.
     let base_cursor = work.delta_cursor();
@@ -269,7 +268,7 @@ pub(crate) fn evaluate(
                 plan,
             })
         })
-        .collect::<Result<Vec<CompiledRule<'_>>>>()?;
+        .collect::<SacResult<Vec<CompiledRule<'_>>>>()?;
 
     let mut stats = DatalogStats {
         rules: program.rule_count(),
@@ -354,7 +353,7 @@ pub(crate) fn evaluate(
                                 let premise = ground(atom, slots, row);
                                 resolve_premise(&work, &base_cursor, &derived_step, &premise)
                             })
-                            .collect::<Result<Vec<Premise>>>()?;
+                            .collect::<SacResult<Vec<Premise>>>()?;
                         derived_step.insert(fact.clone(), cert.steps.len());
                         cert.steps.push(DerivationStep {
                             rule: cr.index,
@@ -391,7 +390,7 @@ fn resolve_premise(
     base_cursor: &DeltaCursor,
     derived_step: &FxHashMap<Atom, usize>,
     fact: &Atom,
-) -> Result<Premise> {
+) -> SacResult<Premise> {
     if let Some(relation) = work.relation(fact.predicate) {
         if let Some(row) = relation.find_row(&fact.args) {
             if row < base_cursor.rows_covered(fact.predicate) {
@@ -407,7 +406,7 @@ fn resolve_premise(
         .copied()
         .map(Premise::Derived)
         .ok_or_else(|| {
-            Error::Malformed(format!(
+            SacError::invalid(format!(
                 "internal: premise {fact} is neither a base fact nor a recorded derivation"
             ))
         })

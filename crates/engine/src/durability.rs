@@ -46,15 +46,14 @@
 //! write guard, so it is durable when the call returns.
 
 use crate::database::{Database, State};
-use crate::error::{SacError, SacResult};
 use crate::view::{MaterializedView, ViewOptions};
-use sac_common::Symbol;
+use sac_common::{SacError, SacResult, Symbol};
 use sac_deps::Tgd;
 use sac_query::ConjunctiveQuery;
 use sac_storage::{dict, DeltaCursor, Instance};
 use sac_wal::{
     latest_snapshot, prune_snapshots, write_snapshot, AtomRepr, FactBatch, QueryRepr,
-    RelationBatch, Snapshot, TermRepr, TgdRepr, ViewRepr, WalError, WalWriter,
+    RelationBatch, Snapshot, TermRepr, TgdRepr, ViewRepr, WalWriter,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -69,14 +68,6 @@ const WAL_FILE: &str = "wal.sacwal";
 /// Snapshot files kept after a checkpoint: the newest, plus the previous
 /// one for an operator to fall back to by deleting a corrupt newest.
 const SNAPSHOTS_KEPT: usize = 2;
-
-impl From<WalError> for SacError {
-    fn from(e: WalError) -> SacError {
-        SacError::Persistence {
-            message: e.to_string(),
-        }
-    }
-}
 
 /// What [`Database::open`] found and did (see
 /// [`Database::recovery_report`]).
@@ -230,10 +221,10 @@ fn query_from_repr(repr: &QueryRepr) -> SacResult<ConjunctiveQuery> {
 
 /// Rebuilds a live tgd from its persisted representation.
 fn tgd_from_repr(repr: &TgdRepr) -> SacResult<Tgd> {
-    Ok(Tgd::new(
+    Tgd::new(
         repr.body.iter().map(AtomRepr::to_atom).collect(),
         repr.head.iter().map(AtomRepr::to_atom).collect(),
-    )?)
+    )
 }
 
 /// Dumps the full instance (plus dictionary prefix) into snapshot form.

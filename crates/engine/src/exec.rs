@@ -77,10 +77,10 @@
 use crate::index::IndexCache;
 use crate::plan::{EdgeSpec, ExecPlan, IndexedPlan, JoinSpec, Plan, YannakakisPlan};
 use crate::result::{sort_dedup, CodeRows};
+use crate::telemetry::{Phase, Probe};
 use sac_common::{FxHashMap, FxHashSet, Symbol};
 use sac_query::homomorphism::{relation_of, search, CodeShape, SearchStep};
 use sac_storage::{Instance, JoinIndex};
-use sac_telemetry::{Phase, Probe};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -10,9 +10,9 @@
 //! text) into a physical [`Plan`], caches the plan by query fingerprint, and
 //! executes it over lazily built, epoch-invalidated hash indexes.  The
 //! session is `Send + Sync` and serves every request through `&self`, so
-//! many threads can query one shared database concurrently; failures from
-//! every layer fold into the single [`SacError`] type, and answers come back
-//! as typed [`ResultSet`]s with named columns.
+//! many threads can query one shared database concurrently; every layer
+//! fails with the one [`SacError`] type (defined in `sac-common`), and
+//! answers come back as typed [`ResultSet`]s with named columns.
 //!
 //! ## The strategy lattice
 //!
@@ -113,8 +113,8 @@
 //!
 //! ## Observability
 //!
-//! The engine is instrumented end to end through the std-only
-//! [`sac_telemetry`] crate, re-exported here as [`telemetry`]:
+//! The engine is instrumented end to end through its std-only
+//! [`telemetry`] module:
 //!
 //! - [`Database::run_traced`] / [`PreparedQuery::run_traced`] /
 //!   [`MaterializedView::refresh_traced`] return a [`QueryTrace`] alongside
@@ -132,28 +132,57 @@
 pub mod database;
 pub mod datalog;
 pub mod durability;
-mod error;
 mod exec;
+// The two halves of `telemetry` below; their files live in `telemetry/`.
+#[path = "telemetry/histogram.rs"]
+mod histogram;
 pub mod index;
 mod metrics;
 pub mod plan;
 mod pool;
 mod result;
+#[path = "telemetry/trace.rs"]
+mod trace;
 pub mod view;
 
-/// The engine's observability layer (the `sac-telemetry` crate): traces
-/// and histograms.
-pub use sac_telemetry as telemetry;
+pub mod telemetry {
+    //! Observability primitives for the engine.
+    //!
+    //! Two std-only building blocks, free of engine types:
+    //!
+    //! * **[`Histogram`]** — lock-free log-bucketed latency histograms
+    //!   (atomic buckets, `p50`/`p90`/`p99` via [`HistogramSnapshot`]) for
+    //!   run / prepare / view-refresh / Datalog latencies.
+    //! * **[`Probe`] / [`QueryTrace`]** — per-run phase timers with a
+    //!   contiguous boundary-mark discipline (phase times always sum to the
+    //!   traced span) plus per-join-tree-node row counts, surfaced by the
+    //!   engine as `run_traced`.
+    //!
+    //! ```
+    //! use sac_engine::telemetry::{Phase, Probe};
+    //!
+    //! let mut probe = Probe::start();
+    //! // ... plan the query ...
+    //! probe.mark(Phase::Plan);
+    //! // ... execute ...
+    //! probe.mark(Phase::Decode);
+    //! let (phases, _nodes, total_ns) = probe.finish();
+    //! assert_eq!(phases.total_ns(), total_ns);
+    //! ```
+
+    pub use crate::histogram::{fmt_ns, Histogram, HistogramSnapshot};
+    pub use crate::trace::{NodeRows, Phase, PhaseTimes, Probe, QueryTrace};
+}
 
 pub use database::{Database, EngineConfig, PreparedQuery, QuerySource};
 pub use datalog::{DatalogOptions, DatalogRun, DatalogSource, DatalogStats, PreparedDatalog};
 pub use durability::{CheckpointReport, DurabilityOptions, RecoveryReport, SyncMode};
-pub use error::{SacError, SacResult};
 pub use index::IndexCache;
 pub use metrics::EngineMetrics;
 pub use plan::{Explain, Plan, Strategy};
 pub use result::{ResultSet, Row};
+pub use sac_common::{SacError, SacResult};
 pub use sac_datalog::{Certificate, CheckError, DatalogProgram, DerivationStep, Premise};
 pub use sac_storage::JoinIndex;
-pub use sac_telemetry::{fmt_ns, HistogramSnapshot, NodeRows, Phase, PhaseTimes, QueryTrace};
+pub use telemetry::{fmt_ns, HistogramSnapshot, NodeRows, Phase, PhaseTimes, QueryTrace};
 pub use view::{MaterializedView, RefreshMode, ViewOptions, ViewRefresh};

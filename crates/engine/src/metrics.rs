@@ -4,13 +4,13 @@
 //! itself into one of the [`LatencyRecorders`] histograms;
 //! [`Database::metrics`] snapshots both into an [`EngineMetrics`] value,
 //! which is what tests, examples and the benchmark read.  Per-run detail
-//! (phases, cache outcomes, per-node rows) is the [`sac_telemetry::QueryTrace`]
-//! of a traced run; recovery and checkpoints report through
+//! (phases, cache outcomes, per-node rows) is the [`crate::QueryTrace`] of
+//! a traced run; recovery and checkpoints report through
 //! [`crate::RecoveryReport`] and [`crate::CheckpointReport`].
 
 use crate::database::Database;
 use crate::plan::Strategy;
-use sac_telemetry::{Histogram, HistogramSnapshot};
+use crate::telemetry::{Histogram, HistogramSnapshot};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -254,7 +254,7 @@ impl MetricCounters {
 }
 
 /// The session's lock-free latency histograms (see
-/// [`sac_telemetry::Histogram`]): recorded unconditionally — a record is
+/// [`crate::telemetry::Histogram`]): recorded unconditionally — a record is
 /// three relaxed atomic adds — and snapshotted into [`EngineMetrics`].
 #[derive(Debug, Default)]
 pub(crate) struct LatencyRecorders {

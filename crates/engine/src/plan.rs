@@ -45,7 +45,8 @@ use crate::database::EngineConfig;
 use sac_acyclic::{join_tree_of_atoms, JoinTree};
 use sac_common::Symbol;
 use sac_core::{
-    is_semantically_acyclic_no_constraints, semantic_acyclicity_under_tgds, SemAcResult,
+    is_semantically_acyclic_no_constraints, semantic_acyclicity_under_tgds, SemAcConfig,
+    SemAcResult,
 };
 use sac_deps::Tgd;
 use sac_query::homomorphism::{index_slot, search_steps, NodeShape, SearchStep};
@@ -306,7 +307,7 @@ pub(crate) fn plan_query(
         // is acyclic" — and core equivalence holds over every database.
         is_semantically_acyclic_no_constraints(query)
     } else if query.size() <= MAX_WITNESS_ATOMS {
-        match semantic_acyclicity_under_tgds(query, tgds, config.semac) {
+        match semantic_acyclicity_under_tgds(query, tgds, SemAcConfig::default()) {
             SemAcResult::Witness(w) => Some(w),
             SemAcResult::NoWitness { .. } => None,
         }

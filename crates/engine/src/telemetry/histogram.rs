@@ -60,7 +60,7 @@ fn bucket_mid(index: usize) -> u64 {
 /// A lock-free latency histogram over log-spaced nanosecond buckets.
 ///
 /// ```
-/// use sac_telemetry::Histogram;
+/// use sac_engine::telemetry::Histogram;
 /// use std::time::Duration;
 ///
 /// let h = Histogram::new();

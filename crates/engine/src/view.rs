@@ -57,14 +57,13 @@
 //! ```
 
 use crate::database::{Database, QuerySource, State};
-use crate::error::SacResult;
 use crate::exec;
 use crate::plan::{Explain, Plan, Strategy};
 use crate::result::{CodeRows, ResultSet};
-use sac_common::Symbol;
+use crate::telemetry::{NodeRows, Phase, PhaseTimes, Probe, QueryTrace};
+use sac_common::{SacResult, Symbol};
 use sac_query::ConjunctiveQuery;
 use sac_storage::{DeltaCursor, Instance};
-use sac_telemetry::{NodeRows, Phase, PhaseTimes, Probe, QueryTrace};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::Ordering;
@@ -252,11 +251,11 @@ impl<'db> MaterializedView<'db> {
         self.database.view_refresh(&self.core)
     }
 
-    /// [`MaterializedView::refresh`] with a [`sac_telemetry::QueryTrace`]
+    /// [`MaterializedView::refresh`] with a [`QueryTrace`]
     /// over the maintenance work: the trace's `refresh_mode` and
     /// `delta_rows` report which path ran, and — for refreshes that did
     /// work — the phase timers cover the delta push or recompute.
-    pub fn refresh_traced(&self) -> (ViewRefresh, sac_telemetry::QueryTrace) {
+    pub fn refresh_traced(&self) -> (ViewRefresh, QueryTrace) {
         self.database.view_refresh_traced(&self.core)
     }
 
@@ -684,7 +683,6 @@ mod tests {
             .unwrap()
             .with_config(EngineConfig {
                 force_indexed: true,
-                ..EngineConfig::default()
             });
         let view = forced.materialize("q(X) :- E(X, Y), E(Y, Z).").unwrap();
         assert_eq!(view.strategy(), Strategy::IndexedSearch);

@@ -116,7 +116,6 @@ proptest! {
         let planned = Database::from_instance(reference.clone());
         let forced = Database::from_instance(reference.clone()).with_config(EngineConfig {
             force_indexed: true,
-            ..EngineConfig::default()
         });
         let mut runs = vec![(q.clone(), planned.run(&q)), (q.clone(), forced.run(&q))];
         if let Some(folded) = with_folding_cycle(&q) {

@@ -1,7 +1,7 @@
 //! The conjunctive query data model.
 
 use crate::gaifman::GaifmanGraph;
-use sac_common::{Atom, Error, Result, Schema, Symbol, Term};
+use sac_common::{Atom, SacError, SacResult, Schema, Symbol, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -26,7 +26,7 @@ pub struct ConjunctiveQuery {
 
 impl ConjunctiveQuery {
     /// Creates a query after validating it (see [`ConjunctiveQuery::validate`]).
-    pub fn new(head: Vec<Symbol>, body: Vec<Atom>) -> Result<ConjunctiveQuery> {
+    pub fn new(head: Vec<Symbol>, body: Vec<Atom>) -> SacResult<ConjunctiveQuery> {
         let q = ConjunctiveQuery {
             name: None,
             head,
@@ -37,7 +37,7 @@ impl ConjunctiveQuery {
     }
 
     /// Creates a Boolean query.
-    pub fn boolean(body: Vec<Atom>) -> Result<ConjunctiveQuery> {
+    pub fn boolean(body: Vec<Atom>) -> SacResult<ConjunctiveQuery> {
         ConjunctiveQuery::new(Vec::new(), body)
     }
 
@@ -62,10 +62,10 @@ impl ConjunctiveQuery {
     /// * body atoms contain no nulls,
     /// * every head variable occurs in some body atom,
     /// * every predicate is used with a consistent arity.
-    pub fn validate(&self) -> Result<()> {
+    pub fn validate(&self) -> SacResult<()> {
         for atom in &self.body {
             if atom.args.iter().any(|t| t.is_null()) {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "query atom {atom} contains a labelled null"
                 )));
             }
@@ -73,7 +73,7 @@ impl ConjunctiveQuery {
         let body_vars = self.body_variables();
         for v in &self.head {
             if !body_vars.contains(v) {
-                return Err(Error::Malformed(format!(
+                return Err(SacError::invalid(format!(
                     "head variable {v} does not occur in the body"
                 )));
             }
@@ -186,9 +186,9 @@ impl ConjunctiveQuery {
 /// shared by [`std::str::FromStr`] and `sac::parser`): head arguments must
 /// all be variables, and the head predicate becomes the display name.
 impl TryFrom<sac_common::RawStatement> for ConjunctiveQuery {
-    type Error = Error;
+    type Error = SacError;
 
-    fn try_from(statement: sac_common::RawStatement) -> Result<ConjunctiveQuery> {
+    fn try_from(statement: sac_common::RawStatement) -> SacResult<ConjunctiveQuery> {
         match statement {
             sac_common::RawStatement::Rule {
                 head,
@@ -196,18 +196,18 @@ impl TryFrom<sac_common::RawStatement> for ConjunctiveQuery {
                 negated,
             } => {
                 if !negated.is_empty() {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "conjunctive queries cannot use negation (`not {}`); \
                          negated literals belong to Datalog rules",
                         negated[0]
                     )));
                 }
-                let head_vars: Result<Vec<Symbol>> = head
+                let head_vars: SacResult<Vec<Symbol>> = head
                     .args
                     .iter()
                     .map(|t| {
                         t.as_variable().ok_or_else(|| {
-                            Error::Malformed(format!(
+                            SacError::invalid(format!(
                                 "query heads may only contain variables, found `{t}`"
                             ))
                         })
@@ -215,7 +215,7 @@ impl TryFrom<sac_common::RawStatement> for ConjunctiveQuery {
                     .collect();
                 Ok(ConjunctiveQuery::new(head_vars?, body)?.named(&head.predicate.as_str()))
             }
-            other => Err(Error::Malformed(format!(
+            other => Err(SacError::invalid(format!(
                 "expected a query, found a {}",
                 other.kind()
             ))),
@@ -227,9 +227,9 @@ impl TryFrom<sac_common::RawStatement> for ConjunctiveQuery {
 /// [`sac_common::syntax`]), so `"q(X) :- R(X, Y).".parse::<ConjunctiveQuery>()`
 /// works anywhere without going through `sac::parser`.
 impl std::str::FromStr for ConjunctiveQuery {
-    type Err = Error;
+    type Err = SacError;
 
-    fn from_str(s: &str) -> Result<ConjunctiveQuery> {
+    fn from_str(s: &str) -> SacResult<ConjunctiveQuery> {
         sac_common::syntax::parse_statement(s)?.try_into()
     }
 }

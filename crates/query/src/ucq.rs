@@ -9,7 +9,7 @@
 use crate::containment::contained_in;
 use crate::cq::ConjunctiveQuery;
 use crate::evaluate::evaluate;
-use sac_common::{Error, Result, Term};
+use sac_common::{SacError, SacResult, Term};
 use sac_storage::Instance;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -24,14 +24,14 @@ pub struct UnionOfConjunctiveQueries {
 impl UnionOfConjunctiveQueries {
     /// Creates a UCQ, checking that all disjuncts have the same head arity
     /// and that at least one disjunct is present.
-    pub fn new(disjuncts: Vec<ConjunctiveQuery>) -> Result<UnionOfConjunctiveQueries> {
+    pub fn new(disjuncts: Vec<ConjunctiveQuery>) -> SacResult<UnionOfConjunctiveQueries> {
         if disjuncts.is_empty() {
-            return Err(Error::Malformed("a UCQ needs at least one disjunct".into()));
+            return Err(SacError::invalid("a UCQ needs at least one disjunct"));
         }
         let arity = disjuncts[0].head.len();
         if disjuncts.iter().any(|q| q.head.len() != arity) {
-            return Err(Error::Malformed(
-                "all UCQ disjuncts must have the same head arity".into(),
+            return Err(SacError::invalid(
+                "all UCQ disjuncts must have the same head arity",
             ));
         }
         Ok(UnionOfConjunctiveQueries { disjuncts })

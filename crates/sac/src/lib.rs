@@ -126,10 +126,10 @@ pub use sac_core::rewrite;
 pub use sac_datalog as datalog;
 pub use sac_deps as deps;
 pub use sac_engine as engine;
+pub use sac_engine::telemetry;
 pub use sac_gen as gen;
 pub use sac_query as query;
 pub use sac_storage as storage;
-pub use sac_telemetry as telemetry;
 pub use sac_wal as wal;
 
 mod parse;
@@ -175,6 +175,7 @@ pub mod prelude {
         parse_database, parse_datalog_program, parse_egd, parse_program, parse_query, parse_tgd,
     };
     pub use sac_core::rewrite::{contained_via_rewriting, rewrite, RewriteBudget};
+    pub use sac_engine::telemetry::{fmt_ns, HistogramSnapshot, Phase, PhaseTimes, QueryTrace};
     pub use sac_engine::Strategy as PlanStrategy;
     pub use sac_engine::{
         Certificate, CheckError, CheckpointReport, Database, DatalogOptions, DatalogProgram,
@@ -188,5 +189,4 @@ pub mod prelude {
         FrozenQuery, UnionOfConjunctiveQueries,
     };
     pub use sac_storage::{DeltaCursor, Instance, InstanceStats, RelationDelta, RelationStats};
-    pub use sac_telemetry::{fmt_ns, HistogramSnapshot, Phase, PhaseTimes, QueryTrace};
 }

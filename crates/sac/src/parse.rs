@@ -6,7 +6,7 @@
 //! well-formedness) and collects the results into a [`Program`].
 
 use sac_common::syntax::{parse_statements_located, RawStatement};
-use sac_common::{Error, Result};
+use sac_common::{SacError, SacResult};
 use sac_datalog::{DatalogProgram, Rule};
 use sac_deps::{Egd, Tgd};
 use sac_query::ConjunctiveQuery;
@@ -29,7 +29,7 @@ impl Program {
     /// Adds one raw statement, delegating the semantic validation to the
     /// same `TryFrom<RawStatement>` conversions that power the `FromStr`
     /// impls — the program parser and `str::parse` can never diverge.
-    fn push(&mut self, statement: RawStatement) -> Result<()> {
+    fn push(&mut self, statement: RawStatement) -> SacResult<()> {
         match statement {
             rule @ RawStatement::Rule { .. } => {
                 self.queries.push(ConjunctiveQuery::try_from(rule)?);
@@ -42,13 +42,13 @@ impl Program {
             }
             RawStatement::Fact(atom) => {
                 if !atom.is_ground() {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "facts must be ground (constants only), found `{atom}`"
                     )));
                 }
                 self.database
                     .insert(atom)
-                    .map_err(|e| Error::Malformed(format!("invalid fact: {e}")))?;
+                    .map_err(|e| SacError::invalid(format!("invalid fact: {e}")))?;
             }
         }
         Ok(())
@@ -59,12 +59,12 @@ impl Program {
 /// Semantic failures (constant query heads, non-ground facts, malformed
 /// dependencies) are reported as positioned parse errors at the offending
 /// statement.
-pub fn parse_program(input: &str) -> Result<Program> {
+pub fn parse_program(input: &str) -> SacResult<Program> {
     let mut program = Program::default();
     for (statement, offset) in parse_statements_located(input)? {
         program
             .push(statement)
-            .map_err(|e| Error::parse_at(e.to_string(), input, offset))?;
+            .map_err(|e| SacError::parse_at(e.to_string(), input, offset))?;
     }
     Ok(program)
 }
@@ -88,29 +88,29 @@ pub fn parse_program(input: &str) -> Result<Program> {
 /// assert_eq!(program.rule_count(), 2);
 /// assert_eq!(base.len(), 2);
 /// ```
-pub fn parse_datalog_program(input: &str) -> Result<(DatalogProgram, Instance)> {
+pub fn parse_datalog_program(input: &str) -> SacResult<(DatalogProgram, Instance)> {
     let mut rules = Vec::new();
     let mut base = Instance::default();
     for (statement, offset) in parse_statements_located(input)? {
         match statement {
             rule @ RawStatement::Rule { .. } => {
                 let rule = Rule::try_from(rule)
-                    .map_err(|e| Error::parse_at(e.to_string(), input, offset))?;
+                    .map_err(|e| SacError::parse_at(e.to_string(), input, offset))?;
                 rules.push(rule);
             }
             RawStatement::Fact(atom) => {
                 if !atom.is_ground() {
-                    return Err(Error::parse_at(
+                    return Err(SacError::parse_at(
                         format!("facts must be ground (constants only), found `{atom}`"),
                         input,
                         offset,
                     ));
                 }
                 base.insert(atom)
-                    .map_err(|e| Error::parse_at(format!("invalid fact: {e}"), input, offset))?;
+                    .map_err(|e| SacError::parse_at(format!("invalid fact: {e}"), input, offset))?;
             }
             RawStatement::Tgd { .. } | RawStatement::Egd { .. } => {
-                return Err(Error::parse_at(
+                return Err(SacError::parse_at(
                     "datalog programs contain only rules and facts, found a dependency",
                     input,
                     offset,
@@ -119,42 +119,42 @@ pub fn parse_datalog_program(input: &str) -> Result<(DatalogProgram, Instance)> 
         }
     }
     let program =
-        DatalogProgram::new(rules).map_err(|e| Error::parse_at(e.to_string(), input, 0))?;
+        DatalogProgram::new(rules).map_err(|e| SacError::parse_at(e.to_string(), input, 0))?;
     Ok((program, base))
 }
 
 /// Parses a single conjunctive query.  Equivalent to
 /// `input.parse::<ConjunctiveQuery>()` when the input holds exactly one
 /// statement.
-pub fn parse_query(input: &str) -> Result<ConjunctiveQuery> {
+pub fn parse_query(input: &str) -> SacResult<ConjunctiveQuery> {
     let program = parse_program(input)?;
     program
         .queries
         .into_iter()
         .next()
-        .ok_or_else(|| Error::parse_at("expected a query", input, 0))
+        .ok_or_else(|| SacError::parse_at("expected a query", input, 0))
 }
 
 /// Parses a single tgd.  Equivalent to `input.parse::<Tgd>()` when the input
 /// holds exactly one statement.
-pub fn parse_tgd(input: &str) -> Result<Tgd> {
+pub fn parse_tgd(input: &str) -> SacResult<Tgd> {
     let program = parse_program(input)?;
     program
         .tgds
         .into_iter()
         .next()
-        .ok_or_else(|| Error::parse_at("expected a tgd", input, 0))
+        .ok_or_else(|| SacError::parse_at("expected a tgd", input, 0))
 }
 
 /// Parses a single egd.  Equivalent to `input.parse::<Egd>()` when the input
 /// holds exactly one statement.
-pub fn parse_egd(input: &str) -> Result<Egd> {
+pub fn parse_egd(input: &str) -> SacResult<Egd> {
     let program = parse_program(input)?;
     program
         .egds
         .into_iter()
         .next()
-        .ok_or_else(|| Error::parse_at("expected an egd", input, 0))
+        .ok_or_else(|| SacError::parse_at("expected an egd", input, 0))
 }
 
 /// Parses a database (a list of ground facts).  Unlike
@@ -162,7 +162,7 @@ pub fn parse_egd(input: &str) -> Result<Egd> {
 /// dependencies) are parsed and discarded rather than rejected, so a full
 /// well-formed program can serve as a database source; statements that fail
 /// validation still error.
-pub fn parse_database(input: &str) -> Result<Instance> {
+pub fn parse_database(input: &str) -> SacResult<Instance> {
     Ok(parse_program(input)?.database)
 }
 
@@ -245,14 +245,14 @@ mod tests {
 
         // Positions are line/column-accurate, not just byte offsets.
         let err = parse_program("R(a).\nS(b) & T(c).").unwrap_err();
-        let sac_common::Error::Parse { line, column, .. } = err else {
+        let SacError::Parse { line, column, .. } = err else {
             panic!("expected a parse error, got {err:?}");
         };
         assert_eq!((line, column), (2, 6));
 
         // Semantic failures point at the offending statement too.
         let err = parse_program("R(a).\nq(a) :- R(a).").unwrap_err();
-        let sac_common::Error::Parse { line, message, .. } = err else {
+        let SacError::Parse { line, message, .. } = err else {
             panic!("expected a positioned error, got {err:?}");
         };
         assert_eq!(line, 2);

@@ -2,7 +2,7 @@
 
 use crate::relation::Relation;
 use crate::stats::InstanceStats;
-use sac_common::{Atom, Error, Result, Schema, Symbol, Term};
+use sac_common::{Atom, SacError, SacResult, Schema, Symbol, Term};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -38,7 +38,7 @@ impl Instance {
     }
 
     /// Builds an instance from an iterator of atoms.
-    pub fn from_atoms(atoms: impl IntoIterator<Item = Atom>) -> Result<Instance> {
+    pub fn from_atoms(atoms: impl IntoIterator<Item = Atom>) -> SacResult<Instance> {
         let mut inst = Instance::new();
         for atom in atoms {
             inst.insert(atom)?;
@@ -49,12 +49,12 @@ impl Instance {
     /// Inserts an atom.  Returns `Ok(true)` if the atom was new, `Ok(false)`
     /// if it was already present, and an error if the predicate was already
     /// used with a different arity.
-    pub fn insert(&mut self, atom: Atom) -> Result<bool> {
+    pub fn insert(&mut self, atom: Atom) -> SacResult<bool> {
         let arity = atom.arity();
         let rel = match self.relations.get_mut(&atom.predicate) {
             Some(rel) => {
                 if rel.arity() != arity {
-                    return Err(Error::ArityMismatch {
+                    return Err(SacError::ArityMismatch {
                         predicate: atom.predicate.as_str(),
                         expected: rel.arity(),
                         found: arity,
@@ -245,7 +245,7 @@ impl Instance {
     }
 
     /// Merges all atoms of `other` into `self`.
-    pub fn extend_from(&mut self, other: &Instance) -> Result<usize> {
+    pub fn extend_from(&mut self, other: &Instance) -> SacResult<usize> {
         let mut added = 0;
         for atom in other.atoms() {
             if self.insert(atom)? {
@@ -330,9 +330,9 @@ impl fmt::Display for Instance {
 /// [`sac_common::syntax`]), so `"E(a, b). E(b, c).".parse::<Instance>()`
 /// works anywhere without going through `sac::parser`.
 impl std::str::FromStr for Instance {
-    type Err = Error;
+    type Err = SacError;
 
-    fn from_str(s: &str) -> Result<Instance> {
+    fn from_str(s: &str) -> SacResult<Instance> {
         let mut instance = Instance::new();
         for statement in sac_common::syntax::parse_statements(s)? {
             match statement {
@@ -340,12 +340,12 @@ impl std::str::FromStr for Instance {
                     instance.insert(atom)?;
                 }
                 sac_common::RawStatement::Fact(atom) => {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "facts must be ground (constants only), found `{atom}`"
                     )))
                 }
                 other => {
-                    return Err(Error::Malformed(format!(
+                    return Err(SacError::invalid(format!(
                         "databases contain only facts, found a {}",
                         other.kind()
                     )))

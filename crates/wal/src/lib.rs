@@ -48,6 +48,7 @@ pub use record::{
 };
 pub use snapshot::{latest_snapshot, prune_snapshots, read_snapshot, write_snapshot};
 
+use sac_common::SacError;
 use std::fmt;
 
 /// Result alias using [`WalError`].
@@ -102,6 +103,16 @@ impl std::error::Error for WalError {
         match self {
             WalError::Io { source, .. } => Some(source),
             WalError::Corrupt { .. } => None,
+        }
+    }
+}
+
+/// Every persistence failure reaches a `Database` caller as a
+/// [`SacError::Persistence`] carrying this error's text.
+impl From<WalError> for SacError {
+    fn from(e: WalError) -> SacError {
+        SacError::Persistence {
+            message: e.to_string(),
         }
     }
 }

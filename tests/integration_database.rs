@@ -70,8 +70,32 @@ fn every_layers_failure_folds_into_sac_error() {
         SacError::InvalidInput { .. }
     ));
 
-    // Chase-budget failures from the decision layer convert with `?` too.
-    let exhausted: SacError = sac::common::Error::BudgetExhausted("chase steps".into()).into();
+    // Every layer raises the one `SacError`: the `Database` entry points
+    // hand the lower layer's error through as the same value, positions
+    // included.
+    for text in ["q(X) :-\n E(X", "q(a) :- E(a, X)."] {
+        assert_eq!(
+            db.query(text).unwrap_err(),
+            text.parse::<ConjunctiveQuery>().unwrap_err()
+        );
+    }
+    for text in ["E(a, b).\nE(a", "E(a, b). E(c)."] {
+        assert_eq!(
+            Database::from_facts(text).err().unwrap(),
+            text.parse::<Instance>().unwrap_err()
+        );
+    }
+    for text in ["p(X) :- E(X, Y).\np(X) :-", "p(Z) :- E(X, Y)."] {
+        assert_eq!(
+            db.run_datalog(text).err().unwrap(),
+            text.parse::<DatalogProgram>().unwrap_err()
+        );
+    }
+
+    // Budget failures from the decision layer are the same type.
+    let exhausted = SacError::BudgetExhausted {
+        message: "chase steps".into(),
+    };
     assert!(exhausted.to_string().contains("budget exhausted"));
 
     // And `SacError` is a real `std::error::Error` for service stacks.

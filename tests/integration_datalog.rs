@@ -88,10 +88,7 @@ fn run_cell(
     force_indexed: bool,
     parallelism: usize,
 ) -> (DatalogRun, BTreeSet<Atom>) {
-    let config = EngineConfig {
-        force_indexed,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { force_indexed };
     let db = Database::from_instance(base.clone())
         .with_config(config)
         .with_parallelism(parallelism);

@@ -96,10 +96,7 @@ fn run_cell(
     parallelism: usize,
     seen: &mut BTreeSet<String>,
 ) -> Vec<ResultSet> {
-    let config = EngineConfig {
-        force_indexed,
-        ..EngineConfig::default()
-    };
+    let config = EngineConfig { force_indexed };
     let db = Database::from_instance(data.clone())
         .with_tgds(tgds.to_vec())
         .with_config(config)
@@ -225,10 +222,7 @@ fn maintained_views_match_from_scratch_queries_after_every_append_batch() {
     let mut seen = BTreeSet::new();
     for parallelism in PARALLELISM_LEVELS {
         for force_indexed in [false, true] {
-            let config = EngineConfig {
-                force_indexed,
-                ..EngineConfig::default()
-            };
+            let config = EngineConfig { force_indexed };
             let db = Database::from_instance(base.clone())
                 .with_config(config)
                 .with_parallelism(parallelism);

@@ -66,10 +66,7 @@ fn assert_identical_answers(recovered: Database, twin: &Database, digest: &mut D
     let mut recovered = recovered;
     let mut rungs = std::collections::BTreeSet::new();
     for force_indexed in [false, true] {
-        recovered = recovered.with_config(EngineConfig {
-            force_indexed,
-            ..EngineConfig::default()
-        });
+        recovered = recovered.with_config(EngineConfig { force_indexed });
         for parallelism in PARALLELISM_LEVELS {
             recovered = recovered.with_parallelism(parallelism);
             let queries = rung_queries();
